@@ -10,6 +10,11 @@ stops moving. Rannacher startup (two implicit half-steps) damps the payoff
 kink. Boundaries: at S = 0 the PDE degenerates to the reaction ODE on its
 own; at S_max the second derivative is dropped (payoff linearity) with
 one-sided convection.
+
+Every forward rate a solve reads (both parties' bond and liquidity curves,
+the risk-free curve, each side's funded spread and the stock-financing
+curve) is tabulated once per solve on the step grid, the time grid plus
+the Rannacher half-step; the Picard sweeps only read that table.
 """
 
 from __future__ import annotations
@@ -87,7 +92,6 @@ class GridSpec:
     s_nodes: int = 400
     t_steps: int = 400
     s_max_mult: float = 5.0
-    scheme: str = "crank_nicolson"
     picard_tol: float = 1e-10
     picard_max_iter: int = 30
 
@@ -96,8 +100,6 @@ class GridSpec:
             raise PdeError("grid needs at least 50 space nodes and 50 time steps")
         if self.picard_tol <= 0.0:
             raise PdeError("picard_tol must be > 0")
-        if self.scheme != "crank_nicolson":
-            raise PdeError("only the crank_nicolson scheme is supported")
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,44 @@ class PdeSolution:
 CollateralSchedule = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _node_rates(spec: EffectiveRateSpec, t: float, v: np.ndarray,
-                schedule: CollateralSchedule | None) -> np.ndarray:
-    """Per-node effective rate from the sign of v (V=0 counts as a payable)."""
+@dataclass(frozen=True)
+class _ForwardTable:
+    """Forward rates on the solver's step times ``t``, one array per curve.
+
+    ``RateCurve.forward_rate`` evaluates an array element-wise with the
+    same operations as a scalar lookup, so each entry equals the scalar
+    forward at that time bit for bit.
+    """
+
+    t: np.ndarray
+    bond_c: np.ndarray
+    bond_b: np.ndarray
+    liquidity_c: np.ndarray
+    liquidity_b: np.ndarray
+    risk_free: np.ndarray
+    spread_c: np.ndarray
+    spread_b: np.ndarray
+    financing: np.ndarray
+
+    @classmethod
+    def build(cls, spec: EffectiveRateSpec, financing: RateCurve,
+              t: np.ndarray) -> "_ForwardTable":
+        return cls(t=t,
+                   bond_c=spec.party_c.bond.forward_rate(t),
+                   bond_b=spec.party_b.bond.forward_rate(t),
+                   liquidity_c=spec.party_c.liquidity.forward_rate(t),
+                   liquidity_b=spec.party_b.liquidity.forward_rate(t),
+                   risk_free=spec.risk_free.forward_rate(t),
+                   spread_c=spec.funded_spread_curve(+1).forward_rate(t),
+                   spread_b=spec.funded_spread_curve(-1).forward_rate(t),
+                   financing=financing.forward_rate(t))
+
+
+def _node_rates(spec: EffectiveRateSpec, fwd: _ForwardTable, k: int,
+                v: np.ndarray, schedule: CollateralSchedule | None) -> np.ndarray:
+    """Per-node effective rate at step time fwd.t[k] from the sign of v
+    (V=0 counts as a payable)."""
+    t = fwd.t[k]
     pos = v > 0.0
     if schedule is None:
         eta = np.where(pos, spec.eta(+1, t), spec.eta(-1, t))
@@ -127,14 +164,10 @@ def _node_rates(spec: EffectiveRateSpec, t: float, v: np.ndarray,
         if spec.mode == "uncollateralized":
             eta = np.zeros_like(eta)
     chi = np.where(pos, spec.chi(+1, t), spec.chi(-1, t))
-    f_unsec = np.where(pos, spec.party_c.bond.forward_rate(t),
-                       spec.party_b.bond.forward_rate(t))
-    f_mu = np.where(pos, spec.party_c.liquidity.forward_rate(t),
-                    spec.party_b.liquidity.forward_rate(t))
-    f_r = spec.risk_free.forward_rate(t)
-    f_s = np.where(pos, spec.funded_spread_curve(+1).forward_rate(t),
-                   spec.funded_spread_curve(-1).forward_rate(t))
-    return blend_rate(f_unsec, f_mu, f_r, f_s, eta, chi)
+    f_unsec = np.where(pos, fwd.bond_c[k], fwd.bond_b[k])
+    f_mu = np.where(pos, fwd.liquidity_c[k], fwd.liquidity_b[k])
+    f_s = np.where(pos, fwd.spread_c[k], fwd.spread_b[k])
+    return blend_rate(f_unsec, f_mu, fwd.risk_free[k], f_s, eta, chi)
 
 
 def _operator(s: np.ndarray, ds: float, conv: float, sigma: float,
@@ -191,34 +224,34 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
     financing = option.stock_financing or rates.risk_free
     sigma = option.vol
 
-    def rho_at(t: float, v_ref: np.ndarray) -> np.ndarray:
+    # Rannacher startup: the first interval as two implicit half-steps.
+    # Step i runs from fwd.t[i] to fwd.t[i + 1].
+    times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
+    fwd = _ForwardTable.build(
+        rates, financing, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
+
+    def rho_at(k: int, v_ref: np.ndarray) -> np.ndarray:
         if risk_free_override:
-            return np.full(len(s), rates.risk_free.forward_rate(t))
-        return np.asarray(_node_rates(rates, t, v_ref, collateral_schedule), dtype=float) \
+            return np.full(len(s), fwd.risk_free[k])
+        return np.asarray(_node_rates(rates, fwd, k, v_ref, collateral_schedule),
+                          dtype=float) \
             * np.ones(len(s))
 
     v = option.terminal_value(s)
     max_iters = 0
 
-    # Rannacher startup: the first interval as two implicit half-steps
-    times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
-    steps: list[tuple[float, float, float]] = []  # (theta, start, end)
-    steps.append((1.0, times[0], times[0] - dt / 2.0))
-    steps.append((1.0, times[0] - dt / 2.0, times[1]))
-    for k in range(1, grid.t_steps):
-        steps.append((0.5, times[k], times[k + 1]))
-
-    for theta, t_start, t_new in steps:
-        h = t_start - t_new
-        conv_old = financing.forward_rate(t_start) - option.div_yield
-        conv_new = financing.forward_rate(t_new) - option.div_yield
-        rho_old = rho_at(t_start, v)
+    for i in range(len(fwd.t) - 1):
+        theta = 1.0 if i < 2 else 0.5
+        h = fwd.t[i] - fwd.t[i + 1]
+        conv_old = fwd.financing[i] - option.div_yield
+        conv_new = fwd.financing[i + 1] - option.div_yield
+        rho_old = rho_at(i, v)
         lo_o, di_o, up_o = _operator(s, ds, conv_old, sigma, rho_old)
         rhs = v + (1.0 - theta) * h * _apply(lo_o, di_o, up_o, v)
 
         guess = v
         for it in range(1, grid.picard_max_iter + 1):
-            rho_new = rho_at(t_new, guess)
+            rho_new = rho_at(i + 1, guess)
             lo_n, di_n, up_n = _operator(s, ds, conv_new, sigma, rho_new)
             v_new = _solve_tridiag(-theta * h * lo_n, 1.0 - theta * h * di_n,
                                    -theta * h * up_n, rhs)
@@ -227,7 +260,7 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
             if residual < grid.picard_tol:
                 break
         else:
-            raise PicardConvergenceError(t_new, residual, grid.picard_max_iter)
+            raise PicardConvergenceError(fwd.t[i + 1], residual, grid.picard_max_iter)
         max_iters = max(max_iters, it)
         v = guess
 

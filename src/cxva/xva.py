@@ -35,13 +35,17 @@ class XvaError(ValueError):
     """Invalid XVA computation request."""
 
 
+_FIELDS = ("cva", "dva", "cfa", "dfa", "lva", "colva", "cra", "xva", "npv")
+
+
 @dataclass(frozen=True)
 class XvaReport:
     """Valuation adjustments in currency units plus optional running-spread
     twins in basis points (filled by to_running_spread).
 
     Identities hold by construction: cra = cva - dva + cfa - dfa and
-    xva = cra + lva, with colva the funded part of lva.
+    xva = cra + lva, with colva the funded part of lva. Every field must be
+    finite (the identity checks alone cannot see a NaN).
     """
 
     cva: float
@@ -56,6 +60,9 @@ class XvaReport:
     bp: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
+        values = [getattr(self, k) for k in _FIELDS] + list((self.bp or {}).values())
+        if not all(math.isfinite(x) for x in values):
+            raise XvaError("XVA report fields must be finite")
         scale = max(1.0, abs(self.xva))
         if abs(self.cra - (self.cva - self.dva + self.cfa - self.dfa)) > 1e-12 * scale:
             raise XvaError("cra must equal cva - dva + cfa - dfa")
@@ -63,14 +70,10 @@ class XvaReport:
             raise XvaError("xva must equal cra + lva")
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k)
-               for k in ("cva", "dva", "cfa", "dfa", "lva", "colva", "cra", "xva", "npv")}
+        out = {k: getattr(self, k) for k in _FIELDS}
         if self.bp is not None:
             out["bp"] = dict(self.bp)
         return out
-
-
-_FIELDS = ("cva", "dva", "cfa", "dfa", "lva", "colva", "cra", "xva", "npv")
 
 
 def to_running_spread(report: XvaReport, annuity: float) -> XvaReport:

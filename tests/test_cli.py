@@ -108,6 +108,23 @@ class TestXva:
             assert float(rows[name][2]) == 0.0
         assert float(rows["LVA"][0]) == 0.0
 
+    @pytest.mark.parametrize("path", ["parties.c.bond_spread",
+                                      "collateral.repo_spread"])
+    def test_nan_input_exits_2(self, tmp_path, capsys, path):
+        sc = write_scenario(tmp_path, portfolio=SMALL_PORTFOLIO,
+                            quadrature_steps=41)
+        raw = json.loads(sc.read_text())
+        *parents, leaf = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[leaf] = float("nan")
+        sc.write_text(json.dumps(raw))
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert not (tmp_path / "out" / "xva_table.csv").exists()
+
 
 class TestRepoCurve:
     def test_shipped_scenario(self, tmp_path):

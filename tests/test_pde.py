@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cxva.curves import PartyCurves, RateCurve
+from cxva import pde
+from cxva.collateral import CollateralState
+from cxva.curves import PartyCurves, RateCurve, load_curve_csv
+from cxva.discounting import EffectiveRateSpec, effective_rate
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
                       solve, xva_pde)
 
@@ -134,3 +138,87 @@ class TestShortPosition:
             u_long = xva_pde(ATM_CALL, spec, grid).u
             u_short = xva_pde(short, spec, grid).u
             assert u_long >= u_short - 1e-12
+
+
+class TestRateTable:
+    """The forwards tabulated once per solve give the solver exactly the
+    rates a scalar ``effective_rate`` lookup gives at every step time."""
+
+    OIS = load_curve_csv(Path(__file__).resolve().parent.parent / "scenarios"
+                         / "curves" / "ois_sloped.csv", "OIS")
+    FINANCING = RateCurve.from_nodes([(0.5, 0.02), (1.5, 0.024), (3.0, 0.021)],
+                                     "stock")
+    # sign-changing payoff, so both sides' rates are read
+    OPTION = OptionSpec(payoff="custom", strike=0.0, maturity=3.0, spot=100.0,
+                        vol=0.3, div_yield=0.005, stock_financing=FINANCING,
+                        custom_payoff=((0.0, 80.0, 120.0, 500.0),
+                                       (-20.0, -5.0, 5.0, 60.0)))
+    GRID = GridSpec(s_nodes=60, t_steps=60)
+
+    def _spec(self, mode: str) -> EffectiveRateSpec:
+        ois = self.OIS
+        return EffectiveRateSpec(
+            party_b=PartyCurves(bond=ois.shifted(0.0125), liquidity=ois.shifted(0.005)),
+            party_c=PartyCurves(bond=ois.shifted(0.03), liquidity=ois.shifted(0.01)),
+            risk_free=ois,
+            state=CollateralState(eta_b=0.4, eta_c=0.6, chi_b=0.3, chi_c=0.7),
+            mode=mode,
+            cash_rate=RateCurve.from_nodes([(0.5, 0.012), (2.0, 0.016), (4.0, 0.015)],
+                                           "cash") if mode == "cash_comingled" else None,
+            repo_spread_c=RateCurve.from_nodes([(1.0, 0.01), (3.0, 0.012)], "repo"),
+            repo_spread_b=0.008)
+
+    def _step_times(self) -> np.ndarray:
+        times = np.linspace(self.OPTION.maturity, 0.0, self.GRID.t_steps + 1)
+        dt = self.OPTION.maturity / self.GRID.t_steps
+        return np.concatenate(([times[0], times[0] - dt / 2.0], times[1:]))
+
+    def _spy(self, monkeypatch, *names: str) -> list:
+        """Log (name, args, result) of each call to the named pde helpers."""
+        log = []
+        for name in names:
+            def spy(*args, _name=name, _real=getattr(pde, name)):
+                out = _real(*args)
+                log.append((_name, args, out))
+                return out
+            monkeypatch.setattr(pde, name, spy)
+        return log
+
+    def test_step_times_hit_curve_tenors(self):
+        step_t = set(self._step_times())
+        assert {0.25, 1.0, 2.0} <= step_t & set(self.OIS.tenors)
+        assert {0.5, 1.5} <= step_t & set(self.FINANCING.tenors)
+
+    @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
+    def test_node_rates_equal_effective_rate(self, monkeypatch, mode):
+        spec = self._spec(mode)
+        log = self._spy(monkeypatch, "_node_rates", "_operator")
+        solve(self.OPTION, spec, self.GRID)
+        # each operator is built right after the node rates it uses
+        assert [name for name, _, _ in log] == ["_node_rates", "_operator"] * (len(log) // 2)
+        seen = set()
+        for (_, rate_args, rates), (_, op_args, _) in zip(log[0::2], log[1::2]):
+            t = rate_args[1].t[rate_args[2]]
+            v = rate_args[3]
+            expected = np.where(v > 0.0, effective_rate(spec, t, +1),
+                                effective_rate(spec, t, -1))
+            assert np.array_equal(rates, expected), t
+            assert np.array_equal(op_args[4], expected), t
+            assert op_args[2] == self.FINANCING.forward_rate(t) - self.OPTION.div_yield, t
+            seen.add(float(t))
+        assert seen == set(self._step_times())
+        signs = np.concatenate([args[3] > 0.0 for _, args, _ in log[0::2]])
+        assert signs.any() and not signs.all()
+
+    def test_risk_free_override_reads_risk_free_forward(self, monkeypatch):
+        log = self._spy(monkeypatch, "_operator")
+        solve(self.OPTION, self._spec("noncash"), self.GRID,
+              risk_free_override=True)
+        step_t = self._step_times()
+        conv = self.FINANCING.forward_rate(step_t) - self.OPTION.div_yield
+        rates = self.OIS.forward_rate(step_t)
+        assert log
+        for _, (_, _, c, _, rho), _ in log:
+            # some step time gives both the convection and the flat rate
+            assert any(c == conv[k] and np.all(rho == rates[k])
+                       for k in range(len(step_t)))
