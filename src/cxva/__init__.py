@@ -1,33 +1,31 @@
 """cxva: pricing and optimizing derivatives under imperfect collateral.
 
 Building blocks: zero curves with exact segment integrals, the (eta, chi)
-collateralization state, the switching effective discount rate, break-even
-term repo spreads, a Crank-Nicolson PDE pricer, swap exposure profiles,
-the CVA/DVA/CFA/DFA/LVA/colVA quadrature, and an LP-based collateral
-allocator with an HQLA floor.
+collateralization state, the sign-switching effective discount rate r_e,
+break-even term repo spreads, a Crank-Nicolson PDE pricer, swap exposure
+profiles, the CVA/DVA/CFA/DFA/LVA/colVA quadrature, and an LP-based
+collateral allocator with an HQLA floor, iterated against revaluation.
 """
 
 from .curves import PartyCurves, RateCurve, combine_curves
-from .collateral import (BlendedAsset, CollateralAsset, CollateralState, CsaTerms,
-                         chi, eta, portfolio_blend)
-from .discounting import EffectiveRateSpec, effective_rate, switching_discount_factor
+from .collateral import CollateralAsset, CollateralState, chi, eta
+from .discounting import EffectiveRateSpec, effective_rate
 from .repo import RepoModelParams, breakeven_spread, repo_curve, spread_curve
 from .exposure import (DeterministicModel, ExposureProfile, OneFactorMcModel, Swap,
                        exposure_profile, generate_portfolio)
-from .xva import XvaReport, colva_bk, decompose, lva_receivable, to_running_spread
+from .xva import XvaReport, colva_bk, decompose, to_running_spread
 from .pde import GridSpec, OptionSpec, solve, xva_pde
 from .optimizer import (Allocation, AllocationProblem, NettingSet, iterate_allocation,
-                        solve_lp, unit_lva)
+                        solve_lp)
 
 __all__ = [
-    "Allocation", "AllocationProblem", "BlendedAsset", "CollateralAsset",
-    "CollateralState", "CsaTerms", "DeterministicModel", "EffectiveRateSpec",
-    "ExposureProfile", "GridSpec", "NettingSet", "OneFactorMcModel", "OptionSpec",
-    "PartyCurves", "RateCurve", "Swap", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
+    "Allocation", "AllocationProblem", "CollateralAsset", "CollateralState",
+    "DeterministicModel", "EffectiveRateSpec", "ExposureProfile", "GridSpec",
+    "NettingSet", "OneFactorMcModel", "OptionSpec", "PartyCurves", "RateCurve",
+    "Swap", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
     "colva_bk", "combine_curves", "decompose", "effective_rate", "eta",
     "exposure_profile", "generate_portfolio", "iterate_allocation",
-    "lva_receivable", "portfolio_blend", "repo_curve", "solve", "solve_lp",
-    "spread_curve", "switching_discount_factor", "to_running_spread", "unit_lva",
+    "repo_curve", "solve", "solve_lp", "spread_curve", "to_running_spread",
     "xva_pde",
 ]
 

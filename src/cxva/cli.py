@@ -157,7 +157,7 @@ def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
     ec = asset.econ_capital[rating]
     text = _csv_line(["tenor_years", "spread", "repo_rate"])
     for t in tenors:
-        spread = breakeven_spread(params, ec, t, asset_id=asset.id)
+        spread = breakeven_spread(params, ec, t)
         text += _csv_line([_fmt(t), _fmt(spread), _fmt(curve.zero_rate(t))])
     _write(out / "repo_curve.csv", text)
     return {"asset": asset_id, "rating": rating, "file": "repo_curve.csv"}

@@ -1,4 +1,4 @@
-"""CSA terms, collateral assets and the (eta, chi) collateralization state.
+"""Collateral assets and the (eta, chi) collateralization state.
 
 eta is the fraction of exposure protected by CSA-haircut collateral value,
 chi the fraction of the protected exposure that is also funded. Together
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
-from typing import NamedTuple
 
 from .curves import RateCurve, combine_curves
 
@@ -37,7 +36,6 @@ class CollateralAsset:
     h_repo: float
     h_lcr: float
     econ_capital: Mapping[str, float]
-    eligible_for: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.price <= 0.0:
@@ -52,41 +50,13 @@ class CollateralAsset:
         if any(v < 0.0 for v in self.econ_capital.values()):
             raise CollateralError(f"{self.id}: economic capital must be >= 0")
 
-    def eligible(self, netting_set_id: str) -> bool:
-        return self.eligible_for is None or netting_set_id in self.eligible_for
-
-
-@dataclass(frozen=True)
-class CsaTerms:
-    """Credit support annex terms relevant to discounting.
-
-    segregated_* flags are per posting direction: True means the posted
-    collateral sits in a segregated account (chi = 0), False comingled.
-    collateralization_target drives eta in sweeps; threshold carves out a
-    fixed uncollateralized pocket.
-    """
-
-    cash_rate: RateCurve
-    segregated_b: bool = False
-    segregated_c: bool = False
-    collateralization_target: float = 1.0
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.collateralization_target <= 1.0:
-            raise CollateralError("collateralization_target must be in [0, 1]")
-        if self.threshold < 0.0:
-            raise CollateralError("threshold must be >= 0")
-
 
 TimeFraction = float | Callable[[float], float]
 
 
 @dataclass(frozen=True)
 class CollateralState:
-    """(eta, chi) descriptor per posting direction plus the blended funded
-    repo spread of the posted portfolio (the chi-weighted spread of the
-    effective-haircut aggregation; 0 for cash at the risk-free rate).
+    """(eta, chi) descriptor per posting direction.
 
     eta/chi entries may be callables of time for deterministic profiles;
     range checks then apply at evaluation sites.
@@ -96,7 +66,6 @@ class CollateralState:
     eta_c: TimeFraction = 1.0
     chi_b: TimeFraction = 1.0
     chi_c: TimeFraction = 1.0
-    repo_spread_blend: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("eta_b", "eta_c", "chi_b", "chi_c"):
@@ -129,54 +98,6 @@ def chi(h_repo: float, h_csa: float) -> float:
     if not 0.0 <= h_csa < 1.0 or not 0.0 <= h_repo < 1.0:
         raise CollateralError("haircuts must be in [0, 1)")
     return 1.0 - max(h_repo - h_csa, 0.0) / (1.0 - h_csa)
-
-
-class BlendedAsset(NamedTuple):
-    """One posted asset inside a blend: market value and its haircut/spread terms."""
-
-    market_value: float
-    h_csa: float
-    h_repo: float
-    repo_spread: float  # r_p - r, annualized decimal
-
-
-class Blend(NamedTuple):
-    chi_bar: float
-    chi: float
-    funded_spread: float  # sum_i w_i * S_pi
-
-    def as_state(self, eta_b: float = 1.0, eta_c: float = 1.0) -> "CollateralState":
-        """Collateralization state carrying this blend's chi and funded spread."""
-        return CollateralState(eta_b=eta_b, eta_c=eta_c, chi_b=self.chi,
-                               chi_c=self.chi, repo_spread_blend=self.funded_spread)
-
-
-def portfolio_blend(assets: Sequence[BlendedAsset | tuple], protection: float) -> Blend:
-    """Effective (chi_bar, chi, funded spread) of a posted asset portfolio.
-
-    Weights are w_i = (1-h_csa_i) * A_i / L against the protection amount L;
-    the adjusted spread per asset is S_pi = (1 - (h_pi-h_ci)+/(1-h_ci)) *
-    (r_pi - r), capping the excess-fund case at the CSA-protected amount.
-    """
-    if protection <= 0.0:
-        raise CollateralError("protection L must be > 0")
-    chi_bar = 0.0
-    funded = 0.0
-    wsum = 0.0
-    for a in assets:
-        a = BlendedAsset(*a)
-        if not 0.0 <= a.h_csa < 1.0 or not 0.0 <= a.h_repo < 1.0:
-            raise CollateralError("haircuts must be in [0, 1)")
-        if a.market_value < 0.0:
-            raise CollateralError("market values must be >= 0")
-        w = (1.0 - a.h_csa) * a.market_value / protection
-        wsum += w
-        unfunded = max(a.h_repo - a.h_csa, 0.0) / (1.0 - a.h_csa)
-        chi_bar += w * unfunded
-        funded += w * (1.0 - unfunded) * a.repo_spread
-    if wsum > 1.0 + 1e-9:
-        raise CollateralError(f"blend weights sum to {wsum:.6g} > 1")
-    return Blend(chi_bar=chi_bar, chi=1.0 - chi_bar, funded_spread=funded)
 
 
 def blend_spread_curve(assets: Sequence[tuple[float, float, float, RateCurve]],
@@ -231,12 +152,3 @@ def load_assets_csv(path) -> list[CollateralAsset]:
             ))
     return out
 
-
-def save_assets_csv(assets: Sequence[CollateralAsset], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_ASSET_HEADER)
-        for a in assets:
-            writer.writerow([a.id, f"{a.price:.6g}", f"{a.quantity:.6g}",
-                             f"{a.h_csa:.6g}", f"{a.h_repo:.6g}", f"{a.h_lcr:.6g}"]
-                            + [f"{a.econ_capital.get(r, 0.0):.6g}" for r in RATING_KEYS])

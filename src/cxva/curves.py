@@ -34,7 +34,8 @@ def _as_array(t) -> np.ndarray:
 class RateCurve:
     """Zero curve defined by (tenor_years, zero_rate) nodes.
 
-    Nodes must have strictly increasing tenors with the first tenor > 0.
+    Nodes must be finite, with strictly increasing tenors and the first
+    tenor > 0.
     Evaluation is defined for all t > 0; discount factors also accept t = 0.
     """
 
@@ -49,11 +50,13 @@ class RateCurve:
         if len(self.tenors) == 0 or len(self.tenors) != len(self.rates):
             raise CurveError("curve needs at least one (tenor, rate) node")
         ts = np.asarray(self.tenors, dtype=float)
+        zs = np.asarray(self.rates, dtype=float)
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(zs))):
+            raise CurveError("curve tenors and rates must be finite")
         if ts[0] <= 0.0:
             raise CurveError("first tenor must be > 0")
         if np.any(np.diff(ts) <= 0.0):
             raise CurveError("tenors must be strictly increasing")
-        zs = np.asarray(self.rates, dtype=float)
         object.__setattr__(self, "tenors", tuple(float(t) for t in ts))
         object.__setattr__(self, "rates", tuple(float(z) for z in zs))
         object.__setattr__(self, "_ts", np.concatenate(([0.0], ts)))
@@ -155,14 +158,6 @@ def load_curve_csv(path, label: str = "") -> RateCurve:
     return RateCurve.from_nodes(nodes, label=label)
 
 
-def save_curve_csv(curve: RateCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["tenor_years", "zero_rate"])
-        for t, z in zip(curve.tenors, curve.rates):
-            writer.writerow([repr(t), repr(z)])
-
-
 @dataclass(frozen=True)
 class PartyCurves:
     """One party's funding complex: unsecured bond curve, liquidity rate
@@ -195,7 +190,3 @@ class PartyCurves:
             hz = np.asarray(self.hazard.rates)
             if np.any(hz < 0.0):
                 raise CurveError("hazard rates must be non-negative")
-
-    def default_premium(self, t):
-        """bond - liquidity, the default-risk share of the credit spread."""
-        return self.bond.forward_rate(t) - self.liquidity.forward_rate(t)

@@ -15,9 +15,7 @@ this one rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -57,24 +55,6 @@ class EffectiveRateSpec:
     cash_rate: RateCurve | None = None
     repo_spread_c: RateCurve | float | None = None
     repo_spread_b: RateCurve | float | None = None
-
-    @classmethod
-    def from_csa(cls, party_b: PartyCurves, party_c: PartyCurves,
-                 risk_free: RateCurve, terms) -> "EffectiveRateSpec":
-        """Cash-collateral spec from CSA terms.
-
-        Segregation flags pick the mode per direction; a mixed CSA (one side
-        segregated) is represented through the state's chi entries. The
-        collateralization target drives eta on both sides.
-        """
-        eta = terms.collateralization_target
-        state = CollateralState(eta_b=eta, eta_c=eta,
-                                chi_b=0.0 if terms.segregated_b else 1.0,
-                                chi_c=0.0 if terms.segregated_c else 1.0)
-        mode = "cash_segregated" if (terms.segregated_b and terms.segregated_c) \
-            else "cash_comingled"
-        return cls(party_b=party_b, party_c=party_c, risk_free=risk_free,
-                   state=state, mode=mode, cash_rate=terms.cash_rate)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -118,7 +98,12 @@ class EffectiveRateSpec:
 
 
 def blend_rate(f_unsec, f_mu, f_r, f_spread, eta, chi):
-    """The r_e convex combination; arguments may be scalars or arrays."""
+    """The r_e convex combination; arguments may be scalars or arrays.
+
+    The blend is linear in the rates, so it also turns the per-curve
+    integrals over an interval (eta and chi held constant) into the
+    integral of r_e.
+    """
     return f_unsec * (1.0 - eta) + eta * ((1.0 - chi) * f_mu + chi * (f_r + f_spread))
 
 
@@ -141,67 +126,3 @@ def effective_rate(spec: EffectiveRateSpec, t: float, side: int) -> float:
         spec.chi(side, t),
     ))
 
-
-def integrated_effective_rate(spec: EffectiveRateSpec, t1: float, t2: float,
-                              side: int) -> float:
-    """Exact integral of r_e over [t1, t2] for one value sign.
-
-    Exact when eta and chi are constants (curve integrals are exact on
-    segments); time profiles are evaluated at the interval midpoint, so
-    callers wanting accuracy with profiles should split intervals.
-    """
-    if t1 > t2:
-        raise CurveError("integrated_effective_rate requires t1 <= t2")
-    side = 1 if side > 0 else -1
-    party = spec._party(side)
-    tm = 0.5 * (t1 + t2)
-    e = spec.eta(side, tm)
-    x = spec.chi(side, tm)
-    return float(blend_rate(
-        party.bond.integral(t1, t2),
-        party.liquidity.integral(t1, t2),
-        spec.risk_free.integral(t1, t2),
-        spec.funded_spread_curve(side).integral(t1, t2),
-        e,
-        x,
-    ))
-
-
-SignPath = Sequence[tuple[float, int]]
-
-
-def _sign_segments(path: SignPath, t1: float, t2: float):
-    """Break [t1, t2] into (a, b, sign) pieces of a step-function sign path.
-
-    The path is a sorted sequence of (time, sign) with each sign holding
-    from its time until the next breakpoint.
-    """
-    if not path:
-        raise ValueError("sign path must not be empty")
-    times = [float(t) for t, _ in path]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sign path times must be strictly increasing")
-    cuts = [t1] + [t for t in times if t1 < t < t2] + [t2]
-    for a, b in zip(cuts, cuts[1:]):
-        idx = max(0, np.searchsorted(times, a, side="right") - 1)
-        yield a, b, (1 if path[idx][1] > 0 else -1)
-
-
-def switching_rate(spec: EffectiveRateSpec, t: float, sign_path: SignPath) -> float:
-    """r_e at time t along a deterministic step-function sign path."""
-    times = [float(p) for p, _ in sign_path]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sign path times must be strictly increasing")
-    idx = max(0, int(np.searchsorted(times, t, side="right")) - 1)
-    return effective_rate(spec, t, sign_path[idx][1])
-
-
-def switching_discount_factor(spec: EffectiveRateSpec, t1: float, t2: float,
-                              sign_path: SignPath) -> float:
-    """exp(-integral of r_e) over [t1, t2], split exactly at sign changes."""
-    if t1 > t2:
-        raise CurveError("switching_discount_factor requires t1 <= t2")
-    total = 0.0
-    for a, b, side in _sign_segments(sign_path, t1, t2):
-        total += integrated_effective_rate(spec, a, b, side)
-    return math.exp(-total)

@@ -16,7 +16,6 @@ periods counted back from maturity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -323,49 +322,3 @@ def _mc_exposure(portfolio: Sequence[Swap], model: OneFactorMcModel,
             mtm0 = float(np.mean(values))
     return epe, ene, mtm0
 
-
-# -- CSV ---------------------------------------------------------------------
-
-_PORTFOLIO_HEADER = ["notional", "fixed_rate", "direction", "maturity_years", "pay_freq"]
-_PROFILE_HEADER = ["t", "epe", "ene"]
-
-
-def save_portfolio_csv(portfolio: Sequence[Swap], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_PORTFOLIO_HEADER)
-        for s in portfolio:
-            writer.writerow([repr(s.notional), repr(s.fixed_rate), s.direction,
-                             repr(s.maturity), s.pay_freq])
-
-
-def load_portfolio_csv(path) -> list[Swap]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _PORTFOLIO_HEADER:
-            raise ExposureError(f"{path}: expected header {','.join(_PORTFOLIO_HEADER)}")
-        return [Swap(float(r["notional"]), float(r["fixed_rate"]), r["direction"],
-                     float(r["maturity_years"]), int(r["pay_freq"])) for r in reader]
-
-
-def save_profile_csv(profile: ExposureProfile, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_PROFILE_HEADER)
-        for t, p, n in zip(profile.times, profile.epe, profile.ene):
-            writer.writerow([repr(float(t)), repr(float(p)), repr(float(n))])
-
-
-def load_profile_csv(path, annuity: float = float("nan")) -> ExposureProfile:
-    """Read a profile CSV; mtm0 is recovered from the first row, the annuity
-    is not stored in the format and must be supplied for spread conversion."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _PROFILE_HEADER:
-            raise ExposureError(f"{path}: expected header {','.join(_PROFILE_HEADER)}")
-        rows = [(float(r["t"]), float(r["epe"]), float(r["ene"])) for r in reader]
-    times = np.array([r[0] for r in rows])
-    epe = np.array([r[1] for r in rows])
-    ene = np.array([r[2] for r in rows])
-    mtm0 = float(epe[0] - ene[0]) if times[0] == 0.0 else 0.0
-    return ExposureProfile(times, epe, ene, mtm0, annuity)

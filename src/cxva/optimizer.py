@@ -76,7 +76,6 @@ class AllocationProblem:
     hqla_floor: float = 0.0
     bounds: np.ndarray | None = None  # M x N upper bounds on q_ij (np.inf allowed)
     funding_haircut: str = "csa"  # "csa" | "repo"
-    ensure_cash: bool = False
 
     def __post_init__(self) -> None:
         e = np.asarray(self.unit_lva, dtype=float)
@@ -102,15 +101,6 @@ class AllocationProblem:
         h = asset.h_csa if self.funding_haircut == "csa" else asset.h_repo
         return (1.0 - h) * asset.price
 
-    def effective_bounds(self) -> np.ndarray:
-        m, n = len(self.assets), len(self.netting_sets)
-        bnd = np.full((m, n), np.inf) if self.bounds is None else self.bounds.copy()
-        for i, a in enumerate(self.assets):
-            for j, ns in enumerate(self.netting_sets):
-                if not a.eligible(ns.id):
-                    bnd[i, j] = 0.0
-        return bnd
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -122,41 +112,13 @@ class Allocation:
     binding: dict
     status: str = "optimal"
 
-    def posted_value(self, problem: AllocationProblem, j: int) -> float:
-        return float(sum(self.q[i, j] * problem.funding_weight(a)
-                         for i, a in enumerate(problem.assets)))
-
-
-_CASH_ID = "__cash__"
-
-
-def _with_cash(problem: AllocationProblem) -> AllocationProblem:
-    """Append a zero-haircut, zero-benefit cash asset with ample quantity."""
-    total = sum(ns.requirement for ns in problem.netting_sets)
-    cash = CollateralAsset(id=_CASH_ID, price=1.0, quantity=2.0 * total + 1.0,
-                           h_csa=0.0, h_repo=0.0, h_lcr=0.0,
-                           econ_capital={})
-    e = np.vstack([problem.unit_lva, np.zeros(len(problem.netting_sets))])
-    bounds = None
-    if problem.bounds is not None:
-        bounds = np.vstack([problem.bounds, np.full(len(problem.netting_sets), np.inf)])
-    return AllocationProblem(problem.assets + (cash,), problem.netting_sets, e,
-                             hqla_floor=problem.hqla_floor, bounds=bounds,
-                             funding_haircut=problem.funding_haircut)
-
 
 def solve_lp(problem: AllocationProblem) -> Allocation:
     """Vertex-optimal allocation via the bounded-variable simplex.
 
     Raises AllocationInfeasibleError with the violated requirement names
-    when no feasible plan exists (unless ensure_cash adds the backstop).
+    when no feasible plan exists.
     """
-    if problem.ensure_cash:
-        padded = solve_lp(_with_cash(problem))
-        return Allocation(q=padded.q[:-1], slacks=padded.slacks[:-1],
-                          objective=padded.objective, binding=padded.binding,
-                          status=padded.status)
-
     assets, sets = problem.assets, problem.netting_sets
     m, n = len(assets), len(sets)
     use_hqla = problem.hqla_floor > 0.0
@@ -171,7 +133,7 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
     c = np.zeros(nvar)
     upper = np.full(nvar, np.inf)
 
-    bounds = problem.effective_bounds()
+    bounds = np.full((m, n), np.inf) if problem.bounds is None else problem.bounds
     for i, asset in enumerate(assets):
         for j in range(n):
             c[qvar(i, j)] = problem.unit_lva[i, j]
@@ -233,118 +195,28 @@ def _check_feasible(problem: AllocationProblem, q: np.ndarray, slacks: np.ndarra
             raise AssertionError(f"funding identity violated for {ns.id}")
 
 
-def add_rehypothecated(assets: Sequence[CollateralAsset],
-                       received: Sequence[CollateralAsset]) -> list[CollateralAsset]:
-    """Re-usable collateral received from counterparties joins the pool.
-
-    Quantities merge on matching asset id; unknown ids are appended as-is.
-    """
-    merged = {a.id: a for a in assets}
-    out = list(assets)
-    for r in received:
-        if r.id in merged:
-            base = merged[r.id]
-            idx = out.index(base)
-            out[idx] = CollateralAsset(base.id, base.price,
-                                       base.quantity + r.quantity, base.h_csa,
-                                       base.h_repo, base.h_lcr,
-                                       base.econ_capital, base.eligible_for)
-        else:
-            out.append(r)
-    return out
-
-
-def allocate_segregated(problem: AllocationProblem) -> Allocation:
-    """Segregated-posting fast path (chi = 0 for everything posted).
-
-    Repo cost never accrues, so the LP degenerates to a pecking order:
-    send out securities whose repo haircut exceeds the CSA haircut by the
-    most. Greedy fill, deterministic, respecting eligibility and inventory.
-    """
-    assets, sets = problem.assets, problem.netting_sets
-    m, n = len(assets), len(sets)
-    order = sorted(range(m), key=lambda i: (-(assets[i].h_repo - assets[i].h_csa),
-                                            assets[i].id))
-    bounds = problem.effective_bounds()
-    q = np.zeros((m, n))
-    remaining = np.array([ns.requirement for ns in sets], dtype=float)
-    stock = np.array([a.quantity for a in assets], dtype=float)
-    for i in order:
-        w = problem.funding_weight(assets[i])
-        for j in range(n):
-            if remaining[j] <= 1e-12 or stock[i] <= 1e-12:
-                continue
-            take = min(stock[i], bounds[i, j], remaining[j] / w)
-            q[i, j] += take
-            stock[i] -= take
-            remaining[j] -= take * w
-    if np.any(remaining > 1e-6):
-        bad = [sets[j].id for j in range(n) if remaining[j] > 1e-6]
-        raise AllocationInfeasibleError([f"funding:{x}" for x in bad])
-    slacks = stock
-    objective = float(np.sum(q * problem.unit_lva))
-    return Allocation(q=q, slacks=slacks, objective=objective,
-                      binding={"inventory": [assets[i].id for i in range(m)
-                                             if slacks[i] <= 1e-9],
-                               "hqla": False, "bounds": []})
-
-
 # -- unit LVA -----------------------------------------------------------------
 
-def _asset_spec(asset: CollateralAsset, rating: str, poster: PartyCurves,
-                counterparty: PartyCurves | None, risk_free: RateCurve,
-                repo_params: RepoModelParams,
-                tenors: Sequence[float]) -> EffectiveRateSpec:
+def _repo_spread(asset: CollateralAsset, rating: str, repo_params: RepoModelParams,
+                 tenors: Sequence[float]) -> RateCurve:
+    """Break-even repo spread curve of the asset lent to a borrower of this rating."""
     if rating not in asset.econ_capital:
         raise KeyError(f"asset {asset.id!r} has no economic capital for rating {rating!r}")
-    spread = spread_curve(repo_params, asset.econ_capital[rating], tenors,
-                          asset_id=asset.id, label=f"{asset.id}_{rating}")
+    return spread_curve(repo_params, asset.econ_capital[rating], tenors,
+                        label=f"{asset.id}_{rating}")
+
+
+def set_lva(asset: CollateralAsset, netting_set: NettingSet, spread: RateCurve,
+            poster: PartyCurves, risk_free: RateCurve, *, n_steps: int = 120) -> float:
+    """Signed LVA of the whole set when fully collateralized by one asset
+    in unlimited quantity (negative = posting benefit on a payable);
+    ``spread`` is the asset's repo spread over risk-free."""
     x = chi(asset.h_repo, asset.h_csa)
     state = CollateralState(eta_b=1.0, eta_c=1.0, chi_b=x, chi_c=x)
-    return EffectiveRateSpec(party_b=poster, party_c=counterparty or poster,
+    spec = EffectiveRateSpec(party_b=poster, party_c=netting_set.counterparty or poster,
                              risk_free=risk_free, state=state, mode="noncash",
                              repo_spread_c=spread)
-
-
-def set_lva(asset: CollateralAsset, netting_set: NettingSet, poster: PartyCurves,
-            risk_free: RateCurve, repo_params: RepoModelParams, *,
-            tenors: Sequence[float] = DEFAULT_SPREAD_TENORS,
-            n_steps: int = 120) -> float:
-    """Signed LVA of the whole set when fully collateralized by one asset
-    in unlimited quantity (negative = posting benefit on a payable)."""
-    spec = _asset_spec(asset, netting_set.rating, poster, netting_set.counterparty,
-                       risk_free, repo_params, tenors)
     return decompose(netting_set.profile, spec, n_steps=n_steps).lva
-
-
-def unit_lva(asset: CollateralAsset, netting_set: NettingSet, poster: PartyCurves,
-             risk_free: RateCurve, repo_params: RepoModelParams, *,
-             tenors: Sequence[float] = DEFAULT_SPREAD_TENORS,
-             n_steps: int = 120) -> float:
-    """Posting benefit per unit of the asset: |LVA| / (V / (B (1 - h_csa))).
-
-    Zero-requirement sets return 0 by convention (the per-unit number is
-    undefined when nothing is posted).
-    """
-    v = netting_set.requirement
-    if v == 0.0:
-        return 0.0
-    lva = set_lva(asset, netting_set, poster, risk_free, repo_params,
-                  tenors=tenors, n_steps=n_steps)
-    return abs(lva) * asset.price * (1.0 - asset.h_csa) / v
-
-
-def unit_lva_matrix(assets: Sequence[CollateralAsset], sets: Sequence[NettingSet],
-                    poster: PartyCurves, risk_free: RateCurve,
-                    repo_params: RepoModelParams, *,
-                    tenors: Sequence[float] = DEFAULT_SPREAD_TENORS,
-                    n_steps: int = 120) -> np.ndarray:
-    e = np.zeros((len(assets), len(sets)))
-    for i, a in enumerate(assets):
-        for j, ns in enumerate(sets):
-            e[i, j] = unit_lva(a, ns, poster, risk_free, repo_params,
-                               tenors=tenors, n_steps=n_steps)
-    return e
 
 
 # -- iterative allocation ------------------------------------------------------
@@ -383,20 +255,22 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
 
     Requirements start at the OIS-discounted MTM magnitudes (the sets'
     profile mtm0); each round re-normalizes the unit-LVA matrix by the
-    current requirements, re-solves the LP, then reprices every set under
-    its posted blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
+    current requirements, e_ij = |LVA_ij| B_i (1 - h_csa_i) / V_j (0 when
+    V_j = 0), re-solves the LP, then reprices every set under its posted
+    blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
     """
     if tol <= 0.0:
         raise AllocationError("tol must be > 0")
     mtm_star = np.array([ns.profile.mtm0 for ns in sets], dtype=float)
     benefit = np.zeros((len(assets), len(sets)))
-    spreads: dict[str, RateCurve] = {}
+    spreads: dict[tuple[int, str], RateCurve] = {}  # one curve per (asset, rating)
     for i, a in enumerate(assets):
         for j, ns in enumerate(sets):
-            benefit[i, j] = abs(set_lva(a, ns, poster, risk_free, repo_params,
-                                        tenors=tenors, n_steps=n_steps))
-            spreads[f"{a.id}|{ns.rating}"] = spread_curve(
-                repo_params, a.econ_capital[ns.rating], tenors, asset_id=a.id)
+            key = (i, ns.rating)
+            if key not in spreads:
+                spreads[key] = _repo_spread(a, ns.rating, repo_params, tenors)
+            benefit[i, j] = abs(set_lva(a, ns, spreads[key], poster, risk_free,
+                                        n_steps=n_steps))
 
     prev = mtm_star.copy()
     states: list[IterationState] = []
@@ -415,7 +289,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
         lva = np.zeros(len(sets))
         for j, ns in enumerate(current):
             posted = [(alloc.q[i, j] * a.price, a.h_csa, a.h_repo,
-                       spreads[f"{a.id}|{ns.rating}"])
+                       spreads[(i, ns.rating)])
                       for i, a in enumerate(assets) if alloc.q[i, j] > 1e-12]
             if not posted or ns.requirement <= 0.0:
                 continue

@@ -14,8 +14,9 @@ defaults to zero here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+import math
+from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .collateral import CollateralAsset
 from .curves import RateCurve
@@ -27,21 +28,17 @@ class RepoModelError(ValueError):
 
 @dataclass(frozen=True)
 class RepoModelParams:
-    """Inputs of the break-even spread.
-
-    mu0_by_asset optionally overrides the funding-liquidity curve per asset
-    class id; anything not listed falls back to mu0_curve.
-    """
+    """Inputs of the break-even spread."""
 
     roe: float
     mu0_curve: RateCurve
     hazard: RateCurve
     mpr_days: int = 10
     expected_gap_loss: float = 0.0
-    mu0_by_asset: Mapping[str, RateCurve] = field(default_factory=dict)
-    forward_hazard: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.roe) or not math.isfinite(self.expected_gap_loss):
+            raise RepoModelError("roe and expected_gap_loss must be finite")
         if self.roe < 0.0:
             raise RepoModelError("roe must be >= 0")
         if self.mpr_days <= 0:
@@ -49,34 +46,26 @@ class RepoModelParams:
         if self.expected_gap_loss < 0.0:
             raise RepoModelError("expected_gap_loss must be >= 0")
 
-    def mu0_for(self, asset_id: str | None) -> RateCurve:
-        if asset_id is not None and asset_id in self.mu0_by_asset:
-            return self.mu0_by_asset[asset_id]
-        return self.mu0_curve
 
-
-def breakeven_spread(params: RepoModelParams, ec: float, t: float,
-                     asset_id: str | None = None) -> float:
+def breakeven_spread(params: RepoModelParams, ec: float, t: float) -> float:
     """Term repo spread over risk-free at tenor t for economic capital ec.
 
     Affine in ec with slope RoE and in the expected gap loss with slope
-    lambda(t). Curves are read as term (zero-style) quantities; set
-    ``forward_hazard`` on the params to use the forward hazard instead.
+    lambda(t). Curves are read as term (zero-style) quantities.
     """
     if ec < 0.0:
         raise RepoModelError("economic capital must be >= 0")
     if t <= 0.0:
         raise RepoModelError("tenor must be > 0")
-    mu0 = params.mu0_for(asset_id).zero_rate(t)
-    lam = (params.hazard.forward_rate(t) if params.forward_hazard
-           else params.hazard.zero_rate(t))
+    mu0 = params.mu0_curve.zero_rate(t)
+    lam = params.hazard.zero_rate(t)
     return params.roe * ec + mu0 + lam * params.expected_gap_loss
 
 
 def spread_curve(params: RepoModelParams, ec: float, tenors: Sequence[float],
-                 asset_id: str | None = None, label: str = "") -> RateCurve:
+                 label: str = "") -> RateCurve:
     """Break-even spread term structure (r_p - r) on the given tenor grid."""
-    nodes = [(float(t), breakeven_spread(params, ec, float(t), asset_id)) for t in tenors]
+    nodes = [(float(t), breakeven_spread(params, ec, float(t))) for t in tenors]
     return RateCurve.from_nodes(nodes, label=label or "repo_spread")
 
 
@@ -87,6 +76,6 @@ def repo_curve(params: RepoModelParams, asset: CollateralAsset, rating: str,
     if rating not in asset.econ_capital:
         raise KeyError(f"asset {asset.id!r} has no economic capital for rating {rating!r}")
     ec = asset.econ_capital[rating]
-    nodes = [(float(t), risk_free.zero_rate(t) + breakeven_spread(params, ec, float(t), asset.id))
+    nodes = [(float(t), risk_free.zero_rate(t) + breakeven_spread(params, ec, float(t)))
              for t in tenors]
     return RateCurve.from_nodes(nodes, label=f"repo_{asset.id}_{rating}")

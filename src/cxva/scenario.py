@@ -10,7 +10,7 @@ seed, so identical scenario + seed means identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -209,9 +209,7 @@ class Scenario:
         assets = load_assets_csv(path)
         quantity = self.raw.get("optimizer", {}).get("quantity")
         if quantity is not None:
-            assets = [CollateralAsset(a.id, a.price, float(quantity), a.h_csa,
-                                      a.h_repo, a.h_lcr, a.econ_capital,
-                                      a.eligible_for) for a in assets]
+            assets = [replace(a, quantity=float(quantity)) for a in assets]
         return assets
 
     def repo_params(self) -> RepoModelParams:

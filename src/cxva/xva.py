@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import RateCurve
-from .discounting import EffectiveRateSpec
+from .discounting import EffectiveRateSpec, blend_rate
 from .exposure import ExposureProfile
 
 
@@ -147,8 +147,7 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
         i_rc = spec.party_c.bond.integral(a, b)
         i_mc = spec.party_c.liquidity.integral(a, b)
         i_sc = spread_curve_c.integral(a, b)
-        i_rec = (1.0 - eta_c) * i_rc + eta_c * ((1.0 - chi_c) * i_mc
-                                                + chi_c * (i_r + i_sc))
+        i_rec = blend_rate(i_rc, i_mc, i_r, i_sc, eta_c, chi_c)
         g0 = epe[k] * df_c
         df_c *= math.exp(-i_rec)
         lm_c = _log_mean(g0, epe[k + 1] * df_c)
@@ -162,8 +161,7 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
         i_rb = spec.party_b.bond.integral(a, b)
         i_mb = spec.party_b.liquidity.integral(a, b)
         i_sb = spread_curve_b.integral(a, b)
-        i_reb = (1.0 - eta_b) * i_rb + eta_b * ((1.0 - chi_b) * i_mb
-                                                + chi_b * (i_r + i_sb))
+        i_reb = blend_rate(i_rb, i_mb, i_r, i_sb, eta_b, chi_b)
         g0 = ene[k] * df_b
         df_b *= math.exp(-i_reb)
         lm_b = _log_mean(g0, ene[k + 1] * df_b)
@@ -178,18 +176,6 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
     xva = cra + lva
     return XvaReport(cva=cva, dva=dva, cfa=cfa, dfa=dfa, lva=lva, colva=colva,
                      cra=cra, xva=xva, npv=profile.mtm0 - xva)
-
-
-def lva_receivable(profile: ExposureProfile, spec: EffectiveRateSpec, *,
-                   n_steps: int = 200) -> tuple[float, float]:
-    """(LVA, colVA) of a pure receivable; the payable-side terms drop out.
-
-    Raises XvaError unless ene is identically zero.
-    """
-    if np.any(np.asarray(profile.ene) != 0.0):
-        raise XvaError("lva_receivable requires ene to be identically zero")
-    report = decompose(profile, spec, n_steps=n_steps)
-    return report.lva, report.colva
 
 
 def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times,

@@ -135,6 +135,29 @@ class TestRepoCurve:
         short_end = lines[1].split(",")
         assert float(short_end[1]) == pytest.approx(0.0014)  # RoE*EC + mu0
 
+    @pytest.mark.parametrize("path, value", [
+        ("repo.roe", float("nan")),
+        ("repo.expected_gap_loss", float("inf")),
+        ("curves.risk_free", {"nodes": [[1.0, float("nan")], [2.0, 0.01]]}),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, path, value):
+        raw = json.loads((SCENARIO_DIR / "repo_ust10.json").read_text())
+        raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
+        for spec in raw["curves"].values():
+            spec["file"] = str(SCENARIO_DIR / spec["file"])
+        *parents, leaf = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        sc = tmp_path / "repo.json"
+        sc.write_text(json.dumps(raw))
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "finite" in err["error"]["message"]
+        assert not (tmp_path / "out" / "repo_curve.csv").exists()
+
 
 class TestOptimize:
     def _scenario(self, tmp_path, quantity=200.0):

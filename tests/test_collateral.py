@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxva.collateral import (BlendedAsset, CollateralAsset, CollateralError,
-                             CollateralState, blend_spread_curve, chi, eta,
-                             load_assets_csv, portfolio_blend, save_assets_csv)
+from cxva.collateral import (CollateralAsset, CollateralError, CollateralState,
+                             blend_spread_curve, chi, eta, load_assets_csv)
 from cxva.curves import RateCurve
 
 
@@ -59,41 +58,44 @@ class TestChi:
         assert chi(h_repo, hi) >= chi(h_repo, lo) - 1e-12
 
 
+def flat_blend(assets, protection):
+    """blend_spread_curve on flat spreads: entries are (market value, h_csa,
+    h_repo, spread); returns (chi, funded spread)."""
+    x, curve = blend_spread_curve(
+        [(mv, h_c, h_p, RateCurve.flat(s)) for mv, h_c, h_p, s in assets], protection)
+    return x, curve.zero_rate(1.0)
+
+
 class TestPortfolioBlend:
     def test_single_asset_identity(self):
-        blend = portfolio_blend([BlendedAsset(100.0, 0.05, 0.03, 0.001)], 95.0)
-        assert blend.chi_bar == 0.0
-        assert blend.funded_spread == pytest.approx(0.001, rel=1e-12)
+        x, funded = flat_blend([(100.0, 0.05, 0.03, 0.001)], 95.0)
+        assert x == 1.0
+        assert funded == pytest.approx(0.001, rel=1e-12)
 
     def test_two_asset_hand_value(self):
         # both weights 0.5: asset1 (h_p=0.10, h_c=0.05, 100bp), asset2
         # (h_p=0.03, h_c=0.04, 20bp)
         protection = 100.0
-        a1 = BlendedAsset(50.0 / 0.95, 0.05, 0.10, 0.01)
-        a2 = BlendedAsset(50.0 / 0.96, 0.04, 0.03, 0.002)
-        blend = portfolio_blend([a1, a2], protection)
-        assert blend.chi_bar == pytest.approx(0.5 * 0.05 / 0.95, rel=1e-12)
-        assert blend.funded_spread == pytest.approx(
+        x, funded = flat_blend([(50.0 / 0.95, 0.05, 0.10, 0.01),
+                                (50.0 / 0.96, 0.04, 0.03, 0.002)], protection)
+        assert 1.0 - x == pytest.approx(0.5 * 0.05 / 0.95, rel=1e-12)
+        assert funded == pytest.approx(
             0.5 * (1.0 - 0.05 / 0.95) * 0.01 + 0.5 * 0.002, rel=1e-12)
-        assert blend.funded_spread == pytest.approx(0.0057368, rel=1e-4)
+        assert funded == pytest.approx(0.0057368, rel=1e-4)
 
     def test_all_cash(self):
-        blend = portfolio_blend([BlendedAsset(100.0, 0.0, 0.0, 0.0)], 100.0)
-        assert blend.chi_bar == 0.0
-        assert blend.funded_spread == 0.0
+        x, funded = flat_blend([(100.0, 0.0, 0.0, 0.0)], 100.0)
+        assert x == 1.0
+        assert funded == 0.0
 
     def test_single_asset_reduces_to_chi_times_spread(self):
         h_c, h_p, s = 0.08, 0.12, 0.004
-        blend = portfolio_blend([BlendedAsset(10.0 / (1 - h_c), h_c, h_p, s)], 10.0)
-        assert blend.funded_spread == pytest.approx(chi(h_p, h_c) * s, rel=1e-12)
-
-    def test_weights_over_one_rejected(self):
-        with pytest.raises(CollateralError):
-            portfolio_blend([BlendedAsset(300.0, 0.0, 0.0, 0.0)], 100.0)
+        _, funded = flat_blend([(10.0 / (1 - h_c), h_c, h_p, s)], 10.0)
+        assert funded == pytest.approx(chi(h_p, h_c) * s, rel=1e-12)
 
     def test_bad_protection(self):
         with pytest.raises(CollateralError):
-            portfolio_blend([BlendedAsset(1.0, 0.0, 0.0, 0.0)], 0.0)
+            flat_blend([(1.0, 0.0, 0.0, 0.0)], 0.0)
 
 
 class TestBlendSpreadCurve:
@@ -102,12 +104,11 @@ class TestBlendSpreadCurve:
         s2 = RateCurve.flat(0.002)
         x, curve = blend_spread_curve(
             [(50.0 / 0.95, 0.05, 0.10, s1), (50.0 / 0.96, 0.04, 0.03, s2)], 100.0)
-        scalar = portfolio_blend(
-            [BlendedAsset(50.0 / 0.95, 0.05, 0.10, 0.01),
-             BlendedAsset(50.0 / 0.96, 0.04, 0.03, 0.002)], 100.0)
-        assert x == pytest.approx(scalar.chi, rel=1e-12)
+        # scalar blend: weights 0.5 each, asset1 funded on 1 - 0.05/0.95
+        assert x == pytest.approx(1.0 - 0.5 * 0.05 / 0.95, rel=1e-12)
+        scalar = 0.5 * (1.0 - 0.05 / 0.95) * 0.01 + 0.5 * 0.002
         for t in (0.5, 2.0, 10.0):
-            assert curve.zero_rate(t) == pytest.approx(scalar.funded_spread, rel=1e-12)
+            assert curve.zero_rate(t) == pytest.approx(scalar, rel=1e-12)
 
 
 class TestState:
@@ -116,36 +117,16 @@ class TestState:
             CollateralState(eta_c=1.5)
         CollateralState(eta_c=lambda t: min(1.0, t))  # callables allowed
 
-    def test_blend_as_state(self):
-        blend = portfolio_blend([BlendedAsset(10.0 / 0.95, 0.05, 0.10, 0.01)], 10.0)
-        state = blend.as_state(eta_b=0.5, eta_c=1.0)
-        assert state.chi_c == pytest.approx(blend.chi)
-        assert state.repo_spread_blend == pytest.approx(blend.funded_spread)
-        assert state.eta_b == 0.5
-
-
-class TestCsaTerms:
-    def test_validation(self):
-        from cxva.collateral import CsaTerms
-        cash = RateCurve.flat(0.01)
-        terms = CsaTerms(cash_rate=cash, segregated_c=True,
-                         collateralization_target=0.8, threshold=5.0)
-        assert terms.segregated_c and not terms.segregated_b
-        with pytest.raises(CollateralError):
-            CsaTerms(cash_rate=cash, collateralization_target=1.2)
-        with pytest.raises(CollateralError):
-            CsaTerms(cash_rate=cash, threshold=-1.0)
-
 
 class TestAssetCsv:
     def test_round_trip(self, tmp_path):
-        assets = [CollateralAsset("UST_10y", 1.0, 75.0, 0.02, 0.03, 0.0,
-                                  {"AA": 0.0008, "A": 0.0017, "BBB": 0.004, "BB": 0.008})]
         path = tmp_path / "assets.csv"
-        save_assets_csv(assets, path)
+        path.write_text("id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
+                        "UST_10y,1,75,0.02,0.03,0,0.0008,0.0017,0.004,0.008\n")
         back = load_assets_csv(path)
-        assert back[0].id == "UST_10y"
-        assert back[0].econ_capital["BBB"] == pytest.approx(0.004)
+        assert back == [CollateralAsset("UST_10y", 1.0, 75.0, 0.02, 0.03, 0.0,
+                                        {"AA": 0.0008, "A": 0.0017, "BBB": 0.004,
+                                         "BB": 0.008})]
 
     def test_validation(self):
         with pytest.raises(CollateralError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.curves import (CurveError, PartyCurves, RateCurve, combine_curves,
-                         load_curve_csv, save_curve_csv)
+                         load_curve_csv)
 
 
 class TestZeroRate:
@@ -47,6 +47,16 @@ class TestZeroRate:
             RateCurve((0.0, 1.0), (0.01, 0.02))
         with pytest.raises(CurveError):
             RateCurve((), ())
+
+    @pytest.mark.parametrize("tenors, rates", [
+        ((1.0, 2.0), (float("nan"), 0.01)),
+        ((1.0, 2.0), (0.01, float("inf"))),
+        ((float("nan"), 2.0), (0.01, 0.01)),
+        ((1.0, float("inf")), (0.01, 0.01)),
+    ])
+    def test_non_finite_nodes(self, tenors, rates):
+        with pytest.raises(CurveError, match="finite"):
+            RateCurve(tenors, rates)
 
 
 class TestDiscountFactor:
@@ -147,7 +157,7 @@ class TestCsv(object):
     def test_round_trip(self, tmp_path):
         curve = RateCurve.from_nodes([(0.25, 0.011), (10.0, 0.0225)], label="OIS")
         path = tmp_path / "ois.csv"
-        save_curve_csv(curve, path)
+        path.write_text("tenor_years,zero_rate\n0.25,0.011\n10.0,0.0225\n")
         back = load_curve_csv(path, label="OIS")
         assert back.tenors == curve.tenors
         assert all(a == pytest.approx(b, rel=1e-12) for a, b in zip(back.rates, curve.rates))

@@ -1,14 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.curves import PartyCurves, RateCurve
 from cxva.collateral import CollateralState
-from cxva.discounting import (EffectiveRateSpec, effective_rate,
-                              integrated_effective_rate, switching_discount_factor,
-                              switching_rate)
+from cxva.discounting import EffectiveRateSpec, effective_rate
 from conftest import make_spec
 
 
@@ -96,87 +92,35 @@ class TestEffectiveRate:
 
 
 class TestFromCsa:
+    """Cash CSA terms: collateralization target as eta, segregation per
+    posting direction as chi = 0 (comingled chi = 1)."""
+
     def test_comingled_terms(self, party_b, party_c, ois_flat):
-        from cxva.collateral import CsaTerms
-        terms = CsaTerms(cash_rate=RateCurve.flat(0.012),
-                         collateralization_target=0.4)
-        spec = EffectiveRateSpec.from_csa(party_b, party_c, ois_flat, terms)
+        spec = make_spec(party_b, party_c, ois_flat, eta=0.4, chi=1.0,
+                         mode="cash_comingled", cash_rate=RateCurve.flat(0.012))
         assert effective_rate(spec, 1.0, +1) == pytest.approx(
             0.6 * 0.04 + 0.4 * 0.012, rel=1e-12)
 
     def test_fully_segregated_terms(self, party_b, party_c, ois_flat):
-        from cxva.collateral import CsaTerms
-        terms = CsaTerms(cash_rate=ois_flat, segregated_b=True,
-                         segregated_c=True, collateralization_target=1.0)
-        spec = EffectiveRateSpec.from_csa(party_b, party_c, ois_flat, terms)
+        spec = make_spec(party_b, party_c, ois_flat, eta=1.0, chi=0.0,
+                         mode="cash_segregated", cash_rate=ois_flat)
         assert effective_rate(spec, 1.0, +1) == pytest.approx(0.02, rel=1e-12)
 
     def test_mixed_segregation(self, party_b, party_c, ois_flat):
         # C posts into a segregated account, B's posting comingles
-        from cxva.collateral import CsaTerms
-        terms = CsaTerms(cash_rate=RateCurve.flat(0.012), segregated_c=True,
-                         collateralization_target=1.0)
-        spec = EffectiveRateSpec.from_csa(party_b, party_c, ois_flat, terms)
+        spec = make_spec(party_b, party_c, ois_flat, eta=1.0, chi=0.0, chi_b=1.0,
+                         mode="cash_comingled", cash_rate=RateCurve.flat(0.012))
         assert effective_rate(spec, 1.0, +1) == pytest.approx(0.02, rel=1e-12)
         assert effective_rate(spec, 1.0, -1) == pytest.approx(0.012, rel=1e-12)
 
 
-class TestSwitching:
-    def test_constant_positive_sign(self, spec_factory):
-        spec = spec_factory(mode="uncollateralized")
-        df = switching_discount_factor(spec, 0.0, 1.0, [(0.0, +1)])
-        assert df == pytest.approx(math.exp(-0.04), rel=1e-13)
-
-    def test_sign_flip_at_midpoint(self):
-        # r_ec = 5%, r_eb = 3% flat, flip at T/2 -> DF = exp(-0.04)
-        party_b = PartyCurves(bond=RateCurve.flat(0.03),
-                              liquidity=RateCurve.flat(0.03))
-        party_c = PartyCurves(bond=RateCurve.flat(0.05),
-                              liquidity=RateCurve.flat(0.05))
-        spec = make_spec(party_b, party_c, RateCurve.flat(0.01),
-                         mode="uncollateralized")
-        df = switching_discount_factor(spec, 0.0, 1.0, [(0.0, +1), (0.5, -1)])
-        assert df == pytest.approx(math.exp(-0.025 - 0.015), rel=1e-13)
-
-    def test_symmetric_rates_path_independent(self):
-        party = PartyCurves(bond=RateCurve.flat(0.03),
-                            liquidity=RateCurve.flat(0.03))
-        spec = make_spec(party, party, RateCurve.flat(0.03),
-                         mode="uncollateralized")
-        df1 = switching_discount_factor(spec, 0.0, 2.0, [(0.0, +1)])
-        df2 = switching_discount_factor(spec, 0.0, 2.0,
-                                        [(0.0, -1), (0.3, +1), (1.1, -1)])
-        assert df1 == pytest.approx(df2, rel=1e-13)
-
-    def test_switching_rate_values(self, spec_factory):
-        spec = spec_factory(mode="uncollateralized")
-        path = [(0.0, +1), (0.5, -1)]
-        assert switching_rate(spec, 0.25, path) == pytest.approx(0.04, rel=1e-12)
-        assert switching_rate(spec, 0.75, path) == pytest.approx(0.0225, rel=1e-12)
-
-    def test_zcb_consistency_unsecured(self, spec_factory):
-        # discounting a unit payoff from C uncollateralized reproduces C's
-        # zero coupon bond price exactly
-        spec = spec_factory(mode="uncollateralized")
-        df = switching_discount_factor(spec, 0.0, 1.0, [(0.0, +1)])
-        assert df == spec.party_c.bond.df(1.0)
-
-
 class TestIntegration:
-    def test_integrated_matches_pointwise_for_flat(self, spec_factory):
-        spec = spec_factory(eta=0.7, chi=0.3, repo_spread=0.004)
-        integral = integrated_effective_rate(spec, 0.5, 2.5, +1)
-        rate = effective_rate(spec, 1.0, +1)
-        assert integral == pytest.approx(rate * 2.0, rel=1e-12)
-
     def test_time_profile_eta(self, party_b, party_c, ois_flat):
         state = CollateralState(eta_c=lambda t: 0.0 if t < 1.0 else 1.0,
                                 eta_b=0.0, chi_b=1.0, chi_c=1.0)
         spec = EffectiveRateSpec(party_b=party_b, party_c=party_c,
                                  risk_free=ois_flat, state=state, mode="noncash",
                                  repo_spread_c=0.0)
-        # pieces are flat so midpoint evaluation is exact on each side of 1.0
-        i1 = integrated_effective_rate(spec, 0.0, 1.0, +1)
-        i2 = integrated_effective_rate(spec, 1.0, 2.0, +1)
-        assert i1 == pytest.approx(0.04, rel=1e-12)
-        assert i2 == pytest.approx(0.01, rel=1e-12)
+        # unsecured before the step, risk-free (funded at zero spread) after
+        assert effective_rate(spec, 0.5, +1) == pytest.approx(0.04, rel=1e-12)
+        assert effective_rate(spec, 1.5, +1) == pytest.approx(0.01, rel=1e-12)

@@ -4,9 +4,8 @@ import pytest
 from cxva.curves import RateCurve
 from cxva.exposure import (DeterministicModel, ExposureError, ExposureProfile,
                            OneFactorMcModel, Swap, exposure_profile,
-                           generate_portfolio, gross_annuity, load_portfolio_csv,
-                           load_profile_csv, par_rate, portfolio_mtm,
-                           save_portfolio_csv, save_profile_csv, _ou_paths)
+                           generate_portfolio, gross_annuity, par_rate,
+                           portfolio_mtm, _ou_paths)
 
 from oracles import swap_forward_value
 
@@ -144,24 +143,6 @@ class TestProfileType:
         q = p.scaled(3.0)
         assert q.mtm0 == 6.0 and q.annuity == 30.0
         assert np.array_equal(q.epe, p.epe * 3.0)
-
-
-class TestCsv:
-    def test_portfolio_round_trip(self, tmp_path, curve):
-        book = generate_portfolio(7, 0.4, (1.0, 9.0), 0.01, seed=6, curve=curve)
-        path = tmp_path / "portfolio.csv"
-        save_portfolio_csv(book, path)
-        assert load_portfolio_csv(path) == book
-
-    def test_profile_round_trip(self, tmp_path, curve):
-        book = generate_portfolio(7, 0.4, (1.0, 9.0), 0.01, seed=6, curve=curve)
-        profile = exposure_profile(book, DeterministicModel(), 11, curve)
-        path = tmp_path / "profile.csv"
-        save_profile_csv(profile, path)
-        back = load_profile_csv(path, annuity=profile.annuity)
-        assert np.allclose(back.times, profile.times, rtol=1e-9)
-        assert np.allclose(back.epe, profile.epe, rtol=1e-9)
-        assert np.allclose(back.ene, profile.ene, rtol=1e-9)
 
 
 class TestAnnuity:

@@ -5,9 +5,8 @@ from cxva.collateral import CollateralAsset
 from cxva.curves import PartyCurves, RateCurve
 from cxva.exposure import ExposureProfile
 from cxva.optimizer import (AllocationError, AllocationInfeasibleError,
-                            AllocationProblem, NettingSet, allocate_segregated,
-                            iterate_allocation, solve_lp, unit_lva,
-                            unit_lva_matrix)
+                            AllocationProblem, NettingSet, iterate_allocation,
+                            solve_lp)
 from cxva.repo import RepoModelParams
 
 
@@ -65,24 +64,19 @@ class TestSolveLp:
         assert alloc.q[0, 0] == 0.0
 
     def test_eligibility_bounds_respected(self):
+        # a zero bound makes an asset ineligible for the set, even when it
+        # earns the most there
         a1 = simple_asset("a1", quantity=100.0)
         a2 = simple_asset("a2", quantity=100.0)
-        ns = simple_set("s1", req=50.0)
-        bounds = np.array([[0.0], [np.inf]])  # a1 ineligible
-        problem = AllocationProblem((a1, a2), (ns,), np.array([[0.05], [0.01]]),
+        sets = (simple_set("s1", req=50.0), simple_set("s2", req=30.0))
+        bounds = np.array([[0.0, np.inf], [np.inf, np.inf]])
+        problem = AllocationProblem((a1, a2), sets,
+                                    np.array([[0.05, 0.05], [0.01, 0.01]]),
                                     bounds=bounds)
         alloc = solve_lp(problem)
         assert alloc.q[0, 0] == 0.0
         assert alloc.q[1, 0] == pytest.approx(50.0)
-
-    def test_eligible_for_filter(self):
-        a1 = CollateralAsset("a1", 1.0, 100.0, 0.0, 0.0, 0.0, {},
-                             eligible_for=frozenset({"other"}))
-        a2 = simple_asset("a2", quantity=100.0)
-        ns = simple_set("s1", req=50.0)
-        problem = AllocationProblem((a1, a2), (ns,), np.array([[0.05], [0.01]]))
-        alloc = solve_lp(problem)
-        assert alloc.q[0, 0] == 0.0
+        assert alloc.q[0, 1] == pytest.approx(30.0)
 
     def test_infeasible_names_requirement(self):
         asset = simple_asset(quantity=10.0)
@@ -91,14 +85,6 @@ class TestSolveLp:
         with pytest.raises(AllocationInfeasibleError) as err:
             solve_lp(problem)
         assert any("BIG" in lab for lab in err.value.labels)
-
-    def test_cash_backstop_restores_feasibility(self):
-        asset = simple_asset(quantity=10.0)
-        ns = simple_set("BIG", req=50.0)
-        problem = AllocationProblem((asset,), (ns,), np.array([[0.05]]),
-                                    ensure_cash=True)
-        alloc = solve_lp(problem)
-        assert alloc.q[0, 0] == pytest.approx(10.0)  # real asset used first
 
     def test_hqla_floor_never_increases_objective(self):
         a1 = simple_asset("a1", quantity=100.0, h_lcr=0.0)
@@ -142,23 +128,10 @@ class TestSolveLp:
         assert repo.q[0, 0] == pytest.approx(90.0 / 0.8)
 
 
-class TestSegregated:
-    def test_pecking_order_by_haircut_gap(self):
-        # repo haircut exceeding CSA haircut by the most goes out first
-        a1 = simple_asset("small_gap", h_csa=0.05, h_repo=0.06, quantity=100.0)
-        a2 = simple_asset("big_gap", h_csa=0.02, h_repo=0.15, quantity=100.0)
-        ns = simple_set(req=49.0)
-        problem = AllocationProblem((a1, a2), (ns,), np.zeros((2, 1)))
-        alloc = allocate_segregated(problem)
-        assert alloc.q[1, 0] > 0.0
-        assert alloc.q[0, 0] == 0.0
-
-    def test_infeasible_named(self):
-        a1 = simple_asset(quantity=1.0)
-        ns = simple_set("HUGE", req=100.0)
-        problem = AllocationProblem((a1,), (ns,), np.zeros((1, 1)))
-        with pytest.raises(AllocationInfeasibleError):
-            allocate_segregated(problem)
+def first_unit_lva(assets, sets, poster, ois, params):
+    """Unit-LVA matrix of the first allocation round (requirements = |MTM|)."""
+    return iterate_allocation(assets, sets, poster, ois, params,
+                              max_iter=1).states[0].unit_lva
 
 
 class TestUnitLva:
@@ -167,11 +140,12 @@ class TestUnitLva:
         params = RepoModelParams(roe=0.10, mu0_curve=RateCurve.flat(0.0),
                                  hazard=RateCurve.flat(0.0))
         ns = simple_set(req=50.0)
-        assert unit_lva(cash, ns, poster, ois, params) == 0.0
+        assert first_unit_lva([cash], [ns], poster, ois, params)[0, 0] == 0.0
 
     def test_zero_requirement_convention(self, poster, ois, repo_params):
-        ns = NettingSet("empty", 0.0, "A", payable_profile(mtm=-1.0))
-        assert unit_lva(simple_asset(), ns, poster, ois, repo_params) == 0.0
+        ns = NettingSet("empty", 0.0, "A", payable_profile(mtm=0.0))
+        assert first_unit_lva([simple_asset()], [ns], poster, ois,
+                              repo_params)[0, 0] == 0.0
 
     def test_higher_spread_larger_benefit(self, poster, ois):
         lo = RepoModelParams(roe=0.10, mu0_curve=RateCurve.flat(0.001),
@@ -180,19 +154,19 @@ class TestUnitLva:
                              hazard=RateCurve.flat(0.0))
         ns = simple_set(req=50.0)
         asset = simple_asset(ec=0.01)
-        assert unit_lva(asset, ns, poster, ois, hi) \
-            > unit_lva(asset, ns, poster, ois, lo)
+        assert first_unit_lva([asset], [ns], poster, ois, hi)[0, 0] \
+            > first_unit_lva([asset], [ns], poster, ois, lo)[0, 0]
 
     def test_unknown_rating_raises(self, poster, ois, repo_params):
         asset = CollateralAsset("x", 1.0, 10.0, 0.0, 0.0, 0.0, {"AA": 0.001})
         ns = simple_set(rating="BBB", req=10.0)
-        with pytest.raises(KeyError):
-            unit_lva(asset, ns, poster, ois, repo_params)
+        with pytest.raises(KeyError, match="no economic capital for rating 'BBB'"):
+            first_unit_lva([asset], [ns], poster, ois, repo_params)
 
     def test_matrix_shape(self, poster, ois, repo_params):
         assets = [simple_asset("a1"), simple_asset("a2", h_csa=0.1)]
         sets = [simple_set("s1"), simple_set("s2", rating="BB")]
-        e = unit_lva_matrix(assets, sets, poster, ois, repo_params)
+        e = first_unit_lva(assets, sets, poster, ois, repo_params)
         assert e.shape == (2, 2)
         assert np.all(e >= 0.0)
 
@@ -232,18 +206,6 @@ class TestIterateAllocation:
         state = result.states[0]
         assert state.allocation.q[0, 0] == pytest.approx(80.0, rel=1e-9)
         assert state.unit_lva[0, 0] > 0.0
-
-
-class TestRehypothecation:
-    def test_received_collateral_joins_pool(self):
-        pool = [simple_asset("a1", quantity=50.0)]
-        received = [simple_asset("a1", quantity=20.0),
-                    simple_asset("a2", quantity=5.0)]
-        from cxva.optimizer import add_rehypothecated
-        merged = add_rehypothecated(pool, received)
-        by_id = {a.id: a for a in merged}
-        assert by_id["a1"].quantity == pytest.approx(70.0)
-        assert by_id["a2"].quantity == pytest.approx(5.0)
 
 
 class TestProblemValidation:

@@ -94,10 +94,3 @@ class TestRepoCurve:
         rates = [repo_curve(params, ust10, r, (1.0,), rf).zero_rate(1.0)
                  for r in ("AA", "A", "BBB", "BB")]
         assert all(a < b for a, b in zip(rates, rates[1:]))
-
-    def test_mu0_asset_override(self, ust10):
-        p = RepoModelParams(roe=0.0, mu0_curve=RateCurve.flat(0.001),
-                            hazard=RateCurve.flat(0.0),
-                            mu0_by_asset={"UST_10y": RateCurve.flat(0.0005)})
-        assert breakeven_spread(p, 0.0, 1.0, asset_id="UST_10y") == pytest.approx(0.0005)
-        assert breakeven_spread(p, 0.0, 1.0, asset_id="other") == pytest.approx(0.001)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cxva.curves import PartyCurves, RateCurve
 from cxva.exposure import (DeterministicModel, ExposureProfile, exposure_profile,
                            generate_portfolio)
-from cxva.xva import (XvaError, XvaReport, colva_bk, decompose, lva_receivable,
+from cxva.xva import (XvaError, XvaReport, colva_bk, decompose,
                       martingale_epe_profile, to_running_spread)
 
 from conftest import make_spec
@@ -101,20 +101,17 @@ class TestDecomposeValues:
 
 
 class TestLvaReceivable:
-    def test_requires_zero_ene(self, spec_factory):
-        spec = spec_factory()
-        with pytest.raises(XvaError):
-            lva_receivable(flat_profile(epe=10.0, ene=1.0), spec)
+    """LVA and colVA of a pure receivable (ene = 0)."""
 
     def test_comingled_equal_haircuts_lva_equals_colva(self, spec_factory):
         spec = spec_factory(eta=1.0, chi=1.0, repo_spread=0.002)
-        lva, colva = lva_receivable(flat_profile(epe=100.0), spec)
-        assert lva == pytest.approx(colva, rel=1e-14)
+        r = decompose(flat_profile(epe=100.0), spec)
+        assert r.lva == pytest.approx(r.colva, rel=1e-14)
 
     def test_cash_at_risk_free_has_zero_lva(self, spec_factory, ois_flat):
         spec = spec_factory(eta=1.0, mode="cash_comingled", cash_rate=ois_flat)
-        lva, colva = lva_receivable(flat_profile(epe=100.0), spec)
-        assert lva == 0.0 and colva == 0.0
+        r = decompose(flat_profile(epe=100.0), spec)
+        assert r.lva == 0.0 and r.colva == 0.0
 
     def test_flat_closed_form(self, party_b):
         # flat epe=100 on [0,1], eta=chi=1, 10bp spread, r=1%:
@@ -123,17 +120,17 @@ class TestLvaReceivable:
                               liquidity=RateCurve.flat(0.011))
         spec = make_spec(party_b, party_c, RateCurve.flat(0.01),
                          eta=1.0, chi=1.0, repo_spread=0.001)
-        lva, colva = lva_receivable(flat_profile(epe=100.0), spec)
+        r = decompose(flat_profile(epe=100.0), spec)
         expect = 100.0 * 0.001 * (1.0 - math.exp(-0.011)) / 0.011
-        assert colva == pytest.approx(expect, rel=1e-12)
-        assert colva == pytest.approx(0.09945, rel=1e-4)
-        assert lva == pytest.approx(colva, rel=1e-12)
+        assert r.colva == pytest.approx(expect, rel=1e-12)
+        assert r.colva == pytest.approx(0.09945, rel=1e-4)
+        assert r.lva == pytest.approx(r.colva, rel=1e-12)
 
     def test_segregated_liquidity_part_only(self, spec_factory, ois_flat):
         spec = spec_factory(eta=1.0, mode="cash_segregated", cash_rate=ois_flat)
-        lva, colva = lva_receivable(flat_profile(epe=100.0, horizon=2.0), spec)
-        assert colva == 0.0
-        assert lva > 0.0  # mu_c - r = 1% liquidity basis
+        r = decompose(flat_profile(epe=100.0, horizon=2.0), spec)
+        assert r.colva == 0.0
+        assert r.lva > 0.0  # mu_c - r = 1% liquidity basis
 
 
 class TestColvaBk:
