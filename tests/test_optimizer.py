@@ -68,6 +68,19 @@ class TestSolveLp:
         # earns the most there
         a1 = simple_asset("a1", quantity=100.0)
         a2 = simple_asset("a2", quantity=100.0)
+        ns = simple_set("s1", req=50.0)
+        bounds = np.array([[0.0], [np.inf]])
+        problem = AllocationProblem((a1, a2), (ns,), np.array([[0.05], [0.01]]),
+                                    bounds=bounds)
+        alloc = solve_lp(problem)
+        assert alloc.q[0, 0] == 0.0
+        assert alloc.q[1, 0] == pytest.approx(50.0)
+
+    def test_eligible_for_filter(self):
+        # eligibility is per set: an asset barred from s1 by a zero bound is
+        # still posted to s2
+        a1 = simple_asset("a1", quantity=100.0)
+        a2 = simple_asset("a2", quantity=100.0)
         sets = (simple_set("s1", req=50.0), simple_set("s2", req=30.0))
         bounds = np.array([[0.0, np.inf], [np.inf, np.inf]])
         problem = AllocationProblem((a1, a2), sets,
