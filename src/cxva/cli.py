@@ -27,12 +27,13 @@ from .optimizer import (AllocationError, AllocationInfeasibleError,
 from .pde import PdeError, PicardConvergenceError, xva_pde
 from .repo import RepoModelError, breakeven_spread, repo_curve
 from .scenario import Scenario, ScenarioError
+from .simplex import LpSolverError
 from .xva import XvaError, decompose, to_running_spread
 
 VALIDATION_ERRORS = (ScenarioError, CurveError, CollateralError, ExposureError,
                      PdeError, XvaError, AllocationError, RepoModelError,
                      KeyError, ValueError)
-SOLVER_ERRORS = (PicardConvergenceError, AllocationInfeasibleError)
+SOLVER_ERRORS = (PicardConvergenceError, AllocationInfeasibleError, LpSolverError)
 
 
 def _fmt(x: float) -> str:

@@ -9,6 +9,7 @@ effective discount rate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
@@ -38,17 +39,18 @@ class CollateralAsset:
     econ_capital: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        if self.price <= 0.0:
-            raise CollateralError(f"{self.id}: price must be > 0")
-        if self.quantity < 0.0:
-            raise CollateralError(f"{self.id}: quantity must be >= 0")
+        # written so that NaN fails every check
+        if not 0.0 < self.price < math.inf:
+            raise CollateralError(f"{self.id}: price must be finite and > 0")
+        if not 0.0 <= self.quantity < math.inf:
+            raise CollateralError(f"{self.id}: quantity must be finite and >= 0")
         for name, h in (("h_csa", self.h_csa), ("h_repo", self.h_repo)):
             if not 0.0 <= h < 1.0:
                 raise CollateralError(f"{self.id}: {name} must be in [0, 1)")
         if not 0.0 <= self.h_lcr <= 1.0:
             raise CollateralError(f"{self.id}: h_lcr must be in [0, 1]")
-        if any(v < 0.0 for v in self.econ_capital.values()):
-            raise CollateralError(f"{self.id}: economic capital must be >= 0")
+        if not all(0.0 <= v < math.inf for v in self.econ_capital.values()):
+            raise CollateralError(f"{self.id}: economic capital must be finite and >= 0")
 
 
 TimeFraction = float | Callable[[float], float]

@@ -29,7 +29,8 @@ from .curves import PartyCurves, RateCurve
 from .discounting import EffectiveRateSpec
 from .exposure import ExposureProfile
 from .repo import RepoModelParams, spread_curve
-from .simplex import LpInfeasibleError, LpUnboundedError, solve_bounded_lp
+from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
+                      solve_bounded_lp)
 from .xva import decompose
 
 DEFAULT_SPREAD_TENORS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
@@ -84,8 +85,8 @@ class AllocationProblem:
             raise AllocationError(f"unit_lva must be {m}x{n}")
         if not np.all(np.isfinite(e)):
             raise AllocationError("unit_lva entries must be finite")
-        if self.hqla_floor < 0.0:
-            raise AllocationError("hqla_floor must be >= 0")
+        if not 0.0 <= self.hqla_floor < np.inf:
+            raise AllocationError("hqla_floor must be finite and >= 0")
         if self.funding_haircut not in ("csa", "repo"):
             raise AllocationError("funding_haircut must be 'csa' or 'repo'")
         object.__setattr__(self, "unit_lva", e)
@@ -117,7 +118,8 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
     """Vertex-optimal allocation via the bounded-variable simplex.
 
     Raises AllocationInfeasibleError with the violated requirement names
-    when no feasible plan exists.
+    when no feasible plan exists, and LpSolverError when the solve breaks
+    down.
     """
     assets, sets = problem.assets, problem.netting_sets
     m, n = len(assets), len(sets)
@@ -167,7 +169,7 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
                 labels.append("hqla_floor")
         raise AllocationInfeasibleError(labels) from err
     except LpUnboundedError as err:  # impossible with finite Q and bounds
-        raise AssertionError("allocation LP cannot be unbounded") from err
+        raise LpSolverError("allocation LP cannot be unbounded") from err
 
     q = res.x[:m * n].reshape(m, n)
     slacks = res.x[m * n:m * n + m]
@@ -187,12 +189,12 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
 def _check_feasible(problem: AllocationProblem, q: np.ndarray, slacks: np.ndarray) -> None:
     for i, asset in enumerate(problem.assets):
         if abs(q[i].sum() + slacks[i] - asset.quantity) > 1e-9 * max(1.0, asset.quantity):
-            raise AssertionError(f"inventory identity violated for {asset.id}")
+            raise LpSolverError(f"inventory identity violated for {asset.id}")
     for j, ns in enumerate(problem.netting_sets):
         posted = sum(q[i, j] * problem.funding_weight(a)
                      for i, a in enumerate(problem.assets))
         if abs(posted - ns.requirement) > 1e-6 * max(1.0, ns.requirement):
-            raise AssertionError(f"funding identity violated for {ns.id}")
+            raise LpSolverError(f"funding identity violated for {ns.id}")
 
 
 # -- unit LVA -----------------------------------------------------------------
@@ -259,7 +261,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
     V_j = 0), re-solves the LP, then reprices every set under its posted
     blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise AllocationError("tol must be > 0")
     mtm_star = np.array([ns.profile.mtm0 for ns in sets], dtype=float)
     benefit = np.zeros((len(assets), len(sets)))

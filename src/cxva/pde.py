@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .curves import RateCurve
 from .discounting import EffectiveRateSpec, blend_rate
@@ -196,6 +195,14 @@ def _apply(lower, diag, upper, v):
     out[1:] += lower[1:] * v[:-1]
     out[:-1] += upper[:-1] * v[1:]
     return out
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on first use so that loading
+    the package does not load scipy (about 30 MB and 0.3 s) for commands
+    that never solve a PDE."""
+    from scipy.linalg import solve_banded as banded
+    return banded(l_and_u, ab, b)
 
 
 def _solve_tridiag(lower, diag, upper, rhs):

@@ -1,9 +1,15 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cxva.optimizer
 from cxva.cli import main
+from cxva.simplex import solve_bounded_lp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -35,6 +41,17 @@ SMALL_PORTFOLIO = {"n": 60, "payer_frac": 0.9, "maturity_min": 0.25,
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_import_does_not_load_scipy():
+    # scipy is loaded on the first PDE solve, not by every command
+    src = str(Path(cxva.optimizer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, cxva.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestPrice:
@@ -194,6 +211,26 @@ class TestOptimize:
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "solver"
+
+    def test_solver_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cxva.optimizer, "solve_bounded_lp",
+                            functools.partial(solve_bounded_lp, max_iter=1))
+        sc = self._scenario(tmp_path)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "solver"
+        assert err["error"]["class"] == "LpSolverError"
+
+    @pytest.mark.parametrize("key", ["quantity", "hqla_floor", "tol"])
+    def test_nan_input_exits_2(self, tmp_path, capsys, key):
+        sc = self._scenario(tmp_path)
+        raw = json.loads(sc.read_text())
+        raw["optimizer"][key] = float("nan")
+        sc.write_text(json.dumps(raw))
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:
