@@ -8,12 +8,12 @@ collateral allocator with an HQLA floor, iterated against revaluation.
 """
 
 from .curves import PartyCurves, RateCurve, combine_curves
-from .collateral import CollateralAsset, CollateralState, chi, eta
+from .collateral import CollateralAsset, CollateralState, chi
 from .discounting import EffectiveRateSpec, effective_rate
 from .repo import RepoModelParams, breakeven_spread, repo_curve, spread_curve
 from .exposure import (DeterministicModel, ExposureProfile, OneFactorMcModel, Swap,
                        exposure_profile, generate_portfolio)
-from .xva import XvaReport, colva_bk, decompose, to_running_spread
+from .xva import XvaReport, decompose, to_running_spread
 from .pde import GridSpec, OptionSpec, solve, xva_pde
 from .optimizer import (Allocation, AllocationProblem, NettingSet, iterate_allocation,
                         solve_lp)
@@ -23,10 +23,9 @@ __all__ = [
     "DeterministicModel", "EffectiveRateSpec", "ExposureProfile", "GridSpec",
     "NettingSet", "OneFactorMcModel", "OptionSpec", "PartyCurves", "RateCurve",
     "Swap", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
-    "colva_bk", "combine_curves", "decompose", "effective_rate", "eta",
-    "exposure_profile", "generate_portfolio", "iterate_allocation",
-    "repo_curve", "solve", "solve_lp", "spread_curve", "to_running_spread",
-    "xva_pde",
+    "combine_curves", "decompose", "effective_rate", "exposure_profile",
+    "generate_portfolio", "iterate_allocation", "repo_curve", "solve",
+    "solve_lp", "spread_curve", "to_running_spread", "xva_pde",
 ]
 
 __version__ = "0.1.0"

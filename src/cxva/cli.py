@@ -88,17 +88,23 @@ def _option_sweep_points(scenario: Scenario, points: int):
     return rows
 
 
-def _portfolio_sweep_points(scenario: Scenario, points: int):
+def _portfolio_reports(scenario: Scenario, levels):
+    """(eta, report with basis-point twins) of the scenario's portfolio at
+    each collateralization level."""
     profile = scenario.portfolio_profile()
-    rows = []
-    for eta in np.linspace(0.0, 1.0, points):
+    out = []
+    for eta in levels:
         spec = scenario.effective_spec(collateralization=float(eta))
         report = to_running_spread(
             decompose(profile, spec, n_steps=scenario.quadrature_steps),
             profile.annuity)
-        rows.append([float(eta), report.bp["cra"], report.bp["lva"],
-                     report.bp["xva"]])
-    return rows
+        out.append((float(eta), report))
+    return out
+
+
+def _portfolio_sweep_points(scenario: Scenario, points: int):
+    return [[eta, rep.bp["cra"], rep.bp["lva"], rep.bp["xva"]]
+            for eta, rep in _portfolio_reports(scenario, np.linspace(0.0, 1.0, points))]
 
 
 def cmd_sweep(scenario: Scenario, out: Path, points: int) -> dict:
@@ -124,15 +130,8 @@ XVA_ROWS = ("npv", "xva", "lva", "cra", "cva", "dva", "cfa", "dfa")
 
 
 def cmd_xva(scenario: Scenario, out: Path) -> dict:
-    profile = scenario.portfolio_profile()
-    levels = scenario.raw.get("xva_levels", [0.0, 0.5, 1.0])
-    reports = {}
-    for eta in levels:
-        spec = scenario.effective_spec(collateralization=float(eta))
-        report = to_running_spread(
-            decompose(profile, spec, n_steps=scenario.quadrature_steps),
-            profile.annuity)
-        reports[float(eta)] = report
+    reports = dict(_portfolio_reports(
+        scenario, scenario.raw.get("xva_levels", [0.0, 0.5, 1.0])))
     # rows NPV..DFA by collateralization column; NPV in value units, the
     # adjustments as running spreads in basis points
     text = _csv_line(["row"] + [_fmt(e) for e in reports])
@@ -187,12 +186,7 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
         max_iter=int(cfg.get("max_iter", 5)),
         n_steps=scenario.quadrature_steps)
 
-    first = result.states[0]
-    text = _csv_line(["asset"] + [ns.id for ns in sets])
-    for i, a in enumerate(assets):
-        text += _csv_line([a.id] + [_fmt(first.unit_lva[i, j])
-                                    for j in range(len(sets))])
-    _write(out / "unit_lva.csv", text)
+    _write(out / "unit_lva.csv", _allocation_csv(assets, sets, result.states[0].unit_lva))
     for k, state in enumerate(result.states):
         _write(out / f"allocation_{k}.csv",
                _allocation_csv(assets, sets, state.allocation.q, state.mtms))

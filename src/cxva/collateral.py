@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .curves import RateCurve, combine_curves
 
@@ -53,42 +53,19 @@ class CollateralAsset:
             raise CollateralError(f"{self.id}: economic capital must be finite and >= 0")
 
 
-TimeFraction = float | Callable[[float], float]
-
-
 @dataclass(frozen=True)
 class CollateralState:
-    """(eta, chi) descriptor per posting direction.
+    """(eta, chi) descriptor per posting direction, constant in time."""
 
-    eta/chi entries may be callables of time for deterministic profiles;
-    range checks then apply at evaluation sites.
-    """
-
-    eta_b: TimeFraction = 1.0
-    eta_c: TimeFraction = 1.0
-    chi_b: TimeFraction = 1.0
-    chi_c: TimeFraction = 1.0
+    eta_b: float = 1.0
+    eta_c: float = 1.0
+    chi_b: float = 1.0
+    chi_c: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("eta_b", "eta_c", "chi_b", "chi_c"):
-            v = getattr(self, name)
-            if not callable(v) and not 0.0 <= float(v) <= 1.0:
+            if not 0.0 <= float(getattr(self, name)) <= 1.0:
                 raise CollateralError(f"{name} must be in [0, 1]")
-
-
-def eta(exposure: float, units: float, price: float, h_csa: float) -> float:
-    """Collateralization fraction min(1, n*B*(1-h_csa)/exposure).
-
-    Zero exposure is fully covered by convention (eta = 1), which keeps the
-    effective rate continuous as the exposure crosses zero.
-    """
-    if exposure < 0.0 or units < 0.0 or price < 0.0:
-        raise CollateralError("eta inputs must be non-negative")
-    if not 0.0 <= h_csa < 1.0:
-        raise CollateralError("h_csa must be in [0, 1)")
-    if exposure == 0.0:
-        return 1.0
-    return min(1.0, units * price * (1.0 - h_csa) / exposure)
 
 
 def chi(h_repo: float, h_csa: float) -> float:

@@ -171,11 +171,8 @@ class PartyCurves:
     bond: RateCurve
     liquidity: RateCurve | None = None
     hazard: RateCurve | None = None
-    recovery: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.recovery < 1.0:
-            raise CurveError("recovery must be in [0, 1)")
         if self.liquidity is None:
             if self.hazard is None:
                 raise CurveError("need a liquidity curve or a hazard curve")

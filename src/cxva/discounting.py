@@ -26,10 +26,6 @@ MODES = ("uncollateralized", "cash_comingled", "cash_segregated", "noncash",
          "initial_margin")
 
 
-def _time_value(x, t: float) -> float:
-    return float(x(t)) if callable(x) else float(x)
-
-
 def _as_spread_curve(spread) -> RateCurve | None:
     if spread is None:
         return None
@@ -74,17 +70,17 @@ class EffectiveRateSpec:
 
     # -- mode-adjusted state -------------------------------------------------
 
-    def eta(self, side: int, t: float) -> float:
+    def eta(self, side: int) -> float:
         if self.mode == "uncollateralized":
             return 0.0
-        return _time_value(self.state.eta_c if side > 0 else self.state.eta_b, t)
+        return float(self.state.eta_c if side > 0 else self.state.eta_b)
 
-    def chi(self, side: int, t: float) -> float:
+    def chi(self, side: int) -> float:
         # declared-segregated modes force the unfunded case; comingled cash
         # and securities read the state (mixed CSAs set chi per direction)
         if self.mode in ("cash_segregated", "initial_margin"):
             return 0.0
-        return _time_value(self.state.chi_c if side > 0 else self.state.chi_b, t)
+        return float(self.state.chi_c if side > 0 else self.state.chi_b)
 
     def funded_spread_curve(self, side: int) -> RateCurve:
         """Funded-leg spread over risk-free: r_L - r for cash, r_p - r otherwise."""
@@ -122,7 +118,7 @@ def effective_rate(spec: EffectiveRateSpec, t: float, side: int) -> float:
         party.liquidity.forward_rate(t),
         spec.risk_free.forward_rate(t),
         spec.funded_spread_curve(side).forward_rate(t),
-        spec.eta(side, t),
-        spec.chi(side, t),
+        spec.eta(side),
+        spec.chi(side),
     ))
 

@@ -16,6 +16,7 @@ periods counted back from maturity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -39,10 +40,11 @@ class Swap:
     pay_freq: int = 2
 
     def __post_init__(self) -> None:
-        if self.notional <= 0.0:
-            raise ExposureError("notional must be > 0")
-        if self.maturity <= 0.0:
-            raise ExposureError("maturity must be > 0")
+        # written so that NaN fails every check
+        if not 0.0 < self.notional < math.inf:
+            raise ExposureError("notional must be finite and > 0")
+        if not 0.0 < self.maturity < math.inf:
+            raise ExposureError("maturity must be finite and > 0")
         if self.pay_freq not in (1, 2, 4):
             raise ExposureError("pay_freq must be one of 1, 2, 4")
         if self.direction not in ("payer", "receiver"):
@@ -130,11 +132,16 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     """
     if n < 1:
         raise ExposureError("n must be >= 1")
+    # written so that NaN fails every check
     if not 0.0 <= payer_frac <= 1.0:
         raise ExposureError("payer_frac must be in [0, 1]")
+    if not 0.0 <= rate_band < math.inf:
+        raise ExposureError("rate_band must be finite and >= 0")
+    if not math.isfinite(rate_offset):
+        raise ExposureError("rate_offset must be finite")
     lo, hi = maturity_range
-    if lo <= 0.0 or hi < lo:
-        raise ExposureError("maturity_range must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < math.inf:
+        raise ExposureError("maturity_range must satisfy 0 < lo <= hi < inf")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     maturities = rng.uniform(lo, hi, n) if hi > lo else np.full(n, float(lo))
     atm = par_rate(curve, 10.0, pay_freq) + rate_offset
@@ -158,11 +165,6 @@ def _payment_matrix(portfolio: Sequence[Swap]):
         mask[i, :len(t)] = True
     accrual = np.array([1.0 / s.pay_freq for s in portfolio])
     return dates, mask, accrual
-
-
-def portfolio_mtm(portfolio: Sequence[Swap], curve: RateCurve, t: float = 0.0) -> float:
-    """Net forward mark-to-market of the portfolio at time t off today's curve."""
-    return float(_forward_values(portfolio, curve, np.asarray([t]))[0])
 
 
 def _forward_values(portfolio: Sequence[Swap], curve: RateCurve,
@@ -219,28 +221,18 @@ class OneFactorMcModel:
             raise ExposureError("Monte Carlo needs at least 1000 paths")
 
 
-def _make_grid(portfolio: Sequence[Swap], grid) -> np.ndarray:
-    horizon = max(s.maturity for s in portfolio)
-    if isinstance(grid, int):
-        if grid < 2:
-            raise ExposureError("grid needs at least 2 points")
-        return np.linspace(0.0, horizon, grid)
-    g = np.asarray(grid, dtype=float)
-    if g[0] != 0.0:
-        raise ExposureError("exposure grid must start at 0")
-    return g
-
-
-def exposure_profile(portfolio: Sequence[Swap], model, grid,
+def exposure_profile(portfolio: Sequence[Swap], model, points: int,
                      curve: RateCurve) -> ExposureProfile:
-    """Risk-free exposure profile of a netting set.
+    """Risk-free exposure profile of a netting set on ``points`` equally
+    spaced times from 0 to the last maturity.
 
-    ``grid`` is either a point count or an explicit increasing time array
-    starting at 0. Raises ExposureError on an empty portfolio.
+    Raises ExposureError on an empty portfolio.
     """
     if not portfolio:
         raise ExposureError("cannot build an exposure profile for an empty portfolio")
-    times = _make_grid(portfolio, grid)
+    if points < 2:
+        raise ExposureError("grid needs at least 2 points")
+    times = np.linspace(0.0, max(s.maturity for s in portfolio), points)
     annuity = gross_annuity(portfolio, curve)
     if isinstance(model, DeterministicModel):
         values = _forward_values(portfolio, curve, times)

@@ -19,7 +19,7 @@ CSA-protected value. A switch reproduces the repo-haircut variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class NettingSet:
     requirement: float
     rating: str
     profile: ExposureProfile
-    counterparty: PartyCurves | None = None
 
     def __post_init__(self) -> None:
         if self.requirement < 0.0:
@@ -111,7 +110,6 @@ class Allocation:
     slacks: np.ndarray
     objective: float
     binding: dict
-    status: str = "optimal"
 
 
 def solve_lp(problem: AllocationProblem) -> Allocation:
@@ -199,12 +197,12 @@ def _check_feasible(problem: AllocationProblem, q: np.ndarray, slacks: np.ndarra
 
 # -- unit LVA -----------------------------------------------------------------
 
-def _repo_spread(asset: CollateralAsset, rating: str, repo_params: RepoModelParams,
-                 tenors: Sequence[float]) -> RateCurve:
+def _repo_spread(asset: CollateralAsset, rating: str,
+                 repo_params: RepoModelParams) -> RateCurve:
     """Break-even repo spread curve of the asset lent to a borrower of this rating."""
     if rating not in asset.econ_capital:
         raise KeyError(f"asset {asset.id!r} has no economic capital for rating {rating!r}")
-    return spread_curve(repo_params, asset.econ_capital[rating], tenors,
+    return spread_curve(repo_params, asset.econ_capital[rating], DEFAULT_SPREAD_TENORS,
                         label=f"{asset.id}_{rating}")
 
 
@@ -215,9 +213,8 @@ def set_lva(asset: CollateralAsset, netting_set: NettingSet, spread: RateCurve,
     ``spread`` is the asset's repo spread over risk-free."""
     x = chi(asset.h_repo, asset.h_csa)
     state = CollateralState(eta_b=1.0, eta_c=1.0, chi_b=x, chi_c=x)
-    spec = EffectiveRateSpec(party_b=poster, party_c=netting_set.counterparty or poster,
-                             risk_free=risk_free, state=state, mode="noncash",
-                             repo_spread_c=spread)
+    spec = EffectiveRateSpec(party_b=poster, party_c=poster, risk_free=risk_free,
+                             state=state, mode="noncash", repo_spread_c=spread)
     return decompose(netting_set.profile, spec, n_steps=n_steps).lva
 
 
@@ -250,9 +247,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
                        repo_params: RepoModelParams, *, hqla_floor: float = 0.0,
                        bounds: np.ndarray | None = None,
                        funding_haircut: str = "csa", tol: float = 0.01,
-                       max_iter: int = 5,
-                       tenors: Sequence[float] = DEFAULT_SPREAD_TENORS,
-                       n_steps: int = 120) -> IterationResult:
+                       max_iter: int = 5, n_steps: int = 120) -> IterationResult:
     """Alternate LP allocation and netting-set revaluation to a fixed point.
 
     Requirements start at the OIS-discounted MTM magnitudes (the sets'
@@ -270,7 +265,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
         for j, ns in enumerate(sets):
             key = (i, ns.rating)
             if key not in spreads:
-                spreads[key] = _repo_spread(a, ns.rating, repo_params, tenors)
+                spreads[key] = _repo_spread(a, ns.rating, repo_params)
             benefit[i, j] = abs(set_lva(a, ns, spreads[key], poster, risk_free,
                                         n_steps=n_steps))
 
@@ -282,8 +277,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
         conv = np.array([a.price * (1.0 - a.h_csa) for a in assets])
         with np.errstate(divide="ignore", invalid="ignore"):
             e = np.where(req > 0.0, benefit * conv[:, None] / req[None, :], 0.0)
-        current = [NettingSet(ns.id, float(req[j]), ns.rating, ns.profile,
-                              ns.counterparty) for j, ns in enumerate(sets)]
+        current = [replace(ns, requirement=float(req[j])) for j, ns in enumerate(sets)]
         problem = AllocationProblem(tuple(assets), tuple(current), e,
                                     hqla_floor=hqla_floor, bounds=bounds,
                                     funding_haircut=funding_haircut)
@@ -303,8 +297,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             spread = funded if x <= 0.0 else scale_curve(funded, 1.0 / x)
             eta = min(1.0, csa_value / ns.requirement)
             state = CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x)
-            spec = EffectiveRateSpec(party_b=poster,
-                                     party_c=ns.counterparty or poster,
+            spec = EffectiveRateSpec(party_b=poster, party_c=poster,
                                      risk_free=risk_free, state=state,
                                      mode="noncash", repo_spread_c=spread)
             lva[j] = decompose(ns.profile, spec, n_steps=n_steps).lva

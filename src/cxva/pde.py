@@ -11,20 +11,20 @@ kink. Boundaries: at S = 0 the PDE degenerates to the reaction ODE on its
 own; at S_max the second derivative is dropped (payoff linearity) with
 one-sided convection.
 
-Every forward rate a solve reads (both parties' bond and liquidity curves,
-the risk-free curve, each side's funded spread and the stock-financing
-curve) is tabulated once per solve on the step grid, the time grid plus
-the Rannacher half-step; the Picard sweeps only read that table.
+The stock is financed at the risk-free rate, so r_s = r. Every forward
+rate a solve reads (both parties' bond and liquidity curves, the risk-free
+curve and each side's funded spread) is tabulated once per solve on the
+step grid, the time grid plus the Rannacher half-step; the Picard sweeps
+only read that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections.abc import Callable
 
 import numpy as np
 
-from .curves import RateCurve
 from .discounting import EffectiveRateSpec, blend_rate
 
 
@@ -49,29 +49,31 @@ class OptionSpec:
     """European payoff on a single underlier.
 
     ``position`` scales the terminal payoff (+1 long, -1 short); ``zcb`` is
-    a unit cash payoff used for consistency checks. ``stock_financing``
-    defaults to the risk-free curve of the rate spec at solve time.
+    a unit cash payoff used for consistency checks; ``forward`` pays S - K,
+    which changes sign, so both parties' rates apply within one solve.
     """
 
-    payoff: str  # "call" | "put" | "zcb" | "custom"
+    payoff: str  # "call" | "put" | "zcb" | "forward"
     strike: float
     maturity: float
     spot: float
     vol: float
     div_yield: float = 0.0
-    stock_financing: RateCurve | None = None
     position: float = 1.0
-    custom_payoff: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
-        if self.spot <= 0.0 or self.vol <= 0.0 or self.maturity <= 0.0:
-            raise PdeError("spot, vol and maturity must be > 0")
-        if self.payoff not in ("call", "put", "zcb", "custom"):
-            raise PdeError("payoff must be call, put, zcb or custom")
-        if self.payoff in ("call", "put") and self.strike <= 0.0:
-            raise PdeError("call/put needs a positive strike")
-        if self.payoff == "custom" and self.custom_payoff is None:
-            raise PdeError("custom payoff needs tabulated (S, H) points")
+        # written so that NaN fails every check
+        for name in ("spot", "vol", "maturity"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise PdeError(f"option {name} must be finite and > 0")
+        if not 0.0 <= self.strike < math.inf:
+            raise PdeError("option strike must be finite and >= 0")
+        if not math.isfinite(self.div_yield):
+            raise PdeError("option div_yield must be finite")
+        if self.payoff not in ("call", "put", "zcb", "forward"):
+            raise PdeError("payoff must be call, put, zcb or forward")
+        if self.payoff != "zcb" and self.strike == 0.0:
+            raise PdeError(f"{self.payoff} needs a positive strike")
 
     def terminal_value(self, s: np.ndarray) -> np.ndarray:
         if self.payoff == "call":
@@ -81,8 +83,7 @@ class OptionSpec:
         elif self.payoff == "zcb":
             h = np.ones_like(s)
         else:
-            xs, hs = self.custom_payoff
-            h = np.interp(s, np.asarray(xs, dtype=float), np.asarray(hs, dtype=float))
+            h = s - self.strike
         return self.position * h
 
 
@@ -97,7 +98,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.s_nodes < 50 or self.t_steps < 50:
             raise PdeError("grid needs at least 50 space nodes and 50 time steps")
-        if self.picard_tol <= 0.0:
+        # written so that NaN fails every check
+        if not 1.0 < self.s_max_mult < math.inf:
+            raise PdeError("grid s_max_mult must be finite and > 1")
+        if not self.picard_tol > 0.0:
             raise PdeError("picard_tol must be > 0")
 
 
@@ -107,12 +111,6 @@ class PdeSolution:
     v0: np.ndarray
     value: float
     max_picard_iters: int
-
-    def value_at(self, spot: float) -> float:
-        return float(np.interp(spot, self.s, self.v0))
-
-
-CollateralSchedule = Callable[[float, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,9 @@ class _ForwardTable:
     risk_free: np.ndarray
     spread_c: np.ndarray
     spread_b: np.ndarray
-    financing: np.ndarray
 
     @classmethod
-    def build(cls, spec: EffectiveRateSpec, financing: RateCurve,
-              t: np.ndarray) -> "_ForwardTable":
+    def build(cls, spec: EffectiveRateSpec, t: np.ndarray) -> "_ForwardTable":
         return cls(t=t,
                    bond_c=spec.party_c.bond.forward_rate(t),
                    bond_b=spec.party_b.bond.forward_rate(t),
@@ -144,25 +140,16 @@ class _ForwardTable:
                    liquidity_b=spec.party_b.liquidity.forward_rate(t),
                    risk_free=spec.risk_free.forward_rate(t),
                    spread_c=spec.funded_spread_curve(+1).forward_rate(t),
-                   spread_b=spec.funded_spread_curve(-1).forward_rate(t),
-                   financing=financing.forward_rate(t))
+                   spread_b=spec.funded_spread_curve(-1).forward_rate(t))
 
 
 def _node_rates(spec: EffectiveRateSpec, fwd: _ForwardTable, k: int,
-                v: np.ndarray, schedule: CollateralSchedule | None) -> np.ndarray:
+                v: np.ndarray) -> np.ndarray:
     """Per-node effective rate at step time fwd.t[k] from the sign of v
     (V=0 counts as a payable)."""
-    t = fwd.t[k]
     pos = v > 0.0
-    if schedule is None:
-        eta = np.where(pos, spec.eta(+1, t), spec.eta(-1, t))
-    else:
-        protection = np.maximum(np.asarray(schedule(t, v), dtype=float), 0.0)
-        absv = np.abs(v)
-        eta = np.where(absv > 1e-300, np.minimum(protection / np.maximum(absv, 1e-300), 1.0), 1.0)
-        if spec.mode == "uncollateralized":
-            eta = np.zeros_like(eta)
-    chi = np.where(pos, spec.chi(+1, t), spec.chi(-1, t))
+    eta = np.where(pos, spec.eta(+1), spec.eta(-1))
+    chi = np.where(pos, spec.chi(+1), spec.chi(-1))
     f_unsec = np.where(pos, fwd.bond_c[k], fwd.bond_b[k])
     f_mu = np.where(pos, fwd.liquidity_c[k], fwd.liquidity_b[k])
     f_s = np.where(pos, fwd.spread_c[k], fwd.spread_b[k])
@@ -215,34 +202,29 @@ def _solve_tridiag(lower, diag, upper, rhs):
 
 
 def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
-          collateral_schedule: CollateralSchedule | None = None,
           risk_free_override: bool = False) -> PdeSolution:
     """Backward-solve the option value under the effective switching rate.
 
     ``risk_free_override`` prices with r_e = r everywhere (the risk-free
-    value V*). ``collateral_schedule`` maps (t, V-array) to a protection
-    amount L per node; eta is then min(1, L/|V|) with eta = 1 at V = 0.
+    value V*).
     """
-    ref = max(option.spot, option.strike if option.strike > 0 else option.spot)
+    ref = max(option.spot, option.strike)
     s_max = grid.s_max_mult * ref
     s = np.linspace(0.0, s_max, grid.s_nodes + 1)
     ds = s[1] - s[0]
     dt = option.maturity / grid.t_steps
-    financing = option.stock_financing or rates.risk_free
     sigma = option.vol
 
     # Rannacher startup: the first interval as two implicit half-steps.
     # Step i runs from fwd.t[i] to fwd.t[i + 1].
     times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
     fwd = _ForwardTable.build(
-        rates, financing, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
+        rates, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
 
     def rho_at(k: int, v_ref: np.ndarray) -> np.ndarray:
         if risk_free_override:
             return np.full(len(s), fwd.risk_free[k])
-        return np.asarray(_node_rates(rates, fwd, k, v_ref, collateral_schedule),
-                          dtype=float) \
-            * np.ones(len(s))
+        return _node_rates(rates, fwd, k, v_ref)
 
     v = option.terminal_value(s)
     max_iters = 0
@@ -250,8 +232,8 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
     for i in range(len(fwd.t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = fwd.t[i] - fwd.t[i + 1]
-        conv_old = fwd.financing[i] - option.div_yield
-        conv_new = fwd.financing[i + 1] - option.div_yield
+        conv_old = fwd.risk_free[i] - option.div_yield
+        conv_new = fwd.risk_free[i + 1] - option.div_yield
         rho_old = rho_at(i, v)
         lo_o, di_o, up_o = _operator(s, ds, conv_old, sigma, rho_old)
         rhs = v + (1.0 - theta) * h * _apply(lo_o, di_o, up_o, v)
@@ -280,14 +262,11 @@ class XvaPdeResult:
     v_star: float
     v: float
     u: float
-    risk_free: PdeSolution
-    adjusted: PdeSolution
 
 
-def xva_pde(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
-            collateral_schedule: CollateralSchedule | None = None) -> XvaPdeResult:
+def xva_pde(option: OptionSpec, rates: EffectiveRateSpec,
+            grid: GridSpec) -> XvaPdeResult:
     """Risk-free value, adjusted value and their difference U = V* - V."""
-    star = solve(option, rates, grid, risk_free_override=True)
-    adj = solve(option, rates, grid, collateral_schedule=collateral_schedule)
-    return XvaPdeResult(v_star=star.value, v=adj.value, u=star.value - adj.value,
-                        risk_free=star, adjusted=adj)
+    star = solve(option, rates, grid, risk_free_override=True).value
+    adj = solve(option, rates, grid).value
+    return XvaPdeResult(v_star=star, v=adj, u=star - adj)

@@ -33,7 +33,6 @@ class RepoModelParams:
     roe: float
     mu0_curve: RateCurve
     hazard: RateCurve
-    mpr_days: int = 10
     expected_gap_loss: float = 0.0
 
     def __post_init__(self) -> None:
@@ -41,8 +40,6 @@ class RepoModelParams:
             raise RepoModelError("roe and expected_gap_loss must be finite")
         if self.roe < 0.0:
             raise RepoModelError("roe must be >= 0")
-        if self.mpr_days <= 0:
-            raise RepoModelError("mpr_days must be > 0")
         if self.expected_gap_loss < 0.0:
             raise RepoModelError("expected_gap_loss must be >= 0")
 

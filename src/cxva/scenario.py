@@ -108,8 +108,7 @@ class Scenario:
                                        [1.0, 1.0], f"liquidity_{side}")
         else:
             liquidity = None  # derived from bond - hazard when hazard given
-        return PartyCurves(bond=bond, liquidity=liquidity, hazard=hazard,
-                           recovery=float(cfg.get("recovery", 0.0)))
+        return PartyCurves(bond=bond, liquidity=liquidity, hazard=hazard)
 
     # -- collateral / discounting ----------------------------------------------
 
@@ -218,7 +217,6 @@ class Scenario:
         hazard = self.curve("hazard", default=RateCurve.flat(0.0, "hazard"))
         return RepoModelParams(roe=float(cfg.get("roe", 0.10)),
                                mu0_curve=mu0, hazard=hazard,
-                               mpr_days=int(cfg.get("mpr_days", 10)),
                                expected_gap_loss=float(cfg.get("expected_gap_loss", 0.0)))
 
     def repo_target(self) -> tuple[str, str, list[float]]:

@@ -98,9 +98,9 @@ def _log_mean(ga: float, gb: float) -> float:
     return (ga - gb) / lr
 
 
-def _quad_grid(profile: ExposureProfile, spec: EffectiveRateSpec, n_steps: int,
-               horizon: float | None = None) -> np.ndarray:
-    horizon = horizon if horizon is not None else profile.horizon
+def _quad_grid(profile: ExposureProfile, spec: EffectiveRateSpec,
+               n_steps: int) -> np.ndarray:
+    horizon = profile.horizon
     base = np.linspace(0.0, horizon, n_steps + 1)
     knots = set(base)
     knots.update(t for t in profile.times if 0.0 < t < horizon)
@@ -114,8 +114,8 @@ def _quad_grid(profile: ExposureProfile, spec: EffectiveRateSpec, n_steps: int,
 
 def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
               n_steps: int = 200, grid=None) -> XvaReport:
-    """CVA/DVA/CFA/DFA/LVA/colVA of a netting set under deterministic
-    eta(t), chi(t).
+    """CVA/DVA/CFA/DFA/LVA/colVA of a netting set under the spec's
+    constant eta and chi per side.
 
     ``grid`` overrides the quadrature grid (must start at 0); otherwise a
     uniform grid with ``n_steps`` intervals is refined with all profile and
@@ -133,17 +133,16 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
     ene = np.interp(grid, profile.times, profile.ene)
     spread_curve_c = spec.funded_spread_curve(+1)
     spread_curve_b = spec.funded_spread_curve(-1)
+    eta_c, chi_c = spec.eta(+1), spec.chi(+1)
+    eta_b, chi_b = spec.eta(-1), spec.chi(-1)
 
     cva = dva = cfa = dfa = lva_c = lva_b = colva_c = colva_b = 0.0
     df_c = 1.0
     df_b = 1.0
     for k in range(len(grid) - 1):
         a, b = grid[k], grid[k + 1]
-        tm = 0.5 * (a + b)
         i_r = spec.risk_free.integral(a, b)
         # C side (positive exposure)
-        eta_c = spec.eta(+1, tm)
-        chi_c = spec.chi(+1, tm)
         i_rc = spec.party_c.bond.integral(a, b)
         i_mc = spec.party_c.liquidity.integral(a, b)
         i_sc = spread_curve_c.integral(a, b)
@@ -156,8 +155,6 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
         lva_c += eta_c * ((1.0 - chi_c) * (i_mc - i_r) + chi_c * i_sc) * lm_c
         colva_c += eta_c * chi_c * i_sc * lm_c
         # B side (negative exposure)
-        eta_b = spec.eta(-1, tm)
-        chi_b = spec.chi(-1, tm)
         i_rb = spec.party_b.bond.integral(a, b)
         i_mb = spec.party_b.liquidity.integral(a, b)
         i_sb = spread_curve_b.integral(a, b)
@@ -193,34 +190,3 @@ def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times,
     if v_star0 >= 0.0:
         return ExposureProfile(times, path, zero, v_star0, annuity)
     return ExposureProfile(times, zero, path, v_star0, annuity)
-
-
-def colva_bk(profile: ExposureProfile, collateral_spread, hazard_b: RateCurve,
-             hazard_c: RateCurve, risk_free: RateCurve, *,
-             n_steps: int = 200) -> float:
-    """Survival-discounted collateral-spread colVA, for comparison reports.
-
-    Integrates s_x(u) * exp(-int (r + lambda_B + lambda_C)) * E[X(u)] with
-    the collateral balance X approximated by epe - ene.
-    """
-    spread = collateral_spread if isinstance(collateral_spread, RateCurve) \
-        else RateCurve.flat(float(collateral_spread), "s_x")
-    horizon = profile.horizon
-    knots = set(np.linspace(0.0, horizon, n_steps + 1))
-    knots.update(t for t in profile.times if 0.0 < t < horizon)
-    for c in (spread, hazard_b, hazard_c, risk_free):
-        knots.update(t for t in c.tenors if 0.0 < t < horizon)
-    grid = np.array(sorted(knots))
-    x = np.interp(grid, profile.times, profile.epe) \
-        - np.interp(grid, profile.times, profile.ene)
-
-    total = 0.0
-    df = 1.0
-    for k in range(len(grid) - 1):
-        a, b = grid[k], grid[k + 1]
-        i_s = spread.integral(a, b)
-        g0 = x[k] * df
-        df *= math.exp(-(risk_free.integral(a, b) + hazard_b.integral(a, b)
-                         + hazard_c.integral(a, b)))
-        total += i_s * _log_mean(g0, x[k + 1] * df)
-    return total

@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite only.
 
 These deliberately avoid the library's own code paths: Black-Scholes in
-closed form, direct discount sums for swap values, and exhaustive lattice
-search for small allocation LPs.
+closed form, direct discount sums for swap values, exhaustive lattice
+search for small allocation LPs, and a survival-discounted colVA.
 """
 
 import math
@@ -62,3 +62,37 @@ def lattice_lp_optimum(e, q_max, v_req, conv, step_frac=1e-3):
            + e[1, 0] * np.maximum(q10, 0.0) + e[1, 1] * np.maximum(q11, 0.0))
     obj = np.where(feasible, obj, -np.inf)
     return float(obj.max())
+
+
+def _log_mean(ga: float, gb: float) -> float:
+    """Mean of an exponential arc through (ga, gb), arithmetic when the
+    exponential model does not apply."""
+    if ga <= 0.0 or gb <= 0.0 or ga == gb:
+        return 0.5 * (ga + gb)
+    return (ga - gb) / math.log(ga / gb)
+
+
+def colva_bk(profile, spread, hazard_b, hazard_c, risk_free, n_steps=200):
+    """Survival-discounted collateral-spread colVA.
+
+    Integrates s_x(u) * exp(-int (r + lambda_B + lambda_C)) * E[X(u)] with
+    the collateral balance X approximated by epe - ene. The curves only
+    need ``integral(a, b)`` and ``tenors``.
+    """
+    horizon = profile.horizon
+    knots = set(np.linspace(0.0, horizon, n_steps + 1))
+    knots.update(t for t in profile.times if 0.0 < t < horizon)
+    for c in (spread, hazard_b, hazard_c, risk_free):
+        knots.update(t for t in c.tenors if 0.0 < t < horizon)
+    grid = np.array(sorted(knots))
+    x = np.interp(grid, profile.times, profile.epe) \
+        - np.interp(grid, profile.times, profile.ene)
+
+    total = 0.0
+    df = 1.0
+    for a, b, xa, xb in zip(grid[:-1], grid[1:], x[:-1], x[1:]):
+        g0 = xa * df
+        df *= math.exp(-(risk_free.integral(a, b) + hazard_b.integral(a, b)
+                         + hazard_c.integral(a, b)))
+        total += spread.integral(a, b) * _log_mean(g0, xb * df)
+    return total

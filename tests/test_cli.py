@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,26 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def set_key(path: Path, dotted: str, value) -> None:
+    """Set the scenario entry at a dotted key path."""
+    raw = json.loads(path.read_text())
+    *parents, leaf = dotted.split(".")
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    path.write_text(json.dumps(raw))
+
+
+def validation_message(capsys) -> str:
+    """The message of the single JSON validation error on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "validation"
+    return err["message"]
+
+
 def test_import_does_not_load_scipy():
     # scipy is loaded on the first PDE solve, not by every command
     src = str(Path(cxva.optimizer.__file__).resolve().parent.parent)
@@ -62,6 +83,33 @@ class TestPrice:
         payload = json.loads((tmp_path / "out" / "price.json").read_text())
         assert set(payload) == {"npv", "v_star", "xva"}
         assert payload["v_star"] - payload["npv"] == pytest.approx(payload["xva"])
+
+    def test_forward_at_risk_free_matches_closed_form(self, tmp_path, capsys):
+        # fully collateralized with cash earning risk-free: r_e = r, so both
+        # values are the forward S exp(-qT) - K exp(-rT)
+        option = dict(OPTION_BLOCK, payoff="forward", strike=90.0, div_yield=0.02)
+        sc = write_scenario(tmp_path, option=option, grid=SMALL_GRID,
+                            collateral={"mode": "cash_comingled",
+                                        "collateralization": 1.0})
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        payload = json.loads((tmp_path / "out" / "price.json").read_text())
+        closed = 100.0 * math.exp(-0.02) - 90.0 * math.exp(-0.01)
+        # the implicit Rannacher half-steps leave about 1e-7 relative; a
+        # 1bp rate error would move the values by about 1e-4
+        assert payload["v_star"] == pytest.approx(closed, rel=1e-6)
+        assert payload["npv"] == pytest.approx(closed, rel=1e-6)
+        assert payload["xva"] == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("path", ["option.vol", "option.spot", "option.maturity",
+                                      "option.strike", "option.div_yield",
+                                      "grid.s_max_mult"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, path, value):
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID))
+        set_key(sc, path, value)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert path.split(".")[1] in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_curve_file_exits_2(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, option=OPTION_BLOCK,
@@ -130,17 +178,29 @@ class TestXva:
     def test_nan_input_exits_2(self, tmp_path, capsys, path):
         sc = write_scenario(tmp_path, portfolio=SMALL_PORTFOLIO,
                             quadrature_steps=41)
-        raw = json.loads(sc.read_text())
-        *parents, leaf = path.split(".")
-        node = raw
-        for key in parents:
-            node = node[key]
-        node[leaf] = float("nan")
-        sc.write_text(json.dumps(raw))
+        set_key(sc, path, float("nan"))
         assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
         assert not (tmp_path / "out" / "xva_table.csv").exists()
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("rate_band", float("nan"), "rate_band"),
+        ("rate_band", float("inf"), "rate_band"),
+        ("rate_band", -1.0, "rate_band"),
+        ("maturity_max", float("nan"), "maturity_range"),
+        ("maturity_max", float("inf"), "maturity_range"),
+        ("maturity_min", float("nan"), "maturity_range"),
+        ("rate_offset", float("inf"), "rate_offset"),
+        ("notional", float("inf"), "notional"),
+    ])
+    def test_bad_portfolio_input_exits_2(self, tmp_path, capsys, key, value, field):
+        sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20),
+                            quadrature_steps=41)
+        set_key(sc, f"portfolio.{key}", value)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert field in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 class TestRepoCurve:
@@ -162,13 +222,9 @@ class TestRepoCurve:
         raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
         for spec in raw["curves"].values():
             spec["file"] = str(SCENARIO_DIR / spec["file"])
-        *parents, leaf = path.split(".")
-        node = raw
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
         sc = tmp_path / "repo.json"
         sc.write_text(json.dumps(raw))
+        set_key(sc, path, value)
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"

@@ -3,35 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.collateral import (CollateralAsset, CollateralError, CollateralState,
-                             blend_spread_curve, chi, eta, load_assets_csv)
+                             blend_spread_curve, chi, load_assets_csv)
 from cxva.curves import RateCurve
-
-
-class TestEta:
-    def test_half_covered(self):
-        # n*B*(1-h_c) = 50 against 100 of exposure
-        assert eta(100.0, 50.0, 1.0, 0.0) == pytest.approx(0.5)
-
-    def test_capped_at_one(self):
-        assert eta(100.0, 200.0, 1.0, 0.0) == 1.0
-
-    def test_zero_exposure_convention(self):
-        assert eta(0.0, 0.0, 1.0, 0.0) == 1.0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(CollateralError):
-            eta(-1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(CollateralError):
-            eta(1.0, -1.0, 1.0, 0.0)
-
-    @given(st.floats(0.01, 1e6), st.floats(0.0, 1e4), st.floats(0.01, 1e3),
-           st.floats(0.0, 0.5), st.floats(0.01, 100.0))
-    @settings(max_examples=100, deadline=None)
-    def test_scale_invariance(self, exposure, units, price, h, k):
-        # jointly scaling exposure and units leaves eta unchanged
-        a = eta(exposure, units, price, h)
-        b = eta(exposure * k, units * k, price, h)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestChi:
@@ -115,7 +88,6 @@ class TestState:
     def test_range_validation(self):
         with pytest.raises(CollateralError):
             CollateralState(eta_c=1.5)
-        CollateralState(eta_c=lambda t: min(1.0, t))  # callables allowed
 
 
 class TestAssetCsv:

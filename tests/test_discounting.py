@@ -113,14 +113,3 @@ class TestFromCsa:
         assert effective_rate(spec, 1.0, +1) == pytest.approx(0.02, rel=1e-12)
         assert effective_rate(spec, 1.0, -1) == pytest.approx(0.012, rel=1e-12)
 
-
-class TestIntegration:
-    def test_time_profile_eta(self, party_b, party_c, ois_flat):
-        state = CollateralState(eta_c=lambda t: 0.0 if t < 1.0 else 1.0,
-                                eta_b=0.0, chi_b=1.0, chi_c=1.0)
-        spec = EffectiveRateSpec(party_b=party_b, party_c=party_c,
-                                 risk_free=ois_flat, state=state, mode="noncash",
-                                 repo_spread_c=0.0)
-        # unsecured before the step, risk-free (funded at zero spread) after
-        assert effective_rate(spec, 0.5, +1) == pytest.approx(0.04, rel=1e-12)
-        assert effective_rate(spec, 1.5, +1) == pytest.approx(0.01, rel=1e-12)

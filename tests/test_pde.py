@@ -34,7 +34,9 @@ class TestSpecs:
         with pytest.raises(PdeError):
             OptionSpec(payoff="call", strike=-1.0, maturity=1.0, spot=100.0, vol=0.5)
         with pytest.raises(PdeError):
-            OptionSpec(payoff="custom", strike=0.0, maturity=1.0, spot=100.0, vol=0.5)
+            OptionSpec(payoff="custom", strike=100.0, maturity=1.0, spot=100.0, vol=0.5)
+        with pytest.raises(PdeError):
+            OptionSpec(payoff="forward", strike=0.0, maturity=1.0, spot=100.0, vol=0.5)
 
     def test_grid_validation(self):
         with pytest.raises(PdeError):
@@ -104,27 +106,13 @@ class TestNumerics:
     def test_picard_failure_raises_with_diagnostics(self, spec_factory):
         # a payoff that changes sign forces at least one sign sweep per step
         spec = spec_factory(mode="uncollateralized")
-        fwd = OptionSpec(payoff="custom", strike=0.0, maturity=1.0, spot=100.0,
-                         vol=0.5, custom_payoff=((0.0, 500.0), (-100.0, 400.0)))
+        fwd = OptionSpec(payoff="forward", strike=100.0, maturity=1.0, spot=100.0,
+                         vol=0.5)
         with pytest.raises(PicardConvergenceError) as err:
             solve(fwd, spec, GridSpec(s_nodes=100, t_steps=100,
                                       picard_tol=1e-14, picard_max_iter=1))
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
-
-
-class TestCollateralSchedule:
-    def test_value_fraction_schedule_matches_scalar_eta(self, party_b, party_c,
-                                                        ois_flat):
-        spec_half = make_spec(party_b, party_c, ois_flat, eta=0.5, chi=1.0,
-                              repo_spread=0.01)
-        spec_sched = make_spec(party_b, party_c, ois_flat, eta=0.0, chi=1.0,
-                               repo_spread=0.01)
-        grid = GridSpec(s_nodes=150, t_steps=150)
-        v_scalar = solve(ATM_CALL, spec_half, grid).value
-        v_sched = solve(ATM_CALL, spec_sched, grid,
-                        collateral_schedule=lambda t, v: 0.5 * np.abs(v)).value
-        assert v_sched == pytest.approx(v_scalar, rel=1e-12)
 
 
 class TestShortPosition:
@@ -146,13 +134,10 @@ class TestRateTable:
 
     OIS = load_curve_csv(Path(__file__).resolve().parent.parent / "scenarios"
                          / "curves" / "ois_sloped.csv", "OIS")
-    FINANCING = RateCurve.from_nodes([(0.5, 0.02), (1.5, 0.024), (3.0, 0.021)],
-                                     "stock")
+    CASH = RateCurve.from_nodes([(0.5, 0.012), (2.0, 0.016), (4.0, 0.015)], "cash")
     # sign-changing payoff, so both sides' rates are read
-    OPTION = OptionSpec(payoff="custom", strike=0.0, maturity=3.0, spot=100.0,
-                        vol=0.3, div_yield=0.005, stock_financing=FINANCING,
-                        custom_payoff=((0.0, 80.0, 120.0, 500.0),
-                                       (-20.0, -5.0, 5.0, 60.0)))
+    OPTION = OptionSpec(payoff="forward", strike=100.0, maturity=3.0, spot=100.0,
+                        vol=0.3, div_yield=0.005)
     GRID = GridSpec(s_nodes=60, t_steps=60)
 
     def _spec(self, mode: str) -> EffectiveRateSpec:
@@ -163,8 +148,7 @@ class TestRateTable:
             risk_free=ois,
             state=CollateralState(eta_b=0.4, eta_c=0.6, chi_b=0.3, chi_c=0.7),
             mode=mode,
-            cash_rate=RateCurve.from_nodes([(0.5, 0.012), (2.0, 0.016), (4.0, 0.015)],
-                                           "cash") if mode == "cash_comingled" else None,
+            cash_rate=self.CASH if mode == "cash_comingled" else None,
             repo_spread_c=RateCurve.from_nodes([(1.0, 0.01), (3.0, 0.012)], "repo"),
             repo_spread_b=0.008)
 
@@ -187,7 +171,7 @@ class TestRateTable:
     def test_step_times_hit_curve_tenors(self):
         step_t = set(self._step_times())
         assert {0.25, 1.0, 2.0} <= step_t & set(self.OIS.tenors)
-        assert {0.5, 1.5} <= step_t & set(self.FINANCING.tenors)
+        assert {0.5, 2.0} <= step_t & set(self.CASH.tenors)
 
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
     def test_node_rates_equal_effective_rate(self, monkeypatch, mode):
@@ -204,7 +188,8 @@ class TestRateTable:
                                 effective_rate(spec, t, -1))
             assert np.array_equal(rates, expected), t
             assert np.array_equal(op_args[4], expected), t
-            assert op_args[2] == self.FINANCING.forward_rate(t) - self.OPTION.div_yield, t
+            # the stock is financed at the risk-free rate
+            assert op_args[2] == self.OIS.forward_rate(t) - self.OPTION.div_yield, t
             seen.add(float(t))
         assert seen == set(self._step_times())
         signs = np.concatenate([args[3] > 0.0 for _, args, _ in log[0::2]])
@@ -215,7 +200,7 @@ class TestRateTable:
         solve(self.OPTION, self._spec("noncash"), self.GRID,
               risk_free_override=True)
         step_t = self._step_times()
-        conv = self.FINANCING.forward_rate(step_t) - self.OPTION.div_yield
+        conv = self.OIS.forward_rate(step_t) - self.OPTION.div_yield
         rates = self.OIS.forward_rate(step_t)
         assert log
         for _, (_, _, c, _, rho), _ in log:

@@ -52,7 +52,7 @@ class TestCollateralBlock:
                                          "h_repo": 0.10, "repo_spread": 0.002})
         sc = Scenario.load(write(tmp_path, payload))
         spec = sc.effective_spec()
-        assert spec.chi(+1, 0.5) == pytest.approx(1.0 - 0.05 / 0.95)
+        assert spec.chi(+1) == pytest.approx(1.0 - 0.05 / 0.95)
 
     def test_bad_mode(self, tmp_path):
         payload = dict(BASE, collateral={"mode": "weird"})

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from cxva.curves import PartyCurves, RateCurve
 from cxva.exposure import (DeterministicModel, ExposureProfile, exposure_profile,
                            generate_portfolio)
-from cxva.xva import (XvaError, XvaReport, colva_bk, decompose,
-                      martingale_epe_profile, to_running_spread)
+from cxva.xva import (XvaError, XvaReport, decompose, martingale_epe_profile,
+                      to_running_spread)
 
 from conftest import make_spec
+from oracles import colva_bk
 
 
 def flat_profile(epe=100.0, ene=0.0, horizon=1.0, n=5, annuity=1.0):
@@ -136,8 +137,8 @@ class TestLvaReceivable:
 class TestColvaBk:
     def test_zero_spread(self, ois_flat):
         profile = flat_profile(epe=50.0)
-        assert colva_bk(profile, 0.0, RateCurve.flat(0.01), RateCurve.flat(0.01),
-                        ois_flat) == 0.0
+        assert colva_bk(profile, RateCurve.flat(0.0), RateCurve.flat(0.01),
+                        RateCurve.flat(0.01), ois_flat) == 0.0
 
     def test_reduces_to_engine_colva_without_hazards(self, spec_factory, ois_flat):
         # lambda_B = lambda_C = 0 matches the engine's colVA at eta=chi=1 up
@@ -148,15 +149,16 @@ class TestColvaBk:
         profile = flat_profile(epe=100.0, horizon=horizon)
         spec = spec_factory(eta=1.0, chi=1.0, repo_spread=s)
         ours = decompose(profile, spec).colva
-        theirs = colva_bk(profile, s, RateCurve.flat(0.0), RateCurve.flat(0.0),
-                          ois_flat)
+        theirs = colva_bk(profile, RateCurve.flat(s), RateCurve.flat(0.0),
+                          RateCurve.flat(0.0), ois_flat)
         assert theirs == pytest.approx(ours, rel=s * horizon)
 
     def test_hazard_discounting_shrinks(self, ois_flat):
         profile = flat_profile(epe=100.0, horizon=5.0)
-        lam0 = colva_bk(profile, 0.001, RateCurve.flat(0.0), RateCurve.flat(0.0),
+        spread = RateCurve.flat(0.001)
+        lam0 = colva_bk(profile, spread, RateCurve.flat(0.0), RateCurve.flat(0.0),
                         ois_flat)
-        lam2 = colva_bk(profile, 0.001, RateCurve.flat(0.01), RateCurve.flat(0.01),
+        lam2 = colva_bk(profile, spread, RateCurve.flat(0.01), RateCurve.flat(0.01),
                         ois_flat)
         assert abs(lam2) < abs(lam0)
 
@@ -214,15 +216,3 @@ class TestCollateralizationSweep:
         assert np.all(np.diff(lva) >= -1e-12)
         assert cra[-1] == 0.0
         assert lva[0] == 0.0
-
-    def test_eta_profile_in_time(self, party_b, party_c, ois_flat):
-        # time-varying eta: collateralized only after year 1
-        from cxva.collateral import CollateralState
-        from cxva.discounting import EffectiveRateSpec
-        state = CollateralState(eta_b=lambda t: 0.0 if t < 1.0 else 1.0,
-                                eta_c=lambda t: 0.0 if t < 1.0 else 1.0)
-        spec = EffectiveRateSpec(party_b=party_b, party_c=party_c,
-                                 risk_free=ois_flat, state=state, mode="noncash",
-                                 repo_spread_c=0.005)
-        r = decompose(flat_profile(epe=100.0, horizon=2.0, n=9), spec)
-        assert r.cva > 0.0 and r.lva > 0.0  # both regimes contribute
