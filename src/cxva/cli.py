@@ -26,7 +26,7 @@ from .optimizer import (AllocationError, AllocationInfeasibleError,
                         iterate_allocation)
 from .pde import PdeError, PicardConvergenceError, xva_pde
 from .repo import RepoModelError, breakeven_spread, repo_curve
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, as_int
 from .simplex import LpSolverError
 from .xva import XvaError, decompose, to_running_spread
 
@@ -183,7 +183,7 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
         hqla_floor=float(cfg.get("hqla_floor", 0.0)),
         funding_haircut=str(cfg.get("funding_haircut", "csa")),
         tol=float(cfg.get("tol", 0.01)),
-        max_iter=int(cfg.get("max_iter", 5)),
+        max_iter=as_int(cfg.get("max_iter", 5), "optimizer.max_iter"),
         n_steps=scenario.quadrature_steps)
 
     _write(out / "unit_lva.csv", _allocation_csv(assets, sets, result.states[0].unit_lva))
@@ -232,7 +232,8 @@ def main(argv=None) -> int:
         if args.command == "price":
             payload = cmd_price(scenario, out)
         elif args.command == "sweep":
-            points = args.points or int(scenario.raw.get("sweep", {}).get("points", 11))
+            points = args.points or as_int(
+                scenario.raw.get("sweep", {}).get("points", 11), "sweep.points")
             payload = cmd_sweep(scenario, out, points)
         elif args.command == "xva":
             payload = cmd_xva(scenario, out)

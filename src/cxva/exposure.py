@@ -8,7 +8,11 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
 - one-factor Monte Carlo: a mean-reverting Gaussian short rate fitted to
   the initial curve (Hull-White style bond reconstitution), with antithetic
   pairs and one RNG stream per pair so results do not depend on how paths
-  are chunked across workers.
+  are chunked across workers. At each grid time the book is revalued one
+  block of paths at a time in a preallocated buffer of
+  max(32 768, cash-flow dates) float64 values (256 KB for books of up to
+  32 768 cash-flow dates), so the kernel's transient memory is that buffer
+  beside the (paths x grid times) factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
 periods counted back from maturity.
@@ -82,6 +86,10 @@ class ExposureProfile:
         ene = np.asarray(self.ene, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ExposureError("profile needs at least two time points")
+        for name, value in (("times", times), ("epe", epe), ("ene", ene),
+                            ("mtm0", self.mtm0), ("annuity", self.annuity)):
+            if not np.all(np.isfinite(value)):
+                raise ExposureError(f"profile {name} must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ExposureError("profile times must be strictly increasing")
         if len(epe) != len(times) or len(ene) != len(times):
@@ -213,10 +221,11 @@ class OneFactorMcModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.mean_reversion <= 0.0:
-            raise ExposureError("mean_reversion must be > 0")
-        if self.vol < 0.0:
-            raise ExposureError("vol must be >= 0")
+        # written so that NaN fails every check
+        if not 0.0 < self.mean_reversion < math.inf:
+            raise ExposureError("mean_reversion must be finite and > 0")
+        if not 0.0 <= self.vol < math.inf:
+            raise ExposureError("vol must be finite and >= 0")
         if self.paths < 1000:
             raise ExposureError("Monte Carlo needs at least 1000 paths")
 
@@ -257,13 +266,21 @@ def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
     decay = np.exp(-a * dts)
     stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
     children = np.random.SeedSequence(model.seed).spawn(n_pairs)
+    z = np.array([np.random.default_rng(ss).standard_normal(len(dts))
+                  for ss in children])
     x = np.zeros((2 * n_pairs, len(times)))
-    for j, ss in enumerate(children):
-        z = np.random.default_rng(ss).standard_normal(len(dts))
-        for k in range(len(dts)):
-            x[2 * j, k + 1] = x[2 * j, k] * decay[k] + stds[k] * z[k]
-            x[2 * j + 1, k + 1] = x[2 * j + 1, k] * decay[k] - stds[k] * z[k]
+    up, down = x[0::2], x[1::2]
+    for k in range(len(dts)):
+        up[:, k + 1] = up[:, k] * decay[k] + stds[k] * z[:, k]
+        down[:, k + 1] = down[:, k] * decay[k] - stds[k] * z[:, k]
     return x[:model.paths]
+
+
+# Elements of the (path rows x live cash-flow dates) buffer that the exposure
+# kernel fills, exponentiates and contracts in place, one block of paths at a
+# time. 256 KB stays in cache; a one-shot (paths x dates) matrix runs to tens
+# of MB and spends most of the kernel's time in memory traffic.
+_BLOCK_ELEMENTS = 32_768
 
 
 def _mc_exposure(portfolio: Sequence[Swap], model: OneFactorMcModel,
@@ -292,6 +309,8 @@ def _mc_exposure(portfolio: Sequence[Swap], model: OneFactorMcModel,
     ene = np.zeros(len(times))
     mtm0 = 0.0
     df_grid = curve.df(times)
+    values = np.empty(len(x))
+    buf = np.empty(max(_BLOCK_ELEMENTS, len(all_dates)))
     for k, t in enumerate(times):
         live = all_dates > t + 1e-12
         u = all_dates[live]
@@ -302,15 +321,17 @@ def _mc_exposure(portfolio: Sequence[Swap], model: OneFactorMcModel,
         gauss = np.exp(-0.5 * b * b * phi[k])
         const = float(np.sum(signs * notionals * (maturities > t + 1e-12)))
         weights = all_w[live] * fwd_df * gauss
-        # chunk the path axis so the (paths x dates) matrix stays small
-        values = np.empty(len(x))
-        chunk = max(1, min(len(x), 4_000_000 // max(len(b), 1)))
-        for lo in range(0, len(x), chunk):
-            hi = lo + chunk
-            values[lo:hi] = const + np.exp(-np.outer(x[lo:hi, k], b)) @ weights
+        neg_b = -b
+        rows = max(1, _BLOCK_ELEMENTS // len(b))
+        for lo in range(0, len(x), rows):
+            hi = min(lo + rows, len(x))
+            block = buf[:(hi - lo) * len(b)].reshape(hi - lo, len(b))
+            np.multiply.outer(x[lo:hi, k], neg_b, out=block)
+            np.exp(block, out=block)
+            np.dot(block, weights, out=values[lo:hi])
+        values += const
         epe[k] = np.mean(np.maximum(values, 0.0))
         ene[k] = np.mean(np.maximum(-values, 0.0))
         if k == 0:
             mtm0 = float(np.mean(values))
     return epe, ene, mtm0
-

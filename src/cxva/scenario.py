@@ -34,6 +34,16 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def as_int(value, key: str) -> int:
+    """An integer scenario value; anything else (inf, NaN, a fraction, a
+    string or a boolean) raises ScenarioError naming the key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ScenarioError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Parsed scenario with lazily built model objects."""
@@ -53,7 +63,8 @@ class Scenario:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ScenarioError(f"{path}: invalid JSON: {err}") from err
-        seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+        seed = seed_override if seed_override is not None \
+            else as_int(raw.get("seed", 0), "seed")
         return cls(raw=raw, base_dir=path.parent, seed=seed)
 
     # -- curves ----------------------------------------------------------------
@@ -155,8 +166,8 @@ class Scenario:
 
     def grid(self) -> GridSpec:
         cfg = self.raw.get("grid", {})
-        return GridSpec(s_nodes=int(cfg.get("s_nodes", 200)),
-                        t_steps=int(cfg.get("t_steps", 200)),
+        return GridSpec(s_nodes=as_int(cfg.get("s_nodes", 200), "grid.s_nodes"),
+                        t_steps=as_int(cfg.get("t_steps", 200), "grid.t_steps"),
                         s_max_mult=float(cfg.get("s_max_mult", 5.0)))
 
     # -- portfolio -----------------------------------------------------------------
@@ -164,7 +175,7 @@ class Scenario:
     def portfolio(self, cfg: dict | None = None, seed_offset: int = 0) -> list[Swap]:
         cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
         return generate_portfolio(
-            n=int(cfg.get("n", 1000)),
+            n=as_int(cfg.get("n", 1000), "portfolio.n"),
             payer_frac=float(_require(cfg, "payer_frac", "portfolio")),
             maturity_range=(float(cfg.get("maturity_min", 0.25)),
                             float(cfg.get("maturity_max", 30.0))),
@@ -172,7 +183,7 @@ class Scenario:
             seed=self.seed + seed_offset,
             curve=self.risk_free,
             rate_offset=float(cfg.get("rate_offset", 0.0)),
-            pay_freq=int(cfg.get("pay_freq", 2)),
+            pay_freq=as_int(cfg.get("pay_freq", 2), "portfolio.pay_freq"),
             notional=float(cfg.get("notional", 1.0)))
 
     def exposure_model(self, cfg: dict | None = None):
@@ -183,20 +194,20 @@ class Scenario:
         if model == "one_factor_mc":
             return OneFactorMcModel(mean_reversion=float(cfg.get("mean_reversion", 0.05)),
                                     vol=float(cfg.get("vol", 0.01)),
-                                    paths=int(cfg.get("paths", 2000)),
+                                    paths=as_int(cfg.get("paths", 2000), "portfolio.paths"),
                                     seed=self.seed + 17)
         raise ScenarioError(f"unknown exposure model {model!r}")
 
     def portfolio_profile(self, cfg: dict | None = None, seed_offset: int = 0):
         cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
         book = self.portfolio(cfg, seed_offset)
-        points = int(cfg.get("profile_points", 121))
+        points = as_int(cfg.get("profile_points", 121), "portfolio.profile_points")
         return exposure_profile(book, self.exposure_model(cfg), points,
                                 self.risk_free)
 
     @property
     def quadrature_steps(self) -> int:
-        return int(self.raw.get("quadrature_steps", 200))
+        return as_int(self.raw.get("quadrature_steps", 200), "quadrature_steps")
 
     # -- assets / repo -----------------------------------------------------------
 

@@ -64,6 +64,25 @@ def validation_message(capsys) -> str:
     return err["message"]
 
 
+def optimize_scenario(tmp_path, quantity=200.0):
+    assets_csv = tmp_path / "assets.csv"
+    assets_csv.write_text(
+        "id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
+        "BOND_A,1,100,0.05,0.03,0,0.001,0.002,0.004,0.008\n"
+        "BOND_B,1,100,0.1,0.12,0.15,0.002,0.004,0.008,0.016\n")
+    return write_scenario(
+        tmp_path, assets_file="assets.csv", quadrature_steps=41,
+        repo={"roe": 0.10},
+        optimizer={
+            "quantity": quantity, "tol": 0.01, "max_iter": 4,
+            "netting_sets": [
+                {"id": "S1", "rating": "A", "target_mtm": -50.0,
+                 "portfolio": dict(SMALL_PORTFOLIO)},
+                {"id": "S2", "rating": "BBB", "target_mtm": -30.0,
+                 "portfolio": dict(SMALL_PORTFOLIO, payer_frac=0.8)},
+            ]})
+
+
 def test_import_does_not_load_scipy():
     # scipy is loaded on the first PDE solve, not by every command
     src = str(Path(cxva.optimizer.__file__).resolve().parent.parent)
@@ -202,6 +221,45 @@ class TestXva:
         assert field in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["vol", "mean_reversion"])
+    def test_bad_mc_model_exits_2(self, tmp_path, capsys, key, value):
+        portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        set_key(sc, f"portfolio.{key}", value)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("value", [float("inf"), 2.5])
+    @pytest.mark.parametrize("command, key", [
+        ("price", "seed"),
+        ("price", "grid.s_nodes"),
+        ("price", "grid.t_steps"),
+        ("sweep", "sweep.points"),
+        ("xva", "portfolio.n"),
+        ("xva", "portfolio.pay_freq"),
+        ("xva", "portfolio.paths"),
+        ("xva", "portfolio.profile_points"),
+        ("xva", "quadrature_steps"),
+        ("optimize", "optimizer.max_iter"),
+    ])
+    def test_non_integer_exits_2(self, tmp_path, capsys, command, key, value):
+        if command == "optimize":
+            sc = optimize_scenario(tmp_path)
+        elif command == "xva":
+            portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000)
+            sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        else:
+            sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID),
+                                sweep={"points": 3})
+        set_key(sc, key, value)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestRepoCurve:
     def test_shipped_scenario(self, tmp_path):
@@ -233,26 +291,8 @@ class TestRepoCurve:
 
 
 class TestOptimize:
-    def _scenario(self, tmp_path, quantity=200.0):
-        assets_csv = tmp_path / "assets.csv"
-        assets_csv.write_text(
-            "id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
-            "BOND_A,1,100,0.05,0.03,0,0.001,0.002,0.004,0.008\n"
-            "BOND_B,1,100,0.1,0.12,0.15,0.002,0.004,0.008,0.016\n")
-        return write_scenario(
-            tmp_path, assets_file="assets.csv", quadrature_steps=41,
-            repo={"roe": 0.10},
-            optimizer={
-                "quantity": quantity, "tol": 0.01, "max_iter": 4,
-                "netting_sets": [
-                    {"id": "S1", "rating": "A", "target_mtm": -50.0,
-                     "portfolio": dict(SMALL_PORTFOLIO)},
-                    {"id": "S2", "rating": "BBB", "target_mtm": -30.0,
-                     "portfolio": dict(SMALL_PORTFOLIO, payer_frac=0.8)},
-                ]})
-
     def test_optimize_outputs(self, tmp_path):
-        sc = self._scenario(tmp_path)
+        sc = optimize_scenario(tmp_path)
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 0
         summary = json.loads((tmp_path / "out" / "optimize_summary.json").read_text())
         assert summary["status"] == "converged"
@@ -263,7 +303,7 @@ class TestOptimize:
         assert alloc[-1].startswith("updated_mtm,")
 
     def test_infeasible_exits_3(self, tmp_path, capsys):
-        sc = self._scenario(tmp_path, quantity=1.0)
+        sc = optimize_scenario(tmp_path, quantity=1.0)
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "solver"
@@ -271,7 +311,7 @@ class TestOptimize:
     def test_solver_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cxva.optimizer, "solve_bounded_lp",
                             functools.partial(solve_bounded_lp, max_iter=1))
-        sc = self._scenario(tmp_path)
+        sc = optimize_scenario(tmp_path)
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "solver"
@@ -279,7 +319,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("key", ["quantity", "hqla_floor", "tol"])
     def test_nan_input_exits_2(self, tmp_path, capsys, key):
-        sc = self._scenario(tmp_path)
+        sc = optimize_scenario(tmp_path)
         raw = json.loads(sc.read_text())
         raw["optimizer"][key] = float("nan")
         sc.write_text(json.dumps(raw))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cxva.exposure
 from cxva.curves import RateCurve
 from cxva.exposure import (DeterministicModel, ExposureError, ExposureProfile,
                            OneFactorMcModel, Swap, exposure_profile,
@@ -121,6 +124,81 @@ class TestMcProfile:
         small = _ou_paths(OneFactorMcModel(0.1, 0.02, 1000, seed=13), times)
         assert np.array_equal(big[:1000], small)
 
+    def test_ou_paths_match_scalar_recursion(self):
+        # the per-pair scalar recursion, antithetic partner in the odd row
+        model = OneFactorMcModel(0.07, 0.015, 1001, seed=4)
+        times = np.linspace(0.0, 7.0, 15)
+        a, dts = model.mean_reversion, np.diff(times)
+        decay = np.exp(-a * dts)
+        stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
+        ref = np.zeros((1002, len(times)))
+        for j, ss in enumerate(np.random.SeedSequence(model.seed).spawn(501)):
+            z = np.random.default_rng(ss).standard_normal(len(dts))
+            for k in range(len(dts)):
+                ref[2 * j, k + 1] = ref[2 * j, k] * decay[k] + stds[k] * z[k]
+                ref[2 * j + 1, k + 1] = ref[2 * j + 1, k] * decay[k] - stds[k] * z[k]
+        assert np.array_equal(_ou_paths(model, times), ref[:1001])
+
+    def test_blocked_kernel_matches_dense_reference(self, curve):
+        # ~1200 live cash-flow dates at t = 0: the 1000 paths take dozens of
+        # blocks at every early grid time
+        book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=3)
+        profile = exposure_profile(book, model, 31, curve)
+        times = profile.times
+        a = model.mean_reversion
+        phi = model.vol ** 2 * (1.0 - np.exp(-2.0 * a * times)) / (2.0 * a)
+        x = _ou_paths(model, times)
+        # fixed coupons, then each float leg's terminal discount factor
+        dates = np.concatenate([s.payment_times() for s in book]
+                               + [[s.maturity for s in book]])
+        w = np.concatenate([np.full(len(s.payment_times()),
+                                    -s.sign * s.notional * s.fixed_rate / s.pay_freq)
+                            for s in book] + [[-s.sign * s.notional for s in book]])
+        gross = sum(s.notional for s in book)
+        for k, t in enumerate(times):
+            live = dates > t + 1e-12
+            u = dates[live]
+            b = (1.0 - np.exp(-a * (u - t))) / a
+            weights = w[live] * curve.df(u) / curve.df(t) * np.exp(-0.5 * b * b * phi[k])
+            const = sum(s.sign * s.notional for s in book if s.maturity > t + 1e-12)
+            values = const + np.exp(-np.outer(x[:, k], b)) @ weights
+            assert abs(profile.epe[k] - np.mean(np.maximum(values, 0.0))) <= 1e-13 * gross
+            assert abs(profile.ene[k] - np.mean(np.maximum(-values, 0.0))) <= 1e-13 * gross
+            if k == 0:
+                assert abs(profile.mtm0 - np.mean(values)) <= 1e-13 * gross
+
+    def test_block_size_invariance(self, curve, monkeypatch):
+        book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=3)
+        base = exposure_profile(book, model, 31, curve)
+        # one path per block wherever more than 64 dates are live
+        monkeypatch.setattr(cxva.exposure, "_BLOCK_ELEMENTS", 64)
+        small = exposure_profile(book, model, 31, curve)
+        assert np.max(np.abs(small.epe - base.epe)) <= 1e-14
+        assert np.max(np.abs(small.ene - base.ene)) <= 1e-14
+        assert abs(small.mtm0 - base.mtm0) <= 1e-14
+
+    def test_transient_memory_bound(self, curve):
+        # a one-shot (paths x dates) matrix for this book takes over 30 MB
+        book = generate_portfolio(200, 0.55, (0.25, 30.0), 0.01, seed=1, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=18)
+        tracemalloc.start()
+        try:
+            exposure_profile(book, model, 121, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("field", ["mean_reversion", "vol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_model_rejects_non_finite(self, field, bad):
+        params = dict(mean_reversion=0.05, vol=0.01, paths=1000, seed=1)
+        params[field] = bad
+        with pytest.raises(ExposureError, match=field):
+            OneFactorMcModel(**params)
+
     def test_determinism(self, curve):
         book = generate_portfolio(10, 0.5, (2.0, 8.0), 0.01, seed=2, curve=curve)
         model = OneFactorMcModel(0.1, 0.01, 1000, seed=9)
@@ -137,6 +215,18 @@ class TestProfileType:
         with pytest.raises(ExposureError):
             ExposureProfile(np.array([0.0, 1.0]), np.array([1.0, 0.5]),
                             np.zeros(2), 5.0, 1.0)  # mtm0 mismatch
+
+    @pytest.mark.parametrize("field", ["times", "epe", "ene", "mtm0", "annuity"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, bad):
+        fields = dict(times=np.array([0.0, 1.0]), epe=np.array([1.0, 0.5]),
+                      ene=np.zeros(2), mtm0=1.0, annuity=1.0)
+        if field in ("mtm0", "annuity"):
+            fields[field] = bad
+        else:
+            fields[field][1] = bad
+        with pytest.raises(ExposureError, match=field):
+            ExposureProfile(**fields)
 
     def test_scaled(self):
         p = ExposureProfile(np.array([0.0, 1.0]), np.array([2.0, 1.0]),
