@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         if args.command == "price":
             payload = cmd_price(scenario, out)
         elif args.command == "sweep":
-            points = args.points or as_int(
+            points = args.points if args.points is not None else as_int(
                 scenario.raw.get("sweep", {}).get("points", 11), "sweep.points")
             payload = cmd_sweep(scenario, out, points)
         elif args.command == "xva":

@@ -11,11 +11,22 @@ kink. Boundaries: at S = 0 the PDE degenerates to the reaction ODE on its
 own; at S_max the second derivative is dropped (payoff linearity) with
 one-sided convection.
 
+The Picard iteration is a policy iteration on the sign pattern: a sweep's
+operator depends on the value only through the mask V > 0. A step stops
+when a sweep's result has the mask its rates were built from (always, for
+the risk-free value V*, whose rate does not depend on V): the next sweep
+would rebuild a bitwise-identical system and return the same vector with
+residual exactly 0, so that confirming sweep is counted but not run. The
+stop is exact, not a looser tolerance; solutions and sweep counts are
+those of iterating until the residual falls below ``picard_tol``. For the
+same reason the accepted sweep's operator is reused as the next step's
+explicit side when the accepted value keeps its mask.
+
 The stock is financed at the risk-free rate, so r_s = r. Every forward
 rate a solve reads (both parties' bond and liquidity curves, the risk-free
 curve and each side's funded spread) is tabulated once per solve on the
-step grid, the time grid plus the Rannacher half-step; the Picard sweeps
-only read that table.
+step grid, the time grid plus the Rannacher half-step, and blended into
+each side's r_e there; the Picard sweeps only read that table.
 """
 
 from __future__ import annotations
@@ -87,6 +98,10 @@ class OptionSpec:
         return self.position * h
 
 
+# largest s_nodes or t_steps: a solve's time and memory grow with both
+MAX_GRID_SIZE = 100_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     s_nodes: int = 400
@@ -98,6 +113,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.s_nodes < 50 or self.t_steps < 50:
             raise PdeError("grid needs at least 50 space nodes and 50 time steps")
+        for name in ("s_nodes", "t_steps"):
+            if getattr(self, name) > MAX_GRID_SIZE:
+                raise PdeError(f"grid {name} must be at most {MAX_GRID_SIZE}")
+        if (not isinstance(self.picard_max_iter, int) or isinstance(self.picard_max_iter, bool)
+                or self.picard_max_iter < 1):
+            raise PdeError("grid picard_max_iter must be an integer >= 1")
         # written so that NaN fails every check
         if not 1.0 < self.s_max_mult < math.inf:
             raise PdeError("grid s_max_mult must be finite and > 1")
@@ -115,45 +136,38 @@ class PdeSolution:
 
 @dataclass(frozen=True)
 class _ForwardTable:
-    """Forward rates on the solver's step times ``t``, one array per curve.
+    """Rates on the solver's step times ``t``: the risk-free forward and
+    each side's effective rate r_e.
 
     ``RateCurve.forward_rate`` evaluates an array element-wise with the
-    same operations as a scalar lookup, so each entry equals the scalar
-    forward at that time bit for bit.
+    same operations as a scalar lookup, and ``blend_rate`` is element-wise
+    IEEE arithmetic, so each entry equals the scalar ``effective_rate`` at
+    that time bit for bit.
     """
 
     t: np.ndarray
-    bond_c: np.ndarray
-    bond_b: np.ndarray
-    liquidity_c: np.ndarray
-    liquidity_b: np.ndarray
     risk_free: np.ndarray
-    spread_c: np.ndarray
-    spread_b: np.ndarray
+    rate_c: np.ndarray  # r_e where V > 0
+    rate_b: np.ndarray  # r_e where V <= 0
 
     @classmethod
     def build(cls, spec: EffectiveRateSpec, t: np.ndarray) -> "_ForwardTable":
-        return cls(t=t,
-                   bond_c=spec.party_c.bond.forward_rate(t),
-                   bond_b=spec.party_b.bond.forward_rate(t),
-                   liquidity_c=spec.party_c.liquidity.forward_rate(t),
-                   liquidity_b=spec.party_b.liquidity.forward_rate(t),
-                   risk_free=spec.risk_free.forward_rate(t),
-                   spread_c=spec.funded_spread_curve(+1).forward_rate(t),
-                   spread_b=spec.funded_spread_curve(-1).forward_rate(t))
+        risk_free = spec.risk_free.forward_rate(t)
+
+        def side_rate(side: int, party) -> np.ndarray:
+            return blend_rate(party.bond.forward_rate(t), party.liquidity.forward_rate(t),
+                              risk_free, spec.funded_spread_curve(side).forward_rate(t),
+                              spec.eta(side), spec.chi(side))
+
+        return cls(t=t, risk_free=risk_free, rate_c=side_rate(+1, spec.party_c),
+                   rate_b=side_rate(-1, spec.party_b))
 
 
 def _node_rates(spec: EffectiveRateSpec, fwd: _ForwardTable, k: int,
                 v: np.ndarray) -> np.ndarray:
     """Per-node effective rate at step time fwd.t[k] from the sign of v
     (V=0 counts as a payable)."""
-    pos = v > 0.0
-    eta = np.where(pos, spec.eta(+1), spec.eta(-1))
-    chi = np.where(pos, spec.chi(+1), spec.chi(-1))
-    f_unsec = np.where(pos, fwd.bond_c[k], fwd.bond_b[k])
-    f_mu = np.where(pos, fwd.liquidity_c[k], fwd.liquidity_b[k])
-    f_s = np.where(pos, fwd.spread_c[k], fwd.spread_b[k])
-    return blend_rate(f_unsec, f_mu, fwd.risk_free[k], f_s, eta, chi)
+    return np.where(v > 0.0, fwd.rate_c[k], fwd.rate_b[k])
 
 
 def _operator(s: np.ndarray, ds: float, conv: float, sigma: float,
@@ -184,21 +198,24 @@ def _apply(lower, diag, upper, v):
     return out
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on first use so that loading
-    the package does not load scipy (about 30 MB and 0.3 s) for commands
-    that never solve a PDE."""
-    from scipy.linalg import solve_banded as banded
-    return banded(l_and_u, ab, b)
+def solve_banded(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``lower``, ``diag`` and ``upper`` for the right-hand side ``rhs``.
 
-
-def _solve_tridiag(lower, diag, upper, rhs):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    Calls LAPACK ``dgtsv``, the routine ``scipy.linalg.solve_banded``
+    dispatches (1, 1) bands to, without that function's argument handling,
+    and keeps its checks: non-finite input raises ValueError, a singular
+    system LinAlgError. scipy is imported on first use so that loading the
+    package does not load it (about 30 MB and 0.3 s) for commands that
+    never solve a PDE.
+    """
+    from scipy.linalg.lapack import dgtsv
+    if not np.isfinite(np.concatenate((lower, diag, upper, rhs))).all():
+        raise ValueError("tridiagonal system must not contain infs or NaNs")
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info {info})")
+    return x
 
 
 def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
@@ -228,25 +245,39 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
 
     v = option.terminal_value(s)
     max_iters = 0
+    # the last sweep's operator and the sign mask its rates were built from
+    last_op = last_pos = None
 
     for i in range(len(fwd.t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = fwd.t[i] - fwd.t[i + 1]
-        conv_old = fwd.risk_free[i] - option.div_yield
         conv_new = fwd.risk_free[i + 1] - option.div_yield
-        rho_old = rho_at(i, v)
-        lo_o, di_o, up_o = _operator(s, ds, conv_old, sigma, rho_old)
+        pos = v > 0.0
+        # the previous step's last operator was built at this step's start
+        # time, so it is this step's explicit side if its rates read pos
+        if last_op is not None and (risk_free_override or np.array_equal(pos, last_pos)):
+            lo_o, di_o, up_o = last_op
+        else:
+            conv_old = fwd.risk_free[i] - option.div_yield
+            lo_o, di_o, up_o = _operator(s, ds, conv_old, sigma, rho_at(i, v))
         rhs = v + (1.0 - theta) * h * _apply(lo_o, di_o, up_o, v)
 
-        guess = v
+        guess, guess_pos = v, pos
         for it in range(1, grid.picard_max_iter + 1):
-            rho_new = rho_at(i + 1, guess)
-            lo_n, di_n, up_n = _operator(s, ds, conv_new, sigma, rho_new)
-            v_new = _solve_tridiag(-theta * h * lo_n, 1.0 - theta * h * di_n,
-                                   -theta * h * up_n, rhs)
+            last_op = lo_n, di_n, up_n = _operator(s, ds, conv_new, sigma,
+                                                    rho_at(i + 1, guess))
+            last_pos = guess_pos
+            v_new = solve_banded(-theta * h * lo_n[1:], 1.0 - theta * h * di_n,
+                                 -theta * h * up_n[:-1], rhs)
             residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
-            guess = v_new
+            guess, guess_pos = v_new, v_new > 0.0
             if residual < grid.picard_tol:
+                break
+            if it < grid.picard_max_iter and (risk_free_override
+                                              or np.array_equal(guess_pos, last_pos)):
+                # sweep it + 1 would rebuild this operator and return v_new
+                # with residual 0: count it without running it
+                it += 1
                 break
         else:
             raise PicardConvergenceError(fwd.t[i + 1], residual, grid.picard_max_iter)

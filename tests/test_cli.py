@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cxva.optimizer
+import cxva.pde
 from cxva.cli import main
 from cxva.simplex import solve_bounded_lp
 
@@ -130,6 +131,19 @@ class TestPrice:
         assert path.split(".")[1] in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("path", ["grid.s_nodes", "grid.t_steps"])
+    def test_huge_grid_exits_2(self, tmp_path, capsys, monkeypatch, path):
+        # rejected when the grid is read, before a solve sizes any array
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cxva.pde, "solve", no_solve)
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID))
+        set_key(sc, path, 1e12)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert path.split(".")[1] in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_curve_file_exits_2(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, option=OPTION_BLOCK,
                             curves={"risk_free": {"file": "missing.csv"}})
@@ -172,6 +186,14 @@ class TestSweep:
         assert float(first[2]) == 0.0  # LVA vanishes uncollateralized
         last = lines[-1].split(",")
         assert float(last[1]) == 0.0
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_points_exits_2(self, tmp_path, capsys, points):
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        assert run(["sweep", "--scenario", sc, "--out", tmp_path / "out",
+                    "--points", points]) == 2
+        assert "at least 2 points" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_needs_work_block(self, tmp_path):
         sc = write_scenario(tmp_path)

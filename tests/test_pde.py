@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -43,6 +44,12 @@ class TestSpecs:
             GridSpec(s_nodes=10)
         with pytest.raises(PdeError):
             GridSpec(picard_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["s_nodes", "t_steps"])
+    def test_grid_size_bound(self, field):
+        GridSpec(**{field: pde.MAX_GRID_SIZE})
+        with pytest.raises(PdeError, match=field):
+            GridSpec(**{field: pde.MAX_GRID_SIZE + 1})
 
 
 class TestKnownValues:
@@ -207,3 +214,164 @@ class TestRateTable:
             # some step time gives both the convection and the flat rate
             assert any(c == conv[k] and np.all(rho == rates[k])
                        for k in range(len(step_t)))
+
+
+def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
+                    risk_free_override: bool = False) -> tuple[np.ndarray, int]:
+    """(v0, max sweeps) of the full-sweep Picard iteration: every sweep
+    rebuilds its operator from scalar ``effective_rate`` lookups and solves
+    with ``scipy.linalg.solve_banded``, and a step stops only when the
+    residual falls below ``picard_tol``."""
+    from scipy.linalg import solve_banded
+
+    s = np.linspace(0.0, grid.s_max_mult * max(option.spot, option.strike),
+                    grid.s_nodes + 1)
+    ds = s[1] - s[0]
+    dt = option.maturity / grid.t_steps
+    times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
+    step_t = np.concatenate(([times[0], times[0] - dt / 2.0], times[1:]))
+
+    def operator(t, v):
+        if risk_free_override:
+            rho = np.full(len(s), rates.risk_free.forward_rate(t))
+        else:
+            rho = np.where(v > 0.0, effective_rate(rates, t, +1), effective_rate(rates, t, -1))
+        conv = rates.risk_free.forward_rate(t) - option.div_yield
+        return pde._operator(s, ds, conv, option.vol, rho)
+
+    v = option.terminal_value(s)
+    max_iters = 0
+    for i in range(len(step_t) - 1):
+        theta = 1.0 if i < 2 else 0.5
+        h = step_t[i] - step_t[i + 1]
+        rhs = v + (1.0 - theta) * h * pde._apply(*operator(step_t[i], v), v)
+        guess = v
+        for it in range(1, grid.picard_max_iter + 1):
+            lower, diag, upper = operator(step_t[i + 1], guess)
+            ab = np.zeros((3, len(s)))
+            ab[0, 1:] = (-theta * h * upper)[:-1]
+            ab[1, :] = 1.0 - theta * h * diag
+            ab[2, :-1] = (-theta * h * lower)[1:]
+            v_new = solve_banded((1, 1), ab, rhs)
+            residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
+            guess = v_new
+            if residual < grid.picard_tol:
+                break
+        else:
+            raise PicardConvergenceError(step_t[i + 1], residual, grid.picard_max_iter)
+        max_iters = max(max_iters, it)
+        v = guess
+    return v, max_iters
+
+
+class TestFixedPointStop:
+    """A step stops at the sweep whose result keeps the sign mask its rates
+    were built from; solutions and sweep counts are those of the full-sweep
+    iteration."""
+
+    GRID = GridSpec(s_nodes=80, t_steps=60)
+
+    @staticmethod
+    def _option(payoff: str, position: float) -> OptionSpec:
+        return dataclasses.replace(TestRateTable.OPTION, payoff=payoff, position=position)
+
+    def _count_solves(self, monkeypatch) -> list:
+        calls = []
+
+        def counting(*args, _real=pde.solve_banded):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(pde, "solve_banded", counting)
+        return calls
+
+    @pytest.mark.parametrize("star", [False, True])
+    @pytest.mark.parametrize("position", [1.0, -1.0])
+    @pytest.mark.parametrize("payoff", ["call", "put", "forward"])
+    @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
+    def test_equals_full_sweep_iteration(self, mode, payoff, position, star):
+        option = self._option(payoff, position)
+        spec = TestRateTable()._spec(mode)
+        sol = solve(option, spec, self.GRID, risk_free_override=star)
+        v0, iters = reference_solve(option, spec, self.GRID, risk_free_override=star)
+        assert np.array_equal(sol.v0, v0)
+        assert sol.max_picard_iters == iters
+
+    def test_residual_stop_before_signs_settle(self):
+        # at a loose tolerance a step can stop on the residual while a node
+        # near the forward's zero still changes sign: the next step must
+        # rebuild its explicit side from the accepted signs
+        option = self._option("forward", -1.0)
+        spec = TestRateTable()._spec("noncash")
+        grid = GridSpec(s_nodes=150, t_steps=50, picard_tol=1e-3)
+        v0, iters = reference_solve(option, spec, grid)
+        sol = solve(option, spec, grid)
+        assert np.array_equal(sol.v0, v0)
+        assert sol.max_picard_iters == iters
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_sweep_budget_as_full_sweep_iteration(self, max_iter):
+        # at a residual no sweep reaches, the confirming sweep decides
+        # whether a step converges within the budget
+        option = self._option("forward", 1.0)
+        spec = TestRateTable()._spec("noncash")
+        grid = GridSpec(s_nodes=60, t_steps=50, picard_tol=1e-16, picard_max_iter=max_iter)
+        try:
+            expected = reference_solve(option, spec, grid)
+        except PicardConvergenceError as err:
+            with pytest.raises(PicardConvergenceError) as got:
+                solve(option, spec, grid)
+            assert (got.value.t, got.value.residual, got.value.iterations) == \
+                (err.t, err.residual, err.iterations)
+        else:
+            sol = solve(option, spec, grid)
+            assert np.array_equal(sol.v0, expected[0])
+            assert sol.max_picard_iters == expected[1]
+
+    def test_risk_free_value_solves_once_per_step(self, monkeypatch, spec_factory):
+        calls = self._count_solves(monkeypatch)
+        grid = GridSpec(s_nodes=100, t_steps=80)
+        sol = solve(ATM_CALL, spec_factory(eta=0.5, chi=1.0, repo_spread=0.01), grid,
+                    risk_free_override=True)
+        assert len(calls) == grid.t_steps + 1  # Rannacher: two half-steps
+        assert sol.max_picard_iters == 2
+
+    def test_adjusted_call_solves_about_once_per_step(self, monkeypatch, spec_factory):
+        calls = self._count_solves(monkeypatch)
+        grid = GridSpec(s_nodes=200, t_steps=200)
+        solve(ATM_CALL, spec_factory(eta=0.5, chi=1.0, repo_spread=0.01), grid)
+        assert len(calls) < 1.1 * (grid.t_steps + 1)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True])
+    def test_picard_max_iter_must_be_a_positive_integer(self, value):
+        with pytest.raises(PdeError, match="picard_max_iter"):
+            GridSpec(picard_max_iter=value)
+
+
+class TestSolveBanded:
+    N = 6
+
+    def _system(self):
+        lower = np.full(self.N - 1, -1.0)
+        upper = np.full(self.N - 1, -1.0)
+        return lower, np.full(self.N, 4.0), upper, np.arange(1.0, self.N + 1.0)
+
+    def test_solves_the_system(self):
+        lower, diag, upper, rhs = self._system()
+        x = pde.solve_banded(lower, diag, upper, rhs)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        assert np.allclose(dense @ x, rhs, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", range(4))
+    def test_non_finite_input_raises_value_error(self, arg, value):
+        args = list(self._system())
+        args[arg][1] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pde.solve_banded(*args)
+
+    def test_singular_system_raises(self):
+        lower, _, upper, rhs = self._system()
+        with pytest.raises(np.linalg.LinAlgError):
+            pde.solve_banded(np.zeros_like(lower), np.zeros(self.N), np.zeros_like(upper),
+                             rhs)
