@@ -91,13 +91,13 @@ def _option_sweep_points(scenario: Scenario, points: int):
 def _portfolio_reports(scenario: Scenario, levels):
     """(eta, report with basis-point twins) of the scenario's portfolio at
     each collateralization level."""
+    n_steps = scenario.quadrature_steps
     profile = scenario.portfolio_profile()
     out = []
     for eta in levels:
         spec = scenario.effective_spec(collateralization=float(eta))
-        report = to_running_spread(
-            decompose(profile, spec, n_steps=scenario.quadrature_steps),
-            profile.annuity)
+        report = to_running_spread(decompose(profile, spec, n_steps=n_steps),
+                                   profile.annuity)
         out.append((float(eta), report))
     return out
 
@@ -107,9 +107,14 @@ def _portfolio_sweep_points(scenario: Scenario, points: int):
             for eta, rep in _portfolio_reports(scenario, np.linspace(0.0, 1.0, points))]
 
 
+# largest sweep: an option sweep runs 8 PDE solves a point
+MAX_SWEEP_POINTS = 1_000
+
+
 def cmd_sweep(scenario: Scenario, out: Path, points: int) -> dict:
-    if points < 2:
-        raise ScenarioError("sweep needs at least 2 points")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ScenarioError(f"sweep needs at least 2 points and at most {MAX_SWEEP_POINTS} "
+                            f"(--points or sweep.points), got {points}")
     if "option" in scenario.raw:
         header = ["collateralization", "cra_long", "xva_long", "cra_short",
                   "xva_short"]
@@ -174,6 +179,7 @@ def _allocation_csv(assets, sets, q, mtms=None) -> str:
 
 def cmd_optimize(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.optimizer_cfg()
+    n_steps = scenario.quadrature_steps
     assets = scenario.assets()
     sets = scenario.netting_sets()
     poster = scenario.party("c")
@@ -184,7 +190,7 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
         funding_haircut=str(cfg.get("funding_haircut", "csa")),
         tol=float(cfg.get("tol", 0.01)),
         max_iter=as_int(cfg.get("max_iter", 5), "optimizer.max_iter"),
-        n_steps=scenario.quadrature_steps)
+        n_steps=n_steps)
 
     _write(out / "unit_lva.csv", _allocation_csv(assets, sets, result.states[0].unit_lva))
     for k, state in enumerate(result.states):

@@ -11,11 +11,15 @@ where s is the funded collateral spread over the risk-free rate: r_L - r
 for comingled cash, r_p - r for repo-funded securities, and nothing for
 segregated collateral (chi = 0). All of the model's nonlinearity lives in
 this one rate.
+
+The formula is written once, in ``blend_rate``; its inputs are resolved
+once per spec, mode policy applied, into the ``SideRates`` record that
+every caller reads through ``EffectiveRateSpec.side``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +39,23 @@ def _as_spread_curve(spread) -> RateCurve | None:
 
 
 @dataclass(frozen=True)
+class SideRates:
+    """r_e's inputs on one side after the mode's overrides: the liability
+    party's bond and liquidity curves, the funded spread s, eta and chi."""
+
+    bond: RateCurve
+    liquidity: RateCurve
+    spread: RateCurve
+    eta: float
+    chi: float
+
+    def rate(self, t, risk_free_forward):
+        """r_e at t (scalar or array) given the risk-free forward there."""
+        return blend_rate(self.bond.forward_rate(t), self.liquidity.forward_rate(t),
+                          risk_free_forward, self.spread.forward_rate(t), self.eta, self.chi)
+
+
+@dataclass(frozen=True)
 class EffectiveRateSpec:
     """Everything needed to evaluate r_e as a function of (t, sign V).
 
@@ -51,6 +72,8 @@ class EffectiveRateSpec:
     cash_rate: RateCurve | None = None
     repo_spread_c: RateCurve | float | None = None
     repo_spread_b: RateCurve | float | None = None
+    _side_c: SideRates = field(init=False, repr=False, compare=False)
+    _side_b: SideRates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -68,29 +91,30 @@ class EffectiveRateSpec:
             if np.any(party.liquidity.zero_rate(ts) < self.risk_free.zero_rate(ts) - 1e-12):
                 raise CurveError("liquidity rate must be >= risk-free rate at every tenor")
 
-    # -- mode-adjusted state -------------------------------------------------
+        # the mode's policy: uncollateralized protects nothing; declared-
+        # segregated modes force the unfunded case (comingled cash and
+        # securities read chi per direction); cash funds at r_L - r
+        protected = self.mode != "uncollateralized"
+        funded = self.mode not in ("cash_segregated", "initial_margin")
+        cash_spread = None
+        if self.mode in ("cash_comingled", "cash_segregated"):
+            cash_spread = combine_curves([self.cash_rate, self.risk_free], [1.0, -1.0],
+                                         label="cash_spread")
+        st = self.state
+        for name, party, eta, chi, repo in (
+                ("_side_c", self.party_c, st.eta_c, st.chi_c, self.repo_spread_c),
+                ("_side_b", self.party_b, st.eta_b, st.chi_b, self.repo_spread_b)):
+            object.__setattr__(self, name, SideRates(
+                party.bond, party.liquidity, repo if cash_spread is None else cash_spread,
+                float(eta) if protected else 0.0, float(chi) if funded else 0.0))
 
-    def eta(self, side: int) -> float:
-        if self.mode == "uncollateralized":
-            return 0.0
-        return float(self.state.eta_c if side > 0 else self.state.eta_b)
-
-    def chi(self, side: int) -> float:
-        # declared-segregated modes force the unfunded case; comingled cash
-        # and securities read the state (mixed CSAs set chi per direction)
-        if self.mode in ("cash_segregated", "initial_margin"):
-            return 0.0
-        return float(self.state.chi_c if side > 0 else self.state.chi_b)
+    def side(self, side: int) -> SideRates:
+        """r_e's inputs where sign V = side: +1 (V > 0) party C's, else B's."""
+        return self._side_c if side > 0 else self._side_b
 
     def funded_spread_curve(self, side: int) -> RateCurve:
         """Funded-leg spread over risk-free: r_L - r for cash, r_p - r otherwise."""
-        if self.mode in ("cash_comingled", "cash_segregated"):
-            return combine_curves([self.cash_rate, self.risk_free], [1.0, -1.0],
-                                  label="cash_spread")
-        return self.repo_spread_c if side > 0 else self.repo_spread_b
-
-    def _party(self, side: int) -> PartyCurves:
-        return self.party_c if side > 0 else self.party_b
+        return self.side(side).spread
 
 
 def blend_rate(f_unsec, f_mu, f_r, f_spread, eta, chi):
@@ -111,14 +135,4 @@ def effective_rate(spec: EffectiveRateSpec, t: float, side: int) -> float:
     """
     if t < 0.0:
         raise CurveError("effective_rate requires t >= 0")
-    side = 1 if side > 0 else -1
-    party = spec._party(side)
-    return float(blend_rate(
-        party.bond.forward_rate(t),
-        party.liquidity.forward_rate(t),
-        spec.risk_free.forward_rate(t),
-        spec.funded_spread_curve(side).forward_rate(t),
-        spec.eta(side),
-        spec.chi(side),
-    ))
-
+    return float(spec.side(side).rate(t, spec.risk_free.forward_rate(t)))

@@ -15,7 +15,11 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   beside the (paths x grid times) factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
-periods counted back from maturity.
+periods counted back from maturity. A book is built once per profile as
+one cash-flow list of discount-factor claims (every fixed coupon, swap by
+swap, then every float leg's terminal discount factor); the deterministic
+profile (its value with the factor at 0), the Monte Carlo kernel and the
+gross annuity all read that list.
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ from .curves import RateCurve
 
 class ExposureError(ValueError):
     """Invalid exposure inputs (including empty portfolios)."""
+
+
+# Largest book, Monte Carlo path count and profile grid a scenario may ask
+# for. A 30-year quarterly swap adds 121 claims to the cash-flow list
+# (20 000 of them: 19 MB per array); the factor paths are a (paths x
+# profile points) array (50 000 x 500: 200 MB).
+MAX_SWAPS = 20_000
+MAX_PATHS = 50_000
+MAX_PROFILE_POINTS = 500
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,7 @@ class ExposureProfile:
 
 def par_rate(curve: RateCurve, maturity: float, pay_freq: int = 2) -> float:
     """Single-curve par swap rate (1 - DF(T)) / annuity."""
-    n = int(np.ceil(maturity * pay_freq - 1e-9))
-    pay = maturity - np.arange(n)[::-1] / pay_freq
-    pay = pay[pay > 1e-9]
+    pay = Swap(1.0, 0.0, "payer", maturity, pay_freq).payment_times()
     annuity = np.sum(curve.df(pay)) / pay_freq
     return float((1.0 - curve.df(maturity)) / annuity)
 
@@ -160,48 +171,53 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
                  float(maturities[i]), pay_freq) for i in range(n)]
 
 
-# -- valuation helpers -------------------------------------------------------
+# -- the book as discount-factor claims ------------------------------------------
 
-def _payment_matrix(portfolio: Sequence[Swap]):
-    """Padded (n_swaps, max_payments) matrices of payment dates and accruals."""
-    times = [s.payment_times() for s in portfolio]
-    width = max(len(t) for t in times)
-    dates = np.zeros((len(portfolio), width))
-    mask = np.zeros_like(dates, dtype=bool)
-    for i, t in enumerate(times):
-        dates[i, :len(t)] = t
-        mask[i, :len(t)] = True
-    accrual = np.array([1.0 / s.pay_freq for s in portfolio])
-    return dates, mask, accrual
+@dataclass(frozen=True)
+class _CashFlows:
+    """A swap book's discount-factor claims. At time t the book is worth the
+    signed notional of the swaps alive (each float leg's 1 at t) plus
+    ``weights`` times the discount factor from t of each claim after t."""
 
+    dates: np.ndarray
+    weights: np.ndarray
+    df: np.ndarray  # discount factor from 0 of each date
+    accruals: np.ndarray  # notional * accrual per coupon, 0 per float-leg claim
+    maturities: np.ndarray
+    signed_notionals: np.ndarray
 
-def _forward_values(portfolio: Sequence[Swap], curve: RateCurve,
-                    grid: np.ndarray) -> np.ndarray:
-    dates, mask, accrual = _payment_matrix(portfolio)
-    df_dates = np.where(mask, curve.df(np.where(mask, dates, 1.0)), 0.0)
-    maturities = np.array([s.maturity for s in portfolio])
-    df_mat = curve.df(maturities)
-    signs = np.array([s.sign for s in portfolio])
-    notionals = np.array([s.notional for s in portfolio])
-    fixed = np.array([s.fixed_rate for s in portfolio])
-    out = np.empty(len(grid))
-    df0 = curve.df(grid)
-    for k, t in enumerate(grid):
-        alive = maturities > t + 1e-12
-        pay_alive = mask & (dates > t + 1e-12)
-        annuity_t = (df_dates * pay_alive).sum(axis=1) * accrual / df0[k]
-        float_leg = np.where(alive, 1.0 - df_mat / df0[k], 0.0)
-        values = signs * notionals * (float_leg - fixed * annuity_t * alive)
-        out[k] = values.sum()
-    return out
+    @classmethod
+    def of(cls, portfolio: Sequence[Swap], curve: RateCurve) -> "_CashFlows":
+        pay = [s.payment_times() for s in portfolio]
+        counts = [len(p) for p in pay]
+        maturities = np.array([s.maturity for s in portfolio])
+        signed = np.array([s.sign * s.notional for s in portfolio])
+        coupon = [-(s.sign * s.notional * s.fixed_rate * (1.0 / s.pay_freq)) for s in portfolio]
+        accrual = [s.notional / s.pay_freq for s in portfolio]
+        dates = np.concatenate(pay + [maturities])
+        return cls(dates=dates, df=curve.df(dates),
+                   weights=np.concatenate((np.repeat(coupon, counts), -signed)),
+                   accruals=np.concatenate((np.repeat(accrual, counts),
+                                            np.zeros(len(portfolio)))),
+                   maturities=maturities, signed_notionals=signed)
 
+    def alive_notional(self, t: float) -> float:
+        return float(np.sum(self.signed_notionals * (self.maturities > t + 1e-12)))
 
-def gross_annuity(portfolio: Sequence[Swap], curve: RateCurve) -> float:
-    """Sum over swaps of notional times the time-0 annuity, direction-blind."""
-    dates, mask, accrual = _payment_matrix(portfolio)
-    df_dates = np.where(mask, curve.df(np.where(mask, dates, 1.0)), 0.0)
-    notionals = np.array([s.notional for s in portfolio])
-    return float(np.sum(notionals * df_dates.sum(axis=1) * accrual))
+    def claims_after(self, t: float, df_t: float):
+        """Dates and time-t values of the claims dated after t, given the
+        discount factor ``df_t`` of t."""
+        live = self.dates > t + 1e-12
+        return self.dates[live], self.weights[live] * (self.df[live] / df_t)
+
+    def forward_value(self, t: float, df_t: float) -> float:
+        """Book value at t along today's forward curve (the factor at 0)."""
+        return self.alive_notional(t) + float(np.sum(self.claims_after(t, df_t)[1]))
+
+    @property
+    def annuity(self) -> float:
+        """Sum over swaps of notional times the time-0 annuity, direction-blind."""
+        return float(np.sum(self.accruals * self.df))
 
 
 # -- exposure models ---------------------------------------------------------
@@ -242,15 +258,15 @@ def exposure_profile(portfolio: Sequence[Swap], model, points: int,
     if points < 2:
         raise ExposureError("grid needs at least 2 points")
     times = np.linspace(0.0, max(s.maturity for s in portfolio), points)
-    annuity = gross_annuity(portfolio, curve)
+    book = _CashFlows.of(portfolio, curve)
     if isinstance(model, DeterministicModel):
-        values = _forward_values(portfolio, curve, times)
+        values = np.array([book.forward_value(t, df_t) for t, df_t in zip(times, curve.df(times))])
         epe = np.maximum(values, 0.0)
         ene = np.maximum(-values, 0.0)
-        return ExposureProfile(times, epe, ene, float(values[0]), annuity)
+        return ExposureProfile(times, epe, ene, float(values[0]), book.annuity)
     if isinstance(model, OneFactorMcModel):
-        epe, ene, mtm0 = _mc_exposure(portfolio, model, times, curve)
-        return ExposureProfile(times, epe, ene, mtm0, annuity)
+        epe, ene, mtm0 = _mc_exposure(book, model, times, curve)
+        return ExposureProfile(times, epe, ene, mtm0, book.annuity)
     raise ExposureError(f"unknown exposure model {model!r}")
 
 
@@ -283,44 +299,26 @@ def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMENTS = 32_768
 
 
-def _mc_exposure(portfolio: Sequence[Swap], model: OneFactorMcModel,
+def _mc_exposure(book: _CashFlows, model: OneFactorMcModel,
                  times: np.ndarray, curve: RateCurve):
     a = model.mean_reversion
     phi = model.vol ** 2 * (1.0 - np.exp(-2.0 * a * times)) / (2.0 * a)
     x = _ou_paths(model, times)
-
-    dates, mask, accrual = _payment_matrix(portfolio)
-    signs = np.array([s.sign for s in portfolio])
-    notionals = np.array([s.notional for s in portfolio])
-    fixed = np.array([s.fixed_rate for s in portfolio])
-    maturities = np.array([s.maturity for s in portfolio])
-
-    # flatten fixed coupons and float-leg terminal DF terms into one list of
-    # (date, weight) plus an alive-notional constant per grid time
-    coupon_dates = dates[mask]
-    coupon_w = (-(signs * notionals * fixed * accrual)[:, None] * np.ones_like(dates))[mask]
-    term_dates = maturities
-    term_w = -signs * notionals
-    all_dates = np.concatenate([coupon_dates, term_dates])
-    all_w = np.concatenate([coupon_w, term_w])
-    df_all = curve.df(all_dates)
 
     epe = np.zeros(len(times))
     ene = np.zeros(len(times))
     mtm0 = 0.0
     df_grid = curve.df(times)
     values = np.empty(len(x))
-    buf = np.empty(max(_BLOCK_ELEMENTS, len(all_dates)))
+    buf = np.empty(max(_BLOCK_ELEMENTS, len(book.dates)))
     for k, t in enumerate(times):
-        live = all_dates > t + 1e-12
-        u = all_dates[live]
+        u, claims = book.claims_after(t, df_grid[k])
         if len(u) == 0:
             continue
         b = (1.0 - np.exp(-a * (u - t))) / a
-        fwd_df = df_all[live] / df_grid[k]
         gauss = np.exp(-0.5 * b * b * phi[k])
-        const = float(np.sum(signs * notionals * (maturities > t + 1e-12)))
-        weights = all_w[live] * fwd_df * gauss
+        const = book.alive_notional(t)
+        weights = claims * gauss
         neg_b = -b
         rows = max(1, _BLOCK_ELEMENTS // len(b))
         for lo in range(0, len(x), rows):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discounting import EffectiveRateSpec, blend_rate
+from .discounting import EffectiveRateSpec
 
 
 class PdeError(ValueError):
@@ -153,18 +153,11 @@ class _ForwardTable:
     @classmethod
     def build(cls, spec: EffectiveRateSpec, t: np.ndarray) -> "_ForwardTable":
         risk_free = spec.risk_free.forward_rate(t)
-
-        def side_rate(side: int, party) -> np.ndarray:
-            return blend_rate(party.bond.forward_rate(t), party.liquidity.forward_rate(t),
-                              risk_free, spec.funded_spread_curve(side).forward_rate(t),
-                              spec.eta(side), spec.chi(side))
-
-        return cls(t=t, risk_free=risk_free, rate_c=side_rate(+1, spec.party_c),
-                   rate_b=side_rate(-1, spec.party_b))
+        return cls(t=t, risk_free=risk_free, rate_c=spec.side(+1).rate(t, risk_free),
+                   rate_b=spec.side(-1).rate(t, risk_free))
 
 
-def _node_rates(spec: EffectiveRateSpec, fwd: _ForwardTable, k: int,
-                v: np.ndarray) -> np.ndarray:
+def _node_rates(fwd: _ForwardTable, k: int, v: np.ndarray) -> np.ndarray:
     """Per-node effective rate at step time fwd.t[k] from the sign of v
     (V=0 counts as a payable)."""
     return np.where(v > 0.0, fwd.rate_c[k], fwd.rate_b[k])
@@ -241,7 +234,7 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
     def rho_at(k: int, v_ref: np.ndarray) -> np.ndarray:
         if risk_free_override:
             return np.full(len(s), fwd.risk_free[k])
-        return _node_rates(rates, fwd, k, v_ref)
+        return _node_rates(fwd, k, v_ref)
 
     v = option.terminal_value(s)
     max_iters = 0

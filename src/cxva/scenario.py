@@ -17,11 +17,12 @@ from pathlib import Path
 from .collateral import CollateralAsset, CollateralState, chi, load_assets_csv
 from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (DeterministicModel, OneFactorMcModel, Swap,
-                       exposure_profile, generate_portfolio)
+from .exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
+                       OneFactorMcModel, Swap, exposure_profile, generate_portfolio)
 from .optimizer import NettingSet
 from .pde import GridSpec, OptionSpec
 from .repo import RepoModelParams
+from .xva import MAX_QUADRATURE_STEPS
 
 
 class ScenarioError(ValueError):
@@ -42,6 +43,15 @@ def as_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ScenarioError(f"{key} must be an integer, got {value!r}")
+
+
+def as_count(value, key: str, lo: int, hi: int) -> int:
+    """An integer scenario value in [lo, hi] that sizes arrays; anything
+    else raises ScenarioError naming the key, before any array is built."""
+    n = as_int(value, key)
+    if not lo <= n <= hi:
+        raise ScenarioError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
+    return n
 
 
 @dataclass
@@ -175,7 +185,7 @@ class Scenario:
     def portfolio(self, cfg: dict | None = None, seed_offset: int = 0) -> list[Swap]:
         cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
         return generate_portfolio(
-            n=as_int(cfg.get("n", 1000), "portfolio.n"),
+            n=as_count(cfg.get("n", 1000), "portfolio.n", 1, MAX_SWAPS),
             payer_frac=float(_require(cfg, "payer_frac", "portfolio")),
             maturity_range=(float(cfg.get("maturity_min", 0.25)),
                             float(cfg.get("maturity_max", 30.0))),
@@ -194,20 +204,23 @@ class Scenario:
         if model == "one_factor_mc":
             return OneFactorMcModel(mean_reversion=float(cfg.get("mean_reversion", 0.05)),
                                     vol=float(cfg.get("vol", 0.01)),
-                                    paths=as_int(cfg.get("paths", 2000), "portfolio.paths"),
+                                    paths=as_count(cfg.get("paths", 2000), "portfolio.paths",
+                                                   1000, MAX_PATHS),
                                     seed=self.seed + 17)
         raise ScenarioError(f"unknown exposure model {model!r}")
 
     def portfolio_profile(self, cfg: dict | None = None, seed_offset: int = 0):
         cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
-        book = self.portfolio(cfg, seed_offset)
-        points = as_int(cfg.get("profile_points", 121), "portfolio.profile_points")
-        return exposure_profile(book, self.exposure_model(cfg), points,
+        points = as_count(cfg.get("profile_points", 121), "portfolio.profile_points",
+                          2, MAX_PROFILE_POINTS)
+        model = self.exposure_model(cfg)
+        return exposure_profile(self.portfolio(cfg, seed_offset), model, points,
                                 self.risk_free)
 
     @property
     def quadrature_steps(self) -> int:
-        return as_int(self.raw.get("quadrature_steps", 200), "quadrature_steps")
+        return as_count(self.raw.get("quadrature_steps", 200), "quadrature_steps",
+                        1, MAX_QUADRATURE_STEPS)
 
     # -- assets / repo -----------------------------------------------------------
 
@@ -243,6 +256,10 @@ class Scenario:
         cfg = _require(self.raw, "optimizer", "scenario")
         out = []
         for k, ns in enumerate(_require(cfg, "netting_sets", "optimizer")):
+            if "threshold" in ns:
+                # each allocation round sets the requirement to |MTM|, so a
+                # threshold would be read and then ignored
+                raise ScenarioError(f"netting set {ns.get('id', k)}: threshold is not supported")
             profile = self.portfolio_profile(_require(ns, "portfolio", "netting_sets"),
                                              seed_offset=k + 1)
             target = ns.get("target_mtm")
@@ -253,11 +270,8 @@ class Scenario:
                         f"netting set {ns.get('id', k)}: generated MTM "
                         f"{profile.mtm0:.4g} cannot be scaled to {target}")
                 profile = profile.scaled(target / profile.mtm0)
-            # a threshold leaves a fixed uncollateralized pocket: only the
-            # excess over it has to be posted
-            threshold = float(ns.get("threshold", 0.0))
             out.append(NettingSet(id=str(_require(ns, "id", "netting_sets")),
-                                  requirement=max(abs(profile.mtm0) - threshold, 0.0),
+                                  requirement=abs(profile.mtm0),
                                   rating=str(_require(ns, "rating", "netting_sets")),
                                   profile=profile))
         return out

@@ -17,6 +17,10 @@ payoffs, martingale exposures) and second-order otherwise. The
 discount factor on positive-exposure terms compounds r_ec, on negative
 ones r_eb - the deterministic-eta surrogate of the path-wise switching
 rate, exact for single-sign profiles.
+
+One per-side quadrature runs twice: on the EPE with side +1 (CVA, CFA and
+the C leg of LVA/colVA) and on the ENE with side -1 (DVA, DFA and the B
+leg). The risk-free segment integrals are shared and tabulated once.
 """
 
 from __future__ import annotations
@@ -27,12 +31,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import RateCurve
-from .discounting import EffectiveRateSpec, blend_rate
+from .discounting import EffectiveRateSpec, SideRates, blend_rate
 from .exposure import ExposureProfile
 
 
 class XvaError(ValueError):
     """Invalid XVA computation request."""
+
+
+# largest uniform quadrature grid a scenario may ask for (quadrature_steps)
+MAX_QUADRATURE_STEPS = 10_000
 
 
 _FIELDS = ("cva", "dva", "cfa", "dfa", "lva", "colva", "cra", "xva", "npv")
@@ -104,12 +112,34 @@ def _quad_grid(profile: ExposureProfile, spec: EffectiveRateSpec,
     base = np.linspace(0.0, horizon, n_steps + 1)
     knots = set(base)
     knots.update(t for t in profile.times if 0.0 < t < horizon)
-    curves = [spec.risk_free, spec.party_b.bond, spec.party_b.liquidity,
-              spec.party_c.bond, spec.party_c.liquidity,
-              spec.funded_spread_curve(+1), spec.funded_spread_curve(-1)]
+    curves = [spec.risk_free]
+    for side in (spec.side(+1), spec.side(-1)):
+        curves += [side.bond, side.liquidity, side.spread]
     for c in curves:
         knots.update(t for t in c.tenors if 0.0 < t < horizon)
     return np.array(sorted(knots))
+
+
+def _side_adjustments(grid: np.ndarray, exposure: np.ndarray, side: SideRates,
+                      i_r: list[float]) -> tuple[float, float, float, float]:
+    """One side's (default, funding, lva, colva) parts, CVA/CFA on the EPE
+    or DVA/DFA on the ENE; ``i_r`` holds each segment's risk-free integral."""
+    eta, chi = side.eta, side.chi
+    default = funding = lva = colva = 0.0
+    df = 1.0
+    for k, i_rf in enumerate(i_r):
+        a, b = grid[k], grid[k + 1]
+        i_bond = side.bond.integral(a, b)
+        i_mu = side.liquidity.integral(a, b)
+        i_s = side.spread.integral(a, b)
+        g0 = exposure[k] * df
+        df *= math.exp(-blend_rate(i_bond, i_mu, i_rf, i_s, eta, chi))
+        lm = _log_mean(g0, exposure[k + 1] * df)
+        default += (1.0 - eta) * (i_bond - i_mu) * lm
+        funding += (1.0 - eta) * (i_mu - i_rf) * lm
+        lva += eta * ((1.0 - chi) * (i_mu - i_rf) + chi * i_s) * lm
+        colva += eta * chi * i_s * lm
+    return default, funding, lva, colva
 
 
 def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
@@ -129,43 +159,12 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
             raise XvaError("quadrature grid must start at 0 and increase")
         if grid[-1] > profile.horizon + 1e-9:
             raise XvaError("quadrature grid extends beyond the profile horizon")
-    epe = np.interp(grid, profile.times, profile.epe)
-    ene = np.interp(grid, profile.times, profile.ene)
-    spread_curve_c = spec.funded_spread_curve(+1)
-    spread_curve_b = spec.funded_spread_curve(-1)
-    eta_c, chi_c = spec.eta(+1), spec.chi(+1)
-    eta_b, chi_b = spec.eta(-1), spec.chi(-1)
-
-    cva = dva = cfa = dfa = lva_c = lva_b = colva_c = colva_b = 0.0
-    df_c = 1.0
-    df_b = 1.0
-    for k in range(len(grid) - 1):
-        a, b = grid[k], grid[k + 1]
-        i_r = spec.risk_free.integral(a, b)
-        # C side (positive exposure)
-        i_rc = spec.party_c.bond.integral(a, b)
-        i_mc = spec.party_c.liquidity.integral(a, b)
-        i_sc = spread_curve_c.integral(a, b)
-        i_rec = blend_rate(i_rc, i_mc, i_r, i_sc, eta_c, chi_c)
-        g0 = epe[k] * df_c
-        df_c *= math.exp(-i_rec)
-        lm_c = _log_mean(g0, epe[k + 1] * df_c)
-        cva += (1.0 - eta_c) * (i_rc - i_mc) * lm_c
-        cfa += (1.0 - eta_c) * (i_mc - i_r) * lm_c
-        lva_c += eta_c * ((1.0 - chi_c) * (i_mc - i_r) + chi_c * i_sc) * lm_c
-        colva_c += eta_c * chi_c * i_sc * lm_c
-        # B side (negative exposure)
-        i_rb = spec.party_b.bond.integral(a, b)
-        i_mb = spec.party_b.liquidity.integral(a, b)
-        i_sb = spread_curve_b.integral(a, b)
-        i_reb = blend_rate(i_rb, i_mb, i_r, i_sb, eta_b, chi_b)
-        g0 = ene[k] * df_b
-        df_b *= math.exp(-i_reb)
-        lm_b = _log_mean(g0, ene[k + 1] * df_b)
-        dva += (1.0 - eta_b) * (i_rb - i_mb) * lm_b
-        dfa += (1.0 - eta_b) * (i_mb - i_r) * lm_b
-        lva_b += eta_b * ((1.0 - chi_b) * (i_mb - i_r) + chi_b * i_sb) * lm_b
-        colva_b += eta_b * chi_b * i_sb * lm_b
+    # element-wise, the array form does a scalar call's arithmetic
+    i_r = spec.risk_free.integral(grid[:-1], grid[1:]).tolist()
+    cva, cfa, lva_c, colva_c = _side_adjustments(
+        grid, np.interp(grid, profile.times, profile.epe), spec.side(+1), i_r)
+    dva, dfa, lva_b, colva_b = _side_adjustments(
+        grid, np.interp(grid, profile.times, profile.ene), spec.side(-1), i_r)
 
     lva = lva_c - lva_b
     colva = colva_c - colva_b

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import cxva.cli
+import cxva.exposure
 import cxva.optimizer
 import cxva.pde
-from cxva.cli import main
+import cxva.scenario
+from cxva.cli import MAX_SWEEP_POINTS, main
 from cxva.simplex import solve_bounded_lp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -283,6 +286,67 @@ class TestIntegerKeys:
         assert not (tmp_path / "out").exists()
 
 
+def fail_if_reached(name: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} reached")
+    return fail
+
+
+class TestCountBounds:
+    """A count that sizes arrays is checked against [minimum, constant]
+    when it is read: outside it the command exits 2 naming the key, and
+    nothing that builds an array from the count runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_arrays(self, monkeypatch):
+        for module, name in ((cxva.scenario, "generate_portfolio"),
+                             (cxva.scenario, "exposure_profile"),
+                             (cxva.exposure, "_ou_paths"),
+                             (cxva.cli, "decompose"),
+                             (cxva.cli, "_option_sweep_points"),
+                             (cxva.cli, "_portfolio_sweep_points")):
+            monkeypatch.setattr(module, name, fail_if_reached(name))
+
+    def scenario(self, tmp_path, command, block):
+        if command == "optimize":
+            return optimize_scenario(tmp_path)
+        if block == "option":
+            return write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID),
+                                  sweep={"points": 3})
+        portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000)
+        return write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41,
+                              sweep={"points": 3})
+
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("sweep", "option", "sweep.points", 1e12),
+        ("sweep", "option", "sweep.points", MAX_SWEEP_POINTS + 1),
+        ("sweep", "portfolio", "sweep.points", 1e12),
+        ("xva", "portfolio", "portfolio.n", 1e12),
+        ("xva", "portfolio", "portfolio.n", 0),
+        ("xva", "portfolio", "portfolio.paths", 1e12),
+        ("xva", "portfolio", "portfolio.paths", 999),
+        ("xva", "portfolio", "portfolio.profile_points", 1e12),
+        ("xva", "portfolio", "portfolio.profile_points", 1),
+        ("xva", "portfolio", "quadrature_steps", 1e12),
+        ("xva", "portfolio", "quadrature_steps", 0),
+        ("optimize", "portfolio", "quadrature_steps", 0),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, command, block, key, value):
+        sc = self.scenario(tmp_path, command, block)
+        set_key(sc, key, value)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block", ["option", "portfolio"])
+    def test_huge_points_flag_exits_2(self, tmp_path, capsys, block):
+        sc = self.scenario(tmp_path, "sweep", block)
+        assert run(["sweep", "--scenario", sc, "--out", tmp_path / "out",
+                    "--points", 10 ** 12]) == 2
+        assert "--points" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+
 class TestRepoCurve:
     def test_shipped_scenario(self, tmp_path):
         assert run(["repo-curve", "--scenario", SCENARIO_DIR / "repo_ust10.json",
@@ -323,6 +387,18 @@ class TestOptimize:
         alloc = (tmp_path / "out" / "allocation_0.csv").read_text().strip().splitlines()
         assert alloc[0] == "asset,S1,S2"
         assert alloc[-1].startswith("updated_mtm,")
+
+    def test_threshold_exits_2(self, tmp_path, capsys):
+        # each allocation round sets a set's requirement to |MTM|, so a
+        # threshold would be read and then ignored
+        sc = optimize_scenario(tmp_path)
+        raw = json.loads(sc.read_text())
+        raw["optimizer"]["netting_sets"][1]["threshold"] = 8.0
+        sc.write_text(json.dumps(raw))
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert "S2" in message and "threshold" in message
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_exits_3(self, tmp_path, capsys):
         sc = optimize_scenario(tmp_path, quantity=1.0)

@@ -189,8 +189,8 @@ class TestRateTable:
         assert [name for name, _, _ in log] == ["_node_rates", "_operator"] * (len(log) // 2)
         seen = set()
         for (_, rate_args, rates), (_, op_args, _) in zip(log[0::2], log[1::2]):
-            t = rate_args[1].t[rate_args[2]]
-            v = rate_args[3]
+            t = rate_args[0].t[rate_args[1]]
+            v = rate_args[2]
             expected = np.where(v > 0.0, effective_rate(spec, t, +1),
                                 effective_rate(spec, t, -1))
             assert np.array_equal(rates, expected), t
@@ -199,7 +199,7 @@ class TestRateTable:
             assert op_args[2] == self.OIS.forward_rate(t) - self.OPTION.div_yield, t
             seen.add(float(t))
         assert seen == set(self._step_times())
-        signs = np.concatenate([args[3] > 0.0 for _, args, _ in log[0::2]])
+        signs = np.concatenate([args[2] > 0.0 for _, args, _ in log[0::2]])
         assert signs.any() and not signs.all()
 
     def test_risk_free_override_reads_risk_free_forward(self, monkeypatch):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from cxva.exposure import DeterministicModel, OneFactorMcModel
-from cxva.scenario import Scenario, ScenarioError
+from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
+                           OneFactorMcModel)
+from cxva.scenario import Scenario, ScenarioError, as_count
+from cxva.xva import MAX_QUADRATURE_STEPS
 
 
 def write(tmp_path, payload, name="s.json"):
@@ -52,7 +54,7 @@ class TestCollateralBlock:
                                          "h_repo": 0.10, "repo_spread": 0.002})
         sc = Scenario.load(write(tmp_path, payload))
         spec = sc.effective_spec()
-        assert spec.chi(+1) == pytest.approx(1.0 - 0.05 / 0.95)
+        assert spec.side(+1).chi == pytest.approx(1.0 - 0.05 / 0.95)
 
     def test_bad_mode(self, tmp_path):
         payload = dict(BASE, collateral={"mode": "weird"})
@@ -71,23 +73,31 @@ class TestPortfolioBlock:
         sc = Scenario.load(write(tmp_path, payload, "s2.json"))
         assert isinstance(sc.exposure_model(), DeterministicModel)
 
+    def test_largest_counts_accepted(self, tmp_path):
+        portfolio = {"n": MAX_SWAPS, "payer_frac": 0.5, "maturity_max": 2.0,
+                     "model": "one_factor_mc", "paths": MAX_PATHS,
+                     "profile_points": MAX_PROFILE_POINTS}
+        sc = Scenario.load(write(tmp_path, dict(BASE, portfolio=portfolio,
+                                                quadrature_steps=MAX_QUADRATURE_STEPS)))
+        assert sc.quadrature_steps == MAX_QUADRATURE_STEPS
+        assert sc.exposure_model().paths == MAX_PATHS
+        assert len(sc.portfolio()) == MAX_SWAPS
+        small = dict(portfolio, n=2, model="deterministic")
+        assert len(sc.portfolio_profile(small).times) == MAX_PROFILE_POINTS
+
+    def test_count_bounds_inclusive(self):
+        assert as_count(5, "k", 5, 7) == 5
+        assert as_count(7.0, "k", 5, 7) == 7
+        for bad in (4, 8, 1e12):
+            with pytest.raises(ScenarioError, match=r"k must be an integer in \[5, 7\]"):
+                as_count(bad, "k", 5, 7)
+
     def test_seed_override(self, tmp_path):
         sc = Scenario.load(write(tmp_path, dict(BASE)), seed_override=99)
         assert sc.seed == 99
 
 
 class TestNettingSets:
-    def test_threshold_reduces_requirement(self, tmp_path):
-        payload = dict(BASE, optimizer={"netting_sets": [
-            {"id": "S1", "rating": "A", "target_mtm": -50.0, "threshold": 8.0,
-             "portfolio": {"n": 40, "payer_frac": 0.9, "rate_offset": 0.02,
-                           "profile_points": 21}},
-        ]})
-        sc = Scenario.load(write(tmp_path, payload))
-        (ns,) = sc.netting_sets()
-        assert ns.requirement == pytest.approx(42.0)
-        assert ns.profile.mtm0 == pytest.approx(-50.0)
-
     def test_unscalable_sign_rejected(self, tmp_path):
         payload = dict(BASE, optimizer={"netting_sets": [
             {"id": "S1", "rating": "A", "target_mtm": 50.0,
