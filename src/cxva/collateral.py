@@ -80,7 +80,7 @@ def chi(h_repo: float, h_csa: float) -> float:
 
 
 def blend_spread_curve(assets: Sequence[tuple[float, float, float, RateCurve]],
-                       protection: float, risk_free_label: str = "") -> tuple[float, RateCurve]:
+                       protection: float) -> tuple[float, RateCurve]:
     """Blend with term-structured repo spreads.
 
     Each entry is (market_value, h_csa, h_repo, spread_curve) with the
@@ -98,8 +98,7 @@ def blend_spread_curve(assets: Sequence[tuple[float, float, float, RateCurve]],
         chi_bar += w * unfunded
         curves.append(spread)
         weights.append(w * (1.0 - unfunded))
-    blended = combine_curves(curves, weights, label=risk_free_label or "blended_spread")
-    return 1.0 - chi_bar, blended
+    return 1.0 - chi_bar, combine_curves(curves, weights, label="blended_spread")
 
 
 # -- assets CSV -------------------------------------------------------------

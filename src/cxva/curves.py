@@ -102,16 +102,10 @@ class RateCurve:
         out = self._zt(t2) - self._zt(t1)
         return float(out) if out.ndim == 0 else out
 
-    def discount_factor(self, t1, t2=None):
-        """DF between t1 and t2; with one argument, DF from 0 to t1."""
-        if t2 is None:
-            t1, t2 = 0.0, t1
-        out = np.exp(-self.integral(t1, t2))
-        return float(out) if np.ndim(out) == 0 else out
-
     def df(self, t):
-        """Discount factor from time 0."""
-        return self.discount_factor(t)
+        """Discount factor from time 0 to t (scalar or array), t >= 0."""
+        out = np.exp(-self.integral(0.0, t))
+        return float(out) if np.ndim(out) == 0 else out
 
     def forward_rate(self, t):
         """Instantaneous forward at t (right-continuous, piecewise constant)."""
@@ -123,11 +117,6 @@ class RateCurve:
         fwd = (self._zts[idx] - self._zts[idx - 1]) / (self._ts[idx] - self._ts[idx - 1])
         fwd = np.where(t >= self._ts[-1], self.rates[-1], fwd)
         return float(fwd) if fwd.ndim == 0 else fwd
-
-    def shifted(self, bump: float, label: str = "") -> "RateCurve":
-        """Parallel shift of all zero rates by `bump` (absolute, 1bp = 1e-4)."""
-        return RateCurve(self.tenors, tuple(z + bump for z in self.rates),
-                         label or self.label)
 
 
 def combine_curves(curves: Sequence[RateCurve], weights: Sequence[float],

@@ -117,6 +117,14 @@ class EffectiveRateSpec:
         return self.side(side).spread
 
 
+def risk_free_spec(risk_free: RateCurve) -> EffectiveRateSpec:
+    """The spec of the risk-free value V*: nothing protected (eta = 0) and
+    both parties at the risk-free curve, so r_e is r * 1.0 + 0.0, r bit for bit."""
+    party = PartyCurves(bond=risk_free, liquidity=risk_free)
+    return EffectiveRateSpec(party_b=party, party_c=party, risk_free=risk_free,
+                             state=CollateralState(), mode="uncollateralized")
+
+
 def blend_rate(f_unsec, f_mu, f_r, f_spread, eta, chi):
     """The r_e convex combination; arguments may be scalars or arrays.
 

@@ -37,11 +37,13 @@ class ExposureError(ValueError):
     """Invalid exposure inputs (including empty portfolios)."""
 
 
-# Largest book, Monte Carlo path count and profile grid a scenario may ask
-# for. A 30-year quarterly swap adds 121 claims to the cash-flow list
-# (20 000 of them: 19 MB per array); the factor paths are a (paths x
-# profile points) array (50 000 x 500: 200 MB).
+# Largest book, swap maturity (years), Monte Carlo path count and profile
+# grid a scenario may ask for. A 100-year quarterly swap adds 401 claims to
+# the cash-flow list (20 000 of them: 64 MB per array and per Monte Carlo
+# buffer); the factor paths are a (paths x profile points) array
+# (50 000 x 500: 200 MB).
 MAX_SWAPS = 20_000
+MAX_MATURITY = 100.0
 MAX_PATHS = 50_000
 MAX_PROFILE_POINTS = 500
 
@@ -60,8 +62,8 @@ class Swap:
         # written so that NaN fails every check
         if not 0.0 < self.notional < math.inf:
             raise ExposureError("notional must be finite and > 0")
-        if not 0.0 < self.maturity < math.inf:
-            raise ExposureError("maturity must be finite and > 0")
+        if not 0.0 < self.maturity <= MAX_MATURITY:
+            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
         if self.pay_freq not in (1, 2, 4):
             raise ExposureError("pay_freq must be one of 1, 2, 4")
         if self.direction not in ("payer", "receiver"):
@@ -159,8 +161,9 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     if not math.isfinite(rate_offset):
         raise ExposureError("rate_offset must be finite")
     lo, hi = maturity_range
-    if not 0.0 < lo <= hi < math.inf:
-        raise ExposureError("maturity_range must satisfy 0 < lo <= hi < inf")
+    if not 0.0 < lo <= hi <= MAX_MATURITY:
+        raise ExposureError(f"maturity_range must satisfy 0 < maturity_min <= maturity_max <= "
+                            f"{MAX_MATURITY:g} (years), got ({lo!r}, {hi!r})")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     maturities = rng.uniform(lo, hi, n) if hi > lo else np.full(n, float(lo))
     atm = par_rate(curve, 10.0, pay_freq) + rate_offset

@@ -206,16 +206,14 @@ def _repo_spread(asset: CollateralAsset, rating: str,
                         label=f"{asset.id}_{rating}")
 
 
-def set_lva(asset: CollateralAsset, netting_set: NettingSet, spread: RateCurve,
-            poster: PartyCurves, risk_free: RateCurve, *, n_steps: int = 120) -> float:
-    """Signed LVA of the whole set when fully collateralized by one asset
-    in unlimited quantity (negative = posting benefit on a payable);
-    ``spread`` is the asset's repo spread over risk-free."""
-    x = chi(asset.h_repo, asset.h_csa)
-    state = CollateralState(eta_b=1.0, eta_c=1.0, chi_b=x, chi_c=x)
+def _lva(profile: ExposureProfile, poster: PartyCurves, risk_free: RateCurve,
+         eta: float, x: float, spread: RateCurve, n_steps: int) -> float:
+    """Signed LVA of a profile (negative = posting benefit on a payable) with
+    eta protected, chi = x of that funded at ``spread`` over risk-free."""
+    state = CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x)
     spec = EffectiveRateSpec(party_b=poster, party_c=poster, risk_free=risk_free,
                              state=state, mode="noncash", repo_spread_c=spread)
-    return decompose(netting_set.profile, spec, n_steps=n_steps).lva
+    return decompose(profile, spec, n_steps=n_steps).lva
 
 
 # -- iterative allocation ------------------------------------------------------
@@ -266,8 +264,9 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             key = (i, ns.rating)
             if key not in spreads:
                 spreads[key] = _repo_spread(a, ns.rating, repo_params)
-            benefit[i, j] = abs(set_lva(a, ns, spreads[key], poster, risk_free,
-                                        n_steps=n_steps))
+            # the whole set collateralized by this asset in unlimited quantity
+            benefit[i, j] = abs(_lva(ns.profile, poster, risk_free, 1.0,
+                                     chi(a.h_repo, a.h_csa), spreads[key], n_steps))
 
     prev = mtm_star.copy()
     states: list[IterationState] = []
@@ -289,18 +288,16 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
                       for i, a in enumerate(assets) if alloc.q[i, j] > 1e-12]
             if not posted or ns.requirement <= 0.0:
                 continue
-            # blend over the posted CSA-protected value (weights sum to 1);
-            # under the CSA funding equality this equals the requirement, so
-            # eta = 1; the repo-haircut variant can leave partial protection
+            # blend over the posted CSA-protected value (weights sum to 1, so
+            # chi > 0 as every h_repo < 1); under the CSA funding equality
+            # this equals the requirement, so eta = 1; the repo-haircut
+            # variant can leave partial protection
             csa_value = sum(mv * (1.0 - h_c) for mv, h_c, _, _ in posted)
             x, funded = blend_spread_curve(posted, csa_value)
-            spread = funded if x <= 0.0 else scale_curve(funded, 1.0 / x)
             eta = min(1.0, csa_value / ns.requirement)
-            state = CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x)
-            spec = EffectiveRateSpec(party_b=poster, party_c=poster,
-                                     risk_free=risk_free, state=state,
-                                     mode="noncash", repo_spread_c=spread)
-            lva[j] = decompose(ns.profile, spec, n_steps=n_steps).lva
+            spread = RateCurve(funded.tenors, tuple(z * (1.0 / x) for z in funded.rates),
+                               funded.label)
+            lva[j] = _lva(ns.profile, poster, risk_free, eta, x, spread, n_steps)
         mtms = mtm_star - lva
         states.append(IterationState(requirements=req, unit_lva=e,
                                      allocation=alloc, lva=lva, mtms=mtms))
@@ -310,8 +307,3 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             status = "converged"
             break
     return IterationResult(states=states, status=status)
-
-
-def scale_curve(curve: RateCurve, scale: float) -> RateCurve:
-    """Scale a spread curve by a constant (exact node-wise operation)."""
-    return RateCurve(curve.tenors, tuple(z * scale for z in curve.rates), curve.label)

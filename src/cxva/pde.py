@@ -11,16 +11,18 @@ kink. Boundaries: at S = 0 the PDE degenerates to the reaction ODE on its
 own; at S_max the second derivative is dropped (payoff linearity) with
 one-sided convection.
 
-The Picard iteration is a policy iteration on the sign pattern: a sweep's
-operator depends on the value only through the mask V > 0. A step stops
-when a sweep's result has the mask its rates were built from (always, for
-the risk-free value V*, whose rate does not depend on V): the next sweep
+The Picard iteration is a policy iteration on the node rates: a sweep's
+operator depends on the value only through the rate each node reads, the
+r_e of the side sign(V) selects. A step stops when the node rates rebuilt
+from a sweep's result equal the rates that sweep used: the next sweep
 would rebuild a bitwise-identical system and return the same vector with
 residual exactly 0, so that confirming sweep is counted but not run. The
 stop is exact, not a looser tolerance; solutions and sweep counts are
 those of iterating until the residual falls below ``picard_tol``. For the
 same reason the accepted sweep's operator is reused as the next step's
-explicit side when the accepted value keeps its mask.
+explicit side when the accepted value reads the rates it was built from.
+The risk-free value V* is the same solve under ``risk_free_spec``, whose
+r_e is r on both sides: its rates never move, so each step runs one sweep.
 
 The stock is financed at the risk-free rate, so r_s = r. Every forward
 rate a solve reads (both parties' bond and liquidity curves, the risk-free
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discounting import EffectiveRateSpec
+from .discounting import EffectiveRateSpec, risk_free_spec
 
 
 class PdeError(ValueError):
@@ -147,20 +149,19 @@ class _ForwardTable:
 
     t: np.ndarray
     risk_free: np.ndarray
-    rate_c: np.ndarray  # r_e where V > 0
-    rate_b: np.ndarray  # r_e where V <= 0
+    rates: np.ndarray  # row k: (r_e where V <= 0, r_e where V > 0) at t[k]
 
     @classmethod
     def build(cls, spec: EffectiveRateSpec, t: np.ndarray) -> "_ForwardTable":
         risk_free = spec.risk_free.forward_rate(t)
-        return cls(t=t, risk_free=risk_free, rate_c=spec.side(+1).rate(t, risk_free),
-                   rate_b=spec.side(-1).rate(t, risk_free))
+        return cls(t=t, risk_free=risk_free, rates=np.stack(
+            (spec.side(-1).rate(t, risk_free), spec.side(+1).rate(t, risk_free)), axis=1))
 
 
 def _node_rates(fwd: _ForwardTable, k: int, v: np.ndarray) -> np.ndarray:
     """Per-node effective rate at step time fwd.t[k] from the sign of v
-    (V=0 counts as a payable)."""
-    return np.where(v > 0.0, fwd.rate_c[k], fwd.rate_b[k])
+    (V=0 counts as a payable), picked by the indicator V > 0."""
+    return fwd.rates[k].take(v > 0.0)
 
 
 def _operator(s: np.ndarray, ds: float, conv: float, sigma: float,
@@ -211,63 +212,46 @@ def solve_banded(lower, diag, upper, rhs):
     return x
 
 
-def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
-          risk_free_override: bool = False) -> PdeSolution:
-    """Backward-solve the option value under the effective switching rate.
-
-    ``risk_free_override`` prices with r_e = r everywhere (the risk-free
-    value V*).
-    """
-    ref = max(option.spot, option.strike)
-    s_max = grid.s_max_mult * ref
-    s = np.linspace(0.0, s_max, grid.s_nodes + 1)
+def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSolution:
+    """Backward-solve the option value under the effective switching rate."""
+    s = np.linspace(0.0, grid.s_max_mult * max(option.spot, option.strike), grid.s_nodes + 1)
     ds = s[1] - s[0]
     dt = option.maturity / grid.t_steps
-    sigma = option.vol
 
     # Rannacher startup: the first interval as two implicit half-steps.
     # Step i runs from fwd.t[i] to fwd.t[i + 1].
     times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
     fwd = _ForwardTable.build(
         rates, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
-
-    def rho_at(k: int, v_ref: np.ndarray) -> np.ndarray:
-        if risk_free_override:
-            return np.full(len(s), fwd.risk_free[k])
-        return _node_rates(fwd, k, v_ref)
+    conv = fwd.risk_free - option.div_yield
 
     v = option.terminal_value(s)
+    rho = _node_rates(fwd, 0, v)
     max_iters = 0
-    # the last sweep's operator and the sign mask its rates were built from
-    last_op = last_pos = None
+    # whether the last sweep's operator was built from the rates in rho
+    fixed = False
 
     for i in range(len(fwd.t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = fwd.t[i] - fwd.t[i + 1]
-        conv_new = fwd.risk_free[i + 1] - option.div_yield
-        pos = v > 0.0
         # the previous step's last operator was built at this step's start
-        # time, so it is this step's explicit side if its rates read pos
-        if last_op is not None and (risk_free_override or np.array_equal(pos, last_pos)):
-            lo_o, di_o, up_o = last_op
-        else:
-            conv_old = fwd.risk_free[i] - option.div_yield
-            lo_o, di_o, up_o = _operator(s, ds, conv_old, sigma, rho_at(i, v))
-        rhs = v + (1.0 - theta) * h * _apply(lo_o, di_o, up_o, v)
+        # time, so it is the explicit side if built from v's rates there
+        if not fixed:
+            op = _operator(s, ds, conv[i], option.vol, rho)
+        rhs = v + (1.0 - theta) * h * _apply(*op, v)
 
-        guess, guess_pos = v, pos
+        guess, rho = v, _node_rates(fwd, i + 1, v)
         for it in range(1, grid.picard_max_iter + 1):
-            last_op = lo_n, di_n, up_n = _operator(s, ds, conv_new, sigma,
-                                                    rho_at(i + 1, guess))
-            last_pos = guess_pos
-            v_new = solve_banded(-theta * h * lo_n[1:], 1.0 - theta * h * di_n,
-                                 -theta * h * up_n[:-1], rhs)
+            lower, diag, upper = op = _operator(s, ds, conv[i + 1], option.vol, rho)
+            v_new = solve_banded(-theta * h * lower[1:], 1.0 - theta * h * diag,
+                                 -theta * h * upper[:-1], rhs)
             residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
-            guess, guess_pos = v_new, v_new > 0.0
+            rebuilt = _node_rates(fwd, i + 1, v_new)
+            fixed = np.array_equal(rebuilt, rho)
+            guess, rho = v_new, rebuilt
             if residual < grid.picard_tol:
                 break
-            if it < grid.picard_max_iter and (risk_free_override
-                                              or np.array_equal(guess_pos, last_pos)):
+            if it < grid.picard_max_iter and fixed:
                 # sweep it + 1 would rebuild this operator and return v_new
                 # with residual 0: count it without running it
                 it += 1
@@ -291,6 +275,6 @@ class XvaPdeResult:
 def xva_pde(option: OptionSpec, rates: EffectiveRateSpec,
             grid: GridSpec) -> XvaPdeResult:
     """Risk-free value, adjusted value and their difference U = V* - V."""
-    star = solve(option, rates, grid, risk_free_override=True).value
+    star = solve(option, risk_free_spec(rates.risk_free), grid).value
     adj = solve(option, rates, grid).value
     return XvaPdeResult(v_star=star, v=adj, u=star - adj)

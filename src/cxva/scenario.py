@@ -19,7 +19,7 @@ from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from .discounting import MODES, EffectiveRateSpec
 from .exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
                        OneFactorMcModel, Swap, exposure_profile, generate_portfolio)
-from .optimizer import NettingSet
+from .optimizer import DEFAULT_SPREAD_TENORS, NettingSet
 from .pde import GridSpec, OptionSpec
 from .repo import RepoModelParams
 from .xva import MAX_QUADRATURE_STEPS
@@ -43,6 +43,24 @@ def as_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ScenarioError(f"{key} must be an integer, got {value!r}")
+
+
+def as_block(value, key: str, kind: type):
+    """A JSON object (kind dict) or array (kind list), else ScenarioError naming the key."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ScenarioError(f"{key} must be a JSON {name}, got {value!r:.60}")
+    return value
+
+
+# The JSON type of each top-level block, checked on load, by its readers.
+BLOCK_TYPES = {
+    # Scenario.curve, party, effective_spec, option, grid
+    "curves": dict, "parties": dict, "collateral": dict, "option": dict, "grid": dict,
+    # Scenario.portfolio*, exposure_model, repo_*, assets, netting_sets, optimizer_cfg
+    "portfolio": dict, "repo": dict, "optimizer": dict,
+    "sweep": dict, "xva_levels": list,  # cli.main, cli.cmd_xva
+}
 
 
 def as_count(value, key: str, lo: int, hi: int) -> int:
@@ -73,6 +91,10 @@ class Scenario:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ScenarioError(f"{path}: invalid JSON: {err}") from err
+        as_block(raw, f"{path}: the scenario", dict)
+        for key, kind in BLOCK_TYPES.items():
+            if key in raw:
+                as_block(raw[key], key, kind)
         seed = seed_override if seed_override is not None \
             else as_int(raw.get("seed", 0), "seed")
         return cls(raw=raw, base_dir=path.parent, seed=seed)
@@ -87,8 +109,10 @@ class Scenario:
         if "flat" in spec:
             return RateCurve.flat(float(spec["flat"]), label)
         if "nodes" in spec:
-            return RateCurve.from_nodes([(float(t), float(z)) for t, z in spec["nodes"]],
-                                        label=label)
+            nodes = as_block(spec["nodes"], f"curve '{label}' nodes", list)
+            if not all(isinstance(node, list) and len(node) == 2 for node in nodes):
+                raise ScenarioError(f"curve '{label}' nodes must be [tenor, rate] pairs")
+            return RateCurve.from_nodes([(float(t), float(z)) for t, z in nodes], label=label)
         if "file" in spec:
             file_path = self.base_dir / spec["file"]
             if not file_path.exists():
@@ -111,7 +135,7 @@ class Scenario:
     def party(self, side: str) -> PartyCurves:
         """Party curves from spreads over risk-free (or explicit curve specs)."""
         parties = self.raw.get("parties", {})
-        cfg = _require(parties, side, "parties")
+        cfg = as_block(_require(parties, side, "parties"), f"parties.{side}", dict)
         rf = self.risk_free
         if "bond" in cfg:
             bond = self._curve_from_spec(cfg["bond"], f"bond_{side}")
@@ -133,11 +157,8 @@ class Scenario:
 
     # -- collateral / discounting ----------------------------------------------
 
-    def collateral_cfg(self) -> dict:
-        return self.raw.get("collateral", {"mode": "noncash"})
-
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
-        cfg = self.collateral_cfg()
+        cfg = self.raw.get("collateral", {})
         mode = cfg.get("mode", "noncash")
         if mode not in MODES:
             raise ScenarioError(f"unknown collateral mode {mode!r}")
@@ -245,8 +266,8 @@ class Scenario:
 
     def repo_target(self) -> tuple[str, str, list[float]]:
         cfg = _require(self.raw, "repo", "scenario")
-        tenors = [float(t) for t in cfg.get(
-            "tenors", (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0))]
+        tenors = [float(t) for t in as_block(cfg.get("tenors", list(DEFAULT_SPREAD_TENORS)),
+                                             "repo.tenors", list)]
         return (_require(cfg, "asset", "repo"), _require(cfg, "rating", "repo"),
                 tenors)
 
@@ -255,13 +276,16 @@ class Scenario:
     def netting_sets(self) -> list[NettingSet]:
         cfg = _require(self.raw, "optimizer", "scenario")
         out = []
-        for k, ns in enumerate(_require(cfg, "netting_sets", "optimizer")):
+        for k, ns in enumerate(as_block(_require(cfg, "netting_sets", "optimizer"),
+                                        "optimizer.netting_sets", list)):
+            ns = as_block(ns, f"optimizer.netting_sets[{k}]", dict)
             if "threshold" in ns:
                 # each allocation round sets the requirement to |MTM|, so a
                 # threshold would be read and then ignored
                 raise ScenarioError(f"netting set {ns.get('id', k)}: threshold is not supported")
-            profile = self.portfolio_profile(_require(ns, "portfolio", "netting_sets"),
-                                             seed_offset=k + 1)
+            profile = self.portfolio_profile(
+                as_block(_require(ns, "portfolio", "netting_sets"),
+                         f"optimizer.netting_sets[{k}].portfolio", dict), seed_offset=k + 1)
             target = ns.get("target_mtm")
             if target is not None:
                 target = float(target)

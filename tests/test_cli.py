@@ -68,6 +68,12 @@ def validation_message(capsys) -> str:
     return err["message"]
 
 
+def fail_if_reached(name: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} reached")
+    return fail
+
+
 def optimize_scenario(tmp_path, quantity=200.0):
     assets_csv = tmp_path / "assets.csv"
     assets_csv.write_text(
@@ -246,6 +252,28 @@ class TestXva:
         assert field in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("maturity_max", 1e12),
+        ("maturity_max", 1e5),
+        ("maturity_max", cxva.exposure.MAX_MATURITY * (1.0 + 1e-15)),
+        ("maturity_min", 1e12),
+    ])
+    def test_huge_maturity_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(cxva.scenario, "exposure_profile",
+                            fail_if_reached("exposure_profile"))
+        sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=5),
+                            quadrature_steps=41)
+        set_key(sc, f"portfolio.{key}", value)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_maturity_accepted(self, tmp_path):
+        portfolio = dict(SMALL_PORTFOLIO, n=5, maturity_min=cxva.exposure.MAX_MATURITY,
+                         maturity_max=cxva.exposure.MAX_MATURITY)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("key", ["vol", "mean_reversion"])
     def test_bad_mc_model_exits_2(self, tmp_path, capsys, key, value):
@@ -254,6 +282,29 @@ class TestXva:
         set_key(sc, f"portfolio.{key}", value)
         assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestBlockTypes:
+    """A scenario block of the wrong JSON type exits 2 naming the key."""
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("xva_levels", 0.5, "xva_levels"),
+        ("parties", 3, "parties"),
+        ("curves.risk_free", {"nodes": 5}, "risk_free' nodes"),
+    ])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, key, value, named):
+        sc = write_scenario(tmp_path, portfolio=SMALL_PORTFOLIO, quadrature_steps=41)
+        set_key(sc, key, value)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert named in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_array_exits_2(self, tmp_path, capsys):
+        sc = tmp_path / "scenario.json"
+        sc.write_text("[1, 2]")
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert "JSON object" in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
 
@@ -284,12 +335,6 @@ class TestIntegerKeys:
         assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert key in validation_message(capsys)
         assert not (tmp_path / "out").exists()
-
-
-def fail_if_reached(name: str):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{name} reached")
-    return fail
 
 
 class TestCountBounds:

@@ -62,17 +62,19 @@ class TestZeroRate:
 class TestDiscountFactor:
     def test_flat_closed_form(self):
         curve = RateCurve.flat(0.04)
-        assert curve.discount_factor(0.0, 1.0) == pytest.approx(math.exp(-0.04), rel=1e-15)
+        assert curve.df(1.0) == pytest.approx(math.exp(-0.04), rel=1e-15)
 
     def test_identity_at_equal_times(self):
         curve = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
-        assert curve.discount_factor(0.0, 0.0) == 1.0
-        assert curve.discount_factor(2.5, 2.5) == 1.0
+        assert curve.df(0.0) == 1.0
+        assert curve.integral(2.5, 2.5) == 0.0
 
     def test_order_error(self):
         curve = RateCurve.flat(0.02)
         with pytest.raises(CurveError):
-            curve.discount_factor(2.0, 1.0)
+            curve.df(-1.0)
+        with pytest.raises(CurveError):
+            curve.integral(2.0, 1.0)
 
     def test_vectorized(self):
         curve = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
@@ -106,8 +108,8 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_semigroup(self, curve, a, b, c):
         t1, t2, t3 = sorted((a, b, c))
-        lhs = curve.discount_factor(t1, t3)
-        rhs = curve.discount_factor(t1, t2) * curve.discount_factor(t2, t3)
+        lhs = curve.df(t3)
+        rhs = curve.df(t1) * math.exp(-curve.integral(t1, t2)) * math.exp(-curve.integral(t2, t3))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(curves(nonneg_forwards=True), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
@@ -127,16 +129,14 @@ class TestProperties:
                                                            rel=1e-12, abs=1e-15)
 
 
-class TestShifted:
-    def test_parallel_bump(self):
+class TestCombine:
+    def test_flat_spread_is_parallel_bump(self):
         curve = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
-        bumped = curve.shifted(1e-4)
+        bumped = combine_curves([curve, RateCurve.flat(1e-4)], [1.0, 1.0])
         for t in (0.5, 1.0, 3.0, 10.0):
             assert bumped.zero_rate(t) - curve.zero_rate(t) == pytest.approx(
                 1e-4, rel=1e-9)
 
-
-class TestCombine:
     def test_weighted_sum_pointwise(self):
         c1 = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
         c2 = RateCurve.from_nodes([(2.0, 0.01), (10.0, 0.015)])

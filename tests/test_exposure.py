@@ -44,6 +44,16 @@ class TestGeneratePortfolio:
         with pytest.raises(ExposureError):
             generate_portfolio(10, 1.5, (1.0, 2.0), 0.01, seed=1, curve=curve)
 
+    def test_maturity_bound(self, curve):
+        top = cxva.exposure.MAX_MATURITY
+        assert Swap(1.0, 0.02, "payer", top).payment_times()[-1] == top
+        with pytest.raises(ExposureError, match="maturity"):
+            Swap(1.0, 0.02, "payer", top * (1.0 + 1e-15))
+        with pytest.raises(ExposureError, match="maturity_max"):
+            generate_portfolio(10, 0.5, (1.0, 1e12), 0.01, seed=1, curve=curve)
+        with pytest.raises(ExposureError, match="maturity_min"):
+            generate_portfolio(10, 0.5, (2.0, 1.0), 0.01, seed=1, curve=curve)
+
     def test_rate_offset_shifts_band(self, curve):
         book = generate_portfolio(200, 1.0, (1.0, 30.0), 0.005, seed=5,
                                   curve=curve, rate_offset=0.02)

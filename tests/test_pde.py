@@ -7,8 +7,8 @@ import pytest
 
 from cxva import pde
 from cxva.collateral import CollateralState
-from cxva.curves import PartyCurves, RateCurve, load_curve_csv
-from cxva.discounting import EffectiveRateSpec, effective_rate
+from cxva.curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
+from cxva.discounting import EffectiveRateSpec, effective_rate, risk_free_spec
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
                       solve, xva_pde)
 
@@ -147,12 +147,21 @@ class TestRateTable:
                         vol=0.3, div_yield=0.005)
     GRID = GridSpec(s_nodes=60, t_steps=60)
 
+    def _over_ois(self, spread: float) -> RateCurve:
+        return combine_curves([self.OIS, RateCurve.flat(spread)], [1.0, 1.0])
+
     def _spec(self, mode: str) -> EffectiveRateSpec:
-        ois = self.OIS
+        if mode == "symmetric":
+            # both parties alike: a sign flip does not change the rate
+            party = PartyCurves(bond=self._over_ois(0.02), liquidity=self._over_ois(0.007))
+            return EffectiveRateSpec(
+                party_b=party, party_c=party, risk_free=self.OIS,
+                state=CollateralState(eta_b=0.5, eta_c=0.5, chi_b=0.6, chi_c=0.6),
+                repo_spread_c=0.009)
         return EffectiveRateSpec(
-            party_b=PartyCurves(bond=ois.shifted(0.0125), liquidity=ois.shifted(0.005)),
-            party_c=PartyCurves(bond=ois.shifted(0.03), liquidity=ois.shifted(0.01)),
-            risk_free=ois,
+            party_b=PartyCurves(bond=self._over_ois(0.0125), liquidity=self._over_ois(0.005)),
+            party_c=PartyCurves(bond=self._over_ois(0.03), liquidity=self._over_ois(0.01)),
+            risk_free=self.OIS,
             state=CollateralState(eta_b=0.4, eta_c=0.6, chi_b=0.3, chi_c=0.7),
             mode=mode,
             cash_rate=self.CASH if mode == "cash_comingled" else None,
@@ -185,27 +194,36 @@ class TestRateTable:
         spec = self._spec(mode)
         log = self._spy(monkeypatch, "_node_rates", "_operator")
         solve(self.OPTION, spec, self.GRID)
-        # each operator is built right after the node rates it uses
-        assert [name for name, _, _ in log] == ["_node_rates", "_operator"] * (len(log) // 2)
+        # (step table, time index, value) each rate vector was built from;
+        # the log keeps every vector alive, so ids are not reused
+        built_from = {id(out): args for name, args, out in log if name == "_node_rates"}
         seen = set()
-        for (_, rate_args, rates), (_, op_args, _) in zip(log[0::2], log[1::2]):
-            t = rate_args[0].t[rate_args[1]]
-            v = rate_args[2]
+        for _, (_, _, conv, _, rho), _ in (entry for entry in log if entry[0] == "_operator"):
+            fwd, k, v = built_from[id(rho)]
+            t = fwd.t[k]
             expected = np.where(v > 0.0, effective_rate(spec, t, +1),
                                 effective_rate(spec, t, -1))
-            assert np.array_equal(rates, expected), t
-            assert np.array_equal(op_args[4], expected), t
+            assert np.array_equal(rho, expected), t
             # the stock is financed at the risk-free rate
-            assert op_args[2] == self.OIS.forward_rate(t) - self.OPTION.div_yield, t
+            assert conv == self.OIS.forward_rate(t) - self.OPTION.div_yield, t
             seen.add(float(t))
         assert seen == set(self._step_times())
-        signs = np.concatenate([args[2] > 0.0 for _, args, _ in log[0::2]])
+        signs = np.concatenate([args[2] > 0.0 for name, args, _ in log
+                                if name == "_node_rates"])
         assert signs.any() and not signs.all()
 
-    def test_risk_free_override_reads_risk_free_forward(self, monkeypatch):
+    def test_risk_free_spec_rate_is_risk_free_forward(self):
+        step_t = self._step_times()
+        rates = self.OIS.forward_rate(step_t)
+        spec = risk_free_spec(self.OIS)
+        fwd = pde._ForwardTable.build(spec, step_t)
+        assert np.array_equal(fwd.rates, np.stack((rates, rates), axis=1))
+        for t, rate in zip(step_t, rates):
+            assert effective_rate(spec, t, +1) == rate == effective_rate(spec, t, -1), t
+
+    def test_risk_free_spec_reads_risk_free_forward(self, monkeypatch):
         log = self._spy(monkeypatch, "_operator")
-        solve(self.OPTION, self._spec("noncash"), self.GRID,
-              risk_free_override=True)
+        solve(self.OPTION, risk_free_spec(self.OIS), self.GRID)
         step_t = self._step_times()
         conv = self.OIS.forward_rate(step_t) - self.OPTION.div_yield
         rates = self.OIS.forward_rate(step_t)
@@ -265,8 +283,8 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
 
 
 class TestFixedPointStop:
-    """A step stops at the sweep whose result keeps the sign mask its rates
-    were built from; solutions and sweep counts are those of the full-sweep
+    """A step stops at the sweep whose result rebuilds the node rates that
+    sweep used; solutions and sweep counts are those of the full-sweep
     iteration."""
 
     GRID = GridSpec(s_nodes=80, t_steps=60)
@@ -288,11 +306,12 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("star", [False, True])
     @pytest.mark.parametrize("position", [1.0, -1.0])
     @pytest.mark.parametrize("payoff", ["call", "put", "forward"])
-    @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
+    @pytest.mark.parametrize("mode", ["noncash", "cash_comingled", "symmetric"])
     def test_equals_full_sweep_iteration(self, mode, payoff, position, star):
+        # star: V* under the risk-free spec against the oracle's r_e = r
         option = self._option(payoff, position)
         spec = TestRateTable()._spec(mode)
-        sol = solve(option, spec, self.GRID, risk_free_override=star)
+        sol = solve(option, risk_free_spec(spec.risk_free) if star else spec, self.GRID)
         v0, iters = reference_solve(option, spec, self.GRID, risk_free_override=star)
         assert np.array_equal(sol.v0, v0)
         assert sol.max_picard_iters == iters
@@ -328,12 +347,20 @@ class TestFixedPointStop:
             assert np.array_equal(sol.v0, expected[0])
             assert sol.max_picard_iters == expected[1]
 
-    def test_risk_free_value_solves_once_per_step(self, monkeypatch, spec_factory):
+    def test_risk_free_value_solves_once_per_step(self, monkeypatch, ois_flat):
         calls = self._count_solves(monkeypatch)
         grid = GridSpec(s_nodes=100, t_steps=80)
-        sol = solve(ATM_CALL, spec_factory(eta=0.5, chi=1.0, repo_spread=0.01), grid,
-                    risk_free_override=True)
+        sol = solve(ATM_CALL, risk_free_spec(ois_flat), grid)
         assert len(calls) == grid.t_steps + 1  # Rannacher: two half-steps
+        assert sol.max_picard_iters == 2
+
+    def test_symmetric_parties_solve_once_per_step(self, monkeypatch):
+        # the forward's sign flips move nodes between the parties, whose
+        # rates are equal: every step stops after its first sweep
+        calls = self._count_solves(monkeypatch)
+        sol = solve(self._option("forward", 1.0), TestRateTable()._spec("symmetric"),
+                    self.GRID)
+        assert len(calls) == self.GRID.t_steps + 1
         assert sol.max_picard_iters == 2
 
     def test_adjusted_call_solves_about_once_per_step(self, monkeypatch, spec_factory):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -107,3 +108,24 @@ class TestNettingSets:
         sc = Scenario.load(write(tmp_path, payload))
         with pytest.raises(ScenarioError):
             sc.netting_sets()
+
+
+class TestNestedBlockTypes:
+    """A nested block of the wrong JSON type raises ScenarioError naming
+    its key where it is read, not a TypeError."""
+
+    @pytest.mark.parametrize("override, read, named", [
+        ({"curves": {"risk_free": {"nodes": [5]}}}, lambda sc: sc.risk_free, "risk_free' nodes"),
+        ({"parties": {"b": 3}}, lambda sc: sc.party("b"), "parties.b"),
+        ({"repo": {"tenors": 5}}, lambda sc: sc.repo_target(), "repo.tenors"),
+        ({"optimizer": {"netting_sets": 5}}, lambda sc: sc.netting_sets(),
+         "optimizer.netting_sets"),
+        ({"optimizer": {"netting_sets": [5]}}, lambda sc: sc.netting_sets(),
+         "optimizer.netting_sets[0]"),
+        ({"optimizer": {"netting_sets": [{"id": "S", "rating": "A", "portfolio": 5}]}},
+         lambda sc: sc.netting_sets(), "optimizer.netting_sets[0].portfolio"),
+    ])
+    def test_wrong_type_names_key(self, tmp_path, override, read, named):
+        sc = Scenario.load(write(tmp_path, dict(BASE, **override)))
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            read(sc)
