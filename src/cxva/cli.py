@@ -19,20 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .collateral import CollateralError, CollateralState
+from .collateral import CollateralError
 from .curves import CurveError
 from .exposure import ExposureError
 from .optimizer import (AllocationError, AllocationInfeasibleError,
                         iterate_allocation)
 from .pde import PdeError, PicardConvergenceError, xva_pde
 from .repo import RepoModelError, breakeven_spread, repo_curve
-from .scenario import Scenario, ScenarioError, as_int
+from .scenario import MAX_SWEEP_POINTS, Scenario, ScenarioError
 from .simplex import LpSolverError
 from .xva import XvaError, decompose, to_running_spread
 
+# ArithmeticError: inputs so extreme that a command's arithmetic overflows
 VALIDATION_ERRORS = (ScenarioError, CurveError, CollateralError, ExposureError,
                      PdeError, XvaError, AllocationError, RepoModelError,
-                     KeyError, ValueError)
+                     KeyError, ValueError, ArithmeticError)
 SOLVER_ERRORS = (PicardConvergenceError, AllocationInfeasibleError, LpSolverError)
 
 
@@ -57,8 +58,7 @@ def _csv_line(cells) -> str:
 
 
 def cmd_price(scenario: Scenario, out: Path) -> dict:
-    spec = scenario.effective_spec()
-    res = xva_pde(scenario.option(), spec, scenario.grid())
+    res = xva_pde(scenario.option(), scenario.effective_spec(), scenario.grid())
     payload = {"npv": res.v, "v_star": res.v_star, "xva": res.u}
     _write_json(out / "price.json", payload)
     return payload
@@ -71,13 +71,9 @@ def _option_sweep_points(scenario: Scenario, points: int):
         spec = scenario.effective_spec(collateralization=float(eta))
         # counterparty-risk-only twin: the whole collateralized share earns
         # risk-free, so what remains of XVA is the unsecured (1-eta) part
-        cra_state = CollateralState(eta_b=spec.state.eta_b,
-                                    eta_c=spec.state.eta_c,
-                                    chi_b=1.0, chi_c=1.0)
-        cra_spec = dataclasses.replace(spec, mode="cash_comingled",
-                                       state=cra_state,
-                                       cash_rate=spec.risk_free,
-                                       repo_spread_c=None, repo_spread_b=None)
+        cra_spec = dataclasses.replace(
+            spec, mode="cash_comingled", cash_rate=spec.risk_free, repo_spread_c=None,
+            repo_spread_b=None, state=dataclasses.replace(spec.state, chi_b=1.0, chi_c=1.0))
         row = [float(eta)]
         for position in (1.0, -1.0):
             option = scenario.option(position=position)
@@ -91,15 +87,10 @@ def _option_sweep_points(scenario: Scenario, points: int):
 def _portfolio_reports(scenario: Scenario, levels):
     """(eta, report with basis-point twins) of the scenario's portfolio at
     each collateralization level."""
-    n_steps = scenario.quadrature_steps
-    profile = scenario.portfolio_profile()
-    out = []
-    for eta in levels:
-        spec = scenario.effective_spec(collateralization=float(eta))
-        report = to_running_spread(decompose(profile, spec, n_steps=n_steps),
-                                   profile.annuity)
-        out.append((float(eta), report))
-    return out
+    n_steps, profile = scenario.quadrature_steps, scenario.portfolio_profile()
+    return [(float(eta), to_running_spread(decompose(
+        profile, scenario.effective_spec(collateralization=float(eta)), n_steps=n_steps),
+        profile.annuity)) for eta in levels]
 
 
 def _portfolio_sweep_points(scenario: Scenario, points: int):
@@ -107,19 +98,16 @@ def _portfolio_sweep_points(scenario: Scenario, points: int):
             for eta, rep in _portfolio_reports(scenario, np.linspace(0.0, 1.0, points))]
 
 
-# largest sweep: an option sweep runs 8 PDE solves a point
-MAX_SWEEP_POINTS = 1_000
-
-
-def cmd_sweep(scenario: Scenario, out: Path, points: int) -> dict:
+def cmd_sweep(scenario: Scenario, out: Path, points: int | None = None) -> dict:
+    if points is None:
+        points = scenario.config["sweep"]["points"]
     if not 2 <= points <= MAX_SWEEP_POINTS:
         raise ScenarioError(f"sweep needs at least 2 points and at most {MAX_SWEEP_POINTS} "
                             f"(--points or sweep.points), got {points}")
-    if "option" in scenario.raw:
-        header = ["collateralization", "cra_long", "xva_long", "cra_short",
-                  "xva_short"]
+    if scenario.has("option"):
+        header = ["collateralization", "cra_long", "xva_long", "cra_short", "xva_short"]
         rows = _option_sweep_points(scenario, points)
-    elif "portfolio" in scenario.raw:
+    elif scenario.has("portfolio"):
         header = ["collateralization", "cra", "lva", "xva"]
         rows = _portfolio_sweep_points(scenario, points)
     else:
@@ -135,20 +123,17 @@ XVA_ROWS = ("npv", "xva", "lva", "cra", "cva", "dva", "cfa", "dfa")
 
 
 def cmd_xva(scenario: Scenario, out: Path) -> dict:
-    reports = dict(_portfolio_reports(
-        scenario, scenario.raw.get("xva_levels", [0.0, 0.5, 1.0])))
+    reports = dict(_portfolio_reports(scenario, scenario.config["xva_levels"]))
     # rows NPV..DFA by collateralization column; NPV in value units, the
     # adjustments as running spreads in basis points
     text = _csv_line(["row"] + [_fmt(e) for e in reports])
     for name in XVA_ROWS:
-        cells = [name.upper()]
-        for eta, rep in reports.items():
-            cells.append(_fmt(rep.npv if name == "npv" else rep.bp[name]))
-        text += _csv_line(cells)
+        text += _csv_line([name.upper()] + [_fmt(rep.npv if name == "npv" else rep.bp[name])
+                                            for rep in reports.values()])
     _write(out / "xva_table.csv", text)
     _write_json(out / "xva.json",
                 {f"{eta:g}": rep.to_dict() for eta, rep in reports.items()})
-    return {"levels": [float(e) for e in reports], "file": "xva_table.csv"}
+    return {"levels": list(reports), "file": "xva_table.csv"}
 
 
 def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
@@ -182,15 +167,10 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
     n_steps = scenario.quadrature_steps
     assets = scenario.assets()
     sets = scenario.netting_sets()
-    poster = scenario.party("c")
-    params = scenario.repo_params()
     result = iterate_allocation(
-        assets, sets, poster, scenario.risk_free, params,
-        hqla_floor=float(cfg.get("hqla_floor", 0.0)),
-        funding_haircut=str(cfg.get("funding_haircut", "csa")),
-        tol=float(cfg.get("tol", 0.01)),
-        max_iter=as_int(cfg.get("max_iter", 5), "optimizer.max_iter"),
-        n_steps=n_steps)
+        assets, sets, scenario.party("c"), scenario.risk_free, scenario.repo_params(),
+        hqla_floor=cfg["hqla_floor"], funding_haircut=cfg["funding_haircut"],
+        tol=cfg["tol"], max_iter=cfg["max_iter"], n_steps=n_steps)
 
     _write(out / "unit_lva.csv", _allocation_csv(assets, sets, result.states[0].unit_lva))
     for k, state in enumerate(result.states):
@@ -211,6 +191,9 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
 
 # -- entry point ------------------------------------------------------------------
 
+COMMANDS = {"price": cmd_price, "sweep": cmd_sweep, "xva": cmd_xva,
+            "repo-curve": cmd_repo_curve, "optimize": cmd_optimize}
+
 
 def _error_json(kind: str, err: Exception) -> str:
     return json.dumps({"error": {"type": kind, "message": str(err),
@@ -222,8 +205,7 @@ def main(argv=None) -> int:
         prog="cxva",
         description="Derivatives pricing and collateral optimization under "
                     "imperfect collateral")
-    parser.add_argument("command",
-                        choices=["price", "sweep", "xva", "repo-curve", "optimize"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -233,20 +215,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scenario = Scenario.load(args.scenario, seed_override=args.seed)
-        out = Path(args.out)
-        if args.command == "price":
-            payload = cmd_price(scenario, out)
-        elif args.command == "sweep":
-            points = args.points if args.points is not None else as_int(
-                scenario.raw.get("sweep", {}).get("points", 11), "sweep.points")
-            payload = cmd_sweep(scenario, out, points)
-        elif args.command == "xva":
-            payload = cmd_xva(scenario, out)
-        elif args.command == "repo-curve":
-            payload = cmd_repo_curve(scenario, out)
-        else:
-            payload = cmd_optimize(scenario, out)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scenario = Scenario.load(args.scenario, seed_override=args.seed)
+            out = Path(args.out)
+            if args.command == "sweep":
+                payload = cmd_sweep(scenario, out, args.points)
+            else:
+                payload = COMMANDS[args.command](scenario, out)
     except SOLVER_ERRORS as err:
         sys.stderr.write(_error_json("solver", err) + "\n")
         return 3

@@ -86,10 +86,10 @@ class RateCurve:
         return out
 
     def zero_rate(self, t):
-        """Continuously compounded zero rate at t (scalar or array), t > 0."""
+        """Continuously compounded zero rate at t (scalar or array), finite t > 0."""
         t = _as_array(t)
-        if np.any(t <= 0.0):
-            raise CurveError("zero_rate requires t > 0")
+        if not np.all((t > 0.0) & np.isfinite(t)):
+            raise CurveError("zero_rate requires finite t > 0")
         out = self._zt(t) / t
         return float(out) if out.ndim == 0 else out
 

@@ -81,8 +81,8 @@ class EffectiveRateSpec:
         object.__setattr__(self, "repo_spread_c", _as_spread_curve(self.repo_spread_c))
         spread_b = self.repo_spread_b if self.repo_spread_b is not None else self.repo_spread_c
         object.__setattr__(self, "repo_spread_b", _as_spread_curve(spread_b))
-        if self.mode in ("cash_comingled", "cash_segregated") and self.cash_rate is None:
-            raise ValueError(f"mode {self.mode!r} needs a cash_rate curve")
+        if self.mode == "cash_comingled" and self.cash_rate is None:
+            raise ValueError("mode 'cash_comingled' needs a cash_rate curve")
         if self.repo_spread_c is None:
             object.__setattr__(self, "repo_spread_c", RateCurve.flat(0.0, "spread"))
             object.__setattr__(self, "repo_spread_b", RateCurve.flat(0.0, "spread"))
@@ -92,12 +92,13 @@ class EffectiveRateSpec:
                 raise CurveError("liquidity rate must be >= risk-free rate at every tenor")
 
         # the mode's policy: uncollateralized protects nothing; declared-
-        # segregated modes force the unfunded case (comingled cash and
-        # securities read chi per direction); cash funds at r_L - r
+        # segregated modes (segregated cash, initial margin) force the
+        # unfunded case, so they read no cash curve; comingled cash and
+        # securities read chi per direction; comingled cash funds at r_L - r
         protected = self.mode != "uncollateralized"
         funded = self.mode not in ("cash_segregated", "initial_margin")
         cash_spread = None
-        if self.mode in ("cash_comingled", "cash_segregated"):
+        if self.mode == "cash_comingled":
             cash_spread = combine_curves([self.cash_rate, self.risk_free], [1.0, -1.0],
                                          label="cash_spread")
         st = self.state

@@ -256,6 +256,8 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
     """
     if not tol > 0.0:
         raise AllocationError("tol must be > 0")
+    if max_iter < 1:
+        raise AllocationError("max_iter must be >= 1")
     mtm_star = np.array([ns.profile.mtm0 for ns in sets], dtype=float)
     benefit = np.zeros((len(assets), len(sets)))
     spreads: dict[tuple[int, str], RateCurve] = {}  # one curve per (asset, rating)

@@ -1,18 +1,25 @@
 """Scenario files: JSON descriptions of market data and run configurations.
 
-A scenario bundles curve specs (inline flat rates, inline nodes, or CSV file
-references), party funding curves given as spreads over the risk-free curve,
-a collateral block, and one or more work descriptions (option, portfolio,
-repo, optimizer). Every random quantity derives from the single scenario
-seed, so identical scenario + seed means identical outputs.
+A scenario bundles curve specs, party funding curves given as spreads over
+the risk-free curve, a collateral block, and one or more work descriptions
+(option, portfolio, repo, optimizer). Every random quantity derives from the
+single scenario seed, so identical scenario + seed means identical outputs.
+
+``SCHEMA`` declares every key a scenario may hold: its JSON kind, default and
+bounds. ``Scenario`` reads each value through it when a command first needs
+it; a value of another kind raises ScenarioError naming its dotted key.
+Keys it does not declare are ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
-
+from typing import NamedTuple
 
 from .collateral import CollateralAsset, CollateralState, chi, load_assets_csv
 from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
@@ -29,47 +36,153 @@ class ScenarioError(ValueError):
     """The scenario file is missing, malformed, or references absent inputs."""
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"scenario is missing '{key}' in {context}")
-    return mapping[key]
+# largest sweep or xva_levels: an option sweep runs 8 PDE solves a point
+MAX_SWEEP_POINTS = 1_000
+REQUIRED = object()
+# a curve spec is a number (a flat rate) or an object holding one of these
+CURVE_FORMS = ("flat", "nodes", "file")
 
 
-def as_int(value, key: str) -> int:
-    """An integer scenario value; anything else (inf, NaN, a fraction, a
-    string or a boolean) raises ScenarioError naming the key."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ScenarioError(f"{key} must be an integer, got {value!r}")
+class Key(NamedTuple):
+    """A scenario key: JSON kind ("number", "integer", "string", "curve", "array"
+    or "object"), default (None: absent and null mean "not given"), inclusive
+    bounds on an integer or array length, item kind and SCHEMA section."""
+
+    kind: str
+    default: object = REQUIRED
+    bounds: tuple | None = None
+    item: str | None = None
+    section: str | None = None
 
 
-def as_block(value, key: str, kind: type):
-    """A JSON object (kind dict) or array (kind list), else ScenarioError naming the key."""
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
-        raise ScenarioError(f"{key} must be a JSON {name}, got {value!r:.60}")
-    return value
+def _number(default=REQUIRED) -> Key:
+    return Key("number", default)
 
 
-# The JSON type of each top-level block, checked on load, by its readers.
-BLOCK_TYPES = {
-    # Scenario.curve, party, effective_spec, option, grid
-    "curves": dict, "parties": dict, "collateral": dict, "option": dict, "grid": dict,
-    # Scenario.portfolio*, exposure_model, repo_*, assets, netting_sets, optimizer_cfg
-    "portfolio": dict, "repo": dict, "optimizer": dict,
-    "sweep": dict, "xva_levels": list,  # cli.main, cli.cmd_xva
+# every key a scenario may hold, by section; "scenario" is the top level
+SCHEMA = {
+    "scenario": {
+        "seed": Key("integer", 0, (0, math.inf)), "curves": Key("object", {}, section="curves"),
+        "parties": Key("object", {}, section="parties"),
+        "collateral": Key("object", {}, section="collateral"),
+        "option": Key("object", section="option"), "grid": Key("object", {}, section="grid"),
+        "portfolio": Key("object", section="portfolio"),
+        "quadrature_steps": Key("integer", 200, (1, MAX_QUADRATURE_STEPS)),
+        "xva_levels": Key("array", [0.0, 0.5, 1.0], (1, MAX_SWEEP_POINTS), "number"),
+        "sweep": Key("object", {}, section="sweep"),
+        "assets_file": Key("string"), "repo": Key("object", {}, section="repo"),
+        "optimizer": Key("object", {}, section="optimizer")},
+    "curves": {"risk_free": Key("curve"), "cash": Key("curve", None),
+               "mu0": Key("curve", 0.0), "hazard": Key("curve", 0.0)},
+    "parties": {"b": Key("object", section="party"), "c": Key("object", section="party")},
+    # spreads are over risk-free; omitted liquidity is bond - hazard
+    "party": {"bond": Key("curve", None), "bond_spread": _number(), "hazard": Key("curve", None),
+              "liquidity": Key("curve", None), "liquidity_spread": _number(None)},
+    # chi, when not given, follows from the haircuts
+    "collateral": {"mode": Key("string", "noncash"), "collateralization": _number(1.0),
+                   "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
+                   "repo_spread": Key("curve", 0.0)},
+    "option": {"payoff": Key("string"), "strike": _number(0.0), "maturity": _number(),
+               "spot": _number(), "vol": _number(), "div_yield": _number(0.0)},
+    "grid": {"s_nodes": Key("integer", 200), "t_steps": Key("integer", 200),
+             "s_max_mult": _number(5.0)},
+    "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
+                  "maturity_min": _number(0.25), "maturity_max": _number(30.0),
+                  "rate_band": _number(0.01), "rate_offset": _number(0.0),
+                  "pay_freq": Key("integer", 2), "notional": _number(1.0),
+                  "model": Key("string", "deterministic"), "mean_reversion": _number(0.05),
+                  "vol": _number(0.01), "paths": Key("integer", 2000, (1000, MAX_PATHS)),
+                  "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
+    "sweep": {"points": Key("integer", 11)},
+    "repo": {"roe": _number(0.10), "expected_gap_loss": _number(0.0), "asset": Key("string"),
+             "rating": Key("string"), "tenors": Key("array", list(DEFAULT_SPREAD_TENORS),
+                                                    (1, math.inf), "number")},
+    "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
+                  "funding_haircut": Key("string", "csa"), "tol": _number(0.01),
+                  "max_iter": Key("integer", 5),
+                  "netting_sets": Key("array", REQUIRED, (1, math.inf), "object", "netting_set")},
+    # each allocation round sets a set's requirement to |MTM|, so a
+    # threshold would be read and then ignored: one is rejected
+    "netting_set": {"id": Key("string"), "rating": Key("string"), "target_mtm": _number(None),
+                    "threshold": _number(None), "portfolio": Key("object", section="portfolio")},
 }
 
 
-def as_count(value, key: str, lo: int, hi: int) -> int:
-    """An integer scenario value in [lo, hi] that sizes arrays; anything
-    else raises ScenarioError naming the key, before any array is built."""
-    n = as_int(value, key)
-    if not lo <= n <= hi:
-        raise ScenarioError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
-    return n
+def _convert(key: Key, value, name: str, base_dir: Path):
+    """``value`` as ``key`` declares it, read at the dotted ``name``; a value
+    of another JSON kind raises ScenarioError naming ``name``."""
+    kind = key.kind
+    if kind == "object":
+        return _Block(key.section, value, name, base_dir)
+    if kind == "curve":
+        return _curve(value, name, base_dir)
+    if kind == "array":
+        lo, hi = key.bounds
+        if not (isinstance(value, list) and lo <= len(value) <= hi):
+            raise ScenarioError(f"{name} must be an array of {lo} to {hi} {key.item}s, "
+                                f"got {value!r:.60}")
+        item = Key(key.item, section=key.section)
+        return [_convert(item, v, f"{name}[{i}]", base_dir) for i, v in enumerate(value)]
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind == "string" and isinstance(value, str):
+        return value
+    if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
+        lo, hi = key.bounds or (value, value)
+        if not lo <= value <= hi:
+            raise ScenarioError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+        return value
+    if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            return float(value)
+    raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
+
+
+def _curve(spec, name: str, base_dir: Path) -> RateCurve:
+    """A curve spec: a number or {"flat": r}, {"nodes": [[t, z], ...]} or
+    {"file": "relative.csv"} (CSV header tenor_years,zero_rate)."""
+    if not isinstance(spec, dict) or "flat" in spec:
+        rate = spec["flat"] if isinstance(spec, dict) else spec
+        return RateCurve.flat(_convert(_number(), rate, name, base_dir), name)
+    if "nodes" in spec:
+        nodes = spec["nodes"]
+        if not (isinstance(nodes, list) and all(isinstance(n, list) and len(n) == 2
+                                                for n in nodes)):
+            raise ScenarioError(f"curve '{name}' nodes must be [tenor, rate] pairs")
+        return RateCurve.from_nodes([[_convert(_number(), x, f"{name}.nodes[{i}]", base_dir)
+                                      for x in node] for i, node in enumerate(nodes)], name)
+    if "file" not in spec:
+        raise ScenarioError(f"curve '{name}' needs one of {', '.join(CURVE_FORMS)}")
+    path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
+    if not path.is_file():
+        raise ScenarioError(f"curve file not found: {path}")
+    return load_curve_csv(path, label=name)
+
+
+class _Block(Mapping):
+    """A scenario object read through its SCHEMA section: each value is
+    converted when it is looked up, so a command checks the keys it reads."""
+
+    def __init__(self, section: str, raw, path: str, base_dir: Path):
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"{path} must be a JSON object, got {raw!r:.60}")
+        self.section, self.raw, self.path, self.base_dir = section, raw, path, base_dir
+
+    def __getitem__(self, name: str):
+        key = SCHEMA[self.section][name]
+        dotted = f"{self.path}.{name}" if self.path else name
+        value = self.raw.get(name, key.default)
+        if value is REQUIRED:
+            raise ScenarioError(f"scenario is missing '{dotted}'")
+        if value is None and key.default is None:
+            return None
+        return _convert(key, value, dotted, self.base_dir)
+
+    def __iter__(self):
+        return iter(SCHEMA[self.section])
+
+    def __len__(self) -> int:
+        return len(SCHEMA[self.section])
 
 
 @dataclass
@@ -80,53 +193,31 @@ class Scenario:
     base_dir: Path
     seed: int
 
-    # -- loading -------------------------------------------------------------
-
     @classmethod
     def load(cls, path, seed_override: int | None = None) -> "Scenario":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ScenarioError(f"scenario file not found: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ScenarioError(f"{path}: invalid JSON: {err}") from err
-        as_block(raw, f"{path}: the scenario", dict)
-        for key, kind in BLOCK_TYPES.items():
-            if key in raw:
-                as_block(raw[key], key, kind)
-        seed = seed_override if seed_override is not None \
-            else as_int(raw.get("seed", 0), "seed")
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"{path}: a scenario must be a JSON object, got {raw!r:.60}")
+        seed = _Block("scenario", raw, "", path.parent)["seed"] if seed_override is None \
+            else seed_override
         return cls(raw=raw, base_dir=path.parent, seed=seed)
 
-    # -- curves ----------------------------------------------------------------
+    @property
+    def config(self) -> Mapping:
+        """The scenario's top level, its values typed as SCHEMA declares."""
+        return _Block("scenario", self.raw, "", self.base_dir)
 
-    def _curve_from_spec(self, spec, label: str) -> RateCurve:
-        if isinstance(spec, (int, float)):
-            return RateCurve.flat(float(spec), label)
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"curve '{label}' must be a number or object")
-        if "flat" in spec:
-            return RateCurve.flat(float(spec["flat"]), label)
-        if "nodes" in spec:
-            nodes = as_block(spec["nodes"], f"curve '{label}' nodes", list)
-            if not all(isinstance(node, list) and len(node) == 2 for node in nodes):
-                raise ScenarioError(f"curve '{label}' nodes must be [tenor, rate] pairs")
-            return RateCurve.from_nodes([(float(t), float(z)) for t, z in nodes], label=label)
-        if "file" in spec:
-            file_path = self.base_dir / spec["file"]
-            if not file_path.exists():
-                raise ScenarioError(f"curve file not found: {file_path}")
-            return load_curve_csv(file_path, label=label)
-        raise ScenarioError(f"curve '{label}' needs 'flat', 'nodes' or 'file'")
+    def has(self, block: str) -> bool:
+        return block in self.raw
 
-    def curve(self, name: str, default: RateCurve | None = None) -> RateCurve:
-        curves = self.raw.get("curves", {})
-        if name not in curves:
-            if default is not None:
-                return default
-            raise ScenarioError(f"scenario is missing curve '{name}'")
-        return self._curve_from_spec(curves[name], name)
+    def curve(self, name: str) -> RateCurve | None:
+        return self.config["curves"][name]
 
     @property
     def risk_free(self) -> RateCurve:
@@ -134,171 +225,105 @@ class Scenario:
 
     def party(self, side: str) -> PartyCurves:
         """Party curves from spreads over risk-free (or explicit curve specs)."""
-        parties = self.raw.get("parties", {})
-        cfg = as_block(_require(parties, side, "parties"), f"parties.{side}", dict)
-        rf = self.risk_free
-        if "bond" in cfg:
-            bond = self._curve_from_spec(cfg["bond"], f"bond_{side}")
-        else:
-            bond = combine_curves([rf, RateCurve.flat(float(_require(cfg, "bond_spread",
-                                                                     f"parties.{side}")))],
-                                  [1.0, 1.0], f"bond_{side}")
-        hazard = None
-        if "hazard" in cfg:
-            hazard = self._curve_from_spec(cfg["hazard"], f"hazard_{side}")
-        if "liquidity" in cfg:
-            liquidity = self._curve_from_spec(cfg["liquidity"], f"liquidity_{side}")
-        elif "liquidity_spread" in cfg:
-            liquidity = combine_curves([rf, RateCurve.flat(float(cfg["liquidity_spread"]))],
-                                       [1.0, 1.0], f"liquidity_{side}")
-        else:
-            liquidity = None  # derived from bond - hazard when hazard given
-        return PartyCurves(bond=bond, liquidity=liquidity, hazard=hazard)
+        cfg = self.config["parties"][side]
 
-    # -- collateral / discounting ----------------------------------------------
+        def over_risk_free(curve: str) -> RateCurve | None:
+            spread = cfg[f"{curve}_spread"]
+            return None if spread is None else combine_curves(
+                [self.risk_free, RateCurve.flat(spread)], [1.0, 1.0], f"{curve}_{side}")
+
+        return PartyCurves(bond=cfg["bond"] or over_risk_free("bond"),
+                           liquidity=cfg["liquidity"] or over_risk_free("liquidity"),
+                           hazard=cfg["hazard"])
 
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
-        cfg = self.raw.get("collateral", {})
-        mode = cfg.get("mode", "noncash")
-        if mode not in MODES:
-            raise ScenarioError(f"unknown collateral mode {mode!r}")
-        eta = cfg.get("collateralization", 1.0) if collateralization is None \
-            else collateralization
-        if not 0.0 <= float(eta) <= 1.0:
-            raise ScenarioError("collateralization must be in [0, 1]")
-        if "chi" in cfg:
-            x = float(cfg["chi"])
-        elif "h_csa" in cfg or "h_repo" in cfg:
-            x = chi(float(cfg.get("h_repo", 0.0)), float(cfg.get("h_csa", 0.0)))
-        else:
-            x = 1.0
-        state = CollateralState(eta_b=float(eta), eta_c=float(eta),
-                                chi_b=x, chi_c=x)
-        spread = cfg.get("repo_spread", 0.0)
-        spread_curve = self._curve_from_spec(spread, "repo_spread") \
-            if isinstance(spread, dict) else float(spread)
-        cash = self.curve("cash", default=self.risk_free) \
-            if mode in ("cash_comingled", "cash_segregated") else None
+        cfg = self.config["collateral"]
+        if cfg["mode"] not in MODES:
+            raise ScenarioError(f"unknown collateral mode {cfg['mode']!r}")
+        eta = cfg["collateralization"] if collateralization is None else collateralization
+        if not 0.0 <= eta <= 1.0:
+            raise ScenarioError(f"collateralization must be in [0, 1], got {eta!r}")
+        x = cfg["chi"] if cfg["chi"] is not None else chi(cfg["h_repo"], cfg["h_csa"])
+        # segregated cash is unfunded (chi = 0): only comingled cash reads a curve
+        cash = self.curve("cash") or self.risk_free if cfg["mode"] == "cash_comingled" else None
         return EffectiveRateSpec(party_b=self.party("b"), party_c=self.party("c"),
-                                 risk_free=self.risk_free, state=state, mode=mode,
-                                 cash_rate=cash, repo_spread_c=spread_curve)
-
-    # -- option ------------------------------------------------------------------
+                                 risk_free=self.risk_free, mode=cfg["mode"],
+                                 state=CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x),
+                                 cash_rate=cash, repo_spread_c=cfg["repo_spread"])
 
     def option(self, position: float = 1.0) -> OptionSpec:
-        cfg = _require(self.raw, "option", "scenario")
-        return OptionSpec(payoff=_require(cfg, "payoff", "option"),
-                          strike=float(cfg.get("strike", 0.0)),
-                          maturity=float(_require(cfg, "maturity", "option")),
-                          spot=float(_require(cfg, "spot", "option")),
-                          vol=float(_require(cfg, "vol", "option")),
-                          div_yield=float(cfg.get("div_yield", 0.0)),
-                          position=position)
+        return OptionSpec(**self.config["option"], position=position)
 
     def grid(self) -> GridSpec:
-        cfg = self.raw.get("grid", {})
-        return GridSpec(s_nodes=as_int(cfg.get("s_nodes", 200), "grid.s_nodes"),
-                        t_steps=as_int(cfg.get("t_steps", 200), "grid.t_steps"),
-                        s_max_mult=float(cfg.get("s_max_mult", 5.0)))
+        return GridSpec(**self.config["grid"])
 
-    # -- portfolio -----------------------------------------------------------------
+    def _portfolio(self, cfg) -> Mapping:
+        """``cfg`` (a block or a raw portfolio object), by default the scenario's portfolio."""
+        if isinstance(cfg, dict):
+            return _Block("portfolio", cfg, "portfolio", self.base_dir)
+        return self.config["portfolio"] if cfg is None else cfg
 
-    def portfolio(self, cfg: dict | None = None, seed_offset: int = 0) -> list[Swap]:
-        cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
+    def portfolio(self, cfg=None, seed_offset: int = 0) -> list[Swap]:
+        cfg = self._portfolio(cfg)
         return generate_portfolio(
-            n=as_count(cfg.get("n", 1000), "portfolio.n", 1, MAX_SWAPS),
-            payer_frac=float(_require(cfg, "payer_frac", "portfolio")),
-            maturity_range=(float(cfg.get("maturity_min", 0.25)),
-                            float(cfg.get("maturity_max", 30.0))),
-            rate_band=float(cfg.get("rate_band", 0.01)),
-            seed=self.seed + seed_offset,
-            curve=self.risk_free,
-            rate_offset=float(cfg.get("rate_offset", 0.0)),
-            pay_freq=as_int(cfg.get("pay_freq", 2), "portfolio.pay_freq"),
-            notional=float(cfg.get("notional", 1.0)))
+            n=cfg["n"], payer_frac=cfg["payer_frac"],
+            maturity_range=(cfg["maturity_min"], cfg["maturity_max"]),
+            rate_band=cfg["rate_band"], seed=self.seed + seed_offset, curve=self.risk_free,
+            rate_offset=cfg["rate_offset"], pay_freq=cfg["pay_freq"], notional=cfg["notional"])
 
-    def exposure_model(self, cfg: dict | None = None):
-        cfg = cfg if cfg is not None else self.raw.get("portfolio", {})
-        model = cfg.get("model", "deterministic")
-        if model == "deterministic":
+    def exposure_model(self, cfg=None):
+        cfg = self._portfolio(cfg)
+        if cfg["model"] == "deterministic":
             return DeterministicModel()
-        if model == "one_factor_mc":
-            return OneFactorMcModel(mean_reversion=float(cfg.get("mean_reversion", 0.05)),
-                                    vol=float(cfg.get("vol", 0.01)),
-                                    paths=as_count(cfg.get("paths", 2000), "portfolio.paths",
-                                                   1000, MAX_PATHS),
-                                    seed=self.seed + 17)
-        raise ScenarioError(f"unknown exposure model {model!r}")
+        if cfg["model"] == "one_factor_mc":
+            return OneFactorMcModel(mean_reversion=cfg["mean_reversion"], vol=cfg["vol"],
+                                    paths=cfg["paths"], seed=self.seed + 17)
+        raise ScenarioError(f"unknown exposure model {cfg['model']!r}")
 
-    def portfolio_profile(self, cfg: dict | None = None, seed_offset: int = 0):
-        cfg = cfg if cfg is not None else _require(self.raw, "portfolio", "scenario")
-        points = as_count(cfg.get("profile_points", 121), "portfolio.profile_points",
-                          2, MAX_PROFILE_POINTS)
-        model = self.exposure_model(cfg)
+    def portfolio_profile(self, cfg=None, seed_offset: int = 0):
+        cfg = self._portfolio(cfg)
+        points, model = cfg["profile_points"], self.exposure_model(cfg)
         return exposure_profile(self.portfolio(cfg, seed_offset), model, points,
                                 self.risk_free)
 
     @property
     def quadrature_steps(self) -> int:
-        return as_count(self.raw.get("quadrature_steps", 200), "quadrature_steps",
-                        1, MAX_QUADRATURE_STEPS)
-
-    # -- assets / repo -----------------------------------------------------------
+        return self.config["quadrature_steps"]
 
     def assets(self) -> list[CollateralAsset]:
-        name = _require(self.raw, "assets_file", "scenario")
-        path = self.base_dir / name
-        if not path.exists():
+        path = self.base_dir / self.config["assets_file"]
+        if not path.is_file():
             raise ScenarioError(f"assets file not found: {path}")
+        quantity = self.config["optimizer"]["quantity"]
         assets = load_assets_csv(path)
-        quantity = self.raw.get("optimizer", {}).get("quantity")
-        if quantity is not None:
-            assets = [replace(a, quantity=float(quantity)) for a in assets]
-        return assets
+        return assets if quantity is None else [replace(a, quantity=quantity) for a in assets]
 
     def repo_params(self) -> RepoModelParams:
-        cfg = self.raw.get("repo", {})
-        mu0 = self.curve("mu0", default=RateCurve.flat(0.0, "mu0"))
-        hazard = self.curve("hazard", default=RateCurve.flat(0.0, "hazard"))
-        return RepoModelParams(roe=float(cfg.get("roe", 0.10)),
-                               mu0_curve=mu0, hazard=hazard,
-                               expected_gap_loss=float(cfg.get("expected_gap_loss", 0.0)))
+        cfg = self.config["repo"]
+        return RepoModelParams(roe=cfg["roe"], mu0_curve=self.curve("mu0"),
+                               hazard=self.curve("hazard"),
+                               expected_gap_loss=cfg["expected_gap_loss"])
 
     def repo_target(self) -> tuple[str, str, list[float]]:
-        cfg = _require(self.raw, "repo", "scenario")
-        tenors = [float(t) for t in as_block(cfg.get("tenors", list(DEFAULT_SPREAD_TENORS)),
-                                             "repo.tenors", list)]
-        return (_require(cfg, "asset", "repo"), _require(cfg, "rating", "repo"),
-                tenors)
-
-    # -- optimizer -----------------------------------------------------------------
+        cfg = self.config["repo"]
+        tenors = cfg["tenors"]
+        return cfg["asset"], cfg["rating"], tenors
 
     def netting_sets(self) -> list[NettingSet]:
-        cfg = _require(self.raw, "optimizer", "scenario")
         out = []
-        for k, ns in enumerate(as_block(_require(cfg, "netting_sets", "optimizer"),
-                                        "optimizer.netting_sets", list)):
-            ns = as_block(ns, f"optimizer.netting_sets[{k}]", dict)
-            if "threshold" in ns:
-                # each allocation round sets the requirement to |MTM|, so a
-                # threshold would be read and then ignored
-                raise ScenarioError(f"netting set {ns.get('id', k)}: threshold is not supported")
-            profile = self.portfolio_profile(
-                as_block(_require(ns, "portfolio", "netting_sets"),
-                         f"optimizer.netting_sets[{k}].portfolio", dict), seed_offset=k + 1)
-            target = ns.get("target_mtm")
+        for k, ns in enumerate(self.config["optimizer"]["netting_sets"]):
+            if ns["threshold"] is not None:
+                raise ScenarioError(f"netting set {ns['id']}: threshold is not supported")
+            profile = self.portfolio_profile(ns["portfolio"], seed_offset=k + 1)
+            target = ns["target_mtm"]
             if target is not None:
-                target = float(target)
-                if profile.mtm0 == 0.0 or target * profile.mtm0 <= 0.0:
-                    raise ScenarioError(
-                        f"netting set {ns.get('id', k)}: generated MTM "
-                        f"{profile.mtm0:.4g} cannot be scaled to {target}")
+                if not (math.isfinite(target) and target * profile.mtm0 > 0.0):
+                    raise ScenarioError(f"netting set {ns['id']}: generated MTM "
+                                        f"{profile.mtm0:.4g} cannot be scaled to {target}")
                 profile = profile.scaled(target / profile.mtm0)
-            out.append(NettingSet(id=str(_require(ns, "id", "netting_sets")),
-                                  requirement=abs(profile.mtm0),
-                                  rating=str(_require(ns, "rating", "netting_sets")),
-                                  profile=profile))
+            out.append(NettingSet(id=ns["id"], requirement=abs(profile.mtm0),
+                                  rating=ns["rating"], profile=profile))
         return out
 
-    def optimizer_cfg(self) -> dict:
-        return _require(self.raw, "optimizer", "scenario")
+    def optimizer_cfg(self) -> Mapping:
+        return self.config["optimizer"]

@@ -308,6 +308,63 @@ class TestBlockTypes:
         assert not (tmp_path / "out").exists()
 
 
+def repo_scenario(tmp_path):
+    """The shipped repo-curve scenario with its files referenced from tmp_path."""
+    raw = json.loads((SCENARIO_DIR / "repo_ust10.json").read_text())
+    raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
+    for spec in raw["curves"].values():
+        spec["file"] = str(SCENARIO_DIR / spec["file"])
+    sc = tmp_path / "repo.json"
+    sc.write_text(json.dumps(raw))
+    return sc
+
+
+class TestWrongKind:
+    """A value of the wrong JSON kind (a string, a boolean, null, an array
+    or object where a number goes, an empty or mistyped level list) exits 2
+    naming its key, before any output is written."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("price", "option.strike", None),
+        ("price", "option.strike", True),
+        ("price", "option.spot", "100"),
+        ("price", "collateral.collateralization", None),
+        ("price", "collateral.collateralization", "0.5"),
+        ("price", "collateral.repo_spread", [0.01]),
+        ("price", "parties.b.bond_spread", {}),
+        ("price", "curves.risk_free", True),
+        ("price", "grid.s_max_mult", "5"),
+        ("xva", "xva_levels", [[0.5]]),
+        ("xva", "xva_levels", ["0.5"]),
+        ("xva", "xva_levels", []),
+        ("xva", "portfolio.payer_frac", None),
+        ("xva", "portfolio.notional", "1"),
+        ("repo-curve", "repo.tenors", [None]),
+        ("repo-curve", "repo.roe", None),
+        ("optimize", "optimizer.hqla_floor", None),
+        ("optimize", "optimizer.tol", "0.01"),
+    ])
+    def test_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
+        if command == "price":
+            sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID))
+        elif command == "xva":
+            sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20),
+                                quadrature_steps=41)
+        elif command == "repo-curve":
+            sc = repo_scenario(tmp_path)
+        else:
+            sc = optimize_scenario(tmp_path)
+        set_key(sc, key, value)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert key in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_null_quantity_reads_the_csv(self, tmp_path):
+        sc = optimize_scenario(tmp_path)
+        set_key(sc, "optimizer.quantity", None)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+
 class TestIntegerKeys:
     @pytest.mark.parametrize("value", [float("inf"), 2.5])
     @pytest.mark.parametrize("command, key", [
@@ -407,12 +464,7 @@ class TestRepoCurve:
         ("curves.risk_free", {"nodes": [[1.0, float("nan")], [2.0, 0.01]]}),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, path, value):
-        raw = json.loads((SCENARIO_DIR / "repo_ust10.json").read_text())
-        raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
-        for spec in raw["curves"].values():
-            spec["file"] = str(SCENARIO_DIR / spec["file"])
-        sc = tmp_path / "repo.json"
-        sc.write_text(json.dumps(raw))
+        sc = repo_scenario(tmp_path)
         set_key(sc, path, value)
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -432,6 +484,13 @@ class TestOptimize:
         alloc = (tmp_path / "out" / "allocation_0.csv").read_text().strip().splitlines()
         assert alloc[0] == "asset,S1,S2"
         assert alloc[-1].startswith("updated_mtm,")
+
+    def test_no_round_exits_2(self, tmp_path, capsys):
+        sc = optimize_scenario(tmp_path)
+        set_key(sc, "optimizer.max_iter", 0)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert "max_iter" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_exits_2(self, tmp_path, capsys):
         # each allocation round sets a set's requirement to |MTM|, so a

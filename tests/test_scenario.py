@@ -1,11 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
                            OneFactorMcModel)
-from cxva.scenario import Scenario, ScenarioError, as_count
+from cxva.scenario import CURVE_FORMS, SCHEMA, Scenario, ScenarioError
 from cxva.xva import MAX_QUADRATURE_STEPS
 
 
@@ -86,12 +87,20 @@ class TestPortfolioBlock:
         small = dict(portfolio, n=2, model="deterministic")
         assert len(sc.portfolio_profile(small).times) == MAX_PROFILE_POINTS
 
-    def test_count_bounds_inclusive(self):
-        assert as_count(5, "k", 5, 7) == 5
-        assert as_count(7.0, "k", 5, 7) == 7
-        for bad in (4, 8, 1e12):
-            with pytest.raises(ScenarioError, match=r"k must be an integer in \[5, 7\]"):
-                as_count(bad, "k", 5, 7)
+    def test_count_bounds_inclusive(self, tmp_path):
+        lo, hi = SCHEMA["scenario"]["quadrature_steps"].bounds
+        for good in (lo, float(hi)):
+            sc = Scenario.load(write(tmp_path, dict(BASE, quadrature_steps=good)))
+            assert sc.quadrature_steps == good
+        for bad in (lo - 1, hi + 1, 1e12):
+            sc = Scenario.load(write(tmp_path, dict(BASE, quadrature_steps=bad)))
+            with pytest.raises(ScenarioError,
+                               match=rf"quadrature_steps must be an integer in \[{lo}, {hi}\]"):
+                sc.quadrature_steps
+
+    def test_negative_seed_names_key(self, tmp_path):
+        with pytest.raises(ScenarioError, match=r"seed must be an integer in \[0, inf\]"):
+            Scenario.load(write(tmp_path, dict(BASE, seed=-1)))
 
     def test_seed_override(self, tmp_path):
         sc = Scenario.load(write(tmp_path, dict(BASE)), seed_override=99)
@@ -107,6 +116,17 @@ class TestNettingSets:
         ]})
         sc = Scenario.load(write(tmp_path, payload))
         with pytest.raises(ScenarioError):
+            sc.netting_sets()
+
+    @pytest.mark.parametrize("target", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_target_rejected(self, tmp_path, target):
+        payload = dict(BASE, optimizer={"netting_sets": [
+            {"id": "S1", "rating": "A", "target_mtm": target,
+             "portfolio": {"n": 40, "payer_frac": 0.9, "rate_offset": 0.02,
+                           "profile_points": 21}},
+        ]})
+        sc = Scenario.load(write(tmp_path, payload))
+        with pytest.raises(ScenarioError, match="cannot be scaled"):
             sc.netting_sets()
 
 
@@ -129,3 +149,62 @@ class TestNestedBlockTypes:
         sc = Scenario.load(write(tmp_path, dict(BASE, **override)))
         with pytest.raises(ScenarioError, match=re.escape(named)):
             read(sc)
+
+
+class TestSchema:
+    """Every scenario key is declared once, in cxva.scenario.SCHEMA."""
+
+    @staticmethod
+    def unknown_keys(raw: dict, section: str, path: str) -> list[str]:
+        """The keys of ``raw`` (read as ``section``) and of every object
+        below it that the table does not declare."""
+        found = []
+        for name, value in raw.items():
+            dotted = f"{path}.{name}" if path else name
+            key = SCHEMA[section].get(name)
+            if key is None:
+                found.append(dotted)
+            elif key.kind == "object":
+                found += TestSchema.unknown_keys(value, key.section, dotted)
+            elif key.kind == "array" and key.item == "object":
+                for i, item in enumerate(value):
+                    found += TestSchema.unknown_keys(item, key.section, f"{dotted}[{i}]")
+            elif key.kind == "curve" and isinstance(value, dict):
+                found += [f"{dotted}.{form}" for form in value if form not in CURVE_FORMS]
+        return found
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
+        ids=lambda p: p.name)
+    def test_shipped_scenario_keys_are_table_keys(self, path):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        assert self.unknown_keys(raw, "scenario", "") == []
+
+    def test_unknown_key_found(self):
+        raw = {"collateral": {"colateralization": 0.5},
+               "optimizer": {"netting_sets": [{"portfolio": {"n": 3, "nn": 4}}]},
+               "curves": {"risk_free": {"flat": 0.01, "flatt": 0.02}}}
+        assert self.unknown_keys(raw, "scenario", "") == [
+            "collateral.colateralization", "optimizer.netting_sets[0].portfolio.nn",
+            "curves.risk_free.flatt"]
+
+    @pytest.mark.parametrize("value", [1, 1.0])
+    def test_integer_valued_number_accepted(self, tmp_path, value):
+        option = {"payoff": "call", "strike": 100, "spot": 100.0, "vol": 0.2, "maturity": value}
+        sc = Scenario.load(write(tmp_path, dict(BASE, option=option, grid={"s_nodes": 300.0})))
+        assert sc.option().maturity == 1.0 and isinstance(sc.option().strike, float)
+        assert sc.grid().s_nodes == 300 and isinstance(sc.grid().s_nodes, int)
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0], {"x": 1.0}, 10 ** 400])
+    def test_wrong_kind_names_key(self, tmp_path, value):
+        option = {"payoff": "call", "strike": 100.0, "spot": 100.0, "vol": 0.2, "maturity": value}
+        sc = Scenario.load(write(tmp_path, dict(BASE, option=option)))
+        with pytest.raises(ScenarioError, match=r"option\.maturity must be a JSON number"):
+            sc.option()
+
+    def test_null_means_absent_only_without_default(self, tmp_path):
+        sc = Scenario.load(write(tmp_path, dict(BASE, optimizer={"quantity": None})))
+        assert sc.optimizer_cfg()["quantity"] is None
+        sc = Scenario.load(write(tmp_path, dict(BASE, optimizer={"tol": None})))
+        with pytest.raises(ScenarioError, match=r"optimizer\.tol must be a JSON number"):
+            sc.optimizer_cfg()["tol"]

@@ -1,0 +1,180 @@
+"""Scenario fuzzer whose mutations come from the key table.
+
+Each example takes one of three cheap runs (``price`` on a 50x50 grid,
+``repo-curve``, ``xva`` on a small deterministic book) and changes one or
+two keys that ``cxva.scenario.SCHEMA`` declares for that scenario: it drops
+the key, gives it a value of another JSON kind, or sets a NaN, infinite,
+zero, negative or huge number. ``cxva.cli.main`` must then return 0 with
+every number it wrote finite, or return 2 or 3 with one JSON line on
+stderr; it must never raise.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cxva.cli import main
+from cxva.scenario import SCHEMA
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+PARTIES = {"b": {"bond_spread": 0.0125, "liquidity_spread": 0.005},
+           "c": {"bond_spread": 0.03, "liquidity_spread": 0.01}}
+COLLATERAL = {"mode": "noncash", "collateralization": 0.5, "repo_spread": 0.01}
+BASES = {
+    "price": {
+        "seed": 5, "curves": {"risk_free": {"flat": 0.01}}, "parties": PARTIES,
+        "collateral": COLLATERAL,
+        "option": {"payoff": "call", "strike": 100.0, "spot": 100.0, "vol": 0.3,
+                   "maturity": 1.0, "div_yield": 0.0},
+        "grid": {"s_nodes": 50, "t_steps": 50, "s_max_mult": 4.0},
+    },
+    "repo-curve": {
+        "seed": 5,
+        "curves": {"risk_free": {"nodes": [[1.0, 0.01], [10.0, 0.02]]},
+                   "mu0": {"file": str(SCENARIO_DIR / "curves" / "mu0_libor_ois.csv")},
+                   "hazard": 0.01},
+        "assets_file": str(SCENARIO_DIR / "assets_reference.csv"),
+        "repo": {"roe": 0.1, "expected_gap_loss": 0.001, "asset": "UST_10y",
+                 "rating": "BBB", "tenors": [0.5, 2.0, 10.0]},
+    },
+    "xva": {
+        "seed": 5, "curves": {"risk_free": {"nodes": [[1.0, 0.01], [10.0, 0.02]]}},
+        "parties": PARTIES, "collateral": COLLATERAL,
+        "portfolio": {"n": 8, "payer_frac": 0.5, "maturity_min": 0.5, "maturity_max": 5.0,
+                      "rate_band": 0.01, "rate_offset": 0.0, "pay_freq": 2,
+                      "notional": 1.0, "profile_points": 11},
+        "quadrature_steps": 21,
+        "xva_levels": [0.0, 0.5, 1.0],
+    },
+}
+
+NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -1.0, -0.5, 1e12, 1e300, -1e300]
+# one value of every JSON kind; those of the key's own kind are left out
+KINDS = {"null": None, "boolean": True, "string": "1", "array": [1.0],
+         "object": {"x": 1.0}, "number": 2.5, "integer": 2}
+ACCEPTS = {"number": {"number", "integer"}, "integer": {"integer"}, "string": {"string"},
+           "curve": {"number", "integer"}, "array": {"array"}, "object": {"object"}}
+
+
+def table_paths(raw: dict, section: str, prefix=()) -> list:
+    """(key path, table entry) of every key of ``section`` and of every
+    object below it that ``raw`` gives."""
+    out = []
+    for name, key in SCHEMA[section].items():
+        path = prefix + (name,)
+        out.append((path, key))
+        if key.kind == "object" and isinstance(raw.get(name), dict):
+            out += table_paths(raw[name], key.section, path)
+    return out
+
+
+def wrong_values(key) -> list:
+    values = [v for kind, v in KINDS.items() if kind not in ACCEPTS[key.kind]]
+    if key.kind == "array":
+        values += [[], [None], ["1"]]
+    if key.kind == "curve":
+        values += [{"nodes": [[1.0]]}, {"flat": "0.01"}, {"file": 3}, {"spline": 0.01}]
+    return values
+
+
+def changed(command: str, **values) -> tuple:
+    """The ``command`` base scenario with each dotted key (``__`` for ``.``)
+    set to its value."""
+    raw = json.loads(json.dumps(BASES[command]))
+    for dotted, value in values.items():
+        *parents, leaf = dotted.split("__")
+        node = raw
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+    return command, raw
+
+
+@st.composite
+def mutated(draw):
+    command = draw(st.sampled_from(sorted(BASES)))
+    raw = json.loads(json.dumps(BASES[command]))
+    for _ in range(draw(st.integers(1, 2))):
+        path, key = draw(st.sampled_from(table_paths(raw, "scenario")))
+        parent = raw
+        for name in path[:-1]:
+            parent = parent[name]
+        choices = ["drop", "wrong kind"]
+        if key.kind in ("number", "integer", "curve"):
+            choices.append("number")
+        if key.kind == "array" and key.item == "number":
+            choices.append("number item")
+        op = draw(st.sampled_from(choices))
+        if op == "drop":
+            parent.pop(path[-1], None)
+        elif op == "wrong kind":
+            parent[path[-1]] = draw(st.sampled_from(wrong_values(key)))
+        elif op == "number":
+            parent[path[-1]] = draw(st.sampled_from(NUMBERS))
+        else:
+            parent[path[-1]] = [0.5, draw(st.sampled_from(NUMBERS))]
+    return command, raw
+
+
+def numbers_in(path: Path) -> list:
+    """Every number a written file holds."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        found = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, float):
+                found.append(node)
+        walk(json.loads(text))
+        return found
+    cells = [c for row in csv.reader(io.StringIO(text)) for c in row]
+    found = []
+    for cell in cells:
+        try:
+            found.append(float(cell))
+        except ValueError:
+            pass
+    return found
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+# inputs whose arithmetic overflowed, each once found by this fuzzer
+@example(changed("price", option__vol=1e300))
+@example(changed("price", grid__s_max_mult=1e300))
+@example(changed("xva", curves__risk_free=1e12))
+@example(changed("xva", curves__risk_free=-1e300))
+@example(changed("xva", collateral__repo_spread=-1e300))
+@example(changed("repo-curve", repo__tenors=[0.5, math.inf]))
+def test_mutated_scenario_exits_cleanly(case):
+    command, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--scenario", str(scenario), "--out", str(out)])
+        if code == 0:
+            files = sorted(out.iterdir())
+            assert files
+            for path in files:
+                assert all(math.isfinite(x) for x in numbers_in(path)), path.name
+        else:
+            assert code in (2, 3)
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error"}

@@ -133,6 +133,15 @@ class TestLvaReceivable:
         assert r.colva == 0.0
         assert r.lva > 0.0  # mu_c - r = 1% liquidity basis
 
+    def test_segregated_cash_is_initial_margin(self, spec_factory, payable_portfolio):
+        # both are protected and unfunded (chi = 0): the cash curve, whose
+        # nodes would otherwise add quadrature knots, is not read
+        cash = RateCurve.from_nodes([(0.7, 0.012), (13.0, 0.02)])
+        for eta, chi in ((1.0, 1.0), (0.6, 0.3)):
+            seg = spec_factory(eta=eta, chi=chi, mode="cash_segregated", cash_rate=cash)
+            im = spec_factory(eta=eta, chi=chi, mode="initial_margin", cash_rate=cash)
+            assert decompose(payable_portfolio, seg) == decompose(payable_portfolio, im)
+
 
 class TestColvaBk:
     def test_zero_spread(self, ois_flat):
