@@ -25,8 +25,8 @@ from .exposure import ExposureError
 from .optimizer import (AllocationError, AllocationInfeasibleError,
                         iterate_allocation)
 from .pde import PdeError, PicardConvergenceError, xva_pde
-from .repo import RepoModelError, breakeven_spread, repo_curve
-from .scenario import MAX_SWEEP_POINTS, Scenario, ScenarioError
+from .repo import RepoModelError, repo_curve
+from .scenario import MAX_SWEEP_POINTS, Scenario, ScenarioError, read_flag
 from .simplex import LpSolverError
 from .xva import XvaError, decompose, to_running_spread
 
@@ -142,13 +142,12 @@ def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
     if asset_id not in assets:
         raise ScenarioError(f"asset {asset_id!r} not in assets file")
     asset = assets[asset_id]
-    params = scenario.repo_params()
-    curve = repo_curve(params, asset, rating, tenors, scenario.risk_free)
-    ec = asset.econ_capital[rating]
+    spread = repo_curve(scenario.repo_params(), asset, rating, tenors)
+    risk_free = scenario.risk_free
     text = _csv_line(["tenor_years", "spread", "repo_rate"])
     for t in tenors:
-        spread = breakeven_spread(params, ec, t)
-        text += _csv_line([_fmt(t), _fmt(spread), _fmt(curve.zero_rate(t))])
+        s = spread.zero_rate(t)
+        text += _csv_line([_fmt(t), _fmt(s), _fmt(risk_free.zero_rate(t) + s)])
     _write(out / "repo_curve.csv", text)
     return {"asset": asset_id, "rating": rating, "file": "repo_curve.csv"}
 
@@ -186,6 +185,12 @@ def cmd_optimize(scenario: Scenario, out: Path) -> dict:
                             for i, a in enumerate(assets)},
     }
     _write_json(out / "optimize_summary.json", summary)
+    if result.status != "converged":
+        path = [summary["initial_mtm"]] + summary["updated_mtm"]
+        warning = {"message": "stopped at optimizer.max_iter before converging", "tol": cfg["tol"],
+                   "rounds": len(result.states),
+                   "last_mtm_move": max(abs(a - b) for a, b in zip(path[-1], path[-2]))}
+        sys.stderr.write(json.dumps({"warning": warning}, sort_keys=True) + "\n")
     return {"status": result.status, "iterations": len(result.states)}
 
 
@@ -216,7 +221,10 @@ def main(argv=None) -> int:
 
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            scenario = Scenario.load(args.scenario, seed_override=args.seed)
+            if args.points is not None and args.command != "sweep":
+                raise ScenarioError("--points applies to the sweep command only")
+            seed = None if args.seed is None else read_flag("--seed", "scenario", "seed", args.seed)
+            scenario = Scenario.load(args.scenario, seed_override=seed)
             out = Path(args.out)
             if args.command == "sweep":
                 payload = cmd_sweep(scenario, out, args.points)

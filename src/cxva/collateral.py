@@ -3,7 +3,8 @@
 eta is the fraction of exposure protected by CSA-haircut collateral value,
 chi the fraction of the protected exposure that is also funded. Together
 with the blended repo spread of a posted portfolio they parameterize the
-effective discount rate.
+effective discount rate: ``chi`` gives an asset's funded fraction and
+``blend_spread_curve`` a posted portfolio's protected value, chi and spread.
 """
 
 from __future__ import annotations
@@ -79,26 +80,24 @@ def chi(h_repo: float, h_csa: float) -> float:
     return 1.0 - max(h_repo - h_csa, 0.0) / (1.0 - h_csa)
 
 
-def blend_spread_curve(assets: Sequence[tuple[float, float, float, RateCurve]],
-                       protection: float) -> tuple[float, RateCurve]:
-    """Blend with term-structured repo spreads.
+def blend_spread_curve(postings: Sequence[tuple[float, float, float, RateCurve]]
+                       ) -> tuple[float, float, RateCurve]:
+    """Collateral state of a posted portfolio with term-structured repo spreads.
 
-    Each entry is (market_value, h_csa, h_repo, spread_curve) with the
-    spread curve holding r_p - r. Returns (chi, funded spread curve); the
-    curve carries sum_i w_i * S_pi(t), exact on the union node grid.
+    Each posting is (market_value, h_csa, h_repo, spread_curve) with the
+    spread curve holding r_p - r. Returns (L, chi, s): the CSA-protected
+    value L = sum (1 - h_csa) B, the funded fraction chi = sum w_i chi_i
+    with w_i = (1 - h_csa_i) B_i / L, and the funded spread s(t) =
+    sum w_i chi_i S_pi(t) / chi that the effective rate multiplies by chi,
+    exact on the union node grid.
     """
-    if protection <= 0.0:
-        raise CollateralError("protection L must be > 0")
-    curves: list[RateCurve] = []
-    weights: list[float] = []
-    chi_bar = 0.0
-    for mv, h_c, h_p, spread in assets:
-        w = (1.0 - h_c) * mv / protection
-        unfunded = max(h_p - h_c, 0.0) / (1.0 - h_c)
-        chi_bar += w * unfunded
-        curves.append(spread)
-        weights.append(w * (1.0 - unfunded))
-    return 1.0 - chi_bar, combine_curves(curves, weights, label="blended_spread")
+    protection = sum(mv * (1.0 - h_c) for mv, h_c, _, _ in postings)
+    if not protection > 0.0:
+        raise CollateralError("posted CSA-protected value L must be > 0")
+    funded = [(1.0 - h_c) * mv / protection * chi(h_p, h_c) for mv, h_c, h_p, _ in postings]
+    x = sum(funded)
+    return protection, x, combine_curves([s for *_, s in postings], [w / x for w in funded],
+                                         label="blended_spread")
 
 
 # -- assets CSV -------------------------------------------------------------

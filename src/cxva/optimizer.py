@@ -15,6 +15,9 @@ the allocation.
 
 The funding equality uses CSA haircuts by default: the netting set demands
 CSA-protected value. A switch reproduces the repo-haircut variant.
+
+Spread curves come from ``repo.repo_curve``, each posted blend's (L, chi,
+s) from ``collateral.blend_spread_curve``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .collateral import CollateralAsset, CollateralState, blend_spread_curve, ch
 from .curves import PartyCurves, RateCurve
 from .discounting import EffectiveRateSpec
 from .exposure import ExposureProfile
-from .repo import RepoModelParams, spread_curve
+from .repo import RepoModelParams, repo_curve
 from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
                       solve_bounded_lp)
 from .xva import decompose
@@ -197,15 +200,6 @@ def _check_feasible(problem: AllocationProblem, q: np.ndarray, slacks: np.ndarra
 
 # -- unit LVA -----------------------------------------------------------------
 
-def _repo_spread(asset: CollateralAsset, rating: str,
-                 repo_params: RepoModelParams) -> RateCurve:
-    """Break-even repo spread curve of the asset lent to a borrower of this rating."""
-    if rating not in asset.econ_capital:
-        raise KeyError(f"asset {asset.id!r} has no economic capital for rating {rating!r}")
-    return spread_curve(repo_params, asset.econ_capital[rating], DEFAULT_SPREAD_TENORS,
-                        label=f"{asset.id}_{rating}")
-
-
 def _lva(profile: ExposureProfile, poster: PartyCurves, risk_free: RateCurve,
          eta: float, x: float, spread: RateCurve, n_steps: int) -> float:
     """Signed LVA of a profile (negative = posting benefit on a payable) with
@@ -243,7 +237,6 @@ class IterationResult:
 def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[NettingSet],
                        poster: PartyCurves, risk_free: RateCurve,
                        repo_params: RepoModelParams, *, hqla_floor: float = 0.0,
-                       bounds: np.ndarray | None = None,
                        funding_haircut: str = "csa", tol: float = 0.01,
                        max_iter: int = 5, n_steps: int = 120) -> IterationResult:
     """Alternate LP allocation and netting-set revaluation to a fixed point.
@@ -265,7 +258,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
         for j, ns in enumerate(sets):
             key = (i, ns.rating)
             if key not in spreads:
-                spreads[key] = _repo_spread(a, ns.rating, repo_params)
+                spreads[key] = repo_curve(repo_params, a, ns.rating, DEFAULT_SPREAD_TENORS)
             # the whole set collateralized by this asset in unlimited quantity
             benefit[i, j] = abs(_lva(ns.profile, poster, risk_free, 1.0,
                                      chi(a.h_repo, a.h_csa), spreads[key], n_steps))
@@ -279,8 +272,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
         with np.errstate(divide="ignore", invalid="ignore"):
             e = np.where(req > 0.0, benefit * conv[:, None] / req[None, :], 0.0)
         current = [replace(ns, requirement=float(req[j])) for j, ns in enumerate(sets)]
-        problem = AllocationProblem(tuple(assets), tuple(current), e,
-                                    hqla_floor=hqla_floor, bounds=bounds,
+        problem = AllocationProblem(tuple(assets), tuple(current), e, hqla_floor=hqla_floor,
                                     funding_haircut=funding_haircut)
         alloc = solve_lp(problem)
         lva = np.zeros(len(sets))
@@ -290,15 +282,11 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
                       for i, a in enumerate(assets) if alloc.q[i, j] > 1e-12]
             if not posted or ns.requirement <= 0.0:
                 continue
-            # blend over the posted CSA-protected value (weights sum to 1, so
-            # chi > 0 as every h_repo < 1); under the CSA funding equality
-            # this equals the requirement, so eta = 1; the repo-haircut
-            # variant can leave partial protection
-            csa_value = sum(mv * (1.0 - h_c) for mv, h_c, _, _ in posted)
-            x, funded = blend_spread_curve(posted, csa_value)
-            eta = min(1.0, csa_value / ns.requirement)
-            spread = RateCurve(funded.tenors, tuple(z * (1.0 / x) for z in funded.rates),
-                               funded.label)
+            # under the CSA funding equality the protected value equals the
+            # requirement, so eta = 1; the repo-haircut variant can leave
+            # partial protection
+            protection, x, spread = blend_spread_curve(posted)
+            eta = min(1.0, protection / ns.requirement)
             lva[j] = _lva(ns.profile, poster, risk_free, eta, x, spread, n_steps)
         mtms = mtm_star - lva
         states.append(IterationState(requirements=req, unit_lva=e,

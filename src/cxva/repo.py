@@ -9,7 +9,8 @@ with E_c the repo economic capital for (asset class, borrower rating),
 RoE the bank's return-on-equity hurdle, mu_0 the pure funding-liquidity
 premium (Libor-OIS spread proxy) and lambda * El the expected gap-loss
 premium, which is a fraction of a basis point at realistic haircuts and
-defaults to zero here.
+defaults to zero here. ``repo_curve`` builds every (asset, borrower rating)
+spread curve, for the allocation's unit LVA and for ``cxva repo-curve``.
 """
 
 from __future__ import annotations
@@ -67,12 +68,9 @@ def spread_curve(params: RepoModelParams, ec: float, tenors: Sequence[float],
 
 
 def repo_curve(params: RepoModelParams, asset: CollateralAsset, rating: str,
-               tenors: Sequence[float], risk_free: RateCurve) -> RateCurve:
-    """Full repo rate curve r_p(t) = r(t) + break-even spread for one asset
-    and borrower rating."""
+               tenors: Sequence[float]) -> RateCurve:
+    """Break-even spread curve (r_p - r) of the asset lent to a borrower of this rating."""
     if rating not in asset.econ_capital:
         raise KeyError(f"asset {asset.id!r} has no economic capital for rating {rating!r}")
-    ec = asset.econ_capital[rating]
-    nodes = [(float(t), risk_free.zero_rate(t) + breakeven_spread(params, ec, float(t)))
-             for t in tenors]
-    return RateCurve.from_nodes(nodes, label=f"repo_{asset.id}_{rating}")
+    return spread_curve(params, asset.econ_capital[rating], tenors,
+                        label=f"repo_{asset.id}_{rating}")

@@ -138,6 +138,11 @@ def _convert(key: Key, value, name: str, base_dir: Path):
     raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
 
 
+def read_flag(flag: str, section: str, name: str, value):
+    """``value`` of a command-line ``flag`` checked as SCHEMA's ``section.name`` is."""
+    return _convert(SCHEMA[section][name], value, flag, Path())
+
+
 def _curve(spec, name: str, base_dir: Path) -> RateCurve:
     """A curve spec: a number or {"flat": r}, {"nodes": [[t, z], ...]} or
     {"file": "relative.csv"} (CSV header tenor_years,zero_rate)."""

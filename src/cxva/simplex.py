@@ -46,7 +46,6 @@ class LpResult:
     objective: float
     basis: list[int]
     iterations: int
-    status: str = "optimal"
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

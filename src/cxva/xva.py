@@ -174,8 +174,7 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
                      cra=cra, xva=xva, npv=profile.mtm0 - xva)
 
 
-def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times,
-                           annuity: float = 1.0) -> ExposureProfile:
+def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times) -> ExposureProfile:
     """Profile of a single-sign claim: E[V*(t)] = V*(0) / DF(0, t).
 
     The discounted risk-free value is a martingale, so a claim whose value
@@ -187,5 +186,5 @@ def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times,
     path = abs(v_star0) * growth
     zero = np.zeros_like(path)
     if v_star0 >= 0.0:
-        return ExposureProfile(times, path, zero, v_star0, annuity)
-    return ExposureProfile(times, zero, path, v_star0, annuity)
+        return ExposureProfile(times, path, zero, v_star0, 1.0)
+    return ExposureProfile(times, zero, path, v_star0, 1.0)

@@ -96,3 +96,29 @@ def colva_bk(profile, spread, hazard_b, hazard_c, risk_free, n_steps=200):
                          + hazard_c.integral(a, b)))
         total += spread.integral(a, b) * _log_mean(g0, xb * df)
     return total
+
+
+def forward_exposure(spot, strike, vol, maturity, rate, div_yield, times):
+    """Closed-form Black (EPE, ENE) of a long forward S - K under flat rates.
+
+    The risk-free value at t is V*(t) = S_t exp(-q tau) - K exp(-r tau),
+    tau = T - t, so EPE(t) = E[V*(t)+] and ENE(t) = E[V*(t)-] are Black
+    call and put values on S_t struck at K exp(-(r - q) tau), undiscounted
+    at t. The log-moneyness ln(F_t / K_t) = ln(S/K) + (r - q) T does not
+    depend on t.
+    """
+    epe, ene = [], []
+    for t in times:
+        carry = math.exp(-div_yield * (maturity - t))
+        fwd = spot * math.exp((rate - div_yield) * t)
+        k_t = strike * math.exp(-(rate - div_yield) * (maturity - t))
+        if t <= 0.0:
+            epe.append(carry * max(fwd - k_t, 0.0))
+            ene.append(carry * max(k_t - fwd, 0.0))
+            continue
+        sq = vol * math.sqrt(t)
+        d1 = (math.log(fwd / k_t) + 0.5 * sq * sq) / sq
+        d2 = d1 - sq
+        epe.append(carry * (fwd * norm_cdf(d1) - k_t * norm_cdf(d2)))
+        ene.append(carry * (k_t * norm_cdf(-d2) - fwd * norm_cdf(-d1)))
+    return epe, ene

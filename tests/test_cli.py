@@ -458,6 +458,19 @@ class TestRepoCurve:
         short_end = lines[1].split(",")
         assert float(short_end[1]) == pytest.approx(0.0014)  # RoE*EC + mu0
 
+    def test_repo_rate_adds_risk_free(self, tmp_path):
+        sc = repo_scenario(tmp_path)
+        set_key(sc, "curves", {"risk_free": {"flat": 0.01}, "mu0": {"flat": 0.001},
+                               "hazard": 0.02})
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        rows = (tmp_path / "out" / "repo_curve.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 11
+        for row in rows:
+            _, spread, repo_rate = map(float, row.split(","))
+            # RoE 10% on UST_10y's 0.4% BBB economic capital plus 10bp mu0
+            assert spread == pytest.approx(0.0014, rel=1e-12)
+            assert repo_rate == pytest.approx(0.01 + 0.0014, rel=1e-12)
+
     @pytest.mark.parametrize("path, value", [
         ("repo.roe", float("nan")),
         ("repo.expected_gap_loss", float("inf")),
@@ -473,6 +486,37 @@ class TestRepoCurve:
         assert not (tmp_path / "out" / "repo_curve.csv").exists()
 
 
+class TestFlags:
+    """--seed is read through the seed's table entry and --points belongs
+    to sweep: a bad flag exits 2 naming it, before any output."""
+
+    @staticmethod
+    def scenario(tmp_path, command):
+        if command == "price":
+            return write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        if command == "xva":
+            return write_scenario(tmp_path, portfolio=SMALL_PORTFOLIO, quadrature_steps=41)
+        if command == "optimize":
+            return optimize_scenario(tmp_path)
+        return repo_scenario(tmp_path)
+
+    @pytest.mark.parametrize("command", ["price", "xva", "repo-curve"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        sc = self.scenario(tmp_path, command)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out",
+                    "--seed", -1]) == 2
+        assert "--seed" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["price", "xva", "repo-curve", "optimize"])
+    def test_points_outside_sweep_exits_2(self, tmp_path, capsys, command):
+        sc = self.scenario(tmp_path, command)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out",
+                    "--points", 5]) == 2
+        assert "--points" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+
 class TestOptimize:
     def test_optimize_outputs(self, tmp_path):
         sc = optimize_scenario(tmp_path)
@@ -484,6 +528,26 @@ class TestOptimize:
         alloc = (tmp_path / "out" / "allocation_0.csv").read_text().strip().splitlines()
         assert alloc[0] == "asset,S1,S2"
         assert alloc[-1].startswith("updated_mtm,")
+
+    def test_max_iter_stop_warns(self, tmp_path, capsys):
+        sc = optimize_scenario(tmp_path)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == ""
+        set_key(sc, "optimizer.max_iter", 1)
+        set_key(sc, "optimizer.tol", 1e-12)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "stopped"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "max_iter"
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        warning = json.loads(lines[0])["warning"]
+        summary = json.loads((tmp_path / "stopped" / "optimize_summary.json").read_text())
+        assert warning["rounds"] == summary["iterations"] == 1
+        move = max(abs(a - b) for a, b in zip(summary["updated_mtm"][0],
+                                              summary["initial_mtm"]))
+        assert warning["last_mtm_move"] == move > 1e-12
+        assert sorted(p.name for p in (tmp_path / "stopped").iterdir()) == [
+            "allocation_0.csv", "optimize_summary.json", "unit_lva.csv"]
 
     def test_no_round_exits_2(self, tmp_path, capsys):
         sc = optimize_scenario(tmp_path)

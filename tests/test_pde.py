@@ -9,11 +9,13 @@ from cxva import pde
 from cxva.collateral import CollateralState
 from cxva.curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from cxva.discounting import EffectiveRateSpec, effective_rate, risk_free_spec
+from cxva.exposure import ExposureProfile
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
                       solve, xva_pde)
+from cxva.xva import decompose
 
 from conftest import make_spec
-from oracles import black_scholes
+from oracles import black_scholes, forward_exposure
 
 ATM_CALL = OptionSpec(payoff="call", strike=100.0, maturity=1.0, spot=100.0,
                        vol=0.5)
@@ -402,3 +404,57 @@ class TestSolveBanded:
         with pytest.raises(np.linalg.LinAlgError):
             pde.solve_banded(np.zeros_like(lower), np.zeros(self.N), np.zeros_like(upper),
                              rhs)
+
+
+class TestSignChangingCrossOracle:
+    """PDE against quadrature on an ATM forward S - K, whose value changes
+    sign: the quadrature discounts EPE and ENE at fixed per-side rates
+    instead of switching with the path's sign, which is exact to first
+    order in the spreads over risk-free. With every spread scaled by eps,
+    the gap U_pde - xva_quad is therefore eps^2 times a constant; a PDE or
+    quadrature that mispriced a first-order term would make gap / eps^2
+    grow like 1 / eps."""
+
+    RATE, SPOT, STRIKE, VOL, MATURITY = 0.01, 100.0, 100.0, 0.3, 1.0
+
+    def spec(self, eps, mode):
+        r = self.RATE
+        party_b = PartyCurves(bond=RateCurve.flat(r + eps * 0.0125),
+                              liquidity=RateCurve.flat(r + eps * 0.005))
+        party_c = PartyCurves(bond=RateCurve.flat(r + eps * 0.04),
+                              liquidity=RateCurve.flat(r + eps * 0.02))
+        if mode == "uncollateralized":
+            return EffectiveRateSpec(party_b=party_b, party_c=party_c,
+                                     risk_free=RateCurve.flat(r), state=CollateralState(),
+                                     mode=mode)
+        return EffectiveRateSpec(party_b=party_b, party_c=party_c,
+                                 risk_free=RateCurve.flat(r), mode=mode,
+                                 state=CollateralState(eta_b=0.5, eta_c=0.5, chi_b=0.5,
+                                                       chi_c=0.5),
+                                 repo_spread_c=eps * 0.01)
+
+    # measured gaps at eps = 1: 1.066e-3 and 4.880e-4 (gap / eps^2 spread
+    # over eps = 1, 1/2, 1/4: 0.6 % and 1.3 %); the bounds leave 13 % margin
+    @pytest.mark.parametrize("mode, bound", [("uncollateralized", 1.2e-3),
+                                             ("noncash", 5.5e-4)])
+    def test_gap_is_second_order_in_spreads(self, mode, bound):
+        times = np.linspace(0.0, self.MATURITY, 401)
+        epe, ene = forward_exposure(self.SPOT, self.STRIKE, self.VOL, self.MATURITY,
+                                    self.RATE, 0.0, times)
+        mtm0 = self.SPOT - self.STRIKE * math.exp(-self.RATE * self.MATURITY)
+        profile = ExposureProfile(times, np.array(epe), np.array(ene), mtm0, 1.0)
+        # the oracle's mean exposure is the martingale V*(0) / DF(0, t)
+        assert np.allclose(profile.epe - profile.ene, mtm0 * np.exp(self.RATE * times),
+                           rtol=1e-12, atol=1e-12)
+        option = OptionSpec(payoff="forward", strike=self.STRIKE, maturity=self.MATURITY,
+                            spot=self.SPOT, vol=self.VOL)
+        scaled = []
+        for eps in (1.0, 0.5, 0.25):
+            spec = self.spec(eps, mode)
+            gap = (xva_pde(option, spec, GridSpec(s_nodes=800, t_steps=400)).u
+                   - decompose(profile, spec, grid=times).xva)
+            if eps == 1.0:
+                assert 0.0 < gap < bound
+            scaled.append(gap / eps ** 2)
+        # discretization error, first order in eps, is what moves the ratio
+        assert max(scaled) / min(scaled) - 1.0 < 0.03, scaled

@@ -80,17 +80,18 @@ class TestSpreadCurve:
 
 class TestRepoCurve:
     def test_adds_risk_free(self, params, ust10):
-        rf = RateCurve.flat(0.01, "OIS")
-        curve = repo_curve(params, ust10, "BBB", (0.25, 1.0, 5.0), rf)
-        assert curve.zero_rate(1.0) == pytest.approx(0.01 + 0.0014 + 0.02 * 0.0,
+        # the spread over risk-free; `cxva repo-curve` adds the risk-free
+        # zero rate (checked in test_cli.py)
+        curve = repo_curve(params, ust10, "BBB", (0.25, 1.0, 5.0))
+        assert curve.zero_rate(1.0) == pytest.approx(0.0014 + 0.02 * 0.0, rel=1e-12)
+        assert curve.zero_rate(5.0) == pytest.approx(breakeven_spread(params, 0.004, 5.0),
                                                      rel=1e-12)
 
     def test_unknown_rating(self, params, ust10):
         with pytest.raises(KeyError):
-            repo_curve(params, ust10, "CCC", (1.0,), RateCurve.flat(0.01))
+            repo_curve(params, ust10, "CCC", (1.0,))
 
     def test_spread_monotone_in_rating(self, params, ust10):
-        rf = RateCurve.flat(0.01)
-        rates = [repo_curve(params, ust10, r, (1.0,), rf).zero_rate(1.0)
+        rates = [repo_curve(params, ust10, r, (1.0,)).zero_rate(1.0)
                  for r in ("AA", "A", "BBB", "BB")]
         assert all(a < b for a, b in zip(rates, rates[1:]))

@@ -1,10 +1,11 @@
 """Scenario fuzzer whose mutations come from the key table.
 
-Each example takes one of three cheap runs (``price`` on a 50x50 grid,
-``repo-curve``, ``xva`` on a small deterministic book) and changes one or
-two keys that ``cxva.scenario.SCHEMA`` declares for that scenario: it drops
-the key, gives it a value of another JSON kind, or sets a NaN, infinite,
-zero, negative or huge number. ``cxva.cli.main`` must then return 0 with
+Each example takes one of four cheap runs (``price`` on a 50x50 grid,
+``repo-curve``, ``xva`` on a small deterministic book, ``optimize`` of two
+assets over two netting sets of eight swaps) and changes one or two keys
+that ``cxva.scenario.SCHEMA`` declares for that scenario: it drops the
+key, gives it a value of another JSON kind, or sets a NaN, infinite, zero,
+negative or huge number. ``cxva.cli.main`` must then return 0 with
 every number it wrote finite, or return 2 or 3 with one JSON line on
 stderr; it must never raise.
 """
@@ -28,6 +29,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PARTIES = {"b": {"bond_spread": 0.0125, "liquidity_spread": 0.005},
            "c": {"bond_spread": 0.03, "liquidity_spread": 0.01}}
 COLLATERAL = {"mode": "noncash", "collateralization": 0.5, "repo_spread": 0.01}
+SHORT_BOOK = {"n": 8, "payer_frac": 0.9, "maturity_min": 0.5, "maturity_max": 5.0,
+              "rate_offset": 0.02, "profile_points": 11}
 BASES = {
     "price": {
         "seed": 5, "curves": {"risk_free": {"flat": 0.01}}, "parties": PARTIES,
@@ -54,7 +57,20 @@ BASES = {
         "quadrature_steps": 21,
         "xva_levels": [0.0, 0.5, 1.0],
     },
+    "optimize": {
+        "seed": 5, "curves": {"risk_free": {"nodes": [[1.0, 0.01], [10.0, 0.02]]}},
+        "parties": PARTIES, "assets_file": "assets.csv", "quadrature_steps": 21,
+        "repo": {"roe": 0.1},
+        "optimizer": {"quantity": 100.0, "tol": 0.01, "max_iter": 3, "netting_sets": [
+            {"id": "S1", "rating": "A", "target_mtm": -5.0, "portfolio": SHORT_BOOK},
+            {"id": "S2", "rating": "BBB", "target_mtm": -3.0,
+             "portfolio": dict(SHORT_BOOK, payer_frac=0.8)}]},
+    },
 }
+# written next to each scenario: the optimize run's two assets
+ASSETS_CSV = ("id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
+              "BOND_A,1,100,0.05,0.03,0,0.001,0.002,0.004,0.008\n"
+              "BOND_B,1,100,0.1,0.12,0.15,0.002,0.004,0.008,0.016\n")
 
 NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -1.0, -0.5, 1e12, 1e300, -1e300]
 # one value of every JSON kind; those of the key's own kind are left out
@@ -86,14 +102,14 @@ def wrong_values(key) -> list:
 
 
 def changed(command: str, **values) -> tuple:
-    """The ``command`` base scenario with each dotted key (``__`` for ``.``)
-    set to its value."""
+    """The ``command`` base scenario with each dotted key (``__`` for ``.``,
+    a number indexes an array) set to its value."""
     raw = json.loads(json.dumps(BASES[command]))
     for dotted, value in values.items():
         *parents, leaf = dotted.split("__")
         node = raw
         for name in parents:
-            node = node[name]
+            node = node[int(name) if isinstance(node, list) else name]
         node[leaf] = value
     return command, raw
 
@@ -160,11 +176,19 @@ def numbers_in(path: Path) -> list:
 @example(changed("xva", curves__risk_free=-1e300))
 @example(changed("xva", collateral__repo_spread=-1e300))
 @example(changed("repo-curve", repo__tenors=[0.5, math.inf]))
+# a netting set's target MTM of the wrong sign, not finite or zero, and no inventory
+@example(changed("optimize", optimizer__netting_sets__0__target_mtm=5.0))
+@example(changed("optimize", optimizer__netting_sets__1__target_mtm=math.nan))
+@example(changed("optimize", optimizer__netting_sets__0__target_mtm=math.inf))
+@example(changed("optimize", optimizer__netting_sets__1__target_mtm=-math.inf))
+@example(changed("optimize", optimizer__netting_sets__0__target_mtm=0.0))
+@example(changed("optimize", optimizer__quantity=0.0))
 def test_mutated_scenario_exits_cleanly(case):
     command, raw = case
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
         scenario.write_text(json.dumps(raw), encoding="utf-8")
+        (Path(tmp) / "assets.csv").write_text(ASSETS_CSV, encoding="utf-8")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([command, "--scenario", str(scenario), "--out", str(out)])
