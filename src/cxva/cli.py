@@ -12,7 +12,6 @@ produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 
 from .collateral import CollateralError
 from .curves import CurveError
+from .discounting import counterparty_risk_spec
 from .exposure import ExposureError
 from .optimizer import (AllocationError, AllocationInfeasibleError,
                         iterate_allocation)
@@ -69,11 +69,7 @@ def _option_sweep_points(scenario: Scenario, points: int):
     rows = []
     for eta in np.linspace(0.0, 1.0, points):
         spec = scenario.effective_spec(collateralization=float(eta))
-        # counterparty-risk-only twin: the whole collateralized share earns
-        # risk-free, so what remains of XVA is the unsecured (1-eta) part
-        cra_spec = dataclasses.replace(
-            spec, mode="cash_comingled", cash_rate=spec.risk_free, repo_spread_c=None,
-            repo_spread_b=None, state=dataclasses.replace(spec.state, chi_b=1.0, chi_c=1.0))
+        cra_spec = counterparty_risk_spec(spec)
         row = [float(eta)]
         for position in (1.0, -1.0):
             option = scenario.option(position=position)

@@ -14,12 +14,15 @@ this one rate.
 
 The formula is written once, in ``blend_rate``; its inputs are resolved
 once per spec, mode policy applied, into the ``SideRates`` record that
-every caller reads through ``EffectiveRateSpec.side``.
+every caller reads through ``EffectiveRateSpec.side``. This module is the
+only one that knows what each collateral mode protects and funds: the
+counterparty-risk-only twin (``counterparty_risk_spec``) is built from the
+resolved sides, not from the mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,9 +33,9 @@ MODES = ("uncollateralized", "cash_comingled", "cash_segregated", "noncash",
          "initial_margin")
 
 
-def _as_spread_curve(spread) -> RateCurve | None:
+def _as_spread_curve(spread) -> RateCurve:
     if spread is None:
-        return None
+        return RateCurve.flat(0.0, label="spread")
     if isinstance(spread, RateCurve):
         return spread
     return RateCurve.flat(float(spread), label="spread")
@@ -60,8 +63,10 @@ class EffectiveRateSpec:
     """Everything needed to evaluate r_e as a function of (t, sign V).
 
     repo spreads are quoted over the risk-free curve; a scalar is treated
-    as a flat curve. ``repo_spread_b`` defaults to the C-side spread (the
-    symmetric case; distinct values support borrower-specific repo rates).
+    as a flat curve and an omitted C-side spread as zero. ``repo_spread_b``
+    defaults to the C-side spread (the symmetric case; distinct values
+    support borrower-specific repo rates). The fields keep what the caller
+    gave; ``side`` reads the rates they resolve to.
     """
 
     party_b: PartyCurves
@@ -78,14 +83,8 @@ class EffectiveRateSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; one of {MODES}")
-        object.__setattr__(self, "repo_spread_c", _as_spread_curve(self.repo_spread_c))
-        spread_b = self.repo_spread_b if self.repo_spread_b is not None else self.repo_spread_c
-        object.__setattr__(self, "repo_spread_b", _as_spread_curve(spread_b))
         if self.mode == "cash_comingled" and self.cash_rate is None:
             raise ValueError("mode 'cash_comingled' needs a cash_rate curve")
-        if self.repo_spread_c is None:
-            object.__setattr__(self, "repo_spread_c", RateCurve.flat(0.0, "spread"))
-            object.__setattr__(self, "repo_spread_b", RateCurve.flat(0.0, "spread"))
         for party in (self.party_b, self.party_c):
             ts = np.asarray(sorted(set(party.liquidity.tenors) | set(self.risk_free.tenors)))
             if np.any(party.liquidity.zero_rate(ts) < self.risk_free.zero_rate(ts) - 1e-12):
@@ -95,18 +94,20 @@ class EffectiveRateSpec:
         # segregated modes (segregated cash, initial margin) force the
         # unfunded case, so they read no cash curve; comingled cash and
         # securities read chi per direction; comingled cash funds at r_L - r
+        # on both sides, securities at each side's repo spread
         protected = self.mode != "uncollateralized"
         funded = self.mode not in ("cash_segregated", "initial_margin")
-        cash_spread = None
+        spread_c = _as_spread_curve(self.repo_spread_c)
+        spread_b = spread_c if self.repo_spread_b is None else _as_spread_curve(self.repo_spread_b)
         if self.mode == "cash_comingled":
-            cash_spread = combine_curves([self.cash_rate, self.risk_free], [1.0, -1.0],
-                                         label="cash_spread")
+            spread_c = spread_b = combine_curves([self.cash_rate, self.risk_free], [1.0, -1.0],
+                                                 label="cash_spread")
         st = self.state
-        for name, party, eta, chi, repo in (
-                ("_side_c", self.party_c, st.eta_c, st.chi_c, self.repo_spread_c),
-                ("_side_b", self.party_b, st.eta_b, st.chi_b, self.repo_spread_b)):
+        for name, party, eta, chi, spread in (
+                ("_side_c", self.party_c, st.eta_c, st.chi_c, spread_c),
+                ("_side_b", self.party_b, st.eta_b, st.chi_b, spread_b)):
             object.__setattr__(self, name, SideRates(
-                party.bond, party.liquidity, repo if cash_spread is None else cash_spread,
+                party.bond, party.liquidity, spread,
                 float(eta) if protected else 0.0, float(chi) if funded else 0.0))
 
     def side(self, side: int) -> SideRates:
@@ -124,6 +125,15 @@ def risk_free_spec(risk_free: RateCurve) -> EffectiveRateSpec:
     party = PartyCurves(bond=risk_free, liquidity=risk_free)
     return EffectiveRateSpec(party_b=party, party_c=party, risk_free=risk_free,
                              state=CollateralState(), mode="uncollateralized")
+
+
+def counterparty_risk_spec(spec: EffectiveRateSpec) -> EffectiveRateSpec:
+    """The counterparty-risk-only twin of ``spec``: each side keeps the eta
+    its mode resolved, and that protected share earns the risk-free rate
+    (chi = 1, no spread), so r_e's adjustment is only the unsecured (1 - eta)
+    part."""
+    return replace(spec, mode="noncash", cash_rate=None, repo_spread_c=None, repo_spread_b=None,
+                   state=CollateralState(eta_b=spec.side(-1).eta, eta_c=spec.side(+1).eta))
 
 
 def blend_rate(f_unsec, f_mu, f_r, f_spread, eta, chi):

@@ -7,12 +7,11 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   sign;
 - one-factor Monte Carlo: a mean-reverting Gaussian short rate fitted to
   the initial curve (Hull-White style bond reconstitution), with antithetic
-  pairs and one RNG stream per pair so results do not depend on how paths
-  are chunked across workers. At each grid time the book is revalued one
-  block of paths at a time in a preallocated buffer of
-  max(32 768, cash-flow dates) float64 values (256 KB for books of up to
-  32 768 cash-flow dates), so the kernel's transient memory is that buffer
-  beside the (paths x grid times) factor array.
+  pairs drawn from one generator seeded by the model seed. At each grid
+  time the book is revalued one block of paths at a time in a preallocated
+  buffer of max(32 768, cash-flow dates) float64 values (256 KB for books
+  of up to 32 768 cash-flow dates), so the kernel's transient memory is
+  that buffer beside the (paths x grid times) factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
 periods counted back from maturity. A book is built once per profile as
@@ -276,17 +275,15 @@ def exposure_profile(portfolio: Sequence[Swap], model, points: int,
 def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
     """Zero-mean OU factor paths, antithetic in pairs.
 
-    Pair j draws from its own stream spawned off the model seed, so the
-    result is identical however paths are partitioned across workers.
+    Pair j takes row j of one (pairs x steps) draw of standard normals from
+    a generator seeded by the model seed.
     """
     a = model.mean_reversion
     n_pairs = (model.paths + 1) // 2
     dts = np.diff(times)
     decay = np.exp(-a * dts)
     stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
-    children = np.random.SeedSequence(model.seed).spawn(n_pairs)
-    z = np.array([np.random.default_rng(ss).standard_normal(len(dts))
-                  for ss in children])
+    z = np.random.default_rng(model.seed).standard_normal((n_pairs, len(dts)))
     x = np.zeros((2 * n_pairs, len(times)))
     up, down = x[0::2], x[1::2]
     for k in range(len(dts)):

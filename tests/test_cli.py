@@ -14,6 +14,7 @@ import cxva.optimizer
 import cxva.pde
 import cxva.scenario
 from cxva.cli import MAX_SWEEP_POINTS, main
+from cxva.discounting import MODES
 from cxva.simplex import solve_bounded_lp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -183,6 +184,23 @@ class TestSweep:
         assert float(last[1]) == 0.0  # CRA vanishes at full collateralization
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(float(first[2]))  # xva = cra at 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cra_twin_keeps_the_modes_eta(self, tmp_path, mode):
+        # the counterparty-risk-only twin protects the share the mode
+        # protects: at eta = 0 nothing, so cra = xva in every mode, and
+        # uncollateralized nothing at any level
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID,
+                            collateral={"mode": mode, "repo_spread": 0.01})
+        assert run(["sweep", "--scenario", sc, "--out", tmp_path / "out",
+                    "--points", "3"]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for _, cra_long, xva_long, cra_short, xva_short in (
+                rows if mode == "uncollateralized" else rows[:1]):
+            assert (cra_long, cra_short) == (xva_long, xva_short)
+        if mode != "uncollateralized":
+            assert rows[-1][1] == rows[-1][3] == "0"  # fully protected: no CRA
 
     def test_portfolio_sweep_structure(self, tmp_path):
         sc = write_scenario(tmp_path, portfolio=SMALL_PORTFOLIO,

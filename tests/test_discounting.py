@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from cxva.curves import PartyCurves, RateCurve
 from cxva.collateral import CollateralState
-from cxva.discounting import EffectiveRateSpec, effective_rate
+from cxva.discounting import (MODES, EffectiveRateSpec, counterparty_risk_spec,
+                               effective_rate)
 from conftest import make_spec
 
 
@@ -43,6 +44,26 @@ class TestEffectiveRate:
         spec = spec_factory(eta=1.0, chi=1.0, repo_spread=0.01, repo_spread_b=0.002)
         assert effective_rate(spec, 1.0, +1) == pytest.approx(0.02, rel=1e-12)
         assert effective_rate(spec, 1.0, -1) == pytest.approx(0.012, rel=1e-12)
+
+    def test_b_side_spread_alone(self, party_b, party_c, ois_flat):
+        # an omitted C-side spread is zero and leaves the given B side alone
+        spec = EffectiveRateSpec(party_b, party_c, ois_flat, CollateralState(),
+                                 repo_spread_b=0.01)
+        assert effective_rate(spec, 1.0, -1) == pytest.approx(0.02, rel=1e-12)
+        assert effective_rate(spec, 1.0, +1) == pytest.approx(0.01, rel=1e-12)
+        assert (spec.repo_spread_c, spec.repo_spread_b) == (None, 0.01)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_counterparty_risk_twin(self, spec_factory, mode):
+        # each side keeps the eta its mode resolved; that share earns r
+        spec = spec_factory(eta=0.7, chi=0.4, eta_b=0.3, mode=mode, repo_spread=0.01,
+                            cash_rate=RateCurve.flat(0.012))
+        twin = counterparty_risk_spec(spec)
+        for side, unsecured in ((+1, 0.04), (-1, 0.0225)):
+            eta = spec.side(side).eta
+            assert twin.side(side).eta == eta
+            assert effective_rate(twin, 1.0, side) == pytest.approx(
+                (1.0 - eta) * unsecured + eta * 0.01, rel=1e-12)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)

@@ -126,24 +126,25 @@ class TestMcProfile:
         assert np.max(np.abs(x.mean(axis=0))) < 1e-15
 
     def test_worker_chunk_invariance(self):
-        # pair streams derive from (seed, pair index): a smaller run equals
-        # the leading paths of a larger one, so partitioning across workers
-        # cannot change results
+        # the normals are drawn row by row from one stream: a smaller run
+        # equals the leading paths of a larger one
         times = np.linspace(0.0, 5.0, 6)
         big = _ou_paths(OneFactorMcModel(0.1, 0.02, 1200, seed=13), times)
         small = _ou_paths(OneFactorMcModel(0.1, 0.02, 1000, seed=13), times)
         assert np.array_equal(big[:1000], small)
 
     def test_ou_paths_match_scalar_recursion(self):
-        # the per-pair scalar recursion, antithetic partner in the odd row
+        # the scalar recursion on one stream drawn pair by pair, antithetic
+        # partner in the odd row
         model = OneFactorMcModel(0.07, 0.015, 1001, seed=4)
         times = np.linspace(0.0, 7.0, 15)
         a, dts = model.mean_reversion, np.diff(times)
         decay = np.exp(-a * dts)
         stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
         ref = np.zeros((1002, len(times)))
-        for j, ss in enumerate(np.random.SeedSequence(model.seed).spawn(501)):
-            z = np.random.default_rng(ss).standard_normal(len(dts))
+        rng = np.random.default_rng(model.seed)
+        for j in range(501):
+            z = rng.standard_normal(len(dts))
             for k in range(len(dts)):
                 ref[2 * j, k + 1] = ref[2 * j, k] * decay[k] + stds[k] * z[k]
                 ref[2 * j + 1, k + 1] = ref[2 * j + 1, k] * decay[k] - stds[k] * z[k]

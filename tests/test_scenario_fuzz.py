@@ -82,13 +82,18 @@ ACCEPTS = {"number": {"number", "integer"}, "integer": {"integer"}, "string": {"
 
 def table_paths(raw: dict, section: str, prefix=()) -> list:
     """(key path, table entry) of every key of ``section`` and of every
-    object below it that ``raw`` gives."""
+    object below it that ``raw`` gives, in an array of objects too (a
+    number in a path indexes the array)."""
     out = []
     for name, key in SCHEMA[section].items():
-        path = prefix + (name,)
+        path, value = prefix + (name,), raw.get(name)
         out.append((path, key))
-        if key.kind == "object" and isinstance(raw.get(name), dict):
-            out += table_paths(raw[name], key.section, path)
+        if key.kind == "object" and isinstance(value, dict):
+            out += table_paths(value, key.section, path)
+        if key.kind == "array" and key.item == "object" and isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    out += table_paths(item, key.section, path + (i,))
     return out
 
 
