@@ -18,23 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .collateral import CollateralError
-from .curves import CurveError
 from .discounting import counterparty_risk_spec
-from .exposure import ExposureError
-from .optimizer import (AllocationError, AllocationInfeasibleError,
-                        iterate_allocation)
-from .pde import PdeError, PicardConvergenceError, xva_pde
-from .repo import RepoModelError, repo_curve
+from .optimizer import AllocationInfeasibleError, iterate_allocation
+from .pde import PicardConvergenceError, xva_pde
+from .repo import repo_curve
 from .scenario import MAX_SWEEP_POINTS, Scenario, ScenarioError, read_flag
 from .simplex import LpSolverError
-from .xva import XvaError, decompose, to_running_spread
+from .xva import decompose, to_running_spread
 
-# ArithmeticError: inputs so extreme that a command's arithmetic overflows
-VALIDATION_ERRORS = (ScenarioError, CurveError, CollateralError, ExposureError,
-                     PdeError, XvaError, AllocationError, RepoModelError,
-                     KeyError, ValueError, ArithmeticError)
+# caught first: AllocationInfeasibleError is a ValueError
 SOLVER_ERRORS = (PicardConvergenceError, AllocationInfeasibleError, LpSolverError)
+# every module's input error subclasses ValueError; ArithmeticError: inputs
+# so extreme that a command's arithmetic overflows
+VALIDATION_ERRORS = (ValueError, KeyError, ArithmeticError)
 
 
 def _fmt(x: float) -> str:

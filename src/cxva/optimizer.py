@@ -1,13 +1,15 @@
 """LVA-maximizing collateral allocation across netting sets.
 
 Pipeline: price each asset's benefit per unit against each netting set
-(unit LVA), then solve
+(unit LVA), then solve the LP below. Its columns are the posted q_ij
+(row-major), each asset's unused quantity u_i and, when H > 0, the HQLA
+surplus z; its rows, by the names infeasibility reports, are
 
-    max sum_ij q_ij e_ij
-    s.t.  sum_j q_ij + s_i = Q_i,          s_i >= 0        (inventory)
-          sum_i q_ij (1 - h_i) B_i = V_j                    (funding)
-          sum_i s_i (1 - h_Li) B_i >= H                     (HQLA floor)
-          0 <= q_ij <= bounds_ij                            (eligibility)
+    max  sum_ij e_ij q_ij   subject to
+    inventory:<asset>  sum_j q_ij + u_i = Q_i
+    funding:<set>      sum_i (1 - h_i) B_i q_ij = V_j
+    hqla_floor         sum_i (1 - h_Li) B_i u_i - z = H     (only when H > 0)
+    0 <= q_ij <= min(bounds_ij, Q_i),  0 <= u_i <= Q_i,  z >= 0
 
 and iterate allocation <-> revaluation: posting imperfect collateral
 changes each liability's fair value, hence the posting requirement, hence
@@ -124,65 +126,43 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
     """
     assets, sets = problem.assets, problem.netting_sets
     m, n = len(assets), len(sets)
-    use_hqla = problem.hqla_floor > 0.0
-    nvar = m * n + m + (1 if use_hqla else 0)
-    nrow = m + n + (1 if use_hqla else 0)
-
-    def qvar(i, j):
-        return i * n + j
-
-    a = np.zeros((nrow, nvar))
-    b = np.zeros(nrow)
-    c = np.zeros(nvar)
-    upper = np.full(nvar, np.inf)
-
+    nq = m * n
+    quantity = np.array([asset.quantity for asset in assets], dtype=float)
+    weight = np.array([problem.funding_weight(asset) for asset in assets])
+    hqla_weight = np.array([(1.0 - asset.h_lcr) * asset.price for asset in assets])
     bounds = np.full((m, n), np.inf) if problem.bounds is None else problem.bounds
-    for i, asset in enumerate(assets):
-        for j in range(n):
-            c[qvar(i, j)] = problem.unit_lva[i, j]
-            upper[qvar(i, j)] = min(bounds[i, j], asset.quantity)
-        # inventory row i
-        a[i, qvar(i, 0):qvar(i, n - 1) + 1] = 1.0
-        a[i, m * n + i] = 1.0
-        b[i] = asset.quantity
-        upper[m * n + i] = asset.quantity
-    for j, ns in enumerate(sets):
-        for i, asset in enumerate(assets):
-            a[m + j, qvar(i, j)] = problem.funding_weight(asset)
-        b[m + j] = ns.requirement
-    if use_hqla:
-        row = m + n
-        for i, asset in enumerate(assets):
-            a[row, m * n + i] = (1.0 - asset.h_lcr) * asset.price
-        a[row, nvar - 1] = -1.0
-        b[row] = problem.hqla_floor
+    floor = [problem.hqla_floor] if problem.hqla_floor > 0.0 else []
+
+    # the module docstring's layout, block by block
+    rows = ([f"inventory:{asset.id}" for asset in assets] + [f"funding:{ns.id}" for ns in sets]
+            + ["hqla_floor"] * len(floor))
+    a = np.zeros((len(rows), nq + m + len(floor)))
+    a[:m, :nq] = np.kron(np.eye(m), np.ones(n))
+    a[:m, nq:nq + m] = np.eye(m)
+    a[m:m + n, :nq] = np.kron(weight, np.eye(n))
+    if floor:
+        a[-1, nq:nq + m] = hqla_weight
+        a[-1, -1] = -1.0
+    b = np.concatenate([quantity, [ns.requirement for ns in sets], floor])
+    c = np.concatenate([problem.unit_lva.ravel(), np.zeros(m + len(floor))])
+    upper = np.concatenate([np.minimum(bounds, quantity[:, None]).ravel(), quantity,
+                            [np.inf] * len(floor)])
 
     try:
         res = solve_bounded_lp(c, a, b, upper)
     except LpInfeasibleError as err:
-        labels = []
-        for r in err.rows:
-            if r < m:
-                labels.append(f"inventory:{assets[r].id}")
-            elif r < m + n:
-                labels.append(f"funding:{sets[r - m].id}")
-            else:
-                labels.append("hqla_floor")
-        raise AllocationInfeasibleError(labels) from err
+        raise AllocationInfeasibleError([rows[r] for r in err.rows]) from err
     except LpUnboundedError as err:  # impossible with finite Q and bounds
         raise LpSolverError("allocation LP cannot be unbounded") from err
 
-    q = res.x[:m * n].reshape(m, n)
-    slacks = res.x[m * n:m * n + m]
+    q = res.x[:nq].reshape(m, n)
+    slacks = res.x[nq:nq + m]
     _check_feasible(problem, q, slacks)
-    hqla_value = float(sum(slacks[i] * (1.0 - a_.h_lcr) * a_.price
-                           for i, a_ in enumerate(assets)))
+    capped = np.isfinite(bounds) & (bounds > 0.0) & (q >= bounds - 1e-9)
     binding = {
-        "inventory": [assets[i].id for i in range(m) if slacks[i] <= 1e-9],
-        "hqla": use_hqla and hqla_value <= problem.hqla_floor + 1e-9,
-        "bounds": [(assets[i].id, sets[j].id) for i in range(m) for j in range(n)
-                   if np.isfinite(bounds[i, j]) and bounds[i, j] > 0.0
-                   and q[i, j] >= bounds[i, j] - 1e-9],
+        "inventory": [asset.id for asset, s in zip(assets, slacks) if s <= 1e-9],
+        "hqla": bool(floor) and float(slacks @ hqla_weight) <= problem.hqla_floor + 1e-9,
+        "bounds": [(assets[i].id, sets[j].id) for i, j in zip(*np.nonzero(capped))],
     }
     return Allocation(q=q, slacks=slacks, objective=res.objective, binding=binding)
 
@@ -214,13 +194,12 @@ def _lva(profile: ExposureProfile, poster: PartyCurves, risk_free: RateCurve,
 
 @dataclass(frozen=True)
 class IterationState:
-    """One allocation round: requirements used, solved allocation, the LVA
-    each set earns under it, and the revalued MTMs."""
+    """One allocation round: requirements used, unit LVAs, solved allocation
+    and the revalued MTMs (mtm* - the LVA each set earns under it)."""
 
     requirements: np.ndarray
     unit_lva: np.ndarray
     allocation: Allocation
-    lva: np.ndarray
     mtms: np.ndarray
 
 
@@ -263,12 +242,12 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             benefit[i, j] = abs(_lva(ns.profile, poster, risk_free, 1.0,
                                      chi(a.h_repo, a.h_csa), spreads[key], n_steps))
 
+    conv = np.array([a.price * (1.0 - a.h_csa) for a in assets])
     prev = mtm_star.copy()
     states: list[IterationState] = []
     status = "max_iter"
     for _ in range(max_iter):
         req = np.abs(prev)
-        conv = np.array([a.price * (1.0 - a.h_csa) for a in assets])
         with np.errstate(divide="ignore", invalid="ignore"):
             e = np.where(req > 0.0, benefit * conv[:, None] / req[None, :], 0.0)
         current = [replace(ns, requirement=float(req[j])) for j, ns in enumerate(sets)]
@@ -290,7 +269,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             lva[j] = _lva(ns.profile, poster, risk_free, eta, x, spread, n_steps)
         mtms = mtm_star - lva
         states.append(IterationState(requirements=req, unit_lva=e,
-                                     allocation=alloc, lva=lva, mtms=mtms))
+                                     allocation=alloc, mtms=mtms))
         delta = float(np.max(np.abs(mtms - prev)))
         prev = mtms
         if delta < tol:

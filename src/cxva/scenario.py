@@ -24,8 +24,9 @@ from typing import NamedTuple
 from .collateral import CollateralAsset, CollateralState, chi, load_assets_csv
 from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
-                       OneFactorMcModel, Swap, exposure_profile, generate_portfolio)
+from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS,
+                       DeterministicModel, OneFactorMcModel, Swap, exposure_profile,
+                       generate_portfolio)
 from .optimizer import DEFAULT_SPREAD_TENORS, NettingSet
 from .pde import GridSpec, OptionSpec
 from .repo import RepoModelParams
@@ -45,8 +46,9 @@ CURVE_FORMS = ("flat", "nodes", "file")
 
 class Key(NamedTuple):
     """A scenario key: JSON kind ("number", "integer", "string", "curve", "array"
-    or "object"), default (None: absent and null mean "not given"), inclusive
-    bounds on an integer or array length, item kind and SCHEMA section."""
+    or "object"), default (None: absent and null mean "not given"), bounds
+    (lo, hi) read as [lo, hi] on an integer or array length and as (lo, hi]
+    on a number, item kind and SCHEMA section."""
 
     kind: str
     default: object = REQUIRED
@@ -82,7 +84,8 @@ SCHEMA = {
     "collateral": {"mode": Key("string", "noncash"), "collateralization": _number(1.0),
                    "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
                    "repo_spread": Key("curve", 0.0)},
-    "option": {"payoff": Key("string"), "strike": _number(0.0), "maturity": _number(),
+    "option": {"payoff": Key("string"), "strike": _number(0.0),
+               "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY)),
                "spot": _number(), "vol": _number(), "div_yield": _number(0.0)},
     "grid": {"s_nodes": Key("integer", 200), "t_steps": Key("integer", 200),
              "s_max_mult": _number(5.0)},
@@ -134,7 +137,11 @@ def _convert(key: Key, value, name: str, base_dir: Path):
         return value
     if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            return float(value)
+            value = float(value)
+            if key.bounds is not None and not key.bounds[0] < value <= key.bounds[1]:
+                raise ScenarioError(f"{name} must be a number in ({key.bounds[0]:g}, "
+                                    f"{key.bounds[1]:g}], got {value!r}")
+            return value
     raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
 
 
@@ -249,12 +256,12 @@ class Scenario:
         if not 0.0 <= eta <= 1.0:
             raise ScenarioError(f"collateralization must be in [0, 1], got {eta!r}")
         x = cfg["chi"] if cfg["chi"] is not None else chi(cfg["h_repo"], cfg["h_csa"])
-        # segregated cash is unfunded (chi = 0): only comingled cash reads a curve
-        cash = self.curve("cash") or self.risk_free if cfg["mode"] == "cash_comingled" else None
+        # every mode gets the cash curve; the spec reads it only where the mode funds cash
         return EffectiveRateSpec(party_b=self.party("b"), party_c=self.party("c"),
                                  risk_free=self.risk_free, mode=cfg["mode"],
                                  state=CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x),
-                                 cash_rate=cash, repo_spread_c=cfg["repo_spread"])
+                                 cash_rate=self.curve("cash") or self.risk_free,
+                                 repo_spread_c=cfg["repo_spread"])
 
     def option(self, position: float = 1.0) -> OptionSpec:
         return OptionSpec(**self.config["option"], position=position)

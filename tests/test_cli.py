@@ -141,6 +141,31 @@ class TestPrice:
         assert path.split(".")[1] in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1e300, cxva.exposure.MAX_MATURITY * (1.0 + 1e-15),
+                                       0.0, -1.0])
+    def test_maturity_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        # the same (0, 100] years as a swap's; rejected before any solve
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = write_scenario(tmp_path, option=dict(OPTION_BLOCK, maturity=value), grid=SMALL_GRID)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert "option.maturity" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_maturity_accepted(self, tmp_path):
+        option = dict(OPTION_BLOCK, maturity=cxva.exposure.MAX_MATURITY)
+        sc = write_scenario(tmp_path, option=option, grid=SMALL_GRID)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_malformed_cash_curve_exits_2(self, tmp_path, capsys, mode):
+        # every mode reads curves.cash, not only the one that funds from it
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID,
+                            curves={"risk_free": 0.01, "cash": "x"},
+                            collateral={"mode": mode, "collateralization": 1.0})
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert "curves.cash" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path", ["grid.s_nodes", "grid.t_steps"])
     def test_huge_grid_exits_2(self, tmp_path, capsys, monkeypatch, path):
         # rejected when the grid is read, before a solve sizes any array

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cxva.optimizer
 from cxva.collateral import CollateralAsset
 from cxva.curves import PartyCurves, RateCurve
 from cxva.exposure import ExposureProfile
@@ -8,6 +9,7 @@ from cxva.optimizer import (AllocationError, AllocationInfeasibleError,
                             AllocationProblem, NettingSet, iterate_allocation,
                             solve_lp)
 from cxva.repo import RepoModelParams
+from cxva.simplex import solve_bounded_lp
 
 
 def simple_asset(id="A1", price=1.0, quantity=100.0, h_csa=0.0, h_repo=0.0,
@@ -129,6 +131,55 @@ class TestSolveLp:
         alloc = solve_lp(AllocationProblem((a1, a2), sets, e))
         units = (45.0 + 27.0) / 0.9
         assert alloc.objective == pytest.approx(0.03 * units, rel=1e-12)
+
+    def test_layout_matches_hand_written_lp(self, monkeypatch):
+        # columns q11 q12 q21 q22, unused u1 u2, HQLA surplus; rows
+        # inventory a1 a2, funding s1 s2, HQLA floor
+        a1 = simple_asset("a1", price=2.0, quantity=100.0, h_csa=0.25, h_lcr=0.5)
+        a2 = simple_asset("a2", price=1.0, quantity=80.0, h_csa=0.5, h_lcr=0.25)
+        sets = (simple_set("s1", req=30.0), simple_set("s2", req=20.0))
+        e = np.array([[0.05, 0.04], [0.02, 0.03]])
+        bounds = np.array([[np.inf, 40.0], [np.inf, np.inf]])
+        seen = []
+
+        def capture(c, a, b, upper):
+            seen.append((c, a, b, upper))
+            return solve_bounded_lp(c, a, b, upper)
+
+        monkeypatch.setattr(cxva.optimizer, "solve_bounded_lp", capture)
+        solve_lp(AllocationProblem((a1, a2), sets, e, hqla_floor=50.0, bounds=bounds))
+        (c, a, b, upper), = seen
+        inf = np.inf
+        assert np.array_equal(c, [0.05, 0.04, 0.02, 0.03, 0.0, 0.0, 0.0])
+        assert np.array_equal(upper, [100.0, 40.0, 80.0, 80.0, 100.0, 80.0, inf])
+        assert np.array_equal(b, [100.0, 80.0, 30.0, 20.0, 50.0])
+        assert np.array_equal(a, [[1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                  [0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+                                  [1.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+                                  [0.0, 1.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0, 0.0, 1.0, 0.75, -1.0]])
+
+    def test_unmet_hqla_floor_names_it(self):
+        # 40 units stay unposted at most, against a floor of 80
+        asset = simple_asset(quantity=100.0)
+        ns = simple_set("S1", req=60.0)
+        problem = AllocationProblem((asset,), (ns,), np.array([[0.05]]), hqla_floor=80.0)
+        with pytest.raises(AllocationInfeasibleError) as err:
+            solve_lp(problem)
+        assert "hqla_floor" in err.value.labels
+
+    def test_binding_names_exhausted_asset_and_capped_pair(self):
+        # s2 takes at most 10 of a2, so a1 covers the rest of s2 and runs out
+        a1 = simple_asset("a1", quantity=50.0)
+        a2 = simple_asset("a2", quantity=200.0)
+        sets = (simple_set("s1", req=80.0), simple_set("s2", req=40.0))
+        e = np.array([[0.05, 0.01], [0.02, 0.04]])
+        bounds = np.array([[np.inf, np.inf], [np.inf, 10.0]])
+        alloc = solve_lp(AllocationProblem((a1, a2), sets, e, bounds=bounds))
+        assert alloc.q == pytest.approx(np.array([[20.0, 30.0], [60.0, 10.0]]))
+        assert alloc.binding["inventory"] == ["a1"]
+        assert alloc.binding["bounds"] == [("a2", "s2")]
+        assert not alloc.binding["hqla"]
 
     def test_funding_haircut_variant(self):
         asset = simple_asset(h_csa=0.1, h_repo=0.2, quantity=200.0)
