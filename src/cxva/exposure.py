@@ -45,6 +45,8 @@ MAX_SWAPS = 20_000
 MAX_MATURITY = 100.0
 MAX_PATHS = 50_000
 MAX_PROFILE_POINTS = 500
+# coupon payments a year
+PAY_FREQS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,8 @@ class Swap:
             raise ExposureError("notional must be finite and > 0")
         if not 0.0 < self.maturity <= MAX_MATURITY:
             raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
-        if self.pay_freq not in (1, 2, 4):
-            raise ExposureError("pay_freq must be one of 1, 2, 4")
+        if self.pay_freq not in PAY_FREQS:
+            raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
         if self.direction not in ("payer", "receiver"):
             raise ExposureError("direction must be 'payer' or 'receiver'")
 

@@ -39,6 +39,8 @@ from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
 from .xva import decompose
 
 DEFAULT_SPREAD_TENORS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
+# the haircut the funding equality values posted collateral at
+FUNDING_HAIRCUTS = ("csa", "repo")
 
 
 class AllocationError(ValueError):
@@ -80,7 +82,7 @@ class AllocationProblem:
     unit_lva: np.ndarray
     hqla_floor: float = 0.0
     bounds: np.ndarray | None = None  # M x N upper bounds on q_ij (np.inf allowed)
-    funding_haircut: str = "csa"  # "csa" | "repo"
+    funding_haircut: str = "csa"  # one of FUNDING_HAIRCUTS
 
     def __post_init__(self) -> None:
         e = np.asarray(self.unit_lva, dtype=float)
@@ -91,8 +93,8 @@ class AllocationProblem:
             raise AllocationError("unit_lva entries must be finite")
         if not 0.0 <= self.hqla_floor < np.inf:
             raise AllocationError("hqla_floor must be finite and >= 0")
-        if self.funding_haircut not in ("csa", "repo"):
-            raise AllocationError("funding_haircut must be 'csa' or 'repo'")
+        if self.funding_haircut not in FUNDING_HAIRCUTS:
+            raise AllocationError(f"funding_haircut must be one of {', '.join(FUNDING_HAIRCUTS)}")
         object.__setattr__(self, "unit_lva", e)
         object.__setattr__(self, "assets", tuple(self.assets))
         object.__setattr__(self, "netting_sets", tuple(self.netting_sets))
@@ -194,13 +196,15 @@ def _lva(profile: ExposureProfile, poster: PartyCurves, risk_free: RateCurve,
 
 @dataclass(frozen=True)
 class IterationState:
-    """One allocation round: requirements used, unit LVAs, solved allocation
-    and the revalued MTMs (mtm* - the LVA each set earns under it)."""
+    """One allocation round: requirements used, unit LVAs, solved allocation,
+    the revalued MTMs (mtm* - the LVA each set earns under it) and delta, the
+    largest MTM move from the round before, which the stop test reads."""
 
     requirements: np.ndarray
     unit_lva: np.ndarray
     allocation: Allocation
     mtms: np.ndarray
+    delta: float
 
 
 @dataclass(frozen=True)
@@ -268,9 +272,9 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
             eta = min(1.0, protection / ns.requirement)
             lva[j] = _lva(ns.profile, poster, risk_free, eta, x, spread, n_steps)
         mtms = mtm_star - lva
-        states.append(IterationState(requirements=req, unit_lva=e,
-                                     allocation=alloc, mtms=mtms))
         delta = float(np.max(np.abs(mtms - prev)))
+        states.append(IterationState(requirements=req, unit_lva=e,
+                                     allocation=alloc, mtms=mtms, delta=delta))
         prev = mtms
         if delta < tol:
             status = "converged"

@@ -57,6 +57,9 @@ class PicardConvergenceError(RuntimeError):
             f"residual {residual:.3e} after {iterations} sweeps")
 
 
+PAYOFFS = ("call", "put", "zcb", "forward")
+
+
 @dataclass(frozen=True)
 class OptionSpec:
     """European payoff on a single underlier.
@@ -66,7 +69,7 @@ class OptionSpec:
     which changes sign, so both parties' rates apply within one solve.
     """
 
-    payoff: str  # "call" | "put" | "zcb" | "forward"
+    payoff: str  # one of PAYOFFS
     strike: float
     maturity: float
     spot: float
@@ -83,8 +86,8 @@ class OptionSpec:
             raise PdeError("option strike must be finite and >= 0")
         if not math.isfinite(self.div_yield):
             raise PdeError("option div_yield must be finite")
-        if self.payoff not in ("call", "put", "zcb", "forward"):
-            raise PdeError("payoff must be call, put, zcb or forward")
+        if self.payoff not in PAYOFFS:
+            raise PdeError(f"payoff must be one of {', '.join(PAYOFFS)}")
         if self.payoff != "zcb" and self.strike == 0.0:
             raise PdeError(f"{self.payoff} needs a positive strike")
 

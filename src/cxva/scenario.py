@@ -5,10 +5,12 @@ the risk-free curve, a collateral block, and one or more work descriptions
 (option, portfolio, repo, optimizer). Every random quantity derives from the
 single scenario seed, so identical scenario + seed means identical outputs.
 
-``SCHEMA`` declares every key a scenario may hold: its JSON kind, default and
-bounds. ``Scenario`` reads each value through it when a command first needs
-it; a value of another kind raises ScenarioError naming its dotted key.
-Keys it does not declare are ignored.
+``SCHEMA`` declares every key a scenario may hold: its JSON kind, default,
+bounds and, for an enumerated key, the value set it takes; each value set is
+the tuple the library's own check reads. ``Scenario`` reads each value
+through the table when a command first needs it and keeps what it read; a
+value of another kind, outside its bounds or outside its value set raises
+ScenarioError naming its dotted key. Keys it does not declare are ignored.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .collateral import CollateralAsset, CollateralState, chi, load_assets_csv
+from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi, load_assets_csv
 from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS,
+from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, PAY_FREQS,
                        DeterministicModel, OneFactorMcModel, Swap, exposure_profile,
                        generate_portfolio)
-from .optimizer import DEFAULT_SPREAD_TENORS, NettingSet
-from .pde import GridSpec, OptionSpec
+from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
+from .pde import PAYOFFS, GridSpec, OptionSpec
 from .repo import RepoModelParams
 from .xva import MAX_QUADRATURE_STEPS
 
@@ -42,23 +44,35 @@ MAX_SWEEP_POINTS = 1_000
 REQUIRED = object()
 # a curve spec is a number (a flat rate) or an object holding one of these
 CURVE_FORMS = ("flat", "nodes", "file")
+# the exposure backends Scenario.exposure_model builds
+EXPOSURE_MODELS = ("deterministic", "one_factor_mc")
 
 
 class Key(NamedTuple):
     """A scenario key: JSON kind ("number", "integer", "string", "curve", "array"
     or "object"), default (None: absent and null mean "not given"), bounds
     (lo, hi) read as [lo, hi] on an integer or array length and as (lo, hi]
-    on a number, item kind and SCHEMA section."""
+    on a number, item kind, SCHEMA section and the values a string or
+    integer key may take (None: any)."""
 
     kind: str
     default: object = REQUIRED
     bounds: tuple | None = None
     item: str | None = None
     section: str | None = None
+    choices: tuple | None = None
 
 
 def _number(default=REQUIRED) -> Key:
     return Key("number", default)
+
+
+# every rate and spread, a curve's included: (-100 %, 100 %] a year
+RATE = Key("number", bounds=(-1.0, 1.0))
+
+
+def _rate(default=REQUIRED) -> Key:
+    return RATE._replace(default=default)
 
 
 # every key a scenario may hold, by section; "scenario" is the top level
@@ -78,35 +92,39 @@ SCHEMA = {
                "mu0": Key("curve", 0.0), "hazard": Key("curve", 0.0)},
     "parties": {"b": Key("object", section="party"), "c": Key("object", section="party")},
     # spreads are over risk-free; omitted liquidity is bond - hazard
-    "party": {"bond": Key("curve", None), "bond_spread": _number(), "hazard": Key("curve", None),
-              "liquidity": Key("curve", None), "liquidity_spread": _number(None)},
+    "party": {"bond": Key("curve", None), "bond_spread": _rate(), "hazard": Key("curve", None),
+              "liquidity": Key("curve", None), "liquidity_spread": _rate(None)},
     # chi, when not given, follows from the haircuts
-    "collateral": {"mode": Key("string", "noncash"), "collateralization": _number(1.0),
+    "collateral": {"mode": Key("string", "noncash", choices=MODES),
+                   "collateralization": _number(1.0),
                    "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
                    "repo_spread": Key("curve", 0.0)},
-    "option": {"payoff": Key("string"), "strike": _number(0.0),
+    "option": {"payoff": Key("string", choices=PAYOFFS), "strike": _number(0.0),
                "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY)),
-               "spot": _number(), "vol": _number(), "div_yield": _number(0.0)},
+               "spot": _number(), "vol": _number(), "div_yield": _rate(0.0)},
     "grid": {"s_nodes": Key("integer", 200), "t_steps": Key("integer", 200),
              "s_max_mult": _number(5.0)},
     "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
                   "maturity_min": _number(0.25), "maturity_max": _number(30.0),
                   "rate_band": _number(0.01), "rate_offset": _number(0.0),
-                  "pay_freq": Key("integer", 2), "notional": _number(1.0),
-                  "model": Key("string", "deterministic"), "mean_reversion": _number(0.05),
+                  "pay_freq": Key("integer", 2, choices=PAY_FREQS), "notional": _number(1.0),
+                  "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
+                  "mean_reversion": _number(0.05),
                   "vol": _number(0.01), "paths": Key("integer", 2000, (1000, MAX_PATHS)),
                   "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
-    "sweep": {"points": Key("integer", 11)},
+    "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS))},
     "repo": {"roe": _number(0.10), "expected_gap_loss": _number(0.0), "asset": Key("string"),
-             "rating": Key("string"), "tenors": Key("array", list(DEFAULT_SPREAD_TENORS),
-                                                    (1, math.inf), "number")},
+             "rating": Key("string", choices=RATING_KEYS),
+             "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf), "number")},
     "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
-                  "funding_haircut": Key("string", "csa"), "tol": _number(0.01),
+                  "funding_haircut": Key("string", "csa", choices=FUNDING_HAIRCUTS),
+                  "tol": _number(0.01),
                   "max_iter": Key("integer", 5),
                   "netting_sets": Key("array", REQUIRED, (1, math.inf), "object", "netting_set")},
     # each allocation round sets a set's requirement to |MTM|, so a
     # threshold would be read and then ignored: one is rejected
-    "netting_set": {"id": Key("string"), "rating": Key("string"), "target_mtm": _number(None),
+    "netting_set": {"id": Key("string"), "rating": Key("string", choices=RATING_KEYS),
+                    "target_mtm": _number(None),
                     "threshold": _number(None), "portfolio": Key("object", section="portfolio")},
 }
 
@@ -129,20 +147,28 @@ def _convert(key: Key, value, name: str, base_dir: Path):
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
     if kind == "string" and isinstance(value, str):
-        return value
+        return _chosen(key, value, name)
     if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
         lo, hi = key.bounds or (value, value)
         if not lo <= value <= hi:
             raise ScenarioError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-        return value
+        return _chosen(key, value, name)
     if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
             value = float(value)
             if key.bounds is not None and not key.bounds[0] < value <= key.bounds[1]:
-                raise ScenarioError(f"{name} must be a number in ({key.bounds[0]:g}, "
+                raise ScenarioError(f"{name} must be a finite number in ({key.bounds[0]:g}, "
                                     f"{key.bounds[1]:g}], got {value!r}")
             return value
     raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
+
+
+def _chosen(key: Key, value, name: str):
+    """``value`` if ``key`` lists no choices or lists it."""
+    if key.choices is not None and value not in key.choices:
+        raise ScenarioError(f"{name} must be one of {', '.join(map(str, key.choices))}, "
+                            f"got {value!r:.60}")
+    return value
 
 
 def read_flag(flag: str, section: str, name: str, value):
@@ -152,43 +178,54 @@ def read_flag(flag: str, section: str, name: str, value):
 
 def _curve(spec, name: str, base_dir: Path) -> RateCurve:
     """A curve spec: a number or {"flat": r}, {"nodes": [[t, z], ...]} or
-    {"file": "relative.csv"} (CSV header tenor_years,zero_rate)."""
+    {"file": "relative.csv"} (CSV header tenor_years,zero_rate); every rate
+    it gives is a RATE."""
     if not isinstance(spec, dict) or "flat" in spec:
         rate = spec["flat"] if isinstance(spec, dict) else spec
-        return RateCurve.flat(_convert(_number(), rate, name, base_dir), name)
+        return RateCurve.flat(_convert(RATE, rate, name, base_dir), name)
     if "nodes" in spec:
         nodes = spec["nodes"]
         if not (isinstance(nodes, list) and all(isinstance(n, list) and len(n) == 2
                                                 for n in nodes)):
             raise ScenarioError(f"curve '{name}' nodes must be [tenor, rate] pairs")
-        return RateCurve.from_nodes([[_convert(_number(), x, f"{name}.nodes[{i}]", base_dir)
-                                      for x in node] for i, node in enumerate(nodes)], name)
+        return RateCurve.from_nodes([[_convert(k, x, f"{name}.nodes[{i}]", base_dir)
+                                      for k, x in zip((_number(), RATE), node)]
+                                     for i, node in enumerate(nodes)], name)
     if "file" not in spec:
         raise ScenarioError(f"curve '{name}' needs one of {', '.join(CURVE_FORMS)}")
     path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
     if not path.is_file():
         raise ScenarioError(f"curve file not found: {path}")
-    return load_curve_csv(path, label=name)
+    curve = load_curve_csv(path, label=name)
+    for t, z in zip(curve.tenors, curve.rates):
+        _convert(RATE, z, f"{name}.file rate at tenor {t:g}", base_dir)
+    return curve
 
 
 class _Block(Mapping):
     """A scenario object read through its SCHEMA section: each value is
-    converted when it is looked up, so a command checks the keys it reads."""
+    converted when it is first looked up, so a command checks the keys it
+    reads, and kept, so it is converted once; a value that fails is not
+    kept and fails again."""
 
     def __init__(self, section: str, raw, path: str, base_dir: Path):
         if not isinstance(raw, dict):
             raise ScenarioError(f"{path} must be a JSON object, got {raw!r:.60}")
         self.section, self.raw, self.path, self.base_dir = section, raw, path, base_dir
+        self._read: dict = {}
 
     def __getitem__(self, name: str):
+        if name in self._read:
+            return self._read[name]
         key = SCHEMA[self.section][name]
         dotted = f"{self.path}.{name}" if self.path else name
         value = self.raw.get(name, key.default)
         if value is REQUIRED:
             raise ScenarioError(f"scenario is missing '{dotted}'")
-        if value is None and key.default is None:
-            return None
-        return _convert(key, value, dotted, self.base_dir)
+        if value is not None or key.default is not None:
+            value = _convert(key, value, dotted, self.base_dir)
+        self._read[name] = value
+        return value
 
     def __iter__(self):
         return iter(SCHEMA[self.section])
@@ -199,10 +236,10 @@ class _Block(Mapping):
 
 @dataclass
 class Scenario:
-    """Parsed scenario with lazily built model objects."""
+    """Parsed scenario with lazily built model objects; ``config`` is its
+    top level, its values typed as SCHEMA declares."""
 
-    raw: dict
-    base_dir: Path
+    config: _Block
     seed: int
 
     @classmethod
@@ -216,17 +253,11 @@ class Scenario:
             raise ScenarioError(f"{path}: invalid JSON: {err}") from err
         if not isinstance(raw, dict):
             raise ScenarioError(f"{path}: a scenario must be a JSON object, got {raw!r:.60}")
-        seed = _Block("scenario", raw, "", path.parent)["seed"] if seed_override is None \
-            else seed_override
-        return cls(raw=raw, base_dir=path.parent, seed=seed)
-
-    @property
-    def config(self) -> Mapping:
-        """The scenario's top level, its values typed as SCHEMA declares."""
-        return _Block("scenario", self.raw, "", self.base_dir)
+        config = _Block("scenario", raw, "", path.parent)
+        return cls(config, config["seed"] if seed_override is None else seed_override)
 
     def has(self, block: str) -> bool:
-        return block in self.raw
+        return block in self.config.raw
 
     def curve(self, name: str) -> RateCurve | None:
         return self.config["curves"][name]
@@ -250,8 +281,6 @@ class Scenario:
 
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
         cfg = self.config["collateral"]
-        if cfg["mode"] not in MODES:
-            raise ScenarioError(f"unknown collateral mode {cfg['mode']!r}")
         eta = cfg["collateralization"] if collateralization is None else collateralization
         if not 0.0 <= eta <= 1.0:
             raise ScenarioError(f"collateralization must be in [0, 1], got {eta!r}")
@@ -272,7 +301,7 @@ class Scenario:
     def _portfolio(self, cfg) -> Mapping:
         """``cfg`` (a block or a raw portfolio object), by default the scenario's portfolio."""
         if isinstance(cfg, dict):
-            return _Block("portfolio", cfg, "portfolio", self.base_dir)
+            return _Block("portfolio", cfg, "portfolio", self.config.base_dir)
         return self.config["portfolio"] if cfg is None else cfg
 
     def portfolio(self, cfg=None, seed_offset: int = 0) -> list[Swap]:
@@ -287,10 +316,8 @@ class Scenario:
         cfg = self._portfolio(cfg)
         if cfg["model"] == "deterministic":
             return DeterministicModel()
-        if cfg["model"] == "one_factor_mc":
-            return OneFactorMcModel(mean_reversion=cfg["mean_reversion"], vol=cfg["vol"],
-                                    paths=cfg["paths"], seed=self.seed + 17)
-        raise ScenarioError(f"unknown exposure model {cfg['model']!r}")
+        return OneFactorMcModel(mean_reversion=cfg["mean_reversion"], vol=cfg["vol"],
+                                paths=cfg["paths"], seed=self.seed + 17)
 
     def portfolio_profile(self, cfg=None, seed_offset: int = 0):
         cfg = self._portfolio(cfg)
@@ -303,7 +330,7 @@ class Scenario:
         return self.config["quadrature_steps"]
 
     def assets(self) -> list[CollateralAsset]:
-        path = self.base_dir / self.config["assets_file"]
+        path = self.config.base_dir / self.config["assets_file"]
         if not path.is_file():
             raise ScenarioError(f"assets file not found: {path}")
         quantity = self.config["optimizer"]["quantity"]

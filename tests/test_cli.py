@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import math
@@ -13,8 +14,11 @@ import cxva.exposure
 import cxva.optimizer
 import cxva.pde
 import cxva.scenario
-from cxva.cli import MAX_SWEEP_POINTS, main
+import cxva.xva
+from cxva.cli import main
 from cxva.discounting import MODES
+from cxva.pde import GridSpec
+from cxva.scenario import MAX_SWEEP_POINTS
 from cxva.simplex import solve_bounded_lp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -50,12 +54,13 @@ def run(args):
 
 
 def set_key(path: Path, dotted: str, value) -> None:
-    """Set the scenario entry at a dotted key path."""
+    """Set the scenario entry at a dotted key path (``name[i]`` indexes an array)."""
     raw = json.loads(path.read_text())
     *parents, leaf = dotted.split(".")
     node = raw
     for key in parents:
-        node = node[key]
+        name, _, index = key.partition("[")
+        node = node[name] if not index else node[name][int(index[:-1])]
     node[leaf] = value
     path.write_text(json.dumps(raw))
 
@@ -156,6 +161,18 @@ class TestPrice:
         sc = write_scenario(tmp_path, option=option, grid=SMALL_GRID)
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
+    def test_picard_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cxva.scenario, "GridSpec",
+                            functools.partial(GridSpec, picard_max_iter=1, picard_tol=1e-16))
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "solver"
+        assert err["class"] == "PicardConvergenceError"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_malformed_cash_curve_exits_2(self, tmp_path, capsys, mode):
         # every mode reads curves.cash, not only the one that funds from it
@@ -244,7 +261,8 @@ class TestSweep:
         sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
         assert run(["sweep", "--scenario", sc, "--out", tmp_path / "out",
                     "--points", points]) == 2
-        assert "at least 2 points" in validation_message(capsys)
+        assert validation_message(capsys) == (
+            f"--points must be an integer in [2, {MAX_SWEEP_POINTS}], got {points}")
         assert not (tmp_path / "out").exists()
 
     def test_needs_work_block(self, tmp_path):
@@ -490,6 +508,116 @@ class TestCountBounds:
                     "--points", 10 ** 12]) == 2
         assert "--points" in validation_message(capsys)
         assert not (tmp_path / "out").exists()
+
+
+class TestValueSets:
+    """A value outside its key's value set or range exits 2 with one JSON
+    line naming the dotted key, or the flag, before any quadrature runs."""
+
+    @pytest.fixture
+    def decompose_calls(self, monkeypatch):
+        calls = []
+        original = cxva.xva.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cxva") and getattr(module, "decompose", None) is original:
+                monkeypatch.setattr(module, "decompose", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("xva", "collateral.mode", "nocash"),
+        ("xva", "portfolio.model", "one_factor"),
+        ("price", "option.payoff", "straddle"),
+        ("optimize", "optimizer.funding_haircut", "rpeo"),
+        ("repo-curve", "repo.rating", "B"),
+        ("optimize", "optimizer.netting_sets[1].rating", "B"),
+        ("optimize", "optimizer.netting_sets[1].portfolio.pay_freq", 3),
+        ("sweep", "sweep.points", 1),
+        ("sweep", "--points", 1),
+    ])
+    def test_exits_2_naming_key(self, tmp_path, capsys, decompose_calls, command, key, value):
+        args = [command, "--out", tmp_path / "out"]
+        if command == "price":
+            sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=dict(SMALL_GRID))
+        elif command == "repo-curve":
+            sc = repo_scenario(tmp_path)
+        elif command == "optimize":
+            sc = optimize_scenario(tmp_path)
+        else:
+            sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20),
+                                quadrature_steps=41, sweep={"points": 3})
+        if key.startswith("--"):
+            args += [key, value]
+        else:
+            set_key(sc, key, value)
+        assert run(args + ["--scenario", sc]) == 2
+        message = validation_message(capsys)
+        assert message.startswith(f"{key} must be ")
+        assert repr(value) in message
+        assert decompose_calls == []
+        assert not (tmp_path / "out").exists()
+
+
+class TestRates:
+    """Every rate and spread a scenario gives lies in (-1, 1], ±100 % a
+    year; outside it, ``price`` exits 2 naming the key before any solve."""
+
+    @staticmethod
+    def scenario(tmp_path):
+        raw = json.loads((SCENARIO_DIR / "atm_call.json").read_text())
+        raw["grid"] = {"s_nodes": 50, "t_steps": 50}
+        sc = tmp_path / "atm_call.json"
+        sc.write_text(json.dumps(raw))
+        return sc
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("curves.risk_free", -1e300, "curves.risk_free"),
+        ("curves.risk_free", {"flat": 1.5}, "curves.risk_free"),
+        ("curves.risk_free", {"nodes": [[1.0, 0.01], [2.0, -1.0]]}, "curves.risk_free.nodes[1]"),
+        ("curves.risk_free", {"file": "high.csv"}, "curves.risk_free.file rate at tenor 2"),
+        ("collateral.repo_spread", 1e300, "collateral.repo_spread"),
+        ("collateral.repo_spread", -1e300, "collateral.repo_spread"),
+        ("option.div_yield", 1e300, "option.div_yield"),
+        ("option.div_yield", -1e300, "option.div_yield"),
+        ("parties.b.bond_spread", 2.0, "parties.b.bond_spread"),
+        ("parties.c.liquidity_spread", -1.0, "parties.c.liquidity_spread"),
+        ("parties.c.hazard", {"flat": 7.0}, "parties.c.hazard"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, key, value, named):
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = self.scenario(tmp_path)
+        (tmp_path / "high.csv").write_text("tenor_years,zero_rate\n1,0.01\n2,1.01\n")
+        set_key(sc, key, value)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys).startswith(f"{named} must be a finite number in (-1, 1]")
+        assert not (tmp_path / "out").exists()
+
+    def test_edge_rates_accepted(self, tmp_path, capsys):
+        sc = self.scenario(tmp_path)
+        set_key(sc, "option.div_yield", 1.0)
+        set_key(sc, "collateral.repo_spread", -0.999)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("command, name", [("sweep", "payer_book"), ("xva", "payer_book"),
+                                           ("optimize", "allocation_reference"),
+                                           ("repo-curve", "repo_ust10")])
+def test_each_curve_file_read_once(tmp_path, monkeypatch, command, name):
+    reads = collections.Counter()
+    load = cxva.scenario.load_curve_csv
+
+    def counted(path, label=""):
+        reads[Path(path).name] += 1
+        return load(path, label=label)
+
+    monkeypatch.setattr(cxva.scenario, "load_curve_csv", counted)
+    assert run([command, "--scenario", SCENARIO_DIR / f"{name}.json",
+                "--out", tmp_path / "out"]) == 0
+    assert reads and set(reads.values()) == {1}, reads
 
 
 class TestRepoCurve:

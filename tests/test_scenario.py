@@ -1,12 +1,15 @@
 import json
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
+from cxva import collateral, discounting, exposure, optimizer, pde
 from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
                            OneFactorMcModel)
-from cxva.scenario import CURVE_FORMS, SCHEMA, Scenario, ScenarioError
+from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Scenario,
+                           ScenarioError)
 from cxva.xva import MAX_QUADRATURE_STEPS
 
 
@@ -151,6 +154,9 @@ class TestNestedBlockTypes:
             read(sc)
 
 
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
 class TestSchema:
     """Every scenario key is declared once, in cxva.scenario.SCHEMA."""
 
@@ -173,12 +179,53 @@ class TestSchema:
                 found += [f"{dotted}.{form}" for form in value if form not in CURVE_FORMS]
         return found
 
-    @pytest.mark.parametrize("path", sorted(
-        (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
-        ids=lambda p: p.name)
+    @staticmethod
+    def read_all(block: Mapping) -> int:
+        """Read every table key ``block``'s object gives, and every key of the
+        objects below it; the number of keys read."""
+        read = 0
+        for name in block.raw:
+            if name in SCHEMA[block.section]:
+                value, read = block[name], read + 1
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, Mapping):
+                        read += TestSchema.read_all(item)
+        return read
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_shipped_scenario_keys_are_table_keys(self, path):
         raw = json.loads(path.read_text(encoding="utf-8"))
         assert self.unknown_keys(raw, "scenario", "") == []
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_shipped_scenario_values_read_back(self, path):
+        assert self.read_all(Scenario.load(path).config) > 10
+
+    def test_value_sets_are_the_library_tuples(self):
+        choices = {(section, name): key.choices for section, keys in SCHEMA.items()
+                   for name, key in keys.items() if key.choices is not None}
+        library = {("collateral", "mode"): discounting.MODES,
+                   ("portfolio", "model"): EXPOSURE_MODELS,
+                   ("option", "payoff"): pde.PAYOFFS,
+                   ("optimizer", "funding_haircut"): optimizer.FUNDING_HAIRCUTS,
+                   ("repo", "rating"): collateral.RATING_KEYS,
+                   ("netting_set", "rating"): collateral.RATING_KEYS,
+                   ("portfolio", "pay_freq"): exposure.PAY_FREQS}
+        assert choices.keys() == library.keys()
+        assert all(choices[k] is library[k] for k in library)
+        assert SCHEMA["sweep"]["points"].bounds == (2, MAX_SWEEP_POINTS)
+
+    def test_values_read_once(self, tmp_path):
+        sc = Scenario.load(write(tmp_path, BASE))
+        assert sc.config["curves"] is sc.config["curves"]
+        assert sc.risk_free is sc.risk_free
+        assert sc.config["xva_levels"] is sc.config["xva_levels"]
+
+    def test_failed_value_fails_again(self, tmp_path):
+        sc = Scenario.load(write(tmp_path, dict(BASE, collateral={"mode": "nocash"})))
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="collateral.mode must be one of"):
+                sc.effective_spec()
 
     def test_unknown_key_found(self):
         raw = {"collateral": {"colateralization": 0.5},

@@ -4,8 +4,9 @@ Each example takes one of four cheap runs (``price`` on a 50x50 grid,
 ``repo-curve``, ``xva`` on a small deterministic book, ``optimize`` of two
 assets over two netting sets of eight swaps) and changes one or two keys
 that ``cxva.scenario.SCHEMA`` declares for that scenario: it drops the
-key, gives it a value of another JSON kind, or sets a NaN, infinite, zero,
-negative or huge number. ``cxva.cli.main`` must then return 0 with
+key, gives it a value of another JSON kind or, for a key with a value set,
+a value outside that set, or sets a NaN, infinite, zero, negative or huge
+number. ``cxva.cli.main`` must then return 0 with
 every number it wrote finite, or return 2 or 3 with one JSON line on
 stderr; it must never raise.
 """
@@ -133,6 +134,8 @@ def mutated(draw):
             choices.append("number")
         if key.kind == "array" and key.item == "number":
             choices.append("number item")
+        if key.choices is not None:
+            choices.append("not a choice")
         op = draw(st.sampled_from(choices))
         if op == "drop":
             parent.pop(path[-1], None)
@@ -140,6 +143,9 @@ def mutated(draw):
             parent[path[-1]] = draw(st.sampled_from(wrong_values(key)))
         elif op == "number":
             parent[path[-1]] = draw(st.sampled_from(NUMBERS))
+        elif op == "not a choice":
+            parent[path[-1]] = draw(st.sampled_from(["", "x"] if key.kind == "string"
+                                                    else [0, 3, 8]))
         else:
             parent[path[-1]] = [0.5, draw(st.sampled_from(NUMBERS))]
     return command, raw
