@@ -12,7 +12,7 @@ from .collateral import CollateralAsset, CollateralState, chi
 from .discounting import EffectiveRateSpec, effective_rate
 from .repo import RepoModelParams, breakeven_spread, repo_curve, spread_curve
 from .exposure import (DeterministicModel, ExposureProfile, OneFactorMcModel, Swap,
-                       exposure_profile, generate_portfolio)
+                       SwapBook, exposure_profile, generate_portfolio)
 from .xva import XvaReport, decompose, to_running_spread
 from .pde import GridSpec, OptionSpec, solve, xva_pde
 from .optimizer import (Allocation, AllocationProblem, NettingSet, iterate_allocation,
@@ -22,7 +22,7 @@ __all__ = [
     "Allocation", "AllocationProblem", "CollateralAsset", "CollateralState",
     "DeterministicModel", "EffectiveRateSpec", "ExposureProfile", "GridSpec",
     "NettingSet", "OneFactorMcModel", "OptionSpec", "PartyCurves", "RateCurve",
-    "Swap", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
+    "Swap", "SwapBook", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
     "combine_curves", "decompose", "effective_rate", "exposure_profile",
     "generate_portfolio", "iterate_allocation", "repo_curve", "solve",
     "solve_lp", "spread_curve", "to_running_spread", "xva_pde",

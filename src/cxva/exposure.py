@@ -14,15 +14,25 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   that buffer beside the (paths x grid times) factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
-periods counted back from maturity. A book is built once per profile as
-one cash-flow list of discount-factor claims (every fixed coupon, swap by
-swap, then every float leg's terminal discount factor); the deterministic
-profile (its value with the factor at 0), the Monte Carlo kernel and the
-gross annuity all read that list.
+periods counted back from maturity. ``generate_portfolio`` returns a
+``SwapBook``: arrays of notional, fixed rate, sign, maturity and payment
+frequency, checked entry by entry as ``Swap`` checks one swap, and read as
+a sequence of ``Swap`` views. A book is built once per profile as one
+cash-flow list of discount-factor claims (every fixed coupon, swap by swap
+and each swap's dates ascending, then every float leg's terminal discount
+factor), laid out from a (swaps x most coupons) grid of coupon dates. The
+grid, like the list, holds at most MAX_SWAPS x 401 dates (64 MB), and is
+freed before the list's discount factors are taken. The Monte Carlo
+kernel and the gross annuity read that list. The deterministic profile
+(the book's value with the factor at 0) bins each claim's weight *
+DF(0, T) and each swap's signed notional by the profile times it is alive
+at and sums the bins from the end: V(t) = A(t) + C(t) / DF(0, t), with no
+loop over profile times.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -144,7 +154,7 @@ def par_rate(curve: RateCurve, maturity: float, pay_freq: int = 2) -> float:
 def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, float],
                        rate_band: float, seed: int, curve: RateCurve, *,
                        rate_offset: float = 0.0, pay_freq: int = 2,
-                       notional: float = 1.0) -> list[Swap]:
+                       notional: float = 1.0) -> SwapBook:
     """Random swap portfolio, deterministic given the seed.
 
     Maturities are uniform on the range; fixed rates uniform in
@@ -171,11 +181,89 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     rates = atm + (rng.uniform(-rate_band, rate_band, n) if rate_band > 0.0
                    else np.zeros(n))
     n_payer = int(round(n * payer_frac))
-    return [Swap(notional, float(rates[i]), "payer" if i < n_payer else "receiver",
-                 float(maturities[i]), pay_freq) for i in range(n)]
+    return SwapBook(notional=np.full(n, float(notional)), fixed_rate=rates,
+                    sign=np.where(np.arange(n) < n_payer, 1.0, -1.0), maturity=maturities,
+                    pay_freq=np.full(n, pay_freq))
+
+
+_BOOK_FIELDS = ("notional", "fixed_rate", "sign", "maturity", "pay_freq")
+
+
+@dataclass(frozen=True, eq=False)
+class SwapBook(Sequence):
+    """A swap book held as arrays, one entry per swap. As a ``Sequence[Swap]``
+    it gives a ``Swap`` view of each entry, and ``==`` compares contents."""
+
+    notional: np.ndarray
+    fixed_rate: np.ndarray
+    sign: np.ndarray  # +1 payer, -1 receiver
+    maturity: np.ndarray
+    pay_freq: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(getattr(self, name)) for name in _BOOK_FIELDS]
+        if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+            raise ExposureError("swap book fields must be 1-d arrays of one length")
+        notional, fixed_rate, sign, maturity, pay_freq = arrays
+        # the checks of Swap, on every entry; written so that NaN fails them
+        if not np.all((0.0 < notional) & (notional < math.inf)):
+            raise ExposureError("notional must be finite and > 0")
+        if not np.all((0.0 < maturity) & (maturity <= MAX_MATURITY)):
+            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
+        if not np.all(np.isin(pay_freq, PAY_FREQS)):
+            raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
+        if not np.all(np.abs(sign) == 1.0):
+            raise ExposureError("sign must be +1 (payer) or -1 (receiver)")
+        for name, a in zip(_BOOK_FIELDS, arrays):
+            object.__setattr__(self, name, a.astype(np.int64 if name == "pay_freq" else float))
+
+    @classmethod
+    def of(cls, swaps: Sequence[Swap]) -> SwapBook:
+        """``swaps`` itself if it is a book, else a book of its entries."""
+        if isinstance(swaps, SwapBook):
+            return swaps
+        return cls(*(np.array([getattr(s, name) for s in swaps]) for name in _BOOK_FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.notional)
+
+    @staticmethod
+    def _view(notional, fixed_rate, sign, maturity, pay_freq) -> Swap:
+        return Swap(notional, fixed_rate, "payer" if sign > 0.0 else "receiver", maturity,
+                    pay_freq)
+
+    def __getitem__(self, i: int) -> Swap:
+        return self._view(*(getattr(self, name)[i].item() for name in _BOOK_FIELDS))
+
+    def __iter__(self):
+        return itertools.starmap(self._view, zip(*(getattr(self, name).tolist()
+                                                   for name in _BOOK_FIELDS)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SwapBook):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _BOOK_FIELDS)
+
+    __hash__ = None
 
 
 # -- the book as discount-factor claims ------------------------------------------
+
+def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every coupon date after 0 (what ``Swap.payment_times`` gives), swap by
+    swap, and the number of each swap's dates."""
+    counts = np.ceil(maturity * f - 1e-9)
+    # coupon j of swap i is paid (counts_i - 1 - j) periods before its
+    # maturity: a (swaps x most coupons) grid, masked to each swap's coupons
+    # after 0 and read row by row
+    cols = np.arange(counts.max())
+    grid = counts[:, None] - 1.0 - cols
+    np.divide(grid, f[:, None], out=grid)
+    np.subtract(maturity[:, None], grid, out=grid)
+    paid = (cols < counts[:, None]) & (grid > 1e-9)
+    return grid[paid], paid.sum(axis=1)
+
 
 @dataclass(frozen=True)
 class _CashFlows:
@@ -192,18 +280,17 @@ class _CashFlows:
 
     @classmethod
     def of(cls, portfolio: Sequence[Swap], curve: RateCurve) -> "_CashFlows":
-        pay = [s.payment_times() for s in portfolio]
-        counts = [len(p) for p in pay]
-        maturities = np.array([s.maturity for s in portfolio])
-        signed = np.array([s.sign * s.notional for s in portfolio])
-        coupon = [-(s.sign * s.notional * s.fixed_rate * (1.0 / s.pay_freq)) for s in portfolio]
-        accrual = [s.notional / s.pay_freq for s in portfolio]
-        dates = np.concatenate(pay + [maturities])
+        book = SwapBook.of(portfolio)
+        f = book.pay_freq.astype(float)
+        coupon_dates, per_swap = _coupon_dates(book.maturity, f)
+        signed = book.sign * book.notional
+        coupon = -(signed * book.fixed_rate * (1.0 / f))
+        dates = np.concatenate((coupon_dates, book.maturity))
         return cls(dates=dates, df=curve.df(dates),
-                   weights=np.concatenate((np.repeat(coupon, counts), -signed)),
-                   accruals=np.concatenate((np.repeat(accrual, counts),
-                                            np.zeros(len(portfolio)))),
-                   maturities=maturities, signed_notionals=signed)
+                   weights=np.concatenate((np.repeat(coupon, per_swap), -signed)),
+                   accruals=np.concatenate((np.repeat(book.notional / f, per_swap),
+                                            np.zeros(len(book)))),
+                   maturities=book.maturity, signed_notionals=signed)
 
     def alive_notional(self, t: float) -> float:
         return float(np.sum(self.signed_notionals * (self.maturities > t + 1e-12)))
@@ -214,9 +301,19 @@ class _CashFlows:
         live = self.dates > t + 1e-12
         return self.dates[live], self.weights[live] * (self.df[live] / df_t)
 
-    def forward_value(self, t: float, df_t: float) -> float:
-        """Book value at t along today's forward curve (the factor at 0)."""
-        return self.alive_notional(t) + float(np.sum(self.claims_after(t, df_t)[1]))
+    def forward_values(self, times: np.ndarray, df_times: np.ndarray) -> np.ndarray:
+        """Book value at each of the increasing ``times`` along today's forward
+        curve (the factor at 0), given their discount factors: A(t) + C(t) /
+        DF(0, t), with A the signed notional alive at t and C the sum of
+        weight * DF(0, T) over the claims dated after t."""
+        def after(dates, values):
+            # a date T is after t_k, as in claims_after, for k below its bin:
+            # bin, then sum each bin's suffix
+            bins = np.bincount(np.searchsorted(times + 1e-12, dates), values,
+                               minlength=len(times) + 1)
+            return np.cumsum(bins[::-1])[::-1][1:]
+        return (after(self.maturities, self.signed_notionals)
+                + after(self.dates, self.weights * self.df) / df_times)
 
     @property
     def annuity(self) -> float:
@@ -257,14 +354,14 @@ def exposure_profile(portfolio: Sequence[Swap], model, points: int,
 
     Raises ExposureError on an empty portfolio.
     """
-    if not portfolio:
+    if len(portfolio) == 0:
         raise ExposureError("cannot build an exposure profile for an empty portfolio")
     if points < 2:
         raise ExposureError("grid needs at least 2 points")
-    times = np.linspace(0.0, max(s.maturity for s in portfolio), points)
     book = _CashFlows.of(portfolio, curve)
+    times = np.linspace(0.0, book.maturities.max(), points)
     if isinstance(model, DeterministicModel):
-        values = np.array([book.forward_value(t, df_t) for t, df_t in zip(times, curve.df(times))])
+        values = book.forward_values(times, curve.df(times))
         epe = np.maximum(values, 0.0)
         ene = np.maximum(-values, 0.0)
         return ExposureProfile(times, epe, ene, float(values[0]), book.annuity)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from .collateral import CollateralAsset
 from .curves import RateCurve
 
@@ -45,15 +47,16 @@ class RepoModelParams:
             raise RepoModelError("expected_gap_loss must be >= 0")
 
 
-def breakeven_spread(params: RepoModelParams, ec: float, t: float) -> float:
-    """Term repo spread over risk-free at tenor t for economic capital ec.
+def breakeven_spread(params: RepoModelParams, ec: float, t):
+    """Term repo spread over risk-free at tenor t (a scalar or an array of
+    tenors) for economic capital ec.
 
     Affine in ec with slope RoE and in the expected gap loss with slope
     lambda(t). Curves are read as term (zero-style) quantities.
     """
     if ec < 0.0:
         raise RepoModelError("economic capital must be >= 0")
-    if t <= 0.0:
+    if np.any(np.asarray(t) <= 0.0):
         raise RepoModelError("tenor must be > 0")
     mu0 = params.mu0_curve.zero_rate(t)
     lam = params.hazard.zero_rate(t)
@@ -63,7 +66,8 @@ def breakeven_spread(params: RepoModelParams, ec: float, t: float) -> float:
 def spread_curve(params: RepoModelParams, ec: float, tenors: Sequence[float],
                  label: str = "") -> RateCurve:
     """Break-even spread term structure (r_p - r) on the given tenor grid."""
-    nodes = [(float(t), breakeven_spread(params, ec, float(t))) for t in tenors]
+    t = np.asarray(tenors, dtype=float)
+    nodes = zip(t.tolist(), breakeven_spread(params, ec, t).tolist())
     return RateCurve.from_nodes(nodes, label=label or "repo_spread")
 
 

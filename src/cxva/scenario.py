@@ -27,7 +27,7 @@ from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi, load
 from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
 from .discounting import MODES, EffectiveRateSpec
 from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, PAY_FREQS,
-                       DeterministicModel, OneFactorMcModel, Swap, exposure_profile,
+                       DeterministicModel, OneFactorMcModel, SwapBook, exposure_profile,
                        generate_portfolio)
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
 from .pde import PAYOFFS, GridSpec, OptionSpec
@@ -67,7 +67,8 @@ def _number(default=REQUIRED) -> Key:
     return Key("number", default)
 
 
-# every rate and spread, a curve's included: (-100 %, 100 %] a year
+# every rate and spread, a curve's included, and the repo RoE hurdle:
+# (-100 %, 100 %] a year
 RATE = Key("number", bounds=(-1.0, 1.0))
 
 
@@ -106,14 +107,14 @@ SCHEMA = {
              "s_max_mult": _number(5.0)},
     "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
                   "maturity_min": _number(0.25), "maturity_max": _number(30.0),
-                  "rate_band": _number(0.01), "rate_offset": _number(0.0),
+                  "rate_band": _rate(0.01), "rate_offset": _rate(0.0),
                   "pay_freq": Key("integer", 2, choices=PAY_FREQS), "notional": _number(1.0),
                   "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
                   "mean_reversion": _number(0.05),
                   "vol": _number(0.01), "paths": Key("integer", 2000, (1000, MAX_PATHS)),
                   "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
     "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS))},
-    "repo": {"roe": _number(0.10), "expected_gap_loss": _number(0.0), "asset": Key("string"),
+    "repo": {"roe": _rate(0.10), "expected_gap_loss": _number(0.0), "asset": Key("string"),
              "rating": Key("string", choices=RATING_KEYS),
              "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf), "number")},
     "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
@@ -304,7 +305,7 @@ class Scenario:
             return _Block("portfolio", cfg, "portfolio", self.config.base_dir)
         return self.config["portfolio"] if cfg is None else cfg
 
-    def portfolio(self, cfg=None, seed_offset: int = 0) -> list[Swap]:
+    def portfolio(self, cfg=None, seed_offset: int = 0) -> SwapBook:
         cfg = self._portfolio(cfg)
         return generate_portfolio(
             n=cfg["n"], payer_frac=cfg["payer_frac"],

@@ -127,11 +127,12 @@ def _side_adjustments(grid: np.ndarray, exposure: np.ndarray, side: SideRates,
     eta, chi = side.eta, side.chi
     default = funding = lva = colva = 0.0
     df = 1.0
-    for k, i_rf in enumerate(i_r):
-        a, b = grid[k], grid[k + 1]
-        i_bond = side.bond.integral(a, b)
-        i_mu = side.liquidity.integral(a, b)
-        i_s = side.spread.integral(a, b)
+    ends = grid[:-1], grid[1:]
+    i_bonds = side.bond.integral(*ends).tolist()
+    i_mus = side.liquidity.integral(*ends).tolist()
+    i_ss = side.spread.integral(*ends).tolist()
+    exposure = exposure.tolist()
+    for k, (i_rf, i_bond, i_mu, i_s) in enumerate(zip(i_r, i_bonds, i_mus, i_ss)):
         g0 = exposure[k] * df
         df *= math.exp(-blend_rate(i_bond, i_mu, i_rf, i_s, eta, chi))
         lm = _log_mean(g0, exposure[k + 1] * df)

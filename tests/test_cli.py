@@ -602,6 +602,28 @@ class TestRates:
         set_key(sc, "collateral.repo_spread", -0.999)
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("xva", "portfolio.rate_offset", 1e300),
+        ("xva", "portfolio.rate_offset", -1.0),
+        ("xva", "portfolio.rate_band", 1e6),
+        ("repo-curve", "repo.roe", 1e300),
+    ])
+    def test_book_rates_and_roe_exit_2(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # a book's fixed-rate offset and band and the repo RoE hurdle are
+        # rates too: outside (-1, 1] they exit 2 before a book or curve is built
+        monkeypatch.setattr(cxva.scenario, "generate_portfolio",
+                            fail_if_reached("generate_portfolio"))
+        monkeypatch.setattr(cxva.cli, "repo_curve", fail_if_reached("repo_curve"))
+        if command == "xva":
+            sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20),
+                                quadrature_steps=41)
+        else:
+            sc = repo_scenario(tmp_path)
+        set_key(sc, key, value)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys).startswith(f"{key} must be a finite number in (-1, 1]")
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command, name", [("sweep", "payer_book"), ("xva", "payer_book"),
                                            ("optimize", "allocation_reference"),

@@ -6,9 +6,9 @@ import pytest
 import cxva.exposure
 from cxva.curves import RateCurve
 from cxva.exposure import (DeterministicModel, ExposureError, ExposureProfile,
-                           OneFactorMcModel, Swap, exposure_profile,
+                           OneFactorMcModel, Swap, SwapBook, exposure_profile,
                            generate_portfolio, par_rate,
-                           _ou_paths)
+                           _CashFlows, _ou_paths)
 
 from oracles import swap_forward_value
 
@@ -61,7 +61,102 @@ class TestGeneratePortfolio:
         assert min(s.fixed_rate for s in book) > atm + 0.0149
 
 
+def random_swaps(seed: int, n: int = 60) -> list[Swap]:
+    """Swaps paying 1, 2 and 4 times a year, a third maturing on an exact
+    coupon multiple, a third with a short first period and a third anywhere
+    in (0, 30], plus maturities within 1e-9 of a multiple and below one
+    period."""
+    rng = np.random.default_rng(seed)
+    swaps = []
+    for k in range(n):
+        freq = int(rng.choice([1, 2, 4]))
+        periods = int(rng.integers(1, 40))
+        maturity = [periods / freq, (periods + rng.uniform(0.05, 0.95)) / freq,
+                     rng.uniform(1e-3, 30.0)][k % 3]
+        swaps.append(Swap(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-0.01, 0.05)),
+                          "payer" if rng.uniform() < 0.5 else "receiver", maturity, freq))
+    edges = [(3.0 + 4e-10, 4), (3.0 - 4e-10, 2), (0.1, 1), (1e-10, 2), (2.5e-10, 4)]
+    return swaps + [Swap(1.0, 0.02, "payer", m, f) for m, f in edges]
+
+
+def per_swap_cash_flows(swaps):
+    """Dates, weights and accruals built swap by swap from payment_times():
+    every fixed coupon, swap by swap, then every float leg's maturity."""
+    pay = [s.payment_times() for s in swaps]
+    dates = np.concatenate(pay + [[s.maturity for s in swaps]])
+    weights = np.concatenate(
+        [np.full(len(p), -(s.sign * s.notional * s.fixed_rate * (1.0 / s.pay_freq)))
+         for s, p in zip(swaps, pay)] + [[-(s.sign * s.notional) for s in swaps]])
+    accruals = np.concatenate([np.full(len(p), s.notional / s.pay_freq)
+                               for s, p in zip(swaps, pay)] + [np.zeros(len(swaps))])
+    return dates, weights, accruals
+
+
+class TestSwapBook:
+    def test_views_and_equality(self, curve):
+        book = generate_portfolio(30, 0.4, (1.0, 12.0), 0.01, seed=5, curve=curve)
+        assert isinstance(book, SwapBook) and len(book) == 30
+        swaps = list(book)
+        assert swaps[0] == book[0] and swaps[-1] == book[-1]
+        assert [s.direction for s in swaps].count("payer") == 12
+        assert SwapBook.of(swaps) == book
+        assert SwapBook.of(book) is book
+        assert SwapBook.of(swaps[:-1]) != book
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("notional", float("nan"), "notional"),
+        ("notional", 0.0, "notional"),
+        ("maturity", float("nan"), "maturity"),
+        ("maturity", cxva.exposure.MAX_MATURITY * (1.0 + 1e-15), "maturity"),
+        ("pay_freq", 3, "pay_freq"),
+        ("sign", 0.0, "sign"),
+    ])
+    def test_checks_every_entry(self, field, bad, message):
+        fields = dict(notional=np.ones(3), fixed_rate=np.full(3, 0.02),
+                      sign=np.array([1.0, -1.0, 1.0]), maturity=np.array([1.0, 2.0, 3.0]),
+                      pay_freq=np.array([1, 2, 4]))
+        fields[field] = fields[field].astype(type(bad))
+        fields[field][2] = bad
+        with pytest.raises(ExposureError, match=message):
+            SwapBook(**fields)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cash_flows_match_per_swap_construction(self, curve, seed):
+        swaps = random_swaps(seed)
+        want_dates, want_weights, want_accruals = per_swap_cash_flows(swaps)
+        for book in (swaps, SwapBook.of(swaps)):
+            flows = _CashFlows.of(book, curve)
+            assert np.array_equal(flows.dates, want_dates)
+            assert np.array_equal(flows.weights, want_weights)
+            assert np.array_equal(flows.accruals, want_accruals)
+            assert np.array_equal(flows.df, curve.df(want_dates))
+            assert np.array_equal(flows.maturities, [s.maturity for s in swaps])
+
+
 class TestDeterministicProfile:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_time_sum(self, curve, seed):
+        # the 10y swap sets the grid 0, 0.5, ..., 10: the 5y swap matures on
+        # a profile time and every one of its coupons falls on one; the
+        # 2.5y swap's dates fall 5e-13 after one, which is not after it
+        swaps = [Swap(1.0, 0.02, "payer", 10.0, 1), Swap(2.0, 0.03, "receiver", 5.0, 2),
+                 Swap(1.5, 0.04, "payer", 2.5 + 5e-13, 2)]
+        swaps += [s for s in random_swaps(seed, 30) if s.maturity < 10.0]
+        profile = exposure_profile(swaps, DeterministicModel(), 21, curve)
+        assert profile.times[10] == 5.0 and np.all(profile.times % 0.5 == 0.0)
+        gross = sum(s.notional for s in swaps)
+        for k, t in enumerate(profile.times):
+            # each swap alive at t: float leg 1 - P(t, T) less its coupons after t
+            want = 0.0
+            for s in swaps:
+                if s.maturity > t + 1e-12:
+                    coupons = sum(curve.df(u) for u in s.payment_times() if u > t + 1e-12)
+                    want += s.sign * s.notional * (
+                        1.0 - (curve.df(s.maturity) + s.fixed_rate / s.pay_freq * coupons)
+                        / curve.df(t))
+            assert abs(profile.epe[k] - profile.ene[k] - want) <= 1e-12 * gross
+        assert profile.mtm0 == profile.epe[0] - profile.ene[0]
+
     def test_matches_per_swap_oracle(self, curve):
         book = generate_portfolio(20, 0.5, (1.0, 20.0), 0.01, seed=11, curve=curve)
         profile = exposure_profile(book, DeterministicModel(), 41, curve)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.collateral import CollateralAsset
-from cxva.curves import RateCurve
+from cxva.curves import CurveError, RateCurve
 from cxva.repo import (RepoModelError, RepoModelParams, breakeven_spread,
                        repo_curve, spread_curve)
 
@@ -72,6 +72,34 @@ class TestSpreadCurve:
         curve = spread_curve(p, 0.004, (0.25, 30.0))
         assert curve.zero_rate(30.0) - curve.zero_rate(0.25) == pytest.approx(
             0.004, rel=1e-12)
+
+    def test_nodes_equal_breakeven_spread(self):
+        # term structures in both mu0 and the hazard, a gap loss, and
+        # tenors before, between, on and beyond their nodes
+        p = RepoModelParams(roe=0.12, mu0_curve=RateCurve.from_nodes(
+                                [(0.5, 0.001), (2.0, 0.0023), (10.0, 0.0041)]),
+                            hazard=RateCurve.from_nodes([(1.0, 0.011), (7.0, 0.017)]),
+                            expected_gap_loss=0.003)
+        tenors = (0.1, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 5.0, 7.0, 10.0, 30.0, 50.0)
+        curve = spread_curve(p, 0.0042, tenors)
+        assert curve.tenors == tenors
+        assert curve.rates == tuple(breakeven_spread(p, 0.0042, t) for t in tenors)
+
+    @pytest.mark.parametrize("ec, tenors, error, message", [
+        (-0.001, (0.25, 1.0), RepoModelError, "economic capital"),
+        (0.004, (0.25, 0.0), RepoModelError, "tenor"),
+        (0.004, (-1.0, 1.0), RepoModelError, "tenor"),
+        (0.004, (float("-inf"),), RepoModelError, "tenor"),
+        (0.004, (1.0, float("nan")), CurveError, "zero_rate"),
+        (0.004, (1.0, float("inf")), CurveError, "zero_rate"),
+    ])
+    def test_errors_as_breakeven_spread(self, params, ec, tenors, error, message):
+        with pytest.raises(error, match=message):
+            spread_curve(params, ec, tenors)
+        # the error of the first failing call, tenor by tenor
+        with pytest.raises(error, match=message):
+            for t in tenors:
+                breakeven_spread(params, ec, t)
 
     def test_flat_extrapolation(self, params):
         curve = spread_curve(params, 0.0, (0.25, 1.0))
