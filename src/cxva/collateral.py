@@ -110,7 +110,8 @@ def load_assets_csv(path) -> list[CollateralAsset]:
     """Read collateral assets from CSV.
 
     Header: ``id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB``
-    with economic capital in decimals (0.0161 means 1.61%).
+    with economic capital in decimals (0.0161 means 1.61%). Each id names
+    one asset.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
@@ -118,6 +119,8 @@ def load_assets_csv(path) -> list[CollateralAsset]:
             raise CollateralError(f"{path}: expected header {','.join(_ASSET_HEADER)}")
         out = []
         for row in reader:
+            if any(a.id == row["id"] for a in out):
+                raise CollateralError(f"{path}: asset id {row['id']!r} appears more than once")
             out.append(CollateralAsset(
                 id=row["id"],
                 price=float(row["price"]),

@@ -14,20 +14,26 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   that buffer beside the (paths x grid times) factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
-periods counted back from maturity. ``generate_portfolio`` returns a
-``SwapBook``: arrays of notional, fixed rate, sign, maturity and payment
-frequency, checked entry by entry as ``Swap`` checks one swap, and read as
-a sequence of ``Swap`` views. A book is built once per profile as one
-cash-flow list of discount-factor claims (every fixed coupon, swap by swap
-and each swap's dates ascending, then every float leg's terminal discount
-factor), laid out from a (swaps x most coupons) grid of coupon dates. The
-grid, like the list, holds at most MAX_SWAPS x 401 dates (64 MB), and is
-freed before the list's discount factors are taken. The Monte Carlo
-kernel and the gross annuity read that list. The deterministic profile
-(the book's value with the factor at 0) bins each claim's weight *
-DF(0, T) and each swap's signed notional by the profile times it is alive
-at and sums the bins from the end: V(t) = A(t) + C(t) / DF(0, t), with no
-loop over profile times.
+periods counted back from maturity: a swap maturing at m and paying f
+times a year has ceil(m f - 1e-9) coupons, dated m - j / f for j = 0, 1,
+..., which puts the first above 1e-9 / f years. ``generate_portfolio``
+returns a ``SwapBook``: arrays of notional, fixed rate, sign, maturity and
+payment frequency, checked entry by entry as ``Swap`` checks one swap, and
+read as a sequence of ``Swap`` views. A book is built once per profile as
+one cash-flow list of discount-factor claims (every fixed coupon, swap by
+swap and each swap's dates ascending, then every float leg's terminal
+discount factor), laid out from a (swaps x most coupons) grid of coupon
+dates. The grid, like the list, holds at most MAX_SWAPS x 401 dates
+(64 MB), and is freed before the list's discount factors are taken.
+
+A claim dated T is still owed at t when T > t + 1e-12. One owed-count
+table decides this for every claim and profile time at once: for each
+claim, how many of the increasing profile times it is owed at. Both
+backends read it. The Monte Carlo kernel revalues the claims owed at each
+step; the deterministic profile (the book's value with the factor at 0)
+bins each claim's weight * DF(0, T) and each swap's signed notional by
+their counts and sums the bins from the end: V(t) = A(t) + C(t) / DF(0, t),
+with no loop over profile times. The gross annuity reads the list too.
 """
 
 from __future__ import annotations
@@ -86,10 +92,10 @@ class Swap:
         return 1.0 if self.direction == "payer" else -1.0
 
     def payment_times(self) -> np.ndarray:
-        """Regular payment times counted back from maturity, all > 0."""
+        """Regular payment times counted back from maturity, the first above
+        1e-9 / pay_freq years."""
         n = int(np.ceil(self.maturity * self.pay_freq - 1e-9))
-        times = self.maturity - np.arange(n)[::-1] / self.pay_freq
-        return times[times > 1e-9]
+        return self.maturity - np.arange(n)[::-1] / self.pay_freq
 
 
 @dataclass(frozen=True)
@@ -251,17 +257,17 @@ class SwapBook(Sequence):
 # -- the book as discount-factor claims ------------------------------------------
 
 def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every coupon date after 0 (what ``Swap.payment_times`` gives), swap by
-    swap, and the number of each swap's dates."""
+    """Every coupon date (what ``Swap.payment_times`` gives), swap by swap,
+    and the number of each swap's dates."""
     counts = np.ceil(maturity * f - 1e-9)
     # coupon j of swap i is paid (counts_i - 1 - j) periods before its
     # maturity: a (swaps x most coupons) grid, masked to each swap's coupons
-    # after 0 and read row by row
+    # and read row by row
     cols = np.arange(counts.max())
     grid = counts[:, None] - 1.0 - cols
     np.divide(grid, f[:, None], out=grid)
     np.subtract(maturity[:, None], grid, out=grid)
-    paid = (cols < counts[:, None]) & (grid > 1e-9)
+    paid = cols < counts[:, None]
     return grid[paid], paid.sum(axis=1)
 
 
@@ -269,7 +275,8 @@ def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.n
 class _CashFlows:
     """A swap book's discount-factor claims. At time t the book is worth the
     signed notional of the swaps alive (each float leg's 1 at t) plus
-    ``weights`` times the discount factor from t of each claim after t."""
+    ``weights`` times the discount factor from t of each claim still owed at
+    t, as ``owed_counts`` decides."""
 
     dates: np.ndarray
     weights: np.ndarray
@@ -292,28 +299,26 @@ class _CashFlows:
                                             np.zeros(len(book)))),
                    maturities=book.maturity, signed_notionals=signed)
 
-    def alive_notional(self, t: float) -> float:
-        return float(np.sum(self.signed_notionals * (self.maturities > t + 1e-12)))
-
-    def claims_after(self, t: float, df_t: float):
-        """Dates and time-t values of the claims dated after t, given the
-        discount factor ``df_t`` of t."""
-        live = self.dates > t + 1e-12
-        return self.dates[live], self.weights[live] * (self.df[live] / df_t)
+    def owed_counts(self, times: np.ndarray) -> np.ndarray:
+        """The owed-count table: for each claim, how many of the increasing
+        ``times`` it is still owed at. The claim dated T is owed at t_k, T >
+        t_k + 1e-12, exactly when its count is greater than k. The float
+        legs' counts are the last ``len(maturities)``."""
+        return np.searchsorted(times + 1e-12, self.dates)
 
     def forward_values(self, times: np.ndarray, df_times: np.ndarray) -> np.ndarray:
         """Book value at each of the increasing ``times`` along today's forward
         curve (the factor at 0), given their discount factors: A(t) + C(t) /
         DF(0, t), with A the signed notional alive at t and C the sum of
-        weight * DF(0, T) over the claims dated after t."""
-        def after(dates, values):
-            # a date T is after t_k, as in claims_after, for k below its bin:
-            # bin, then sum each bin's suffix
-            bins = np.bincount(np.searchsorted(times + 1e-12, dates), values,
-                               minlength=len(times) + 1)
+        weight * DF(0, T) over the claims owed at t."""
+        def owed_sum(counts, values):
+            # a claim counts at t_k for k below its count: bin, then sum
+            # each bin's suffix
+            bins = np.bincount(counts, values, minlength=len(times) + 1)
             return np.cumsum(bins[::-1])[::-1][1:]
-        return (after(self.maturities, self.signed_notionals)
-                + after(self.dates, self.weights * self.df) / df_times)
+        owed = self.owed_counts(times)
+        return (owed_sum(owed[-len(self.maturities):], self.signed_notionals)
+                + owed_sum(owed, self.weights * self.df) / df_times)
 
     @property
     def annuity(self) -> float:
@@ -410,13 +415,17 @@ def _mc_exposure(book: _CashFlows, model: OneFactorMcModel,
     df_grid = curve.df(times)
     values = np.empty(len(x))
     buf = np.empty(max(_BLOCK_ELEMENTS, len(book.dates)))
+    owed = book.owed_counts(times)
+    alive = owed[-len(book.maturities):]
     for k, t in enumerate(times):
-        u, claims = book.claims_after(t, df_grid[k])
+        live = owed > k
+        u = book.dates[live]
         if len(u) == 0:
             continue
+        claims = book.weights[live] * (book.df[live] / df_grid[k])
         b = (1.0 - np.exp(-a * (u - t))) / a
         gauss = np.exp(-0.5 * b * b * phi[k])
-        const = book.alive_notional(t)
+        const = float(np.sum(book.signed_notionals * (alive > k)))
         weights = claims * gauss
         neg_b = -b
         rows = max(1, _BLOCK_ELEMENTS // len(b))

@@ -114,7 +114,10 @@ SCHEMA = {
                   "vol": _number(0.01), "paths": Key("integer", 2000, (1000, MAX_PATHS)),
                   "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
     "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS))},
-    "repo": {"roe": _rate(0.10), "expected_gap_loss": _number(0.0), "asset": Key("string"),
+    # the expected gap loss is a fraction of the loan: at most 1 here, and
+    # RepoModelParams rejects one below 0
+    "repo": {"roe": _rate(0.10), "expected_gap_loss": Key("number", 0.0, (-math.inf, 1.0)),
+             "asset": Key("string"),
              "rating": Key("string", choices=RATING_KEYS),
              "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf), "number")},
     "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
@@ -352,6 +355,9 @@ class Scenario:
     def netting_sets(self) -> list[NettingSet]:
         out = []
         for k, ns in enumerate(self.config["optimizer"]["netting_sets"]):
+            if any(s.id == ns["id"] for s in out):
+                raise ScenarioError(f"optimizer.netting_sets[{k}].id repeats netting set id "
+                                    f"{ns['id']!r}")
             if ns["threshold"] is not None:
                 raise ScenarioError(f"netting set {ns['id']}: threshold is not supported")
             profile = self.portfolio_profile(ns["portfolio"], seed_offset=k + 1)

@@ -678,6 +678,18 @@ class TestRepoCurve:
         assert "finite" in err["error"]["message"]
         assert not (tmp_path / "out" / "repo_curve.csv").exists()
 
+    def test_gap_loss_above_one_exits_2(self, tmp_path, capsys):
+        # the expected gap loss is a fraction of the loan; at 1e300 the
+        # hazard would carry the spread to 2e298 at every tenor
+        sc = repo_scenario(tmp_path)
+        set_key(sc, "curves.hazard", 0.02)
+        set_key(sc, "repo.expected_gap_loss", 1e300)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys).startswith("repo.expected_gap_loss must be")
+        assert not (tmp_path / "out").exists()
+        set_key(sc, "repo.expected_gap_loss", 1.0)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
 
 class TestFlags:
     """--seed is read through the seed's table entry and --points belongs
@@ -759,6 +771,27 @@ class TestOptimize:
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         message = validation_message(capsys)
         assert "S2" in message and "threshold" in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "repo-curve"])
+    def test_repeated_asset_id_exits_2(self, tmp_path, capsys, command):
+        sc = optimize_scenario(tmp_path) if command == "optimize" else repo_scenario(tmp_path)
+        source = Path(json.loads(sc.read_text())["assets_file"])
+        rows = (tmp_path / source).read_text().splitlines()
+        assets = tmp_path / "repeated.csv"
+        assets.write_text("\n".join(rows + [rows[1].replace(",1,", ",2,", 1)]) + "\n")
+        set_key(sc, "assets_file", str(assets))
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert repr(rows[1].split(",")[0]) in message and "repeated.csv" in message
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_netting_set_id_exits_2(self, tmp_path, capsys):
+        sc = optimize_scenario(tmp_path)
+        set_key(sc, "optimizer.netting_sets[1].id", "S1")
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert message.startswith("optimizer.netting_sets[1].id") and "'S1'" in message
         assert not (tmp_path / "out").exists()
 
     def test_infeasible_exits_3(self, tmp_path, capsys):

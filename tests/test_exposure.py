@@ -146,16 +146,25 @@ class TestDeterministicProfile:
         assert profile.times[10] == 5.0 and np.all(profile.times % 0.5 == 0.0)
         gross = sum(s.notional for s in swaps)
         for k, t in enumerate(profile.times):
-            # each swap alive at t: float leg 1 - P(t, T) less its coupons after t
-            want = 0.0
-            for s in swaps:
-                if s.maturity > t + 1e-12:
-                    coupons = sum(curve.df(u) for u in s.payment_times() if u > t + 1e-12)
-                    want += s.sign * s.notional * (
-                        1.0 - (curve.df(s.maturity) + s.fixed_rate / s.pay_freq * coupons)
-                        / curve.df(t))
+            # the oracle builds its own schedule: it keeps every coupon dated
+            # after t + 1e-12, those of random_swaps' edge maturities within
+            # 1e-9 years of a coupon multiple included, as the library does
+            want = sum(swap_forward_value(s.notional, s.fixed_rate, s.direction, s.maturity,
+                                          s.pay_freq, curve.df, t) for s in swaps)
             assert abs(profile.epe[k] - profile.ene[k] - want) <= 1e-12 * gross
         assert profile.mtm0 == profile.epe[0] - profile.ene[0]
+
+    @pytest.mark.parametrize("maturity, first", [(3.0 + 4e-10, 4e-10), (8e-10, 8e-10)])
+    def test_coupon_just_after_zero_is_owed(self, curve, maturity, first):
+        # a quarterly swap's first coupon dated a few 1e-10 years after 0 is
+        # still owed at 0 (T > 0 + 1e-12): in mtm0 it is worth 0.005
+        swap = Swap(1.0, 0.02, "payer", maturity, 4)
+        assert swap.payment_times()[0] == pytest.approx(first, rel=1e-5)
+        want = swap_forward_value(1.0, 0.02, "payer", maturity, 4, curve.df, 0.0)
+        det = exposure_profile([swap], DeterministicModel(), 2, curve)
+        mc = exposure_profile([swap], OneFactorMcModel(0.05, 0.01, 1000, seed=1), 2, curve)
+        assert abs(det.mtm0 - want) <= 1e-15
+        assert abs(mc.mtm0 - want) <= 1e-15
 
     def test_matches_per_swap_oracle(self, curve):
         book = generate_portfolio(20, 0.5, (1.0, 20.0), 0.01, seed=11, curve=curve)
