@@ -7,11 +7,22 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   sign;
 - one-factor Monte Carlo: a mean-reverting Gaussian short rate fitted to
   the initial curve (Hull-White style bond reconstitution), with antithetic
-  pairs drawn from one generator seeded by the model seed. At each grid
-  time the book is revalued one block of paths at a time in a preallocated
-  buffer of max(32 768, cash-flow dates) float64 values (256 KB for books
-  of up to 32 768 cash-flow dates), so the kernel's transient memory is
-  that buffer beside the (paths x grid times) factor array.
+  pairs drawn from one generator seeded by the model seed; EPE and ENE are
+  means over the paths. At grid time t_k the book's value is one smooth
+  function of the factor, V_k(x) = A_k + sum_i w_i exp(-x b_i) over the
+  claims owed, b_i = (1 - exp(-a (T_i - t_k))) / a at mean reversion a, so
+  it is revalued at n first-kind Chebyshev nodes of [min x_k, max x_k] and
+  interpolated to every path (coefficients from a cosine matrix, then
+  Clenshaw's recurrence). n is the smallest count of at least 8 with
+  (beta / 2)^n / n! <= 2^-60, beta = max_i b_i times half the range: 8 to
+  17 on books of 0.25-30 year swaps at mean reversion 0.05 and vol 1 %,
+  against 1000 paths. Should n reach the path count, the paths themselves
+  are revalued; where every path has one factor value (t = 0, or vol 0)
+  that one value is. Each revaluation runs one block of points at a time
+  in a preallocated buffer of max(32 768, cash-flow dates) float64 values
+  (256 KB for books of up to 32 768 cash-flow dates), so the kernel's
+  transient memory is that buffer beside the (paths x grid times) factor
+  array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
 periods counted back from maturity: a swap maturing at m and paying f
@@ -282,7 +293,6 @@ class _CashFlows:
     weights: np.ndarray
     df: np.ndarray  # discount factor from 0 of each date
     accruals: np.ndarray  # notional * accrual per coupon, 0 per float-leg claim
-    maturities: np.ndarray
     signed_notionals: np.ndarray
 
     @classmethod
@@ -297,13 +307,13 @@ class _CashFlows:
                    weights=np.concatenate((np.repeat(coupon, per_swap), -signed)),
                    accruals=np.concatenate((np.repeat(book.notional / f, per_swap),
                                             np.zeros(len(book)))),
-                   maturities=book.maturity, signed_notionals=signed)
+                   signed_notionals=signed)
 
     def owed_counts(self, times: np.ndarray) -> np.ndarray:
         """The owed-count table: for each claim, how many of the increasing
         ``times`` it is still owed at. The claim dated T is owed at t_k, T >
         t_k + 1e-12, exactly when its count is greater than k. The float
-        legs' counts are the last ``len(maturities)``."""
+        legs' counts are the last ``len(signed_notionals)``."""
         return np.searchsorted(times + 1e-12, self.dates)
 
     def forward_values(self, times: np.ndarray, df_times: np.ndarray) -> np.ndarray:
@@ -317,7 +327,7 @@ class _CashFlows:
             bins = np.bincount(counts, values, minlength=len(times) + 1)
             return np.cumsum(bins[::-1])[::-1][1:]
         owed = self.owed_counts(times)
-        return (owed_sum(owed[-len(self.maturities):], self.signed_notionals)
+        return (owed_sum(owed[-len(self.signed_notionals):], self.signed_notionals)
                 + owed_sum(owed, self.weights * self.df) / df_times)
 
     @property
@@ -364,7 +374,8 @@ def exposure_profile(portfolio: Sequence[Swap], model, points: int,
     if points < 2:
         raise ExposureError("grid needs at least 2 points")
     book = _CashFlows.of(portfolio, curve)
-    times = np.linspace(0.0, book.maturities.max(), points)
+    # the float legs' dates, the tail of the list, are the maturities
+    times = np.linspace(0.0, book.dates[-len(book.signed_notionals):].max(), points)
     if isinstance(model, DeterministicModel):
         values = book.forward_values(times, curve.df(times))
         epe = np.maximum(values, 0.0)
@@ -386,7 +397,7 @@ def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
     n_pairs = (model.paths + 1) // 2
     dts = np.diff(times)
     decay = np.exp(-a * dts)
-    stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
+    stds = model.vol * np.sqrt(-np.expm1(-2.0 * a * dts) / (2.0 * a))
     z = np.random.default_rng(model.seed).standard_normal((n_pairs, len(dts)))
     x = np.zeros((2 * n_pairs, len(times)))
     up, down = x[0::2], x[1::2]
@@ -396,46 +407,93 @@ def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
     return x[:model.paths]
 
 
-# Elements of the (path rows x live cash-flow dates) buffer that the exposure
-# kernel fills, exponentiates and contracts in place, one block of paths at a
-# time. 256 KB stays in cache; a one-shot (paths x dates) matrix runs to tens
-# of MB and spends most of the kernel's time in memory traffic.
+# Elements of the (points x live cash-flow dates) buffer that the exposure
+# kernel fills, exponentiates and contracts in place, one block of points at a
+# time. 256 KB stays in cache; a one-shot (points x dates) matrix runs to tens
+# of MB and spends most of its time in memory traffic.
 _BLOCK_ELEMENTS = 32_768
+# Truncation bound on the Chebyshev series of exp(-beta s) on [-1, 1]:
+# (beta / 2)^n / n! is the leading term of I_n(beta), half its degree-n
+# coefficient.
+_SERIES_TAIL = 2.0 ** -60
+_MIN_NODES = 8
+
+
+def _claim_sums(points: np.ndarray, b: np.ndarray, weights: np.ndarray,
+                buf: np.ndarray) -> np.ndarray:
+    """sum_i weights_i exp(-point b_i) at each point, one block of points
+    at a time in ``buf``."""
+    out = np.empty(len(points))
+    rows = max(1, _BLOCK_ELEMENTS // len(b))
+    for lo in range(0, len(points), rows):
+        hi = min(lo + rows, len(points))
+        block = buf[:(hi - lo) * len(b)].reshape(hi - lo, len(b))
+        np.multiply.outer(-points[lo:hi], b, out=block)
+        np.exp(block, out=block)
+        np.dot(block, weights, out=out[lo:hi])
+    return out
+
+
+def _node_count(beta: float, cap: int) -> int:
+    """Smallest n >= _MIN_NODES with (beta / 2)^n / n! <= _SERIES_TAIL, or
+    ``cap`` if none is below it."""
+    term = 1.0
+    for n in range(1, cap):
+        term *= 0.5 * beta / n
+        if n >= _MIN_NODES and term <= _SERIES_TAIL:
+            return n
+    return cap
+
+
+def _factor_sums(x: np.ndarray, b: np.ndarray, weights: np.ndarray,
+                 buf: np.ndarray) -> np.ndarray:
+    """``_claim_sums`` at every path's factor value x, from its values at n
+    first-kind Chebyshev nodes of [min x, max x] interpolated by Clenshaw's
+    recurrence; at the paths themselves when n reaches the path count."""
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        return np.full(len(x), _claim_sums(x[:1], b, weights, buf)[0])
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n = _node_count(float(b.max()) * half, len(x))
+    if n == len(x):
+        return _claim_sums(x, b, weights, buf)
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    values = _claim_sums(mid + half * np.cos(theta), b, weights, buf)
+    coeffs = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ values)
+    coeffs[0] *= 0.5
+    s = np.clip((x - mid) / half, -1.0, 1.0)
+    two_s = 2.0 * s
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + two_s * b1 - b2, b1
+    return coeffs[0] + s * b1 - b2
 
 
 def _mc_exposure(book: _CashFlows, model: OneFactorMcModel,
                  times: np.ndarray, curve: RateCurve):
     a = model.mean_reversion
-    phi = model.vol ** 2 * (1.0 - np.exp(-2.0 * a * times)) / (2.0 * a)
+    # -expm1(-y), not 1 - exp(-y), which is 0 for y below 1e-16: as a -> 0,
+    # phi -> vol^2 t and b -> u - t
+    phi = model.vol ** 2 * -np.expm1(-2.0 * a * times) / (2.0 * a)
     x = _ou_paths(model, times)
 
     epe = np.zeros(len(times))
     ene = np.zeros(len(times))
     mtm0 = 0.0
     df_grid = curve.df(times)
-    values = np.empty(len(x))
     buf = np.empty(max(_BLOCK_ELEMENTS, len(book.dates)))
     owed = book.owed_counts(times)
-    alive = owed[-len(book.maturities):]
+    alive = owed[-len(book.signed_notionals):]
     for k, t in enumerate(times):
         live = owed > k
         u = book.dates[live]
         if len(u) == 0:
             continue
         claims = book.weights[live] * (book.df[live] / df_grid[k])
-        b = (1.0 - np.exp(-a * (u - t))) / a
-        gauss = np.exp(-0.5 * b * b * phi[k])
+        b = -np.expm1(-a * (u - t)) / a
+        weights = claims * np.exp(-0.5 * b * b * phi[k])
         const = float(np.sum(book.signed_notionals * (alive > k)))
-        weights = claims * gauss
-        neg_b = -b
-        rows = max(1, _BLOCK_ELEMENTS // len(b))
-        for lo in range(0, len(x), rows):
-            hi = min(lo + rows, len(x))
-            block = buf[:(hi - lo) * len(b)].reshape(hi - lo, len(b))
-            np.multiply.outer(x[lo:hi, k], neg_b, out=block)
-            np.exp(block, out=block)
-            np.dot(block, weights, out=values[lo:hi])
-        values += const
+        values = _factor_sums(x[:, k], b, weights, buf) + const
         epe[k] = np.mean(np.maximum(values, 0.0))
         ene[k] = np.mean(np.maximum(-values, 0.0))
         if k == 0:

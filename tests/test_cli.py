@@ -345,6 +345,15 @@ class TestXva:
         assert key in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_huge_vol_exits_2(self, tmp_path, capsys):
+        # the factor spreads so wide that exp overflows; the node count stops
+        # at the path count on the way there
+        portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000, vol=1e6)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert "overflow" in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestBlockTypes:
     """A scenario block of the wrong JSON type exits 2 naming the key."""

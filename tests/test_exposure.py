@@ -130,7 +130,7 @@ class TestSwapBook:
             assert np.array_equal(flows.weights, want_weights)
             assert np.array_equal(flows.accruals, want_accruals)
             assert np.array_equal(flows.df, curve.df(want_dates))
-            assert np.array_equal(flows.maturities, [s.maturity for s in swaps])
+            assert np.array_equal(flows.dates[-len(swaps):], [s.maturity for s in swaps])
 
 
 class TestDeterministicProfile:
@@ -244,7 +244,7 @@ class TestMcProfile:
         times = np.linspace(0.0, 7.0, 15)
         a, dts = model.mean_reversion, np.diff(times)
         decay = np.exp(-a * dts)
-        stds = model.vol * np.sqrt((1.0 - np.exp(-2.0 * a * dts)) / (2.0 * a))
+        stds = model.vol * np.sqrt(-np.expm1(-2.0 * a * dts) / (2.0 * a))
         ref = np.zeros((1002, len(times)))
         rng = np.random.default_rng(model.seed)
         for j in range(501):
@@ -254,12 +254,18 @@ class TestMcProfile:
                 ref[2 * j + 1, k + 1] = ref[2 * j + 1, k] * decay[k] - stds[k] * z[k]
         assert np.array_equal(_ou_paths(model, times), ref[:1001])
 
-    def test_blocked_kernel_matches_dense_reference(self, curve):
-        # ~1200 live cash-flow dates at t = 0: the 1000 paths take dozens of
-        # blocks at every early grid time
-        book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
-        model = OneFactorMcModel(0.05, 0.01, 1000, seed=3)
-        profile = exposure_profile(book, model, 31, curve)
+    @pytest.mark.parametrize("n, maturities, freq, model, points", [
+        # ~1200 live cash-flow dates at t = 0
+        (40, (5.0, 30.0), 2, OneFactorMcModel(0.05, 0.01, 1000, seed=3), 31),
+        # slow reversion, high vol, 50-100y quarterly: over 100 nodes a step
+        (8, (50.0, 100.0), 4, OneFactorMcModel(0.001, 0.05, 2000, seed=3), 41),
+        (40, (5.0, 30.0), 2, OneFactorMcModel(1.0, 0.03, 1000, seed=3), 31),
+    ], ids=["base", "slow-reversion-100y", "fast-reversion"])
+    def test_blocked_kernel_matches_dense_reference(self, curve, n, maturities, freq,
+                                                    model, points):
+        book = generate_portfolio(n, 0.5, maturities, 0.01, seed=8, curve=curve,
+                                  pay_freq=freq)
+        profile = exposure_profile(book, model, points, curve)
         times = profile.times
         a = model.mean_reversion
         phi = model.vol ** 2 * (1.0 - np.exp(-2.0 * a * times)) / (2.0 * a)
@@ -277,11 +283,60 @@ class TestMcProfile:
             b = (1.0 - np.exp(-a * (u - t))) / a
             weights = w[live] * curve.df(u) / curve.df(t) * np.exp(-0.5 * b * b * phi[k])
             const = sum(s.sign * s.notional for s in book if s.maturity > t + 1e-12)
-            values = const + np.exp(-np.outer(x[:, k], b)) @ weights
+            values = const + np.concatenate([np.exp(-np.outer(xs, b)) @ weights
+                                             for xs in np.array_split(x[:, k], 4)])
             assert abs(profile.epe[k] - np.mean(np.maximum(values, 0.0))) <= 1e-13 * gross
             assert abs(profile.ene[k] - np.mean(np.maximum(-values, 0.0))) <= 1e-13 * gross
             if k == 0:
                 assert abs(profile.mtm0 - np.mean(values)) <= 1e-13 * gross
+
+    def test_each_step_revalues_few_points(self, curve, monkeypatch):
+        # a book shaped like the stochastic_book workload's: revaluing every
+        # path would send all 1000 to the evaluator at each step
+        book = generate_portfolio(200, 0.55, (0.25, 30.0), 0.01, seed=1, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=1)
+        sent = []
+        claim_sums = cxva.exposure._claim_sums
+
+        def counting(points, *args):
+            sent.append(len(points))
+            return claim_sums(points, *args)
+
+        monkeypatch.setattr(cxva.exposure, "_claim_sums", counting)
+        exposure_profile(book, model, 121, curve)
+        # every step but the horizon, where no claim is owed
+        assert len(sent) == 120
+        assert max(sent) <= 32
+
+    def test_node_cap_revalues_every_path(self, curve, monkeypatch):
+        # with a truncation bound no node count meets, the count reaches the
+        # path count and each path is revalued at its own factor value
+        book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=3)
+        base = exposure_profile(book, model, 31, curve)
+        monkeypatch.setattr(cxva.exposure, "_SERIES_TAIL", 0.0)
+        paths = exposure_profile(book, model, 31, curve)
+        assert np.max(np.abs(paths.epe - base.epe)) <= 1e-13 * 40
+        assert np.max(np.abs(paths.ene - base.ene)) <= 1e-13 * 40
+        assert abs(paths.mtm0 - base.mtm0) <= 1e-13 * 40
+
+    def test_tiny_mean_reversion_keeps_the_factor_random(self):
+        # a -> 0 is Brownian motion: x(10) has std vol sqrt(10); the sample
+        # std of 1000 antithetic pairs is off by about 2.2 % of it
+        times = np.linspace(0.0, 10.0, 11)
+        x = _ou_paths(OneFactorMcModel(1e-20, 0.01, 2000, seed=5), times)
+        assert np.std(x[:, -1]) == pytest.approx(0.01 * np.sqrt(10.0), rel=0.1)
+
+    def test_tiny_mean_reversion_profile(self, curve):
+        # a = 1e-20 is the a -> 0 limit, which a = 1e-9 matches to O(a t),
+        # not the deterministic profile
+        book = generate_portfolio(10, 0.5, (2.0, 10.0), 0.01, seed=21, curve=curve)
+        det = exposure_profile(book, DeterministicModel(), 21, curve)
+        tiny, small = (exposure_profile(book, OneFactorMcModel(a, 0.01, 2000, seed=5),
+                                        21, curve) for a in (1e-20, 1e-9))
+        assert np.max(np.abs(tiny.ene - det.ene)) > 0.01
+        assert np.max(np.abs(tiny.epe - small.epe)) < 1e-8
+        assert np.max(np.abs(tiny.ene - small.ene)) < 1e-8
 
     def test_block_size_invariance(self, curve, monkeypatch):
         book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
