@@ -5,11 +5,11 @@ chi the fraction of the protected exposure that is also funded. Together
 with the blended repo spread of a posted portfolio they parameterize the
 effective discount rate: ``chi`` gives an asset's funded fraction and
 ``blend_spread_curve`` a posted portfolio's protected value, chi and spread.
+Assets are built by ``cxva.scenario`` from the rows of an assets file.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
@@ -98,37 +98,4 @@ def blend_spread_curve(postings: Sequence[tuple[float, float, float, RateCurve]]
     x = sum(funded)
     return protection, x, combine_curves([s for *_, s in postings], [w / x for w in funded],
                                          label="blended_spread")
-
-
-# -- assets CSV -------------------------------------------------------------
-
-_ASSET_HEADER = ["id", "price", "quantity", "h_csa", "h_repo", "h_lcr",
-                 "ec_AA", "ec_A", "ec_BBB", "ec_BB"]
-
-
-def load_assets_csv(path) -> list[CollateralAsset]:
-    """Read collateral assets from CSV.
-
-    Header: ``id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB``
-    with economic capital in decimals (0.0161 means 1.61%). Each id names
-    one asset.
-    """
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _ASSET_HEADER:
-            raise CollateralError(f"{path}: expected header {','.join(_ASSET_HEADER)}")
-        out = []
-        for row in reader:
-            if any(a.id == row["id"] for a in out):
-                raise CollateralError(f"{path}: asset id {row['id']!r} appears more than once")
-            out.append(CollateralAsset(
-                id=row["id"],
-                price=float(row["price"]),
-                quantity=float(row["quantity"]),
-                h_csa=float(row["h_csa"]),
-                h_repo=float(row["h_repo"]),
-                h_lcr=float(row["h_lcr"]),
-                econ_capital={r: float(row[f"ec_{r}"]) for r in RATING_KEYS},
-            ))
-    return out
 

@@ -10,12 +10,12 @@ Conventions, fixed once for the whole library:
   last node the zero rate is flat (so the forward is flat too).
 
 Piecewise-constant forwards make every integral of the short rate exact on
-a segment, which the valuation-adjustment quadratures rely on.
+a segment, which the valuation-adjustment quadratures rely on. Nodes come
+from ``cxva.scenario``, inline or from a curve file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -133,18 +133,6 @@ def combine_curves(curves: Sequence[RateCurve], weights: Sequence[float],
     ts = np.asarray(tenors)
     zts = sum(w * c._zt(ts) for c, w in zip(curves, weights))
     return RateCurve(tuple(ts), tuple(zts / ts), label)
-
-
-def load_curve_csv(path, label: str = "") -> RateCurve:
-    """Read a curve from CSV with header ``tenor_years,zero_rate``."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["tenor_years", "zero_rate"]:
-            raise CurveError(f"{path}: expected header 'tenor_years,zero_rate'")
-        nodes = [(float(row["tenor_years"]), float(row["zero_rate"])) for row in reader]
-    if not nodes:
-        raise CurveError(f"{path}: no curve nodes")
-    return RateCurve.from_nodes(nodes, label=label)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,8 @@ class Swap:
 
     def payment_times(self) -> np.ndarray:
         """Regular payment times counted back from maturity, the first above
-        1e-9 / pay_freq years."""
-        n = int(np.ceil(self.maturity * self.pay_freq - 1e-9))
-        return self.maturity - np.arange(n)[::-1] / self.pay_freq
+        1e-9 / pay_freq years: ``_coupon_dates`` of this one swap."""
+        return _coupon_dates(np.array([self.maturity]), np.array([float(self.pay_freq)]))[0]
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,9 @@ class SwapBook(Sequence):
 # -- the book as discount-factor claims ------------------------------------------
 
 def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every coupon date (what ``Swap.payment_times`` gives), swap by swap,
-    and the number of each swap's dates."""
+    """Every coupon date, swap by swap, and the number of each swap's dates:
+    the one coupon rule, which ``Swap.payment_times`` and so ``par_rate``
+    read too."""
     counts = np.ceil(maturity * f - 1e-9)
     # coupon j of swap i is paid (counts_i - 1 - j) periods before its
     # maturity: a (swaps x most coupons) grid, masked to each swap's coupons

@@ -103,7 +103,8 @@ class OptionSpec:
         return self.position * h
 
 
-# largest s_nodes or t_steps: a solve's time and memory grow with both
+# bounds on s_nodes and t_steps: a solve's time and memory grow with both
+MIN_GRID_SIZE = 50
 MAX_GRID_SIZE = 100_000
 
 
@@ -116,8 +117,9 @@ class GridSpec:
     picard_max_iter: int = 30
 
     def __post_init__(self) -> None:
-        if self.s_nodes < 50 or self.t_steps < 50:
-            raise PdeError("grid needs at least 50 space nodes and 50 time steps")
+        if self.s_nodes < MIN_GRID_SIZE or self.t_steps < MIN_GRID_SIZE:
+            raise PdeError(f"grid needs at least {MIN_GRID_SIZE} space nodes and "
+                           f"{MIN_GRID_SIZE} time steps")
         for name in ("s_nodes", "t_steps"):
             if getattr(self, name) > MAX_GRID_SIZE:
                 raise PdeError(f"grid {name} must be at most {MAX_GRID_SIZE}")

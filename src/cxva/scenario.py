@@ -11,11 +11,15 @@ the tuple the library's own check reads. ``Scenario`` reads each value
 through the table when a command first needs it and keeps what it read; a
 value of another kind, outside its bounds or outside its value set raises
 ScenarioError naming its dotted key. Keys it does not declare are ignored.
+It is the one module that reads input files: the JSON scenario, and curve
+files and the assets file through one CSV reader, which reads a row's cells
+by position and names the key, path and line of a malformed row or cell.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 from collections.abc import Mapping
@@ -23,14 +27,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi, load_assets_csv
-from .curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
+from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi
+from .curves import PartyCurves, RateCurve, combine_curves
 from .discounting import MODES, EffectiveRateSpec
 from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, PAY_FREQS,
                        DeterministicModel, OneFactorMcModel, SwapBook, exposure_profile,
                        generate_portfolio)
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
-from .pde import PAYOFFS, GridSpec, OptionSpec
+from .pde import MAX_GRID_SIZE, MIN_GRID_SIZE, PAYOFFS, GridSpec, OptionSpec
 from .repo import RepoModelParams
 from .xva import MAX_QUADRATURE_STEPS
 
@@ -46,6 +50,10 @@ REQUIRED = object()
 CURVE_FORMS = ("flat", "nodes", "file")
 # the exposure backends Scenario.exposure_model builds
 EXPOSURE_MODELS = ("deterministic", "one_factor_mc")
+# the headers of a curve file and of the assets file
+_CURVE_HEADER = ("tenor_years", "zero_rate")
+_ASSET_HEADER = ("id", "price", "quantity", "h_csa", "h_repo", "h_lcr",
+                *(f"ec_{r}" for r in RATING_KEYS))
 
 
 class Key(NamedTuple):
@@ -103,7 +111,8 @@ SCHEMA = {
     "option": {"payoff": Key("string", choices=PAYOFFS), "strike": _number(0.0),
                "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY)),
                "spot": _number(), "vol": _number(), "div_yield": _rate(0.0)},
-    "grid": {"s_nodes": Key("integer", 200), "t_steps": Key("integer", 200),
+    "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
+             "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
              "s_max_mult": _number(5.0)},
     "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
                   "maturity_min": _number(0.25), "maturity_max": _number(30.0),
@@ -123,7 +132,7 @@ SCHEMA = {
     "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
                   "funding_haircut": Key("string", "csa", choices=FUNDING_HAIRCUTS),
                   "tol": _number(0.01),
-                  "max_iter": Key("integer", 5),
+                  "max_iter": Key("integer", 5, (1, math.inf)),
                   "netting_sets": Key("array", REQUIRED, (1, math.inf), "object", "netting_set")},
     # each allocation round sets a set's requirement to |MTM|, so a
     # threshold would be read and then ignored: one is rejected
@@ -180,6 +189,27 @@ def read_flag(flag: str, section: str, name: str, value):
     return _convert(SCHEMA[section][name], value, flag, Path())
 
 
+def _table(name: str, path: Path, header: tuple[str, ...], text: int = 0) -> list:
+    """(where, cells) of each row of the CSV file ``path`` given at the
+    dotted ``name``, ``where`` naming the key, path and line: the stripped
+    header cells are ``header``, each row holds as many cells, the first
+    ``text`` kept as text and the rest read as floats; blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader, rows = csv.reader(f), []
+        try:
+            if [c.strip() for c in next(reader, [])] != list(header):
+                raise csv.Error(f"expected header {','.join(header)}")
+            for cells in filter(None, reader):  # a blank line reads as no cells
+                if len(cells) != len(header):
+                    raise csv.Error(f"expected the header's {len(header)} fields, "
+                                    f"got {len(cells)}")
+                rows.append((f"{name} {path} line {reader.line_num}",
+                             cells[:text] + [float(c) for c in cells[text:]]))
+        except (csv.Error, ValueError) as err:  # ValueError: a cell float rejects
+            raise ScenarioError(f"{name} {path} line {reader.line_num}: {err}") from None
+    return rows
+
+
 def _curve(spec, name: str, base_dir: Path) -> RateCurve:
     """A curve spec: a number or {"flat": r}, {"nodes": [[t, z], ...]} or
     {"file": "relative.csv"} (CSV header tenor_years,zero_rate); every rate
@@ -192,18 +222,21 @@ def _curve(spec, name: str, base_dir: Path) -> RateCurve:
         if not (isinstance(nodes, list) and all(isinstance(n, list) and len(n) == 2
                                                 for n in nodes)):
             raise ScenarioError(f"curve '{name}' nodes must be [tenor, rate] pairs")
-        return RateCurve.from_nodes([[_convert(k, x, f"{name}.nodes[{i}]", base_dir)
-                                      for k, x in zip((_number(), RATE), node)]
-                                     for i, node in enumerate(nodes)], name)
-    if "file" not in spec:
+        nodes = [(t, z, f"{name}.nodes[{i}]") for i, (t, z) in enumerate(nodes)]
+    elif "file" in spec:
+        path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
+        if not path.is_file():
+            raise ScenarioError(f"curve file not found: {path}")
+        nodes = [(t, z, f"{name}.file rate at tenor {t:g}")
+                 for _, (t, z) in _table(f"{name}.file", path, _CURVE_HEADER)]
+    else:
         raise ScenarioError(f"curve '{name}' needs one of {', '.join(CURVE_FORMS)}")
-    path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
-    if not path.is_file():
-        raise ScenarioError(f"curve file not found: {path}")
-    curve = load_curve_csv(path, label=name)
-    for t, z in zip(curve.tenors, curve.rates):
-        _convert(RATE, z, f"{name}.file rate at tenor {t:g}", base_dir)
-    return curve
+    if not nodes:
+        raise ScenarioError(f"curve '{name}' has no nodes")
+    # inline and file nodes alike: the tenor a number, the rate a RATE
+    return RateCurve.from_nodes([(_convert(_number(), t, where, base_dir),
+                                  _convert(RATE, z, where, base_dir))
+                                 for t, z, where in nodes], name)
 
 
 class _Block(Mapping):
@@ -338,8 +371,15 @@ class Scenario:
         if not path.is_file():
             raise ScenarioError(f"assets file not found: {path}")
         quantity = self.config["optimizer"]["quantity"]
-        assets = load_assets_csv(path)
-        return assets if quantity is None else [replace(a, quantity=quantity) for a in assets]
+        assets = []
+        for where, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in _table(
+                "assets_file", path, _ASSET_HEADER, text=1):
+            if any(a.id == asset_id for a in assets):
+                raise ScenarioError(f"{where}: asset id {asset_id!r} appears more than once")
+            asset = CollateralAsset(asset_id, price, held, h_csa, h_repo, h_lcr,
+                                    dict(zip(RATING_KEYS, ec)))
+            assets.append(asset if quantity is None else replace(asset, quantity=quantity))
+        return assets
 
     def repo_params(self) -> RepoModelParams:
         cfg = self.config["repo"]

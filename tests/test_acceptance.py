@@ -5,8 +5,10 @@ unsecured rate, Black-Scholes reduction under perfect cash), structural
 zeros and monotonicity of the collateralization sweep, exact additivity of
 the decomposition, the PDE/quadrature cross-oracle, break-even spread
 affinity, the allocation-LP reproduction and brute-force bracket, the
-reference LVA magnitude band, allocation iteration behavior, and bit-level
-determinism of the command line.
+reference LVA magnitude band, allocation iteration behavior, bit-level
+determinism of the command line, and the paper's headline claim that LVA
+grows with a swap book's duration and with how far in or out of the money
+it is.
 """
 
 import json
@@ -379,3 +381,39 @@ class TestAC11Determinism:
         self._run_twice("optimize", SCENARIO_DIR / "allocation_reference.json",
                         tmp_path, "opt")
         _ok("AC-11 byte-identical reruns for price/xva/repo-curve/optimize")
+
+
+class TestAC12LvaDurationAndMoneyness:
+    """The paper's claim: LVA is sizable for long average duration, deep in
+    or out of the money swap portfolios. payer_book at n = 200, eta = 1."""
+
+    OFFSETS = (-0.03, -0.015, 0.015, 0.03)
+    MATURITIES = (5.0, 10.0, 30.0)
+
+    def test_lva_grows_with_duration_and_moneyness(self):
+        start = time.perf_counter()
+        path = SCENARIO_DIR / "payer_book.json"
+        scenario = Scenario.load(path)
+        book = json.loads(path.read_text(encoding="utf-8"))["portfolio"]
+        spec = scenario.effective_spec(collateralization=1.0)
+        lva = {}
+        for offset in self.OFFSETS:
+            for maturity in self.MATURITIES:
+                profile = scenario.portfolio_profile(
+                    dict(book, n=200, rate_offset=offset, maturity_max=maturity))
+                report = to_running_spread(
+                    decompose(profile, spec, n_steps=scenario.quadrature_steps),
+                    profile.annuity)
+                lva[offset, maturity] = report.bp["lva"]
+        for offset in self.OFFSETS:
+            row = [lva[offset, m] for m in self.MATURITIES]
+            # a book paying below market is an asset, one paying above a liability
+            assert all(math.copysign(1.0, x) == -math.copysign(1.0, offset) for x in row)
+            assert all(abs(a) < abs(b) for a, b in zip(row, row[1:])), (offset, row)
+        for near, deep in ((-0.015, -0.03), (0.015, 0.03)):
+            for m in self.MATURITIES:
+                assert abs(lva[near, m]) < abs(lva[deep, m]), (near, deep, m)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0
+        _ok(f"AC-12 |LVA| rises with duration and moneyness "
+            f"({lva[-0.03, 30.0]:.2f}bp to {lva[0.03, 30.0]:.2f}bp at 30y, {elapsed:.2f}s)")

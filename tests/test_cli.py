@@ -17,7 +17,7 @@ import cxva.scenario
 import cxva.xva
 from cxva.cli import main
 from cxva.discounting import MODES
-from cxva.pde import GridSpec
+from cxva.pde import MAX_GRID_SIZE, GridSpec
 from cxva.scenario import MAX_SWEEP_POINTS
 from cxva.simplex import solve_bounded_lp
 
@@ -502,6 +502,10 @@ class TestCountBounds:
         ("xva", "portfolio", "quadrature_steps", 1e12),
         ("xva", "portfolio", "quadrature_steps", 0),
         ("optimize", "portfolio", "quadrature_steps", 0),
+        ("price", "option", "grid.s_nodes", 49),
+        ("price", "option", "grid.t_steps", 49),
+        ("price", "option", "grid.s_nodes", MAX_GRID_SIZE + 1),
+        ("price", "option", "grid.t_steps", MAX_GRID_SIZE + 1),
     ])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, block, key, value):
         sc = self.scenario(tmp_path, command, block)
@@ -638,17 +642,100 @@ class TestRates:
                                            ("optimize", "allocation_reference"),
                                            ("repo-curve", "repo_ust10")])
 def test_each_curve_file_read_once(tmp_path, monkeypatch, command, name):
+    # every input file a command reads, each curve file and the assets file,
+    # goes through the scenario's one CSV reader once
     reads = collections.Counter()
-    load = cxva.scenario.load_curve_csv
+    table = cxva.scenario._table
 
-    def counted(path, label=""):
+    def counted(key, path, *args, **kwargs):
         reads[Path(path).name] += 1
-        return load(path, label=label)
+        return table(key, path, *args, **kwargs)
 
-    monkeypatch.setattr(cxva.scenario, "load_curve_csv", counted)
+    monkeypatch.setattr(cxva.scenario, "_table", counted)
     assert run([command, "--scenario", SCENARIO_DIR / f"{name}.json",
                 "--out", tmp_path / "out"]) == 0
     assert reads and set(reads.values()) == {1}, reads
+    assert ("assets_reference.csv" in reads) == (command in ("optimize", "repo-curve"))
+
+
+class TestCsvFiles:
+    """A curve file's and the assets file's rows hold exactly the header's
+    fields, read by position. A short or long row, or a number cell that is
+    not a number, exits 2 with one JSON line naming the key, the file and
+    the line; a header padded with spaces, blank lines and CRLF endings
+    read as the plain file does."""
+
+    # each file's header fields
+    KEYS = {"curves.risk_free.file": 2, "assets_file": 10}
+
+    @staticmethod
+    def edited(tmp_path, key, edit, newline="\n"):
+        """repo_ust10 (it reads a curve file and the assets file) with the
+        file at ``key`` copied to edited.csv, its lines changed by ``edit``."""
+        sc = repo_scenario(tmp_path)
+        raw = json.loads(sc.read_text())
+        source = Path(raw["curves"]["risk_free"]["file"] if key.startswith("curves")
+                      else raw["assets_file"])
+        lines = edit(source.read_text().splitlines())
+        (tmp_path / "edited.csv").write_bytes((newline.join(lines) + newline).encode())
+        set_key(sc, key.removesuffix(".file"), {"file": "edited.csv"} if key.startswith("curves")
+                else "edited.csv")
+        return sc
+
+    def assert_exits_2_at_line_3(self, tmp_path, capsys, key, edit, reason):
+        sc = self.edited(tmp_path, key, edit)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert message.startswith(f"{key} {tmp_path / 'edited.csv'} line 3: {reason}"), message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_short_row_exits_2(self, tmp_path, capsys, key):
+        def drop_last_field(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0]
+            return lines
+        fields = self.KEYS[key]
+        self.assert_exits_2_at_line_3(tmp_path, capsys, key, drop_last_field,
+                                      f"expected the header's {fields} fields, got {fields - 1}")
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_extra_field_exits_2(self, tmp_path, capsys, key):
+        def add_field(lines):
+            lines[2] += ",0.5"
+            return lines
+        fields = self.KEYS[key]
+        self.assert_exits_2_at_line_3(tmp_path, capsys, key, add_field,
+                                      f"expected the header's {fields} fields, got {fields + 1}")
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_non_number_cell_exits_2(self, tmp_path, capsys, key):
+        def spoil(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",0.0l"
+            return lines
+        self.assert_exits_2_at_line_3(tmp_path, capsys, key, spoil,
+                                      "could not convert string to float: '0.0l'")
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_huge_cell_exits_2(self, tmp_path, capsys, key):
+        # beyond the csv module's field size limit (131 072 characters)
+        def inflate(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",0." + "0" * 200_000
+            return lines
+        self.assert_exits_2_at_line_3(tmp_path, capsys, key, inflate, "field larger than")
+
+    @pytest.mark.parametrize("edit, newline", [
+        (lambda lines: [f" {', '.join(lines[0].split(','))} "] + lines[1:], "\n"),
+        (lambda lines: [lines[0], ""] + lines[1:3] + ["", ""] + lines[3:] + [""], "\n"),
+        (lambda lines: lines, "\r\n"),
+    ], ids=["padded-header", "blank-lines", "crlf"])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_layout_reads_as_the_plain_file(self, tmp_path, capsys, key, edit, newline):
+        assert run(["repo-curve", "--scenario", repo_scenario(tmp_path),
+                    "--out", tmp_path / "plain"]) == 0
+        sc = self.edited(tmp_path, key, edit, newline)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "repo_curve.csv").read_bytes() \
+            == (tmp_path / "plain" / "repo_curve.csv").read_bytes()
 
 
 class TestRepoCurve:
@@ -767,7 +854,8 @@ class TestOptimize:
         sc = optimize_scenario(tmp_path)
         set_key(sc, "optimizer.max_iter", 0)
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
-        assert "max_iter" in validation_message(capsys)
+        assert validation_message(capsys).startswith(
+            "optimizer.max_iter must be an integer in [1, inf]")
         assert not (tmp_path / "out").exists()
 
     def test_threshold_exits_2(self, tmp_path, capsys):

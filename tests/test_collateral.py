@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.collateral import (CollateralAsset, CollateralError, CollateralState,
-                             blend_spread_curve, chi, load_assets_csv)
+                             blend_spread_curve, chi)
 from cxva.curves import RateCurve
 
 
@@ -97,16 +97,7 @@ class TestState:
             CollateralState(eta_c=1.5)
 
 
-class TestAssetCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "assets.csv"
-        path.write_text("id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
-                        "UST_10y,1,75,0.02,0.03,0,0.0008,0.0017,0.004,0.008\n")
-        back = load_assets_csv(path)
-        assert back == [CollateralAsset("UST_10y", 1.0, 75.0, 0.02, 0.03, 0.0,
-                                        {"AA": 0.0008, "A": 0.0017, "BBB": 0.004,
-                                         "BB": 0.008})]
-
+class TestAsset:
     def test_validation(self):
         with pytest.raises(CollateralError):
             CollateralAsset("x", -1.0, 1.0, 0.0, 0.0, 0.0, {})

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxva.curves import (CurveError, PartyCurves, RateCurve, combine_curves,
-                         load_curve_csv)
+from cxva.curves import CurveError, PartyCurves, RateCurve, combine_curves
 
 
 class TestZeroRate:
@@ -151,22 +150,6 @@ class TestCombine:
         combo = combine_curves([c1, c2], [1.0, -1.0])
         assert combo.integral(0.5, 4.0) == pytest.approx(
             c1.integral(0.5, 4.0) - c2.integral(0.5, 4.0), rel=1e-13)
-
-
-class TestCsv(object):
-    def test_round_trip(self, tmp_path):
-        curve = RateCurve.from_nodes([(0.25, 0.011), (10.0, 0.0225)], label="OIS")
-        path = tmp_path / "ois.csv"
-        path.write_text("tenor_years,zero_rate\n0.25,0.011\n10.0,0.0225\n")
-        back = load_curve_csv(path, label="OIS")
-        assert back.tenors == curve.tenors
-        assert all(a == pytest.approx(b, rel=1e-12) for a, b in zip(back.rates, curve.rates))
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("tenor,rate\n1.0,0.02\n")
-        with pytest.raises(CurveError):
-            load_curve_csv(path)
 
 
 class TestPartyCurves:

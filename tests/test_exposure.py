@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -80,9 +81,12 @@ def random_swaps(seed: int, n: int = 60) -> list[Swap]:
 
 
 def per_swap_cash_flows(swaps):
-    """Dates, weights and accruals built swap by swap from payment_times():
-    every fixed coupon, swap by swap, then every float leg's maturity."""
-    pay = [s.payment_times() for s in swaps]
+    """Dates, weights and accruals built swap by swap, each swap's coupons
+    dated m - j / f for j < ceil(m f - 1e-9), ascending: every fixed coupon,
+    swap by swap, then every float leg's maturity."""
+    pay = [[s.maturity - j / s.pay_freq
+            for j in reversed(range(math.ceil(s.maturity * s.pay_freq - 1e-9)))]
+           for s in swaps]
     dates = np.concatenate(pay + [[s.maturity for s in swaps]])
     weights = np.concatenate(
         [np.full(len(p), -(s.sign * s.notional * s.fixed_rate * (1.0 / s.pay_freq)))

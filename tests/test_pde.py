@@ -7,7 +7,7 @@ import pytest
 
 from cxva import pde
 from cxva.collateral import CollateralState
-from cxva.curves import PartyCurves, RateCurve, combine_curves, load_curve_csv
+from cxva.curves import PartyCurves, RateCurve, combine_curves
 from cxva.discounting import EffectiveRateSpec, effective_rate, risk_free_spec
 from cxva.exposure import ExposureProfile
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
@@ -141,8 +141,9 @@ class TestRateTable:
     """The forwards tabulated once per solve give the solver exactly the
     rates a scalar ``effective_rate`` lookup gives at every step time."""
 
-    OIS = load_curve_csv(Path(__file__).resolve().parent.parent / "scenarios"
-                         / "curves" / "ois_sloped.csv", "OIS")
+    OIS = RateCurve.from_nodes(np.loadtxt(Path(__file__).resolve().parent.parent / "scenarios"
+                                          / "curves" / "ois_sloped.csv", delimiter=",",
+                                          skiprows=1), "OIS")
     CASH = RateCurve.from_nodes([(0.5, 0.012), (2.0, 0.016), (4.0, 0.015)], "cash")
     # sign-changing payoff, so both sides' rates are read
     OPTION = OptionSpec(payoff="forward", strike=100.0, maturity=3.0, spot=100.0,

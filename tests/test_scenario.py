@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from cxva import collateral, discounting, exposure, optimizer, pde
+from cxva.collateral import CollateralAsset
+from cxva.curves import RateCurve
 from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
                            OneFactorMcModel)
 from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Scenario,
@@ -51,6 +53,44 @@ class TestCurves:
         party = sc.party("b")
         # liquidity = bond - hazard
         assert party.liquidity.zero_rate(1.0) == pytest.approx(0.01 + 0.0125 - 0.008)
+
+
+class TestCurveCsv:
+    """A curve file, read through the scenario's CSV reader."""
+
+    def test_round_trip(self, tmp_path):
+        curve = RateCurve.from_nodes([(0.25, 0.011), (10.0, 0.0225)], label="OIS")
+        (tmp_path / "ois.csv").write_text("tenor_years,zero_rate\n0.25,0.011\n10.0,0.0225\n")
+        payload = dict(BASE, curves={"risk_free": {"file": "ois.csv"}})
+        back = Scenario.load(write(tmp_path, payload)).risk_free
+        assert back.tenors == curve.tenors
+        assert all(a == pytest.approx(b, rel=1e-12) for a, b in zip(back.rates, curve.rates))
+
+    def test_bad_header(self, tmp_path):
+        (tmp_path / "bad.csv").write_text("tenor,rate\n1.0,0.02\n")
+        sc = Scenario.load(write(tmp_path, dict(BASE, curves={"risk_free": {"file": "bad.csv"}})))
+        with pytest.raises(ScenarioError):
+            sc.risk_free
+
+    @pytest.mark.parametrize("spec", [{"nodes": []}, {"file": "header.csv"}])
+    def test_no_nodes_names_the_curve(self, tmp_path, spec):
+        (tmp_path / "header.csv").write_text("tenor_years,zero_rate\n\n")
+        sc = Scenario.load(write(tmp_path, dict(BASE, curves={"risk_free": spec})))
+        with pytest.raises(ScenarioError, match="curve 'curves.risk_free' has no nodes"):
+            sc.risk_free
+
+
+class TestAssetCsv:
+    """The assets file, read through the scenario's CSV reader."""
+
+    def test_round_trip(self, tmp_path):
+        (tmp_path / "assets.csv").write_text(
+            "id,price,quantity,h_csa,h_repo,h_lcr,ec_AA,ec_A,ec_BBB,ec_BB\n"
+            "UST_10y,1,75,0.02,0.03,0,0.0008,0.0017,0.004,0.008\n")
+        back = Scenario.load(write(tmp_path, dict(BASE, assets_file="assets.csv"))).assets()
+        assert back == [CollateralAsset("UST_10y", 1.0, 75.0, 0.02, 0.03, 0.0,
+                                        {"AA": 0.0008, "A": 0.0017, "BBB": 0.004,
+                                         "BB": 0.008})]
 
 
 class TestCollateralBlock:
@@ -214,6 +254,10 @@ class TestSchema:
         assert choices.keys() == library.keys()
         assert all(choices[k] is library[k] for k in library)
         assert SCHEMA["sweep"]["points"].bounds == (2, MAX_SWEEP_POINTS)
+
+    def test_grid_bounds_are_the_library_constants(self):
+        for name in ("s_nodes", "t_steps"):
+            assert SCHEMA["grid"][name].bounds == (pde.MIN_GRID_SIZE, pde.MAX_GRID_SIZE)
 
     def test_values_read_once(self, tmp_path):
         sc = Scenario.load(write(tmp_path, BASE))

@@ -213,3 +213,94 @@ def test_mutated_scenario_exits_cleanly(case):
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error"}
+
+
+# the files a repo-curve run reads, by the key that names them
+CSV_FILES = {"curves.risk_free": SCENARIO_DIR / "curves" / "ois_sloped.csv",
+             "curves.mu0": SCENARIO_DIR / "curves" / "mu0_libor_ois.csv",
+             "assets_file": SCENARIO_DIR / "assets_reference.csv"}
+CSV_EDITS = ("drop field", "add field", "pad header", "not a number", "blank line")
+
+
+def csv_text(rows, newline="\n") -> str:
+    return "".join(",".join(cells) + newline for cells in rows)
+
+
+def csv_rows(key: str) -> list:
+    return [line.split(",") for line in CSV_FILES[key].read_text(encoding="utf-8").splitlines()]
+
+
+@st.composite
+def rewritten_csv(draw):
+    """(key, text): a shipped curve file or the assets file with one to three
+    edits, written with LF or CRLF endings."""
+    key = draw(st.sampled_from(sorted(CSV_FILES)))
+    rows = csv_rows(key)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(CSV_EDITS))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if edit == "drop field" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "add field":
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(["0.5", "", " "])))
+        elif edit == "pad header":
+            rows[0] = [draw(st.sampled_from(["", " ", "  "])) + cell
+                       + draw(st.sampled_from(["", " ", "\t"])) for cell in rows[0]]
+        elif edit == "not a number" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(["x", "", "nan", "inf", "1e999", "0x10", "--1"]))
+        elif edit == "blank line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    return key, csv_text(rows, draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def short_row(key: str) -> tuple:
+    rows = csv_rows(key)
+    rows[2] = rows[2][:-1]
+    return key, csv_text(rows)
+
+
+def extra_field(key: str) -> tuple:
+    rows = csv_rows(key)
+    rows[2].append("0.5")
+    return key, csv_text(rows)
+
+
+def padded_header(key: str) -> tuple:
+    rows = csv_rows(key)
+    rows[0] = [f" {cell} " for cell in rows[0]]
+    return key, csv_text(rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rewritten_csv())
+# a short row, an extra field and a padded header: each once exited 1 with a
+# traceback, was cut silently, or exited 2 naming only a header cell
+@example(short_row("curves.mu0"))
+@example(short_row("assets_file"))
+@example(extra_field("curves.risk_free"))
+@example(extra_field("assets_file"))
+@example(padded_header("curves.mu0"))
+@example(padded_header("assets_file"))
+def test_rewritten_csv_exits_cleanly(case):
+    key, text = case
+    raw = json.loads(json.dumps(BASES["repo-curve"]))
+    if key == "assets_file":
+        raw["assets_file"] = "edited.csv"
+    else:
+        raw["curves"][key.split(".")[1]] = {"file": "edited.csv"}
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        (Path(tmp) / "edited.csv").write_bytes(text.encode("utf-8"))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["repo-curve", "--scenario", str(scenario), "--out", str(out)])
+        if code == 0:
+            assert all(math.isfinite(x) for x in numbers_in(out / "repo_curve.csv"))
+        else:
+            assert code == 2
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["type"] == "validation"
