@@ -29,12 +29,29 @@ rate a solve reads (both parties' bond and liquidity curves, the risk-free
 curve and each side's funded spread) is tabulated once per solve on the
 step grid, the time grid plus the Rannacher half-step, and blended into
 each side's r_e there; the Picard sweeps only read that table.
+
+Each part of the system is built at the level where its inputs can change,
+with the same element-wise arithmetic as building the whole operator per
+sweep, so values and sweep counts are unchanged bit for bit:
+
+- per solve: the diffusion band 0.5 sigma^2 S^2 / dS^2 and its -2 multiple;
+- per step: the convection bands (``_convection``) and the implicit
+  sub- and super-diagonals, both kept from the previous step while the
+  step's convection and theta*h are bitwise the same (on a flat risk-free
+  curve the bands are built once per solve);
+- per sweep: the main diagonal (``_diagonal``) under the sweep's node rates.
+
+At a step time where both sides' r_e are equal, a sign change moves no
+node rate, so the step's first sweep is at the fixed point and the rates
+are not rebuilt from its result. Memory stays O(s_nodes): nothing is
+tabulated over steps and nodes at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,32 +186,36 @@ def _node_rates(fwd: _ForwardTable, k: int, v: np.ndarray) -> np.ndarray:
     return fwd.rates[k].take(v > 0.0)
 
 
-def _operator(s: np.ndarray, ds: float, conv: float, sigma: float,
-              rho: np.ndarray):
-    """Tridiagonal space operator A with AV ~ (r_s-q)S V' + 0.5 sig^2 S^2 V'' - rho V.
+class _Convection(NamedTuple):
+    """The bands of the space operator that depend on the step's convection
+    r_s - q but not on the value: sub- and super-diagonal, and the
+    convection term of the S_max row's main-diagonal entry."""
 
-    Returns (lower, diag, upper) bands. The S=0 row reduces to -rho by
-    itself since both S-terms vanish; the far boundary drops the second
-    derivative and takes one-sided convection.
-    """
-    n = len(s)
+    lower: np.ndarray
+    upper: np.ndarray
+    edge: float
+
+
+def _convection(d2: np.ndarray, s: np.ndarray, ds: float, conv: float) -> _Convection:
+    """Bands of AV ~ (r_s-q)S V' + 0.5 sig^2 S^2 V'' - rho V around the
+    diffusion band ``d2`` = 0.5 sig^2 S^2 / dS^2. The S=0 row reduces to
+    -rho by itself since both S-terms vanish; the far boundary drops the
+    second derivative and takes one-sided convection."""
     d1 = conv * s / (2.0 * ds)
-    d2 = 0.5 * sigma * sigma * s * s / (ds * ds)
     lower = d2 - d1
-    diag = -2.0 * d2 - rho
     upper = d2 + d1
     lower[-1] = -conv * s[-1] / ds
-    diag[-1] = conv * s[-1] / ds - rho[-1]
     upper[0] = 0.0  # S=0 row: d1=d2=0 already, keep explicit
     lower[0] = 0.0
-    return lower, diag, upper
+    return _Convection(lower, upper, conv * s[-1] / ds)
 
 
-def _apply(lower, diag, upper, v):
-    out = diag * v
-    out[1:] += lower[1:] * v[:-1]
-    out[:-1] += upper[:-1] * v[1:]
-    return out
+def _diagonal(neg_2d2: np.ndarray, band: _Convection, rho: np.ndarray) -> np.ndarray:
+    """Main diagonal -2 d2 - rho of the space operator under the node
+    rates ``rho``, with the S_max row's one-sided convection."""
+    diag = neg_2d2 - rho
+    diag[-1] = band.edge - rho[-1]
+    return diag
 
 
 def solve_banded(lower, diag, upper, rhs):
@@ -230,30 +251,55 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
         rates, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
     conv = fwd.risk_free - option.div_yield
 
+    d2 = 0.5 * option.vol * option.vol * s * s / (ds * ds)
+    neg_2d2 = -2.0 * d2
+    # whether step i's convection differs from step i - 1's bit for bit,
+    # and whether both sides' r_e are equal at each step time: there a
+    # sign change moves no node rate
+    bits = conv.view(np.int64)
+    conv_moves = (bits[1:] != bits[:-1]).tolist()
+    sides_equal = (fwd.rates[:, 0] == fwd.rates[:, 1]).tolist()
+    step_t = fwd.t.tolist()
+
     v = option.terminal_value(s)
     rho = _node_rates(fwd, 0, v)
+    band = _convection(d2, s, ds, conv[0])
+    th = None
     max_iters = 0
-    # whether the last sweep's operator was built from the rates in rho
+    # whether the last sweep's diagonal was built from the rates in rho
     fixed = False
 
-    for i in range(len(fwd.t) - 1):
+    for i in range(len(step_t) - 1):
         theta = 1.0 if i < 2 else 0.5
-        h = fwd.t[i] - fwd.t[i + 1]
-        # the previous step's last operator was built at this step's start
-        # time, so it is the explicit side if built from v's rates there
+        h = step_t[i] - step_t[i + 1]
+        # the previous step's last diagonal was built at this step's start
+        # time, so it is the explicit side's if built from v's rates there
         if not fixed:
-            op = _operator(s, ds, conv[i], option.vol, rho)
-        rhs = v + (1.0 - theta) * h * _apply(*op, v)
+            diag = _diagonal(neg_2d2, band, rho)
+        explicit = diag * v
+        explicit[1:] += band.lower[1:] * v[:-1]
+        explicit[:-1] += band.upper[:-1] * v[1:]
+        rhs = v + (1.0 - theta) * h * explicit
+
+        if conv_moves[i]:
+            band = _convection(d2, s, ds, conv[i + 1])
+        if conv_moves[i] or theta * h != th:
+            th = theta * h
+            sub = -th * band.lower[1:]
+            sup = -th * band.upper[:-1]
 
         guess, rho = v, _node_rates(fwd, i + 1, v)
         for it in range(1, grid.picard_max_iter + 1):
-            lower, diag, upper = op = _operator(s, ds, conv[i + 1], option.vol, rho)
-            v_new = solve_banded(-theta * h * lower[1:], 1.0 - theta * h * diag,
-                                 -theta * h * upper[:-1], rhs)
-            residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
-            rebuilt = _node_rates(fwd, i + 1, v_new)
-            fixed = np.array_equal(rebuilt, rho)
-            guess, rho = v_new, rebuilt
+            diag = _diagonal(neg_2d2, band, rho)
+            v_new = solve_banded(sub, 1.0 - th * diag, sup, rhs)
+            residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
+            guess = v_new
+            if sides_equal[i + 1]:
+                fixed = True
+            else:
+                rebuilt = _node_rates(fwd, i + 1, v_new)
+                fixed = np.array_equal(rebuilt, rho)
+                rho = rebuilt
             if residual < grid.picard_tol:
                 break
             if it < grid.picard_max_iter and fixed:

@@ -108,6 +108,9 @@ SCHEMA = {
                    "collateralization": _number(1.0),
                    "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
                    "repo_spread": Key("curve", 0.0)},
+    # vol * sqrt(maturity) is at most ln(grid.s_max_mult) / 2, so the grid's
+    # top, s_max_mult * max(spot, strike), is at least two log-price standard
+    # deviations above max(spot, strike); Scenario.option checks it
     "option": {"payoff": Key("string", choices=PAYOFFS), "strike": _number(0.0),
                "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY)),
                "spot": _number(), "vol": _number(), "div_yield": _rate(0.0)},
@@ -222,21 +225,28 @@ def _curve(spec, name: str, base_dir: Path) -> RateCurve:
         if not (isinstance(nodes, list) and all(isinstance(n, list) and len(n) == 2
                                                 for n in nodes)):
             raise ScenarioError(f"curve '{name}' nodes must be [tenor, rate] pairs")
-        nodes = [(t, z, f"{name}.nodes[{i}]") for i, (t, z) in enumerate(nodes)]
+        nodes = [(t, z, f"{name}.nodes[{i}]", f"{name}.nodes[{i}]")
+                 for i, (t, z) in enumerate(nodes)]
     elif "file" in spec:
         path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
         if not path.is_file():
             raise ScenarioError(f"curve file not found: {path}")
-        nodes = [(t, z, f"{name}.file rate at tenor {t:g}")
-                 for _, (t, z) in _table(f"{name}.file", path, _CURVE_HEADER)]
+        nodes = [(t, z, f"{name}.file rate at tenor {t:g}", line)
+                 for line, (t, z) in _table(f"{name}.file", path, _CURVE_HEADER)]
     else:
         raise ScenarioError(f"curve '{name}' needs one of {', '.join(CURVE_FORMS)}")
     if not nodes:
         raise ScenarioError(f"curve '{name}' has no nodes")
-    # inline and file nodes alike: the tenor a number, the rate a RATE
-    return RateCurve.from_nodes([(_convert(_number(), t, where, base_dir),
-                                  _convert(RATE, z, where, base_dir))
-                                 for t, z, where in nodes], name)
+    # inline and file nodes alike: the tenor a number, the rate a RATE, and
+    # no tenor given twice (the curve sorts its nodes by tenor)
+    pairs, seen = [], {}
+    for t, z, where, node in nodes:
+        t = _convert(_number(), t, where, base_dir)
+        if t in seen:
+            raise ScenarioError(f"{node} repeats the tenor {t:g} of {seen[t]}")
+        seen[t] = node
+        pairs.append((t, _convert(RATE, z, where, base_dir)))
+    return RateCurve.from_nodes(pairs, name)
 
 
 class _Block(Mapping):
@@ -330,7 +340,13 @@ class Scenario:
                                  repo_spread_c=cfg["repo_spread"])
 
     def option(self, position: float = 1.0) -> OptionSpec:
-        return OptionSpec(**self.config["option"], position=position)
+        """The option block, its vol bounded by the grid's reach (see SCHEMA)."""
+        option = OptionSpec(**self.config["option"], position=position)
+        limit = math.log(self.grid().s_max_mult) / (2.0 * math.sqrt(option.maturity))
+        if not option.vol <= limit:
+            raise ScenarioError(f"option.vol must be at most ln(grid.s_max_mult) / "
+                                f"(2 sqrt(option.maturity)) = {limit:.6g}, got {option.vol!r}")
+        return option
 
     def grid(self) -> GridSpec:
         return GridSpec(**self.config["grid"])
@@ -371,9 +387,11 @@ class Scenario:
         if not path.is_file():
             raise ScenarioError(f"assets file not found: {path}")
         quantity = self.config["optimizer"]["quantity"]
+        rows = _table("assets_file", path, _ASSET_HEADER, text=1)
+        if not rows:
+            raise ScenarioError(f"assets_file {path} has no asset rows")
         assets = []
-        for where, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in _table(
-                "assets_file", path, _ASSET_HEADER, text=1):
+        for where, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in rows:
             if any(a.id == asset_id for a in assets):
                 raise ScenarioError(f"{where}: asset id {asset_id!r} appears more than once")
             asset = CollateralAsset(asset_id, price, held, h_csa, h_repo, h_lcr,

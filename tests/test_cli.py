@@ -157,8 +157,29 @@ class TestPrice:
         assert not (tmp_path / "out").exists()
 
     def test_largest_maturity_accepted(self, tmp_path):
-        option = dict(OPTION_BLOCK, maturity=cxva.exposure.MAX_MATURITY)
+        # vol 0.05 over 100 years is within the grid's reach, 0.0805 at s_max_mult 5
+        option = dict(OPTION_BLOCK, maturity=cxva.exposure.MAX_MATURITY, vol=0.05)
         sc = write_scenario(tmp_path, option=option, grid=SMALL_GRID)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("command", ["price", "sweep"])
+    @pytest.mark.parametrize("vol, maturity", [(1e6, 1.0), (0.81, 1.0), (0.41, 4.0)])
+    def test_vol_beyond_grid_exits_2(self, tmp_path, capsys, monkeypatch, command, vol,
+                                     maturity):
+        # vol * sqrt(maturity) above ln(s_max_mult) / 2 = 0.805: the grid's
+        # top is under two standard deviations above spot and strike
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        option = dict(OPTION_BLOCK, vol=vol, maturity=maturity)
+        sc = write_scenario(tmp_path, option=option, grid=dict(SMALL_GRID, s_max_mult=5.0))
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert message.startswith("option.vol must be at most ln(grid.s_max_mult)"), message
+        assert repr(vol) in message
+        assert not (tmp_path / "out").exists()
+
+    def test_vol_at_grid_reach_accepted(self, tmp_path):
+        option = dict(OPTION_BLOCK, vol=0.8, maturity=1.0)
+        sc = write_scenario(tmp_path, option=option, grid=dict(SMALL_GRID, s_max_mult=5.0))
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
     def test_picard_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -609,6 +630,15 @@ class TestRates:
         assert validation_message(capsys).startswith(f"{named} must be a finite number in (-1, 1]")
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_tenor_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = self.scenario(tmp_path)
+        set_key(sc, "curves.risk_free", {"nodes": [[1, 0.01], [1, 0.011], [2, 0.012]]})
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            "curves.risk_free.nodes[1] repeats the tenor 1 of curves.risk_free.nodes[0]"
+        assert not (tmp_path / "out").exists()
+
     def test_edge_rates_accepted(self, tmp_path, capsys):
         sc = self.scenario(tmp_path)
         set_key(sc, "option.div_yield", 1.0)
@@ -722,6 +752,19 @@ class TestCsvFiles:
             lines[2] = lines[2].rsplit(",", 1)[0] + ",0." + "0" * 200_000
             return lines
         self.assert_exits_2_at_line_3(tmp_path, capsys, key, inflate, "field larger than")
+
+    def test_repeated_tenor_exits_2(self, tmp_path, capsys):
+        def repeat_tenor(lines):
+            lines[2] = lines[1].split(",")[0] + "," + lines[2].split(",")[1]
+            return lines
+        key = "curves.risk_free.file"
+        sc = self.edited(tmp_path, key, repeat_tenor)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        path = tmp_path / "edited.csv"
+        message = validation_message(capsys)
+        assert message.startswith(f"{key} {path} line 3 repeats the tenor "), message
+        assert message.endswith(f" of {key} {path} line 2"), message
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, newline", [
         (lambda lines: [f" {', '.join(lines[0].split(','))} "] + lines[1:], "\n"),
@@ -881,6 +924,17 @@ class TestOptimize:
         assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
         message = validation_message(capsys)
         assert repr(rows[1].split(",")[0]) in message and "repeated.csv" in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "repo-curve"])
+    def test_header_only_assets_file_exits_2(self, tmp_path, capsys, command):
+        sc = optimize_scenario(tmp_path) if command == "optimize" else repo_scenario(tmp_path)
+        assets = tmp_path / "header_only.csv"
+        header = (SCENARIO_DIR / "assets_reference.csv").read_text().splitlines()[0]
+        assets.write_text(header + "\n")
+        set_key(sc, "assets_file", str(assets))
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == f"assets_file {assets} has no asset rows"
         assert not (tmp_path / "out").exists()
 
     def test_repeated_netting_set_id_exits_2(self, tmp_path, capsys):

@@ -161,6 +161,17 @@ class TestRateTable:
                 party_b=party, party_c=party, risk_free=self.OIS,
                 state=CollateralState(eta_b=0.5, eta_c=0.5, chi_b=0.6, chi_c=0.6),
                 repo_spread_c=0.009)
+        if mode == "crossing":
+            # alike parties, but C's repo spread crosses B's flat 0.009: its
+            # forward is 0.006, 0.009 and 0.018 on [0, 1), [1, 2) and [2, 3),
+            # so both sides' r_e are equal only at step times in [1, 2)
+            party = PartyCurves(bond=self._over_ois(0.02), liquidity=self._over_ois(0.007))
+            return EffectiveRateSpec(
+                party_b=party, party_c=party, risk_free=self.OIS,
+                state=CollateralState(eta_b=0.5, eta_c=0.5, chi_b=0.6, chi_c=0.6),
+                repo_spread_c=RateCurve.from_nodes([(1.0, 0.006), (2.0, 0.0075), (3.0, 0.011)],
+                                                   "repo"),
+                repo_spread_b=0.009)
         return EffectiveRateSpec(
             party_b=PartyCurves(bond=self._over_ois(0.0125), liquidity=self._over_ois(0.005)),
             party_c=PartyCurves(bond=self._over_ois(0.03), liquidity=self._over_ois(0.01)),
@@ -192,23 +203,33 @@ class TestRateTable:
         assert {0.25, 1.0, 2.0} <= step_t & set(self.OIS.tenors)
         assert {0.5, 2.0} <= step_t & set(self.CASH.tenors)
 
+    def _is_operator(self, band, diag, conv, rho) -> bool:
+        """Whether the solver's bands and main diagonal are the whole
+        operator's at convection ``conv`` and node rates ``rho``."""
+        s = np.linspace(0.0, self.GRID.s_max_mult * max(self.OPTION.spot, self.OPTION.strike),
+                        self.GRID.s_nodes + 1)
+        lower, want_diag, upper = _operator(s, s[1] - s[0], conv, self.OPTION.vol, rho)
+        return (np.array_equal(band.lower[1:], lower[1:]) and np.array_equal(diag, want_diag)
+                and np.array_equal(band.upper[:-1], upper[:-1]))
+
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
     def test_node_rates_equal_effective_rate(self, monkeypatch, mode):
         spec = self._spec(mode)
-        log = self._spy(monkeypatch, "_node_rates", "_operator")
+        log = self._spy(monkeypatch, "_node_rates", "_diagonal")
         solve(self.OPTION, spec, self.GRID)
         # (step table, time index, value) each rate vector was built from;
         # the log keeps every vector alive, so ids are not reused
         built_from = {id(out): args for name, args, out in log if name == "_node_rates"}
         seen = set()
-        for _, (_, _, conv, _, rho), _ in (entry for entry in log if entry[0] == "_operator"):
+        for _, (_, band, rho), diag in (entry for entry in log if entry[0] == "_diagonal"):
             fwd, k, v = built_from[id(rho)]
             t = fwd.t[k]
             expected = np.where(v > 0.0, effective_rate(spec, t, +1),
                                 effective_rate(spec, t, -1))
             assert np.array_equal(rho, expected), t
             # the stock is financed at the risk-free rate
-            assert conv == self.OIS.forward_rate(t) - self.OPTION.div_yield, t
+            conv = self.OIS.forward_rate(t) - self.OPTION.div_yield
+            assert self._is_operator(band, diag, conv, rho), t
             seen.add(float(t))
         assert seen == set(self._step_times())
         signs = np.concatenate([args[2] > 0.0 for name, args, _ in log
@@ -225,16 +246,42 @@ class TestRateTable:
             assert effective_rate(spec, t, +1) == rate == effective_rate(spec, t, -1), t
 
     def test_risk_free_spec_reads_risk_free_forward(self, monkeypatch):
-        log = self._spy(monkeypatch, "_operator")
+        log = self._spy(monkeypatch, "_diagonal")
         solve(self.OPTION, risk_free_spec(self.OIS), self.GRID)
         step_t = self._step_times()
         conv = self.OIS.forward_rate(step_t) - self.OPTION.div_yield
         rates = self.OIS.forward_rate(step_t)
         assert log
-        for _, (_, _, c, _, rho), _ in log:
+        for _, (_, band, rho), diag in log:
             # some step time gives both the convection and the flat rate
-            assert any(c == conv[k] and np.all(rho == rates[k])
+            assert any(np.all(rho == rates[k]) and self._is_operator(band, diag, conv[k], rho)
                        for k in range(len(step_t)))
+
+
+def _operator(s, ds, conv, sigma, rho):
+    """Tridiagonal space operator A with AV ~ (r_s-q)S V' + 0.5 sig^2 S^2 V'' - rho V.
+
+    Returns (lower, diag, upper) bands. The S=0 row reduces to -rho by
+    itself since both S-terms vanish; the far boundary drops the second
+    derivative and takes one-sided convection.
+    """
+    d1 = conv * s / (2.0 * ds)
+    d2 = 0.5 * sigma * sigma * s * s / (ds * ds)
+    lower = d2 - d1
+    diag = -2.0 * d2 - rho
+    upper = d2 + d1
+    lower[-1] = -conv * s[-1] / ds
+    diag[-1] = conv * s[-1] / ds - rho[-1]
+    upper[0] = 0.0
+    lower[0] = 0.0
+    return lower, diag, upper
+
+
+def _apply(lower, diag, upper, v):
+    out = diag * v
+    out[1:] += lower[1:] * v[:-1]
+    out[:-1] += upper[:-1] * v[1:]
+    return out
 
 
 def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
@@ -258,14 +305,14 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
         else:
             rho = np.where(v > 0.0, effective_rate(rates, t, +1), effective_rate(rates, t, -1))
         conv = rates.risk_free.forward_rate(t) - option.div_yield
-        return pde._operator(s, ds, conv, option.vol, rho)
+        return _operator(s, ds, conv, option.vol, rho)
 
     v = option.terminal_value(s)
     max_iters = 0
     for i in range(len(step_t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = step_t[i] - step_t[i + 1]
-        rhs = v + (1.0 - theta) * h * pde._apply(*operator(step_t[i], v), v)
+        rhs = v + (1.0 - theta) * h * _apply(*operator(step_t[i], v), v)
         guess = v
         for it in range(1, grid.picard_max_iter + 1):
             lower, diag, upper = operator(step_t[i + 1], guess)
@@ -316,6 +363,20 @@ class TestFixedPointStop:
         spec = TestRateTable()._spec(mode)
         sol = solve(option, risk_free_spec(spec.risk_free) if star else spec, self.GRID)
         v0, iters = reference_solve(option, spec, self.GRID, risk_free_override=star)
+        assert np.array_equal(sol.v0, v0)
+        assert sol.max_picard_iters == iters
+
+    @pytest.mark.parametrize("position", [1.0, -1.0])
+    def test_equal_side_rates_decided_per_step(self, position):
+        # both sides' r_e are equal at some step times and differ at others:
+        # only the equal ones may skip rebuilding the node rates
+        spec = TestRateTable()._spec("crossing")
+        rates = pde._ForwardTable.build(spec, TestRateTable()._step_times()).rates
+        equal = rates[:, 0] == rates[:, 1]
+        assert equal.any() and not equal.all()
+        option = self._option("forward", position)
+        sol = solve(option, spec, self.GRID)
+        v0, iters = reference_solve(option, spec, self.GRID)
         assert np.array_equal(sol.v0, v0)
         assert sol.max_picard_iters == iters
 
