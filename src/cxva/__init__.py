@@ -9,7 +9,7 @@ collateral allocator with an HQLA floor, iterated against revaluation.
 
 from .curves import PartyCurves, RateCurve, combine_curves
 from .collateral import CollateralAsset, CollateralState, chi
-from .discounting import EffectiveRateSpec, effective_rate
+from .discounting import EffectiveRateSpec
 from .repo import RepoModelParams, breakeven_spread, repo_curve, spread_curve
 from .exposure import (DeterministicModel, ExposureProfile, OneFactorMcModel, Swap,
                        SwapBook, exposure_profile, generate_portfolio)
@@ -23,9 +23,9 @@ __all__ = [
     "DeterministicModel", "EffectiveRateSpec", "ExposureProfile", "GridSpec",
     "NettingSet", "OneFactorMcModel", "OptionSpec", "PartyCurves", "RateCurve",
     "Swap", "SwapBook", "RepoModelParams", "XvaReport", "breakeven_spread", "chi",
-    "combine_curves", "decompose", "effective_rate", "exposure_profile",
-    "generate_portfolio", "iterate_allocation", "repo_curve", "solve",
-    "solve_lp", "spread_curve", "to_running_spread", "xva_pde",
+    "combine_curves", "decompose", "exposure_profile", "generate_portfolio",
+    "iterate_allocation", "repo_curve", "solve", "solve_lp", "spread_curve",
+    "to_running_spread", "xva_pde",
 ]
 
 __version__ = "0.1.0"

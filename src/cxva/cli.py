@@ -126,7 +126,8 @@ def cmd_xva(scenario: Scenario, out: Path) -> dict:
 
 
 def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
-    asset_id, rating, tenors = scenario.repo_target()
+    cfg = scenario.config["repo"]
+    tenors, asset_id, rating = cfg["tenors"], cfg["asset"], cfg["rating"]
     assets = {a.id: a for a in scenario.assets()}
     if asset_id not in assets:
         raise ScenarioError(f"asset {asset_id!r} not in assets file")

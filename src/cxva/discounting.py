@@ -14,7 +14,8 @@ this one rate.
 
 The formula is written once, in ``blend_rate``; its inputs are resolved
 once per spec, mode policy applied, into the ``SideRates`` record that
-every caller reads through ``EffectiveRateSpec.side``. This module is the
+every caller reads through ``EffectiveRateSpec.side``. r_e at a time, on
+one side, is ``spec.side(side).rate(t, spec.risk_free.forward_rate(t))``. This module is the
 only one that knows what each collateral mode protects and funds: the
 counterparty-risk-only twin (``counterparty_risk_spec``) is built from the
 resolved sides, not from the mode.
@@ -145,13 +146,3 @@ def blend_rate(f_unsec, f_mu, f_r, f_spread, eta, chi):
     """
     return f_unsec * (1.0 - eta) + eta * ((1.0 - chi) * f_mu + chi * (f_r + f_spread))
 
-
-def effective_rate(spec: EffectiveRateSpec, t: float, side: int) -> float:
-    """Instantaneous effective financing rate at t for the given value sign.
-
-    ``side`` follows the indicator convention: +1 when V > 0 (party C is
-    the liability side), -1 when V <= 0.
-    """
-    if t < 0.0:
-        raise CurveError("effective_rate requires t >= 0")
-    return float(spec.side(side).rate(t, spec.risk_free.forward_rate(t)))

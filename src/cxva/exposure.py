@@ -29,13 +29,14 @@ periods counted back from maturity: a swap maturing at m and paying f
 times a year has ceil(m f - 1e-9) coupons, dated m - j / f for j = 0, 1,
 ..., which puts the first above 1e-9 / f years. ``generate_portfolio``
 returns a ``SwapBook``: arrays of notional, fixed rate, sign, maturity and
-payment frequency, checked entry by entry as ``Swap`` checks one swap, and
-read as a sequence of ``Swap`` views. A book is built once per profile as
-one cash-flow list of discount-factor claims (every fixed coupon, swap by
-swap and each swap's dates ascending, then every float leg's terminal
-discount factor), laid out from a (swaps x most coupons) grid of coupon
-dates. The grid, like the list, holds at most MAX_SWAPS x 401 dates
-(64 MB), and is freed before the list's discount factors are taken.
+payment frequency, checked entry by entry by the check each ``Swap`` runs
+(``_check_swaps``), and read as a sequence of ``Swap`` views. A book is
+built once per profile as one cash-flow list of discount-factor claims
+(every fixed coupon, swap by swap and each swap's dates ascending, then
+every float leg's terminal discount factor), laid out from a (swaps x most
+coupons) grid of coupon dates. The grid, like the list, holds at most
+MAX_SWAPS x 401 dates (64 MB), and is freed before the list's discount
+factors are taken.
 
 A claim dated T is still owed at t when T > t + 1e-12. One owed-count
 table decides this for every claim and profile time at once: for each
@@ -49,8 +50,10 @@ with no loop over profile times. The gross annuity reads the list too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -74,6 +77,32 @@ MAX_PATHS = 50_000
 MAX_PROFILE_POINTS = 500
 # coupon payments a year
 PAY_FREQS = (1, 2, 4)
+# The one-factor model's mean reversion a (a year) and vol, as the Monte
+# Carlo kernel can represent them. It takes (1 - exp(-a tau)) / a through
+# expm1, exact while a tau is a normal double, over intervals tau that
+# exceed 1e-15 years where they matter (claims are owed over 1e-12 years
+# ahead; the grid has at most 499 steps): a > 1e-290 > float min / 1e-15
+# (at a = 5e-324 the factor never moves). 2 a t stays finite for t up to
+# MAX_MATURITY: a <= 1e305. exp(-x b), with x within 8 of its standard
+# deviations (at most vol sqrt(t)) and b <= T - t, keeps its exponent under
+# 8 vol max_t sqrt(t) (T - t) = 8 * 0.2 * 385 = 616 < ln(float max) = 709.8.
+MIN_MEAN_REVERSION = 1e-290
+MAX_MEAN_REVERSION = 1e305
+MAX_FACTOR_VOL = 0.2
+
+
+def _check_swaps(notional, maturity, pay_freq) -> None:
+    """The checks every swap passes, on one swap's numbers or on a book's
+    arrays entry by entry; written so that NaN fails them."""
+    def every(ok) -> bool:
+        return ok.all() if isinstance(ok, np.ndarray) else ok
+
+    if not every((0.0 < notional) & (notional < math.inf)):
+        raise ExposureError("notional must be finite and > 0")
+    if not every((0.0 < maturity) & (maturity <= MAX_MATURITY)):
+        raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
+    if not every(functools.reduce(operator.or_, (pay_freq == f for f in PAY_FREQS))):
+        raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +116,7 @@ class Swap:
     pay_freq: int = 2
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not 0.0 < self.notional < math.inf:
-            raise ExposureError("notional must be finite and > 0")
-        if not 0.0 < self.maturity <= MAX_MATURITY:
-            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
-        if self.pay_freq not in PAY_FREQS:
-            raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
+        _check_swaps(self.notional, self.maturity, self.pay_freq)
         if self.direction not in ("payer", "receiver"):
             raise ExposureError("direction must be 'payer' or 'receiver'")
 
@@ -104,7 +127,10 @@ class Swap:
 
     def payment_times(self) -> np.ndarray:
         """Regular payment times counted back from maturity, the first above
-        1e-9 / pay_freq years: ``_coupon_dates`` of this one swap."""
+        1e-9 / pay_freq years: ``_coupon_dates`` of this one swap. The
+        library reads the book's dates at once; the benchmark's tracer
+        (``perfbench/tracer.py``, the Monte Carlo cash-flow count) and its
+        oracles (``perfbench/oracles.py::_cash_flows``) call this per swap."""
         return _coupon_dates(np.array([self.maturity]), np.array([float(self.pay_freq)]))[0]
 
 
@@ -162,7 +188,8 @@ class ExposureProfile:
 
 def par_rate(curve: RateCurve, maturity: float, pay_freq: int = 2) -> float:
     """Single-curve par swap rate (1 - DF(T)) / annuity."""
-    pay = Swap(1.0, 0.0, "payer", maturity, pay_freq).payment_times()
+    _check_swaps(1.0, maturity, pay_freq)
+    pay, _ = _coupon_dates(np.array([float(maturity)]), np.array([float(pay_freq)]))
     annuity = np.sum(curve.df(pay)) / pay_freq
     return float((1.0 - curve.df(maturity)) / annuity)
 
@@ -221,13 +248,7 @@ class SwapBook(Sequence):
         if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ExposureError("swap book fields must be 1-d arrays of one length")
         notional, fixed_rate, sign, maturity, pay_freq = arrays
-        # the checks of Swap, on every entry; written so that NaN fails them
-        if not np.all((0.0 < notional) & (notional < math.inf)):
-            raise ExposureError("notional must be finite and > 0")
-        if not np.all((0.0 < maturity) & (maturity <= MAX_MATURITY)):
-            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
-        if not np.all(np.isin(pay_freq, PAY_FREQS)):
-            raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
+        _check_swaps(notional, maturity, pay_freq)
         if not np.all(np.abs(sign) == 1.0):
             raise ExposureError("sign must be +1 (payer) or -1 (receiver)")
         for name, a in zip(_BOOK_FIELDS, arrays):
@@ -268,8 +289,8 @@ class SwapBook(Sequence):
 
 def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every coupon date, swap by swap, and the number of each swap's dates:
-    the one coupon rule, which ``Swap.payment_times`` and so ``par_rate``
-    read too."""
+    the one coupon rule, which ``Swap.payment_times`` and ``par_rate`` read
+    too."""
     counts = np.ceil(maturity * f - 1e-9)
     # coupon j of swap i is paid (counts_i - 1 - j) periods before its
     # maturity: a (swaps x most coupons) grid, masked to each swap's coupons
@@ -354,10 +375,11 @@ class OneFactorMcModel:
 
     def __post_init__(self) -> None:
         # written so that NaN fails every check
-        if not 0.0 < self.mean_reversion < math.inf:
-            raise ExposureError("mean_reversion must be finite and > 0")
-        if not 0.0 <= self.vol < math.inf:
-            raise ExposureError("vol must be finite and >= 0")
+        if not MIN_MEAN_REVERSION < self.mean_reversion <= MAX_MEAN_REVERSION:
+            raise ExposureError(f"mean_reversion must be in ({MIN_MEAN_REVERSION:g}, "
+                                f"{MAX_MEAN_REVERSION:g}]")
+        if not 0.0 <= self.vol <= MAX_FACTOR_VOL:
+            raise ExposureError(f"vol must be in [0, {MAX_FACTOR_VOL:g}]")
         if self.paths < 1000:
             raise ExposureError("Monte Carlo needs at least 1000 paths")
 

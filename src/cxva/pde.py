@@ -165,8 +165,9 @@ class _ForwardTable:
 
     ``RateCurve.forward_rate`` evaluates an array element-wise with the
     same operations as a scalar lookup, and ``blend_rate`` is element-wise
-    IEEE arithmetic, so each entry equals the scalar ``effective_rate`` at
-    that time bit for bit.
+    IEEE arithmetic, so each entry equals the scalar lookup
+    ``spec.side(side).rate(t, spec.risk_free.forward_rate(t))`` at that
+    time bit for bit.
     """
 
     t: np.ndarray

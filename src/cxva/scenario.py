@@ -30,7 +30,8 @@ from typing import NamedTuple
 from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi
 from .curves import PartyCurves, RateCurve, combine_curves
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (MAX_MATURITY, MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, PAY_FREQS,
+from .exposure import (MAX_FACTOR_VOL, MAX_MATURITY, MAX_MEAN_REVERSION, MAX_PATHS,
+                       MAX_PROFILE_POINTS, MAX_SWAPS, MIN_MEAN_REVERSION, PAY_FREQS,
                        DeterministicModel, OneFactorMcModel, SwapBook, exposure_profile,
                        generate_portfolio)
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
@@ -117,13 +118,17 @@ SCHEMA = {
     "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
              "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
              "s_max_mult": _number(5.0)},
+    # mean_reversion and vol as the Monte Carlo kernel can represent them
+    # (see cxva.exposure); OneFactorMcModel rejects a negative vol
     "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
                   "maturity_min": _number(0.25), "maturity_max": _number(30.0),
                   "rate_band": _rate(0.01), "rate_offset": _rate(0.0),
                   "pay_freq": Key("integer", 2, choices=PAY_FREQS), "notional": _number(1.0),
                   "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
-                  "mean_reversion": _number(0.05),
-                  "vol": _number(0.01), "paths": Key("integer", 2000, (1000, MAX_PATHS)),
+                  "mean_reversion": Key("number", 0.05,
+                                        (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION)),
+                  "vol": Key("number", 0.01, (-math.inf, MAX_FACTOR_VOL)),
+                  "paths": Key("integer", 2000, (1000, MAX_PATHS)),
                   "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
     "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS))},
     # the expected gap loss is a fraction of the loan: at most 1 here, and
@@ -352,7 +357,8 @@ class Scenario:
         return GridSpec(**self.config["grid"])
 
     def _portfolio(self, cfg) -> Mapping:
-        """``cfg`` (a block or a raw portfolio object), by default the scenario's portfolio."""
+        """``cfg`` (a block, or a raw portfolio object as perfbench's allocation
+        oracle passes one), by default the scenario's portfolio."""
         if isinstance(cfg, dict):
             return _Block("portfolio", cfg, "portfolio", self.config.base_dir)
         return self.config["portfolio"] if cfg is None else cfg
@@ -404,11 +410,6 @@ class Scenario:
         return RepoModelParams(roe=cfg["roe"], mu0_curve=self.curve("mu0"),
                                hazard=self.curve("hazard"),
                                expected_gap_loss=cfg["expected_gap_loss"])
-
-    def repo_target(self) -> tuple[str, str, list[float]]:
-        cfg = self.config["repo"]
-        tenors = cfg["tenors"]
-        return cfg["asset"], cfg["rating"], tenors
 
     def netting_sets(self) -> list[NettingSet]:
         out = []

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import RateCurve
 from .discounting import EffectiveRateSpec, SideRates, blend_rate
 from .exposure import ExposureProfile
 
@@ -174,18 +173,3 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
     return XvaReport(cva=cva, dva=dva, cfa=cfa, dfa=dfa, lva=lva, colva=colva,
                      cra=cra, xva=xva, npv=profile.mtm0 - xva)
 
-
-def martingale_epe_profile(v_star0: float, risk_free: RateCurve, times) -> ExposureProfile:
-    """Profile of a single-sign claim: E[V*(t)] = V*(0) / DF(0, t).
-
-    The discounted risk-free value is a martingale, so a claim whose value
-    never changes sign has this exact expected exposure; it feeds the
-    quadrature when cross-checking the PDE solver.
-    """
-    times = np.asarray(times, dtype=float)
-    growth = np.exp(risk_free.integral(0.0, times))
-    path = abs(v_star0) * growth
-    zero = np.zeros_like(path)
-    if v_star0 >= 0.0:
-        return ExposureProfile(times, path, zero, v_star0, 1.0)
-    return ExposureProfile(times, zero, path, v_star0, 1.0)

@@ -45,6 +45,12 @@ def make_spec(party_b, party_c, risk_free, *, eta=1.0, chi=1.0, mode="noncash",
                              repo_spread_b=repo_spread_b)
 
 
+def effective_rate(spec, t, side):
+    """r_e at t where sign V = side (+1 when V > 0, -1 when V <= 0), as a
+    float: the scalar lookup the PDE's rate table is checked against."""
+    return float(spec.side(side).rate(t, spec.risk_free.forward_rate(t)))
+
+
 @pytest.fixture
 def spec_factory(party_b, party_c, ois_flat):
     def _make(**kwargs):

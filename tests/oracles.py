@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's own code paths: Black-Scholes in
 closed form, direct discount sums for swap values, exhaustive lattice
-search for small allocation LPs, and a survival-discounted colVA.
+search for small allocation LPs, a survival-discounted colVA, and the
+exact expected exposure of a claim whose value never changes sign.
 """
 
 import math
 
 import numpy as np
+
+from cxva.exposure import ExposureProfile
 
 
 def norm_cdf(x: float) -> float:
@@ -122,3 +125,19 @@ def forward_exposure(spot, strike, vol, maturity, rate, div_yield, times):
         epe.append(carry * (fwd * norm_cdf(d1) - k_t * norm_cdf(d2)))
         ene.append(carry * (k_t * norm_cdf(-d2) - fwd * norm_cdf(-d1)))
     return epe, ene
+
+
+def martingale_epe_profile(v_star0: float, risk_free, times) -> ExposureProfile:
+    """Profile of a single-sign claim: E[V*(t)] = V*(0) / DF(0, t).
+
+    The discounted risk-free value is a martingale, so a claim whose value
+    never changes sign has this exact expected exposure; it feeds the
+    quadrature when cross-checking the PDE solver.
+    """
+    times = np.asarray(times, dtype=float)
+    growth = np.exp(risk_free.integral(0.0, times))
+    path = abs(v_star0) * growth
+    zero = np.zeros_like(path)
+    if v_star0 >= 0.0:
+        return ExposureProfile(times, path, zero, v_star0, 1.0)
+    return ExposureProfile(times, zero, path, v_star0, 1.0)

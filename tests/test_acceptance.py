@@ -29,9 +29,9 @@ from cxva.optimizer import AllocationProblem, NettingSet, solve_lp
 from cxva.pde import GridSpec, OptionSpec, solve, xva_pde
 from cxva.repo import RepoModelParams, breakeven_spread
 from cxva.scenario import Scenario
-from cxva.xva import decompose, martingale_epe_profile, to_running_spread
+from cxva.xva import decompose, to_running_spread
 
-from oracles import black_scholes, lattice_lp_optimum
+from oracles import black_scholes, lattice_lp_optimum, martingale_epe_profile
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -1,4 +1,5 @@
 import collections
+import csv
 import functools
 import json
 import math
@@ -367,13 +368,45 @@ class TestXva:
         assert not (tmp_path / "out").exists()
 
     def test_huge_vol_exits_2(self, tmp_path, capsys):
-        # the factor spreads so wide that exp overflows; the node count stops
-        # at the path count on the way there
+        # the factor would spread so wide that the kernel's exp overflows
         portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000, vol=1e6)
         sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
         assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
-        assert "overflow" in validation_message(capsys)
+        message = validation_message(capsys)
+        assert "portfolio.vol" in message and "1000000.0" in message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, value", [
+        # subnormal: the factor's step std is 0, so the paths never move
+        (50, 5e-324),
+        # 2 a t overflows to inf, and inf * 0 at t = 0 is NaN
+        (20, 1e308),
+    ])
+    def test_mean_reversion_beyond_kernel_exits_2(self, tmp_path, capsys, monkeypatch, n,
+                                                  value):
+        monkeypatch.setattr(cxva.scenario, "exposure_profile",
+                            fail_if_reached("exposure_profile"))
+        portfolio = dict(SMALL_PORTFOLIO, n=n, model="one_factor_mc", paths=1000,
+                         mean_reversion=value)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert "portfolio.mean_reversion" in message and repr(value) in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean_reversion", cxva.exposure.MAX_MEAN_REVERSION),
+        ("vol", cxva.exposure.MAX_FACTOR_VOL)])
+    def test_factor_bounds_accepted(self, tmp_path, key, value):
+        # the bounds' worst case: 60-100 year quarterly swaps, where a claim
+        # is discounted over the longest intervals and, at mean reversion
+        # 1e-20, the factor spreads most
+        portfolio = dict(SMALL_PORTFOLIO, n=8, maturity_min=60.0,
+                         maturity_max=cxva.exposure.MAX_MATURITY, pay_freq=4,
+                         model="one_factor_mc", paths=1000, mean_reversion=1e-20)
+        portfolio[key] = value
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
 
 class TestBlockTypes:
@@ -970,6 +1003,56 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
         assert not (tmp_path / "o").exists()
+
+
+class TestLcrFloor:
+    """The paper's LCR constraint end to end: the reference allocation with
+    100 of each asset, where an HQLA floor can bind without starving a
+    netting set."""
+
+    @staticmethod
+    def run_floor(tmp_path, floor: float) -> tuple[int, Path]:
+        raw = json.loads((SCENARIO_DIR / "allocation_reference.json").read_text())
+        for curve in raw["curves"].values():
+            curve["file"] = str(SCENARIO_DIR / curve["file"])
+        raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
+        raw["optimizer"].update(quantity=100.0, hqla_floor=floor)
+        sc = tmp_path / f"floor_{floor:g}.json"
+        sc.write_text(json.dumps(raw))
+        out = tmp_path / f"out_{floor:g}"
+        return run(["optimize", "--scenario", sc, "--out", out]), out
+
+    def test_floor_binds(self, tmp_path):
+        with open(SCENARIO_DIR / "assets_reference.csv", newline="") as f:
+            # an asset's LCR weight: (1 - h_lcr) * price
+            weight = {row["id"]: (1.0 - float(row["h_lcr"])) * float(row["price"])
+                      for row in csv.DictReader(f)}
+        summaries = {}
+        for floor in (0.0, 240.0):
+            code, out = self.run_floor(tmp_path, floor)
+            assert code == 0
+            summaries[floor] = json.loads((out / "optimize_summary.json").read_text())
+            assert summaries[floor]["status"] == "converged"
+        # unconstrained, the final allocation leaves under 240 of HQLA unused
+        final = {floor: sum(weight[a] * u for a, u in s["unused_quantity"].items())
+                 for floor, s in summaries.items()}
+        assert final[0.0] < 239.0 and final[240.0] >= 240.0 - 1e-9
+        # the floor holds in every round, to the allocation tables' 6 digits
+        for k in range(summaries[240.0]["iterations"]):
+            rows = (tmp_path / "out_240" / f"allocation_{k}.csv").read_text().splitlines()
+            unused = sum(weight[asset] * (100.0 - sum(map(float, cells)))
+                         for asset, *cells in (row.split(",") for row in rows[1:-1]))
+            assert unused >= 240.0 - 1e-3, k
+        # and costs LVA
+        assert summaries[0.0]["objective"][-1] == pytest.approx(11.7618, abs=1e-4)
+        assert summaries[240.0]["objective"][-1] == pytest.approx(11.7258, abs=1e-4)
+
+    def test_unreachable_floor_exits_3(self, tmp_path, capsys):
+        code, out = self.run_floor(tmp_path, 245.0)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "solver" and "hqla_floor" in err["message"]
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from cxva.curves import PartyCurves, RateCurve
 from cxva.collateral import CollateralState
-from cxva.discounting import (MODES, EffectiveRateSpec, counterparty_risk_spec,
-                               effective_rate)
-from conftest import make_spec
+from cxva.discounting import MODES, EffectiveRateSpec, counterparty_risk_spec
+from conftest import effective_rate, make_spec
 
 
 class TestEffectiveRate:

@@ -373,6 +373,19 @@ class TestMcProfile:
         with pytest.raises(ExposureError, match=field):
             OneFactorMcModel(**params)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("mean_reversion", cxva.exposure.MIN_MEAN_REVERSION),
+        ("mean_reversion", 5e-324),
+        ("mean_reversion", cxva.exposure.MAX_MEAN_REVERSION * 1.01),
+        ("vol", -1e-3),
+        ("vol", cxva.exposure.MAX_FACTOR_VOL * (1.0 + 1e-15)),
+    ])
+    def test_model_rejects_what_the_kernel_cannot_represent(self, field, bad):
+        params = dict(mean_reversion=0.05, vol=0.01, paths=1000, seed=1)
+        params[field] = bad
+        with pytest.raises(ExposureError, match=field):
+            OneFactorMcModel(**params)
+
     def test_determinism(self, curve):
         book = generate_portfolio(10, 0.5, (2.0, 8.0), 0.01, seed=2, curve=curve)
         model = OneFactorMcModel(0.1, 0.01, 1000, seed=9)

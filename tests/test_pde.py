@@ -8,13 +8,13 @@ import pytest
 from cxva import pde
 from cxva.collateral import CollateralState
 from cxva.curves import PartyCurves, RateCurve, combine_curves
-from cxva.discounting import EffectiveRateSpec, effective_rate, risk_free_spec
+from cxva.discounting import EffectiveRateSpec, risk_free_spec
 from cxva.exposure import ExposureProfile
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
                       solve, xva_pde)
 from cxva.xva import decompose
 
-from conftest import make_spec
+from conftest import effective_rate, make_spec
 from oracles import black_scholes, forward_exposure
 
 ATM_CALL = OptionSpec(payoff="call", strike=100.0, maturity=1.0, spot=100.0,

@@ -180,7 +180,7 @@ class TestNestedBlockTypes:
     @pytest.mark.parametrize("override, read, named", [
         ({"curves": {"risk_free": {"nodes": [5]}}}, lambda sc: sc.risk_free, "risk_free' nodes"),
         ({"parties": {"b": 3}}, lambda sc: sc.party("b"), "parties.b"),
-        ({"repo": {"tenors": 5}}, lambda sc: sc.repo_target(), "repo.tenors"),
+        ({"repo": {"tenors": 5}}, lambda sc: sc.config["repo"]["tenors"], "repo.tenors"),
         ({"optimizer": {"netting_sets": 5}}, lambda sc: sc.netting_sets(),
          "optimizer.netting_sets"),
         ({"optimizer": {"netting_sets": [5]}}, lambda sc: sc.netting_sets(),

@@ -12,10 +12,12 @@ import pytest
 
 from cxva.collateral import CollateralState
 from cxva.curves import PartyCurves, RateCurve
-from cxva.discounting import MODES, EffectiveRateSpec, effective_rate
+from cxva.discounting import MODES, EffectiveRateSpec
 from cxva.exposure import (DeterministicModel, ExposureProfile, exposure_profile,
                            generate_portfolio)
 from cxva.xva import decompose
+
+from conftest import effective_rate
 
 OIS = RateCurve.from_nodes([(0.25, 0.010), (1.0, 0.011), (2.0, 0.013), (5.0, 0.017),
                             (10.0, 0.022), (20.0, 0.027), (30.0, 0.030)], "OIS")

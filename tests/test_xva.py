@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from cxva.curves import PartyCurves, RateCurve
 from cxva.exposure import (DeterministicModel, ExposureProfile, exposure_profile,
                            generate_portfolio)
-from cxva.xva import (XvaError, XvaReport, decompose, martingale_epe_profile,
-                      to_running_spread)
+from cxva.xva import XvaError, XvaReport, decompose, to_running_spread
 
 from conftest import make_spec
-from oracles import colva_bk
+from oracles import colva_bk, martingale_epe_profile
 
 
 def flat_profile(epe=100.0, ene=0.0, horizon=1.0, n=5, annuity=1.0):
