@@ -28,10 +28,11 @@ Swaps are vanilla fixed-for-float, single curve, with regular accrual
 periods counted back from maturity: a swap maturing at m and paying f
 times a year has ceil(m f - 1e-9) coupons, dated m - j / f for j = 0, 1,
 ..., which puts the first above 1e-9 / f years. ``generate_portfolio``
-returns a ``SwapBook``: arrays of notional, fixed rate, sign, maturity and
-payment frequency, checked entry by entry by the check each ``Swap`` runs
-(``_check_swaps``), and read as a sequence of ``Swap`` views. A book is
-built once per profile as one cash-flow list of discount-factor claims
+returns a ``SwapBook``: arrays of notional, fixed rate, sign (+1 payer, -1
+receiver), maturity and payment frequency, each entry checked when the book
+is built. The profiles take a book and read its arrays; iterating it yields
+one ``Swap`` row of Python scalars per swap, which no profile builds. A book
+is built once per profile as one cash-flow list of discount-factor claims
 (every fixed coupon, swap by swap and each swap's dates ascending, then
 every float leg's terminal discount factor), laid out from a (swaps x most
 coupons) grid of coupon dates. The grid, like the list, holds at most
@@ -55,7 +56,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,7 @@ MAX_PATHS = 50_000
 MAX_PROFILE_POINTS = 500
 # coupon payments a year
 PAY_FREQS = (1, 2, 4)
+_PAY_FREQ_MESSAGE = f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}"
 # The one-factor model's mean reversion a (a year) and vol, as the Monte
 # Carlo kernel can represent them. It takes (1 - exp(-a tau)) / a through
 # expm1, exact while a tau is a normal double, over intervals tau that
@@ -89,41 +91,27 @@ PAY_FREQS = (1, 2, 4)
 MIN_MEAN_REVERSION = 1e-290
 MAX_MEAN_REVERSION = 1e305
 MAX_FACTOR_VOL = 0.2
+# Largest swap notional. A book's value at any time and factor value sums at
+# most MAX_SWAPS x (4 MAX_MATURITY + 2) = 8.04e6 claims (every coupon and
+# each float leg), each worth notional x max(1, |fixed rate| / pay_freq) x
+# DF(t, T), times exp(-x b) <= e^616 in the Monte Carlo kernel (above). That
+# leaves e^(709.8 - 616) = 5e40 below float max, so at notional 1e20 a
+# claim's fixed rate and forward discount factor may still grow the sum
+# 5e40 / (1e20 x 8.04e6) = 6e13-fold, e^31: a forward rate averaging -31 %
+# a year over 100 years. The deterministic profile has no exp(-x b).
+MAX_NOTIONAL = 1e20
 
 
-def _check_swaps(notional, maturity, pay_freq) -> None:
-    """The checks every swap passes, on one swap's numbers or on a book's
-    arrays entry by entry; written so that NaN fails them."""
-    def every(ok) -> bool:
-        return ok.all() if isinstance(ok, np.ndarray) else ok
-
-    if not every((0.0 < notional) & (notional < math.inf)):
-        raise ExposureError("notional must be finite and > 0")
-    if not every((0.0 < maturity) & (maturity <= MAX_MATURITY)):
-        raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
-    if not every(functools.reduce(operator.or_, (pay_freq == f for f in PAY_FREQS))):
-        raise ExposureError(f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}")
-
-
-@dataclass(frozen=True)
-class Swap:
-    """Fixed-for-floating interest rate swap; direction is the fixed leg."""
+class Swap(NamedTuple):
+    """One fixed-for-floating swap of a book, as iterating a ``SwapBook``
+    yields it: Python scalars, ``sign`` +1 for a payer (pays fixed, gains
+    when rates rise) and -1 for a receiver."""
 
     notional: float
     fixed_rate: float
-    direction: str  # "payer" pays fixed / "receiver" receives fixed
+    sign: float
     maturity: float
-    pay_freq: int = 2
-
-    def __post_init__(self) -> None:
-        _check_swaps(self.notional, self.maturity, self.pay_freq)
-        if self.direction not in ("payer", "receiver"):
-            raise ExposureError("direction must be 'payer' or 'receiver'")
-
-    @property
-    def sign(self) -> float:
-        """+1 for payer (gains when rates rise), -1 for receiver."""
-        return 1.0 if self.direction == "payer" else -1.0
+    pay_freq: int
 
     def payment_times(self) -> np.ndarray:
         """Regular payment times counted back from maturity, the first above
@@ -188,7 +176,6 @@ class ExposureProfile:
 
 def par_rate(curve: RateCurve, maturity: float, pay_freq: int = 2) -> float:
     """Single-curve par swap rate (1 - DF(T)) / annuity."""
-    _check_swaps(1.0, maturity, pay_freq)
     pay, _ = _coupon_dates(np.array([float(maturity)]), np.array([float(pay_freq)]))
     annuity = np.sum(curve.df(pay)) / pay_freq
     return float((1.0 - curve.df(maturity)) / annuity)
@@ -218,6 +205,9 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     if not 0.0 < lo <= hi <= MAX_MATURITY:
         raise ExposureError(f"maturity_range must satisfy 0 < maturity_min <= maturity_max <= "
                             f"{MAX_MATURITY:g} (years), got ({lo!r}, {hi!r})")
+    # before par_rate divides by it
+    if pay_freq not in PAY_FREQS:
+        raise ExposureError(_PAY_FREQ_MESSAGE)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     maturities = rng.uniform(lo, hi, n) if hi > lo else np.full(n, float(lo))
     atm = par_rate(curve, 10.0, pay_freq) + rate_offset
@@ -229,13 +219,10 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
                     pay_freq=np.full(n, pay_freq))
 
 
-_BOOK_FIELDS = ("notional", "fixed_rate", "sign", "maturity", "pay_freq")
-
-
 @dataclass(frozen=True, eq=False)
-class SwapBook(Sequence):
-    """A swap book held as arrays, one entry per swap. As a ``Sequence[Swap]``
-    it gives a ``Swap`` view of each entry, and ``==`` compares contents."""
+class SwapBook:
+    """A swap book held as arrays, one entry per swap, each entry checked
+    when the book is built. Iterating it yields each entry as a ``Swap``."""
 
     notional: np.ndarray
     fixed_rate: np.ndarray
@@ -244,45 +231,28 @@ class SwapBook(Sequence):
     pay_freq: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = [np.asarray(getattr(self, name)) for name in _BOOK_FIELDS]
+        arrays = [np.asarray(getattr(self, name)) for name in Swap._fields]
         if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ExposureError("swap book fields must be 1-d arrays of one length")
-        notional, fixed_rate, sign, maturity, pay_freq = arrays
-        _check_swaps(notional, maturity, pay_freq)
+        notional, _, sign, maturity, pay_freq = arrays
+        # written so that NaN fails every check
+        if not ((0.0 < notional) & (notional < math.inf)).all():
+            raise ExposureError("notional must be finite and > 0")
+        if not ((0.0 < maturity) & (maturity <= MAX_MATURITY)).all():
+            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
+        if not functools.reduce(operator.or_, (pay_freq == f for f in PAY_FREQS)).all():
+            raise ExposureError(_PAY_FREQ_MESSAGE)
         if not np.all(np.abs(sign) == 1.0):
             raise ExposureError("sign must be +1 (payer) or -1 (receiver)")
-        for name, a in zip(_BOOK_FIELDS, arrays):
+        for name, a in zip(Swap._fields, arrays):
             object.__setattr__(self, name, a.astype(np.int64 if name == "pay_freq" else float))
-
-    @classmethod
-    def of(cls, swaps: Sequence[Swap]) -> SwapBook:
-        """``swaps`` itself if it is a book, else a book of its entries."""
-        if isinstance(swaps, SwapBook):
-            return swaps
-        return cls(*(np.array([getattr(s, name) for s in swaps]) for name in _BOOK_FIELDS))
 
     def __len__(self) -> int:
         return len(self.notional)
 
-    @staticmethod
-    def _view(notional, fixed_rate, sign, maturity, pay_freq) -> Swap:
-        return Swap(notional, fixed_rate, "payer" if sign > 0.0 else "receiver", maturity,
-                    pay_freq)
-
-    def __getitem__(self, i: int) -> Swap:
-        return self._view(*(getattr(self, name)[i].item() for name in _BOOK_FIELDS))
-
     def __iter__(self):
-        return itertools.starmap(self._view, zip(*(getattr(self, name).tolist()
-                                                   for name in _BOOK_FIELDS)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SwapBook):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in _BOOK_FIELDS)
-
-    __hash__ = None
+        return itertools.starmap(Swap, zip(*(getattr(self, name).tolist()
+                                             for name in Swap._fields)))
 
 
 # -- the book as discount-factor claims ------------------------------------------
@@ -317,8 +287,7 @@ class _CashFlows:
     signed_notionals: np.ndarray
 
     @classmethod
-    def of(cls, portfolio: Sequence[Swap], curve: RateCurve) -> "_CashFlows":
-        book = SwapBook.of(portfolio)
+    def of(cls, book: SwapBook, curve: RateCurve) -> "_CashFlows":
         f = book.pay_freq.astype(float)
         coupon_dates, per_swap = _coupon_dates(book.maturity, f)
         signed = book.sign * book.notional
@@ -353,7 +322,7 @@ class _CashFlows:
 
     @property
     def annuity(self) -> float:
-        """Sum over swaps of notional times the time-0 annuity, direction-blind."""
+        """Sum over swaps of notional times the time-0 annuity, whatever the sign."""
         return float(np.sum(self.accruals * self.df))
 
 
@@ -384,7 +353,7 @@ class OneFactorMcModel:
             raise ExposureError("Monte Carlo needs at least 1000 paths")
 
 
-def exposure_profile(portfolio: Sequence[Swap], model, points: int,
+def exposure_profile(portfolio: SwapBook, model, points: int,
                      curve: RateCurve) -> ExposureProfile:
     """Risk-free exposure profile of a netting set on ``points`` equally
     spaced times from 0 to the last maturity.

@@ -153,7 +153,16 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
     try:
         res = solve_bounded_lp(c, a, b, upper)
     except LpInfeasibleError as err:
-        raise AllocationInfeasibleError([rows[r] for r in err.rows]) from err
+        violated = err.rows
+        if floor:
+            # phase 1 may leave the floor's shortfall on another row: the
+            # floor is to blame alone if the LP without it is feasible
+            try:
+                solve_bounded_lp(c[:-1], a[:-1, :-1], b[:-1], upper[:-1])
+                violated = [len(rows) - 1]
+            except LpInfeasibleError as floor_free:
+                violated = floor_free.rows
+        raise AllocationInfeasibleError([rows[r] for r in violated]) from err
     except LpUnboundedError as err:  # impossible with finite Q and bounds
         raise LpSolverError("allocation LP cannot be unbounded") from err
 

@@ -18,7 +18,7 @@ from a sweep's result equal the rates that sweep used: the next sweep
 would rebuild a bitwise-identical system and return the same vector with
 residual exactly 0, so that confirming sweep is counted but not run. The
 stop is exact, not a looser tolerance; solutions and sweep counts are
-those of iterating until the residual falls below ``picard_tol``. For the
+those of iterating until the residual falls below ``PICARD_TOL``. For the
 same reason the accepted sweep's operator is reused as the next step's
 explicit side when the accepted value reads the rates it was built from.
 The risk-free value V* is the same solve under ``risk_free_spec``, whose
@@ -123,6 +123,11 @@ class OptionSpec:
 # bounds on s_nodes and t_steps: a solve's time and memory grow with both
 MIN_GRID_SIZE = 50
 MAX_GRID_SIZE = 100_000
+# a step's Picard iteration stops once the residual, max |sweep change| /
+# max(1, max |V|), falls below PICARD_TOL, and fails after PICARD_MAX_ITER
+# sweeps
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,6 @@ class GridSpec:
     s_nodes: int = 400
     t_steps: int = 400
     s_max_mult: float = 5.0
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 30
 
     def __post_init__(self) -> None:
         if self.s_nodes < MIN_GRID_SIZE or self.t_steps < MIN_GRID_SIZE:
@@ -140,14 +143,9 @@ class GridSpec:
         for name in ("s_nodes", "t_steps"):
             if getattr(self, name) > MAX_GRID_SIZE:
                 raise PdeError(f"grid {name} must be at most {MAX_GRID_SIZE}")
-        if (not isinstance(self.picard_max_iter, int) or isinstance(self.picard_max_iter, bool)
-                or self.picard_max_iter < 1):
-            raise PdeError("grid picard_max_iter must be an integer >= 1")
         # written so that NaN fails every check
         if not 1.0 < self.s_max_mult < math.inf:
             raise PdeError("grid s_max_mult must be finite and > 1")
-        if not self.picard_tol > 0.0:
-            raise PdeError("picard_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
             sup = -th * band.upper[:-1]
 
         guess, rho = v, _node_rates(fwd, i + 1, v)
-        for it in range(1, grid.picard_max_iter + 1):
+        for it in range(1, PICARD_MAX_ITER + 1):
             diag = _diagonal(neg_2d2, band, rho)
             v_new = solve_banded(sub, 1.0 - th * diag, sup, rhs)
             residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
@@ -301,15 +299,15 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
                 rebuilt = _node_rates(fwd, i + 1, v_new)
                 fixed = np.array_equal(rebuilt, rho)
                 rho = rebuilt
-            if residual < grid.picard_tol:
+            if residual < PICARD_TOL:
                 break
-            if it < grid.picard_max_iter and fixed:
+            if it < PICARD_MAX_ITER and fixed:
                 # sweep it + 1 would rebuild this operator and return v_new
                 # with residual 0: count it without running it
                 it += 1
                 break
         else:
-            raise PicardConvergenceError(fwd.t[i + 1], residual, grid.picard_max_iter)
+            raise PicardConvergenceError(fwd.t[i + 1], residual, PICARD_MAX_ITER)
         max_iters = max(max_iters, it)
         v = guess
 

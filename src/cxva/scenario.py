@@ -30,8 +30,8 @@ from typing import NamedTuple
 from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi
 from .curves import PartyCurves, RateCurve, combine_curves
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (MAX_FACTOR_VOL, MAX_MATURITY, MAX_MEAN_REVERSION, MAX_PATHS,
-                       MAX_PROFILE_POINTS, MAX_SWAPS, MIN_MEAN_REVERSION, PAY_FREQS,
+from .exposure import (MAX_FACTOR_VOL, MAX_MATURITY, MAX_MEAN_REVERSION, MAX_NOTIONAL,
+                       MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, MIN_MEAN_REVERSION, PAY_FREQS,
                        DeterministicModel, OneFactorMcModel, SwapBook, exposure_profile,
                        generate_portfolio)
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
@@ -118,12 +118,14 @@ SCHEMA = {
     "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
              "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
              "s_max_mult": _number(5.0)},
-    # mean_reversion and vol as the Monte Carlo kernel can represent them
-    # (see cxva.exposure); OneFactorMcModel rejects a negative vol
+    # notional, mean_reversion and vol as the Monte Carlo kernel can
+    # represent them (see cxva.exposure); OneFactorMcModel rejects a
+    # negative vol
     "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
                   "maturity_min": _number(0.25), "maturity_max": _number(30.0),
                   "rate_band": _rate(0.01), "rate_offset": _rate(0.0),
-                  "pay_freq": Key("integer", 2, choices=PAY_FREQS), "notional": _number(1.0),
+                  "pay_freq": Key("integer", 2, choices=PAY_FREQS),
+                  "notional": Key("number", 1.0, (0.0, MAX_NOTIONAL)),
                   "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
                   "mean_reversion": Key("number", 0.05,
                                         (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION)),

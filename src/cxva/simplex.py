@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _TOL = 1e-9
+# each phase's iteration cap on an m x n problem: _ITERATIONS_PER_SIZE * (m + n + 10)
+_ITERATIONS_PER_SIZE = 50
 
 
 class LpInfeasibleError(ValueError):
@@ -133,7 +135,7 @@ def _phase(c, a, b, upper, basis, at_upper, max_iter):
     return x, iterations
 
 
-def solve_bounded_lp(c, a, b, upper, *, max_iter: int | None = None) -> LpResult:
+def solve_bounded_lp(c, a, b, upper) -> LpResult:
     """Maximize c.x subject to A x = b and 0 <= x <= upper."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,7 +146,7 @@ def solve_bounded_lp(c, a, b, upper, *, max_iter: int | None = None) -> LpResult
         raise ValueError("inconsistent LP dimensions")
     if np.any(upper < -_TOL):
         raise ValueError("upper bounds must be non-negative")
-    max_iter = max_iter or 50 * (m + n + 10)
+    max_iter = _ITERATIONS_PER_SIZE * (m + n + 10)
 
     # phase 1: artificials with +/-1 coefficients so they start at |b| >= 0
     signs = np.where(b < 0.0, -1.0, 1.0)

@@ -30,10 +30,11 @@ def black_scholes(spot, strike, vol, maturity, rate, div_yield=0.0, kind="call")
     return call - spot * math.exp(-div_yield * maturity) + strike * math.exp(-rate * maturity)
 
 
-def swap_forward_value(notional, fixed_rate, direction, maturity, pay_freq,
+def swap_forward_value(notional, fixed_rate, sign, maturity, pay_freq,
                        df, t):
     """Forward MTM of one swap at time t from a DF function, written
-    independently of the library's vectorized valuation."""
+    independently of the library's vectorized valuation; sign is +1 for the
+    fixed payer, -1 for the receiver."""
     if maturity <= t + 1e-12:
         return 0.0
     n = int(math.ceil(maturity * pay_freq - 1e-9))
@@ -41,7 +42,6 @@ def swap_forward_value(notional, fixed_rate, direction, maturity, pay_freq,
     pay_times = [u for u in pay_times if u > t + 1e-12]
     annuity = sum(df(u) for u in pay_times) / pay_freq / df(t)
     float_leg = 1.0 - df(maturity) / df(t)
-    sign = 1.0 if direction == "payer" else -1.0
     return sign * notional * (float_leg - fixed_rate * annuity)
 
 

@@ -1,6 +1,5 @@
 import collections
 import csv
-import functools
 import json
 import math
 import os
@@ -15,12 +14,12 @@ import cxva.exposure
 import cxva.optimizer
 import cxva.pde
 import cxva.scenario
+import cxva.simplex
 import cxva.xva
 from cxva.cli import main
 from cxva.discounting import MODES
-from cxva.pde import MAX_GRID_SIZE, GridSpec
+from cxva.pde import MAX_GRID_SIZE
 from cxva.scenario import MAX_SWEEP_POINTS
-from cxva.simplex import solve_bounded_lp
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -184,8 +183,8 @@ class TestPrice:
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
     def test_picard_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cxva.scenario, "GridSpec",
-                            functools.partial(GridSpec, picard_max_iter=1, picard_tol=1e-16))
+        monkeypatch.setattr(cxva.pde, "PICARD_TOL", 1e-16)
+        monkeypatch.setattr(cxva.pde, "PICARD_MAX_ITER", 1)
         sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 3
         lines = capsys.readouterr().err.splitlines()
@@ -367,6 +366,18 @@ class TestXva:
         assert key in validation_message(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1e306, 0.0, -1.0])
+    def test_notional_beyond_kernel_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        # 1e306 overflowed summing a 20-swap book's values
+        monkeypatch.setattr(cxva.scenario, "exposure_profile",
+                            fail_if_reached("exposure_profile"))
+        sc = write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20, notional=value),
+                            quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        message = validation_message(capsys)
+        assert "portfolio.notional" in message and repr(value) in message
+        assert not (tmp_path / "out").exists()
+
     def test_huge_vol_exits_2(self, tmp_path, capsys):
         # the factor would spread so wide that the kernel's exp overflows
         portfolio = dict(SMALL_PORTFOLIO, n=20, model="one_factor_mc", paths=1000, vol=1e6)
@@ -405,6 +416,16 @@ class TestXva:
                          maturity_max=cxva.exposure.MAX_MATURITY, pay_freq=4,
                          model="one_factor_mc", paths=1000, mean_reversion=1e-20)
         portfolio[key] = value
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+    def test_largest_notional_at_largest_vol_accepted(self, tmp_path):
+        # test_factor_bounds_accepted's worst-case book at both bounds
+        portfolio = dict(SMALL_PORTFOLIO, n=8, maturity_min=60.0,
+                         maturity_max=cxva.exposure.MAX_MATURITY, pay_freq=4,
+                         model="one_factor_mc", paths=1000, mean_reversion=1e-20,
+                         vol=cxva.exposure.MAX_FACTOR_VOL,
+                         notional=cxva.exposure.MAX_NOTIONAL)
         sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
         assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
@@ -985,8 +1006,7 @@ class TestOptimize:
         assert err["error"]["type"] == "solver"
 
     def test_solver_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cxva.optimizer, "solve_bounded_lp",
-                            functools.partial(solve_bounded_lp, max_iter=1))
+        monkeypatch.setattr(cxva.simplex, "_ITERATIONS_PER_SIZE", 0)
         sc = optimize_scenario(tmp_path)
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -1011,12 +1031,12 @@ class TestLcrFloor:
     netting set."""
 
     @staticmethod
-    def run_floor(tmp_path, floor: float) -> tuple[int, Path]:
+    def run_floor(tmp_path, floor: float, quantity: float = 100.0) -> tuple[int, Path]:
         raw = json.loads((SCENARIO_DIR / "allocation_reference.json").read_text())
         for curve in raw["curves"].values():
             curve["file"] = str(SCENARIO_DIR / curve["file"])
         raw["assets_file"] = str(SCENARIO_DIR / raw["assets_file"])
-        raw["optimizer"].update(quantity=100.0, hqla_floor=floor)
+        raw["optimizer"].update(quantity=quantity, hqla_floor=floor)
         sc = tmp_path / f"floor_{floor:g}.json"
         sc.write_text(json.dumps(raw))
         out = tmp_path / f"out_{floor:g}"
@@ -1052,6 +1072,16 @@ class TestLcrFloor:
         assert code == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "solver" and "hqla_floor" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("floor", [82.0, 100.0])
+    def test_unreachable_floor_named_alone(self, tmp_path, capsys, floor):
+        # with 70 of each asset, floor 80 converges; above it phase 1 can
+        # leave the floor's shortfall on a funding row, which alone is met
+        code, out = self.run_floor(tmp_path, floor, quantity=70.0)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"].endswith("violated constraints: hqla_floor"), err
         assert not out.exists()
 
 

@@ -9,9 +9,19 @@ from cxva.curves import RateCurve
 from cxva.exposure import (DeterministicModel, ExposureError, ExposureProfile,
                            OneFactorMcModel, Swap, SwapBook, exposure_profile,
                            generate_portfolio, par_rate,
-                           _CashFlows, _ou_paths)
+                           _CashFlows, _coupon_dates, _ou_paths)
 
 from oracles import swap_forward_value
+
+
+def book_of(swaps) -> SwapBook:
+    """The book of ``swaps``, a list of ``Swap`` rows."""
+    columns = zip(*swaps) if swaps else [()] * len(Swap._fields)
+    return SwapBook(*(np.array(column, dtype=float) for column in columns))
+
+
+def same_book(a: SwapBook, b: SwapBook) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in Swap._fields)
 
 
 @pytest.fixture
@@ -24,17 +34,17 @@ class TestGeneratePortfolio:
     def test_counts_and_ranges(self, curve):
         book = generate_portfolio(1000, 0.9, (0.25, 30.0), 0.01, seed=7, curve=curve)
         assert len(book) == 1000
-        assert sum(1 for s in book if s.direction == "payer") == 900
-        assert all(0.25 <= s.maturity <= 30.0 for s in book)
+        assert np.array_equal(book.sign, np.repeat([1.0, -1.0], [900, 100]))
+        assert np.all((0.25 <= book.maturity) & (book.maturity <= 30.0))
         atm = par_rate(curve, 10.0)
-        assert all(abs(s.fixed_rate - atm) <= 0.01 + 1e-12 for s in book)
+        assert np.all(np.abs(book.fixed_rate - atm) <= 0.01 + 1e-12)
 
     def test_deterministic_given_seed(self, curve):
         a = generate_portfolio(50, 0.5, (1.0, 10.0), 0.01, seed=3, curve=curve)
         b = generate_portfolio(50, 0.5, (1.0, 10.0), 0.01, seed=3, curve=curve)
-        assert a == b
+        assert same_book(a, b)
         c = generate_portfolio(50, 0.5, (1.0, 10.0), 0.01, seed=4, curve=curve)
-        assert a != c
+        assert not same_book(a, c)
 
     def test_single_par_swap_prices_to_zero(self, curve):
         book = generate_portfolio(1, 1.0, (10.0, 10.0), 0.0, seed=1, curve=curve)
@@ -45,11 +55,17 @@ class TestGeneratePortfolio:
         with pytest.raises(ExposureError):
             generate_portfolio(10, 1.5, (1.0, 2.0), 0.01, seed=1, curve=curve)
 
+    @pytest.mark.parametrize("pay_freq", [0, 3, float("nan")])
+    def test_pay_freq_checked_before_the_par_rate(self, curve, pay_freq):
+        with pytest.raises(ExposureError, match="pay_freq must be one of 1, 2, 4"):
+            generate_portfolio(10, 0.5, (1.0, 2.0), 0.01, seed=1, curve=curve,
+                               pay_freq=pay_freq)
+
     def test_maturity_bound(self, curve):
         top = cxva.exposure.MAX_MATURITY
-        assert Swap(1.0, 0.02, "payer", top).payment_times()[-1] == top
+        assert Swap(1.0, 0.02, 1.0, top, 2).payment_times()[-1] == top
         with pytest.raises(ExposureError, match="maturity"):
-            Swap(1.0, 0.02, "payer", top * (1.0 + 1e-15))
+            book_of([Swap(1.0, 0.02, 1.0, top * (1.0 + 1e-15), 2)])
         with pytest.raises(ExposureError, match="maturity_max"):
             generate_portfolio(10, 0.5, (1.0, 1e12), 0.01, seed=1, curve=curve)
         with pytest.raises(ExposureError, match="maturity_min"):
@@ -75,9 +91,9 @@ def random_swaps(seed: int, n: int = 60) -> list[Swap]:
         maturity = [periods / freq, (periods + rng.uniform(0.05, 0.95)) / freq,
                      rng.uniform(1e-3, 30.0)][k % 3]
         swaps.append(Swap(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-0.01, 0.05)),
-                          "payer" if rng.uniform() < 0.5 else "receiver", maturity, freq))
+                          1.0 if rng.uniform() < 0.5 else -1.0, maturity, freq))
     edges = [(3.0 + 4e-10, 4), (3.0 - 4e-10, 2), (0.1, 1), (1e-10, 2), (2.5e-10, 4)]
-    return swaps + [Swap(1.0, 0.02, "payer", m, f) for m, f in edges]
+    return swaps + [Swap(1.0, 0.02, 1.0, m, f) for m, f in edges]
 
 
 def per_swap_cash_flows(swaps):
@@ -97,15 +113,23 @@ def per_swap_cash_flows(swaps):
 
 
 class TestSwapBook:
-    def test_views_and_equality(self, curve):
-        book = generate_portfolio(30, 0.4, (1.0, 12.0), 0.01, seed=5, curve=curve)
+    def test_rows_are_the_entries(self, curve):
+        # the contract the benchmark's tracer and oracles read: one row of
+        # Python scalars per swap, and the swap's own coupon dates
+        book = generate_portfolio(30, 0.4, (1.0, 12.0), 0.01, seed=5, curve=curve,
+                                  pay_freq=4)
         assert isinstance(book, SwapBook) and len(book) == 30
-        swaps = list(book)
-        assert swaps[0] == book[0] and swaps[-1] == book[-1]
-        assert [s.direction for s in swaps].count("payer") == 12
-        assert SwapBook.of(swaps) == book
-        assert SwapBook.of(book) is book
-        assert SwapBook.of(swaps[:-1]) != book
+        rows = list(book)
+        assert len(rows) == 30 and all(isinstance(row, Swap) for row in rows)
+        for i, row in enumerate(rows):
+            for name, value in zip(Swap._fields, row):
+                entry = getattr(book, name)[i]
+                assert type(value) is type(entry.item()) and value == entry, (i, name)
+        assert [row.sign for row in rows] == [1.0] * 12 + [-1.0] * 18
+        dates, counts = _coupon_dates(book.maturity, book.pay_freq.astype(float))
+        ends = np.cumsum(counts)
+        for row, lo, hi in zip(rows, ends - counts, ends):
+            assert np.array_equal(row.payment_times(), dates[lo:hi])
 
     @pytest.mark.parametrize("field, bad, message", [
         ("notional", float("nan"), "notional"),
@@ -128,13 +152,12 @@ class TestSwapBook:
     def test_cash_flows_match_per_swap_construction(self, curve, seed):
         swaps = random_swaps(seed)
         want_dates, want_weights, want_accruals = per_swap_cash_flows(swaps)
-        for book in (swaps, SwapBook.of(swaps)):
-            flows = _CashFlows.of(book, curve)
-            assert np.array_equal(flows.dates, want_dates)
-            assert np.array_equal(flows.weights, want_weights)
-            assert np.array_equal(flows.accruals, want_accruals)
-            assert np.array_equal(flows.df, curve.df(want_dates))
-            assert np.array_equal(flows.dates[-len(swaps):], [s.maturity for s in swaps])
+        flows = _CashFlows.of(book_of(swaps), curve)
+        assert np.array_equal(flows.dates, want_dates)
+        assert np.array_equal(flows.weights, want_weights)
+        assert np.array_equal(flows.accruals, want_accruals)
+        assert np.array_equal(flows.df, curve.df(want_dates))
+        assert np.array_equal(flows.dates[-len(swaps):], [s.maturity for s in swaps])
 
 
 class TestDeterministicProfile:
@@ -143,17 +166,17 @@ class TestDeterministicProfile:
         # the 10y swap sets the grid 0, 0.5, ..., 10: the 5y swap matures on
         # a profile time and every one of its coupons falls on one; the
         # 2.5y swap's dates fall 5e-13 after one, which is not after it
-        swaps = [Swap(1.0, 0.02, "payer", 10.0, 1), Swap(2.0, 0.03, "receiver", 5.0, 2),
-                 Swap(1.5, 0.04, "payer", 2.5 + 5e-13, 2)]
+        swaps = [Swap(1.0, 0.02, 1.0, 10.0, 1), Swap(2.0, 0.03, -1.0, 5.0, 2),
+                 Swap(1.5, 0.04, 1.0, 2.5 + 5e-13, 2)]
         swaps += [s for s in random_swaps(seed, 30) if s.maturity < 10.0]
-        profile = exposure_profile(swaps, DeterministicModel(), 21, curve)
+        profile = exposure_profile(book_of(swaps), DeterministicModel(), 21, curve)
         assert profile.times[10] == 5.0 and np.all(profile.times % 0.5 == 0.0)
         gross = sum(s.notional for s in swaps)
         for k, t in enumerate(profile.times):
             # the oracle builds its own schedule: it keeps every coupon dated
             # after t + 1e-12, those of random_swaps' edge maturities within
             # 1e-9 years of a coupon multiple included, as the library does
-            want = sum(swap_forward_value(s.notional, s.fixed_rate, s.direction, s.maturity,
+            want = sum(swap_forward_value(s.notional, s.fixed_rate, s.sign, s.maturity,
                                           s.pay_freq, curve.df, t) for s in swaps)
             assert abs(profile.epe[k] - profile.ene[k] - want) <= 1e-12 * gross
         assert profile.mtm0 == profile.epe[0] - profile.ene[0]
@@ -162,11 +185,12 @@ class TestDeterministicProfile:
     def test_coupon_just_after_zero_is_owed(self, curve, maturity, first):
         # a quarterly swap's first coupon dated a few 1e-10 years after 0 is
         # still owed at 0 (T > 0 + 1e-12): in mtm0 it is worth 0.005
-        swap = Swap(1.0, 0.02, "payer", maturity, 4)
+        swap = Swap(1.0, 0.02, 1.0, maturity, 4)
         assert swap.payment_times()[0] == pytest.approx(first, rel=1e-5)
-        want = swap_forward_value(1.0, 0.02, "payer", maturity, 4, curve.df, 0.0)
-        det = exposure_profile([swap], DeterministicModel(), 2, curve)
-        mc = exposure_profile([swap], OneFactorMcModel(0.05, 0.01, 1000, seed=1), 2, curve)
+        want = swap_forward_value(1.0, 0.02, 1.0, maturity, 4, curve.df, 0.0)
+        det = exposure_profile(book_of([swap]), DeterministicModel(), 2, curve)
+        mc = exposure_profile(book_of([swap]), OneFactorMcModel(0.05, 0.01, 1000, seed=1), 2,
+                              curve)
         assert abs(det.mtm0 - want) <= 1e-15
         assert abs(mc.mtm0 - want) <= 1e-15
 
@@ -175,7 +199,7 @@ class TestDeterministicProfile:
         profile = exposure_profile(book, DeterministicModel(), 41, curve)
         for k in (0, 7, 23, 40):
             t = profile.times[k]
-            oracle = sum(swap_forward_value(s.notional, s.fixed_rate, s.direction,
+            oracle = sum(swap_forward_value(s.notional, s.fixed_rate, s.sign,
                                             s.maturity, s.pay_freq, curve.df, t)
                          for s in book)
             assert profile.epe[k] - profile.ene[k] == pytest.approx(oracle, abs=1e-9)
@@ -194,17 +218,17 @@ class TestDeterministicProfile:
     def test_deep_off_market_receiver(self, curve):
         # receiver paying well above market: pure receivable, epe equals the
         # forward annuity-weighted rate gap
-        swap = Swap(1.0, par_rate(curve, 10.0) + 0.05, "receiver", 10.0)
-        profile = exposure_profile([swap], DeterministicModel(), 21, curve)
+        swap = Swap(1.0, par_rate(curve, 10.0) + 0.05, -1.0, 10.0, 2)
+        profile = exposure_profile(book_of([swap]), DeterministicModel(), 21, curve)
         assert np.all(profile.ene == 0.0)
         t = profile.times[5]
-        oracle = swap_forward_value(1.0, swap.fixed_rate, "receiver", 10.0, 2,
+        oracle = swap_forward_value(1.0, swap.fixed_rate, -1.0, 10.0, 2,
                                     curve.df, t)
         assert profile.epe[5] == pytest.approx(oracle, rel=1e-10)
 
     def test_empty_portfolio(self, curve):
         with pytest.raises(ExposureError):
-            exposure_profile([], DeterministicModel(), 10, curve)
+            exposure_profile(book_of([]), DeterministicModel(), 10, curve)
 
 
 class TestMcProfile:
@@ -425,9 +449,9 @@ class TestProfileType:
 
 class TestAnnuity:
     def test_gross_annuity_direction_blind(self, curve):
-        def annuity(direction):
-            swap = Swap(1.0, 0.02, direction, 10.0)
-            return exposure_profile([swap], DeterministicModel(), 2, curve).annuity
-        assert annuity("payer") == pytest.approx(annuity("receiver"))
+        def annuity(sign):
+            book = book_of([Swap(1.0, 0.02, sign, 10.0, 2)])
+            return exposure_profile(book, DeterministicModel(), 2, curve).annuity
+        assert annuity(1.0) == pytest.approx(annuity(-1.0))
         # a 10y semiannual annuity at ~2% rates is a bit under 10
-        assert 8.0 < annuity("payer") < 10.0
+        assert 8.0 < annuity(1.0) < 10.0

@@ -168,6 +168,16 @@ class TestSolveLp:
             solve_lp(problem)
         assert "hqla_floor" in err.value.labels
 
+    def test_unmet_requirement_named_under_a_floor(self):
+        # the requirement is beyond the inventory with or without the floor,
+        # which the 10 units would meet unposted: the requirement is named
+        asset = simple_asset(quantity=10.0)
+        ns = simple_set("BIG", req=50.0)
+        problem = AllocationProblem((asset,), (ns,), np.array([[0.05]]), hqla_floor=5.0)
+        with pytest.raises(AllocationInfeasibleError) as err:
+            solve_lp(problem)
+        assert err.value.labels == ["funding:BIG"]
+
     def test_binding_names_exhausted_asset_and_capped_pair(self):
         # s2 takes at most 10 of a2, so a1 covers the rest of s2 and runs out
         a1 = simple_asset("a1", quantity=50.0)

@@ -44,8 +44,6 @@ class TestSpecs:
     def test_grid_validation(self):
         with pytest.raises(PdeError):
             GridSpec(s_nodes=10)
-        with pytest.raises(PdeError):
-            GridSpec(picard_tol=0.0)
 
     @pytest.mark.parametrize("field", ["s_nodes", "t_steps"])
     def test_grid_size_bound(self, field):
@@ -95,8 +93,7 @@ class TestNumerics:
 
     def test_picard_budget_on_atm_call(self, spec_factory):
         spec = spec_factory(eta=0.5, chi=1.0, repo_spread=0.01)
-        sol = solve(ATM_CALL, spec, GridSpec(s_nodes=200, t_steps=200,
-                                              picard_tol=1e-10))
+        sol = solve(ATM_CALL, spec, GridSpec(s_nodes=200, t_steps=200))
         assert sol.max_picard_iters <= 5
 
     def test_comparison_principle(self, party_b, ois_flat):
@@ -112,14 +109,15 @@ class TestNumerics:
                      GridSpec(s_nodes=150, t_steps=150)).value
         assert v_hi <= v_lo + 1e-12
 
-    def test_picard_failure_raises_with_diagnostics(self, spec_factory):
+    def test_picard_failure_raises_with_diagnostics(self, spec_factory, monkeypatch):
         # a payoff that changes sign forces at least one sign sweep per step
+        monkeypatch.setattr(pde, "PICARD_TOL", 1e-14)
+        monkeypatch.setattr(pde, "PICARD_MAX_ITER", 1)
         spec = spec_factory(mode="uncollateralized")
         fwd = OptionSpec(payoff="forward", strike=100.0, maturity=1.0, spot=100.0,
                          vol=0.5)
         with pytest.raises(PicardConvergenceError) as err:
-            solve(fwd, spec, GridSpec(s_nodes=100, t_steps=100,
-                                      picard_tol=1e-14, picard_max_iter=1))
+            solve(fwd, spec, GridSpec(s_nodes=100, t_steps=100))
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
 
@@ -289,7 +287,7 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
     """(v0, max sweeps) of the full-sweep Picard iteration: every sweep
     rebuilds its operator from scalar ``effective_rate`` lookups and solves
     with ``scipy.linalg.solve_banded``, and a step stops only when the
-    residual falls below ``picard_tol``."""
+    residual falls below ``pde.PICARD_TOL``."""
     from scipy.linalg import solve_banded
 
     s = np.linspace(0.0, grid.s_max_mult * max(option.spot, option.strike),
@@ -314,7 +312,7 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
         h = step_t[i] - step_t[i + 1]
         rhs = v + (1.0 - theta) * h * _apply(*operator(step_t[i], v), v)
         guess = v
-        for it in range(1, grid.picard_max_iter + 1):
+        for it in range(1, pde.PICARD_MAX_ITER + 1):
             lower, diag, upper = operator(step_t[i + 1], guess)
             ab = np.zeros((3, len(s)))
             ab[0, 1:] = (-theta * h * upper)[:-1]
@@ -323,10 +321,10 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
             v_new = solve_banded((1, 1), ab, rhs)
             residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
             guess = v_new
-            if residual < grid.picard_tol:
+            if residual < pde.PICARD_TOL:
                 break
         else:
-            raise PicardConvergenceError(step_t[i + 1], residual, grid.picard_max_iter)
+            raise PicardConvergenceError(step_t[i + 1], residual, pde.PICARD_MAX_ITER)
         max_iters = max(max_iters, it)
         v = guess
     return v, max_iters
@@ -380,25 +378,28 @@ class TestFixedPointStop:
         assert np.array_equal(sol.v0, v0)
         assert sol.max_picard_iters == iters
 
-    def test_residual_stop_before_signs_settle(self):
+    def test_residual_stop_before_signs_settle(self, monkeypatch):
         # at a loose tolerance a step can stop on the residual while a node
         # near the forward's zero still changes sign: the next step must
         # rebuild its explicit side from the accepted signs
+        monkeypatch.setattr(pde, "PICARD_TOL", 1e-3)
         option = self._option("forward", -1.0)
         spec = TestRateTable()._spec("noncash")
-        grid = GridSpec(s_nodes=150, t_steps=50, picard_tol=1e-3)
+        grid = GridSpec(s_nodes=150, t_steps=50)
         v0, iters = reference_solve(option, spec, grid)
         sol = solve(option, spec, grid)
         assert np.array_equal(sol.v0, v0)
         assert sol.max_picard_iters == iters
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_sweep_budget_as_full_sweep_iteration(self, max_iter):
+    def test_sweep_budget_as_full_sweep_iteration(self, max_iter, monkeypatch):
         # at a residual no sweep reaches, the confirming sweep decides
         # whether a step converges within the budget
+        monkeypatch.setattr(pde, "PICARD_TOL", 1e-16)
+        monkeypatch.setattr(pde, "PICARD_MAX_ITER", max_iter)
         option = self._option("forward", 1.0)
         spec = TestRateTable()._spec("noncash")
-        grid = GridSpec(s_nodes=60, t_steps=50, picard_tol=1e-16, picard_max_iter=max_iter)
+        grid = GridSpec(s_nodes=60, t_steps=50)
         try:
             expected = reference_solve(option, spec, grid)
         except PicardConvergenceError as err:
@@ -432,11 +433,6 @@ class TestFixedPointStop:
         grid = GridSpec(s_nodes=200, t_steps=200)
         solve(ATM_CALL, spec_factory(eta=0.5, chi=1.0, repo_spread=0.01), grid)
         assert len(calls) < 1.1 * (grid.t_steps + 1)
-
-    @pytest.mark.parametrize("value", [0, -1, 2.0, True])
-    def test_picard_max_iter_must_be_a_positive_integer(self, value):
-        with pytest.raises(PdeError, match="picard_max_iter"):
-            GridSpec(picard_max_iter=value)
 
 
 class TestSolveBanded:

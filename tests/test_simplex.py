@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import cxva.optimizer
+import cxva.simplex
 from cxva.simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
                           _phase, solve_bounded_lp)
 
@@ -64,10 +65,10 @@ class TestAgainstScipy:
         assert np.array_equal(r1.x, r2.x)
         assert r1.basis == r2.basis
 
-    def test_iteration_cap(self):
-        with pytest.raises(LpSolverError, match="exceeded 1 iterations"):
-            solve_bounded_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [np.inf, np.inf],
-                             max_iter=1)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(cxva.simplex, "_ITERATIONS_PER_SIZE", 0)
+        with pytest.raises(LpSolverError, match="exceeded 0 iterations"):
+            solve_bounded_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [np.inf, np.inf])
 
 
 class TestDegenerate:
