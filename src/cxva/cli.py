@@ -112,7 +112,7 @@ XVA_ROWS = ("npv", "xva", "lva", "cra", "cva", "dva", "cfa", "dfa")
 
 
 def cmd_xva(scenario: Scenario, out: Path) -> dict:
-    reports = dict(_portfolio_reports(scenario, scenario.config["xva_levels"]))
+    reports = dict(_portfolio_reports(scenario, scenario.xva_levels()))
     # rows NPV..DFA by collateralization column; NPV in value units, the
     # adjustments as running spreads in basis points
     text = _csv_line(["row"] + [_fmt(e) for e in reports])
@@ -127,7 +127,7 @@ def cmd_xva(scenario: Scenario, out: Path) -> dict:
 
 def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.config["repo"]
-    tenors, asset_id, rating = cfg["tenors"], cfg["asset"], cfg["rating"]
+    tenors, asset_id, rating = scenario.repo_tenors(), cfg["asset"], cfg["rating"]
     assets = {a.id: a for a in scenario.assets()}
     if asset_id not in assets:
         raise ScenarioError(f"asset {asset_id!r} not in assets file")

@@ -11,9 +11,10 @@ surplus z; its rows, by the names infeasibility reports, are
     hqla_floor         sum_i (1 - h_Li) B_i u_i - z = H     (only when H > 0)
     0 <= q_ij <= min(bounds_ij, Q_i),  0 <= u_i <= Q_i,  z >= 0
 
-and iterate allocation <-> revaluation: posting imperfect collateral
-changes each liability's fair value, hence the posting requirement, hence
-the allocation.
+(the simplex's answer is checked against these rows and bounds), and
+iterate allocation <-> revaluation: posting imperfect collateral changes
+each liability's fair value, hence the posting requirement, hence the
+allocation.
 
 The funding equality uses CSA haircuts by default: the netting set demands
 CSA-protected value. A switch reproduces the repo-haircut variant.
@@ -39,7 +40,7 @@ from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
 from .xva import decompose
 
 DEFAULT_SPREAD_TENORS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
-# the haircut the funding equality values posted collateral at
+# the haircut h_<name> the funding equality values posted collateral at
 FUNDING_HAIRCUTS = ("csa", "repo")
 
 
@@ -81,7 +82,7 @@ class AllocationProblem:
     netting_sets: tuple[NettingSet, ...]
     unit_lva: np.ndarray
     hqla_floor: float = 0.0
-    bounds: np.ndarray | None = None  # M x N upper bounds on q_ij (np.inf allowed)
+    bounds: np.ndarray | None = None  # M x N upper bounds on q_ij (np.inf allowed; None: none)
     funding_haircut: str = "csa"  # one of FUNDING_HAIRCUTS
 
     def __post_init__(self) -> None:
@@ -98,25 +99,19 @@ class AllocationProblem:
         object.__setattr__(self, "unit_lva", e)
         object.__setattr__(self, "assets", tuple(self.assets))
         object.__setattr__(self, "netting_sets", tuple(self.netting_sets))
-        if self.bounds is not None:
-            bnd = np.asarray(self.bounds, dtype=float)
-            if bnd.shape != (m, n):
-                raise AllocationError(f"bounds must be {m}x{n}")
-            object.__setattr__(self, "bounds", bnd)
-
-    def funding_weight(self, asset: CollateralAsset) -> float:
-        h = asset.h_csa if self.funding_haircut == "csa" else asset.h_repo
-        return (1.0 - h) * asset.price
+        bnd = np.full((m, n), np.inf) if self.bounds is None else np.asarray(self.bounds, float)
+        if bnd.shape != (m, n):
+            raise AllocationError(f"bounds must be {m}x{n}")
+        object.__setattr__(self, "bounds", bnd)
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """Solved q matrix with inventory slacks and binding-constraint summary."""
+    """Solved q matrix with each asset's unused quantity (slacks)."""
 
     q: np.ndarray
     slacks: np.ndarray
     objective: float
-    binding: dict
 
 
 def solve_lp(problem: AllocationProblem) -> Allocation:
@@ -124,20 +119,22 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
 
     Raises AllocationInfeasibleError with the violated requirement names
     when no feasible plan exists, and LpSolverError when the solve breaks
-    down.
+    down or its answer breaks a row or a column bound of the LP it solved.
     """
     assets, sets = problem.assets, problem.netting_sets
     m, n = len(assets), len(sets)
     nq = m * n
     quantity = np.array([asset.quantity for asset in assets], dtype=float)
-    weight = np.array([problem.funding_weight(asset) for asset in assets])
+    weight = np.array([(1.0 - getattr(asset, f"h_{problem.funding_haircut}")) * asset.price
+                       for asset in assets])
     hqla_weight = np.array([(1.0 - asset.h_lcr) * asset.price for asset in assets])
-    bounds = np.full((m, n), np.inf) if problem.bounds is None else problem.bounds
+    hqla_stock = float(hqla_weight @ quantity)  # the floor's reach: nothing posted
     floor = [problem.hqla_floor] if problem.hqla_floor > 0.0 else []
 
-    # the module docstring's layout, block by block
+    # the module docstring's layout, block by block; u_i and z named by their rows
     rows = ([f"inventory:{asset.id}" for asset in assets] + [f"funding:{ns.id}" for ns in sets]
             + ["hqla_floor"] * len(floor))
+    cols = [f"q:{asset.id}:{ns.id}" for asset in assets for ns in sets] + rows[:m] + rows[m + n:]
     a = np.zeros((len(rows), nq + m + len(floor)))
     a[:m, :nq] = np.kron(np.eye(m), np.ones(n))
     a[:m, nq:nq + m] = np.eye(m)
@@ -147,7 +144,7 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
         a[-1, -1] = -1.0
     b = np.concatenate([quantity, [ns.requirement for ns in sets], floor])
     c = np.concatenate([problem.unit_lva.ravel(), np.zeros(m + len(floor))])
-    upper = np.concatenate([np.minimum(bounds, quantity[:, None]).ravel(), quantity,
+    upper = np.concatenate([np.minimum(problem.bounds, quantity[:, None]).ravel(), quantity,
                             [np.inf] * len(floor)])
 
     try:
@@ -156,37 +153,28 @@ def solve_lp(problem: AllocationProblem) -> Allocation:
         violated = err.rows
         if floor:
             # phase 1 may leave the floor's shortfall on another row: the
-            # floor is to blame alone if the LP without it is feasible
+            # floor is to blame alone if the LP without it is feasible, and
+            # also if the whole inventory held back falls short of it
             try:
                 solve_bounded_lp(c[:-1], a[:-1, :-1], b[:-1], upper[:-1])
                 violated = [len(rows) - 1]
             except LpInfeasibleError as floor_free:
-                violated = floor_free.rows
+                violated = floor_free.rows + [len(rows) - 1] * (hqla_stock < floor[0])
         raise AllocationInfeasibleError([rows[r] for r in violated]) from err
     except LpUnboundedError as err:  # impossible with finite Q and bounds
         raise LpSolverError("allocation LP cannot be unbounded") from err
 
-    q = res.x[:nq].reshape(m, n)
-    slacks = res.x[nq:nq + m]
-    _check_feasible(problem, q, slacks)
-    capped = np.isfinite(bounds) & (bounds > 0.0) & (q >= bounds - 1e-9)
-    binding = {
-        "inventory": [asset.id for asset, s in zip(assets, slacks) if s <= 1e-9],
-        "hqla": bool(floor) and float(slacks @ hqla_weight) <= problem.hqla_floor + 1e-9,
-        "bounds": [(assets[i].id, sets[j].id) for i, j in zip(*np.nonzero(capped))],
-    }
-    return Allocation(q=q, slacks=slacks, objective=res.objective, binding=binding)
-
-
-def _check_feasible(problem: AllocationProblem, q: np.ndarray, slacks: np.ndarray) -> None:
-    for i, asset in enumerate(problem.assets):
-        if abs(q[i].sum() + slacks[i] - asset.quantity) > 1e-9 * max(1.0, asset.quantity):
-            raise LpSolverError(f"inventory identity violated for {asset.id}")
-    for j, ns in enumerate(problem.netting_sets):
-        posted = sum(q[i, j] * problem.funding_weight(a)
-                     for i, a in enumerate(problem.assets))
-        if abs(posted - ns.requirement) > 1e-6 * max(1.0, ns.requirement):
-            raise LpSolverError(f"funding identity violated for {ns.id}")
+    # the answer against the LP: inventory rows to 1e-9 of Q, funding and floor rows
+    # to 1e-6 of V and H, each column in [0, upper] to 1e-9 of Q_i (z: of hqla_stock)
+    x = res.x
+    row_tol = np.where(np.arange(len(rows)) < m, 1e-9, 1e-6) * np.maximum(1.0, b)
+    col_tol = 1e-9 * np.maximum(1.0, np.concatenate([np.repeat(quantity, n), quantity,
+                                                     [hqla_stock] * len(floor)]))
+    broken = ([rows[r] for r in np.flatnonzero(np.abs(a @ x - b) > row_tol)]
+              + [cols[k] for k in np.flatnonzero((x < -col_tol) | (x > upper + col_tol))])
+    if broken:
+        raise LpSolverError("simplex answer breaks " + ", ".join(dict.fromkeys(broken)))
+    return Allocation(q=x[:nq].reshape(m, n), slacks=x[nq:nq + m], objective=res.objective)
 
 
 # -- unit LVA -----------------------------------------------------------------

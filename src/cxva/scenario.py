@@ -104,7 +104,7 @@ SCHEMA = {
     # spreads are over risk-free; omitted liquidity is bond - hazard
     "party": {"bond": Key("curve", None), "bond_spread": _rate(), "hazard": Key("curve", None),
               "liquidity": Key("curve", None), "liquidity_spread": _rate(None)},
-    # chi, when not given, follows from the haircuts
+    # effective_spec checks these fractions; chi, when not given, follows from the haircuts
     "collateral": {"mode": Key("string", "noncash", choices=MODES),
                    "collateralization": _number(1.0),
                    "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
@@ -184,6 +184,13 @@ def _convert(key: Key, value, name: str, base_dir: Path):
                                     f"{key.bounds[1]:g}], got {value!r}")
             return value
     raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
+
+
+def _fraction(value: float, name: str, top: str = "]") -> float:
+    """``value`` if in [0, 1] ([0, 1) when ``top`` is ")"), else a ScenarioError naming ``name``."""
+    if not 0.0 <= value <= 1.0 or (top == ")" and value == 1.0):
+        raise ScenarioError(f"{name} must be in [0, 1{top}, got {value!r}")
+    return value
 
 
 def _chosen(key: Key, value, name: str):
@@ -335,10 +342,10 @@ class Scenario:
 
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
         cfg = self.config["collateral"]
-        eta = cfg["collateralization"] if collateralization is None else collateralization
-        if not 0.0 <= eta <= 1.0:
-            raise ScenarioError(f"collateralization must be in [0, 1], got {eta!r}")
-        x = cfg["chi"] if cfg["chi"] is not None else chi(cfg["h_repo"], cfg["h_csa"])
+        eta = (_fraction(cfg["collateralization"], "collateral.collateralization")
+               if collateralization is None else collateralization)
+        x = (_fraction(cfg["chi"], "collateral.chi") if cfg["chi"] is not None
+             else chi(*(_fraction(cfg[h], f"collateral.{h}", ")") for h in ("h_repo", "h_csa"))))
         # every mode gets the cash curve; the spec reads it only where the mode funds cash
         return EffectiveRateSpec(party_b=self.party("b"), party_c=self.party("c"),
                                  risk_free=self.risk_free, mode=cfg["mode"],
@@ -390,6 +397,10 @@ class Scenario:
     def quadrature_steps(self) -> int:
         return self.config["quadrature_steps"]
 
+    def xva_levels(self) -> list[float]:
+        return [_fraction(eta, f"xva_levels[{k}]")
+                for k, eta in enumerate(self.config["xva_levels"])]
+
     def assets(self) -> list[CollateralAsset]:
         path = self.config.base_dir / self.config["assets_file"]
         if not path.is_file():
@@ -406,6 +417,15 @@ class Scenario:
                                     dict(zip(RATING_KEYS, ec)))
             assets.append(asset if quantity is None else replace(asset, quantity=quantity))
         return assets
+
+    def repo_tenors(self) -> list[float]:
+        tenors, first = self.config["repo"]["tenors"], {}
+        for k, t in enumerate(tenors):
+            if not 0.0 < t < math.inf:
+                raise ScenarioError(f"repo.tenors[{k}] must be finite and > 0, got {t!r}")
+            if first.setdefault(t, k) != k:
+                raise ScenarioError(f"repo.tenors[{k}] repeats repo.tenors[{first[t]}]")
+        return tenors
 
     def repo_params(self) -> RepoModelParams:
         cfg = self.config["repo"]

@@ -883,6 +883,72 @@ class TestRepoCurve:
         set_key(sc, "repo.expected_gap_loss", 1.0)
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("tenors, message", [
+        ([0.5, 0.5], "repo.tenors[1] repeats repo.tenors[0]"),
+        ([1.0, 2.0, 0.5, 2.0], "repo.tenors[3] repeats repo.tenors[1]"),
+        ([-1.0], "repo.tenors[0] must be finite and > 0, got -1.0"),
+        ([1.0, 0.0], "repo.tenors[1] must be finite and > 0, got 0.0"),
+    ], ids=["repeat", "later-repeat", "negative", "zero"])
+    def test_bad_tenor_named(self, tmp_path, capsys, tenors, message):
+        sc = repo_scenario(tmp_path)
+        set_key(sc, "repo.tenors", tenors)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_unsorted_tenors_accepted(self, tmp_path):
+        # the rows follow the tenors as given
+        sc = repo_scenario(tmp_path)
+        set_key(sc, "repo.tenors", [2.0, 0.5])
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        rows = (tmp_path / "out" / "repo_curve.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "0.5"]
+
+
+class TestCollateralFractions:
+    """Collateralization levels, chi and the haircuts are fractions: one
+    outside its range exits 2 naming its key, before any output."""
+
+    @staticmethod
+    def scenario(tmp_path):
+        return write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID,
+                              portfolio=SMALL_PORTFOLIO, quadrature_steps=41,
+                              xva_levels=[0.0, 1.0])
+
+    @staticmethod
+    def command(key: str) -> str:
+        # price reads the collateral block's own level, xva its xva_levels
+        return "xva" if key == "xva_levels" else "price"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("collateral.chi", 1.5, "collateral.chi must be in [0, 1], got 1.5"),
+        ("collateral.chi", -0.1, "collateral.chi must be in [0, 1], got -0.1"),
+        ("collateral.h_csa", 1.0, "collateral.h_csa must be in [0, 1), got 1.0"),
+        ("collateral.h_repo", 1.0, "collateral.h_repo must be in [0, 1), got 1.0"),
+        ("collateral.h_repo", -0.5, "collateral.h_repo must be in [0, 1), got -0.5"),
+        ("collateral.collateralization", 1.5,
+         "collateral.collateralization must be in [0, 1], got 1.5"),
+        ("xva_levels", [1.5], "xva_levels[0] must be in [0, 1], got 1.5"),
+        ("xva_levels", [0.0, -0.5], "xva_levels[1] must be in [0, 1], got -0.5"),
+    ], ids=["chi-above", "chi-below", "h_csa-one", "h_repo-one", "h_repo-below",
+            "collateralization-above", "level-above", "level-below"])
+    def test_out_of_range_named(self, tmp_path, capsys, key, value, message):
+        sc = self.scenario(tmp_path)
+        set_key(sc, key, value)
+        assert run([self.command(key), "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("collateral.chi", 0.0), ("collateral.chi", 1.0),
+        ("collateral.h_csa", 0.999), ("collateral.collateralization", 0.0),
+        ("xva_levels", [1.0, 0.0]),
+    ])
+    def test_range_ends_accepted(self, tmp_path, key, value):
+        sc = self.scenario(tmp_path)
+        set_key(sc, key, value)
+        assert run([self.command(key), "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
 
 class TestFlags:
     """--seed is read through the seed's table entry and --points belongs

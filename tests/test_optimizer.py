@@ -9,7 +9,7 @@ from cxva.optimizer import (AllocationError, AllocationInfeasibleError,
                             AllocationProblem, NettingSet, iterate_allocation,
                             solve_lp)
 from cxva.repo import RepoModelParams
-from cxva.simplex import solve_bounded_lp
+from cxva.simplex import LpResult, LpSolverError, solve_bounded_lp
 
 
 def simple_asset(id="A1", price=1.0, quantity=100.0, h_csa=0.0, h_repo=0.0,
@@ -109,7 +109,9 @@ class TestSolveLp:
         free = solve_lp(AllocationProblem((a1, a2), sets, e))
         floored = solve_lp(AllocationProblem((a1, a2), sets, e, hqla_floor=80.0))
         assert floored.objective <= free.objective + 1e-9
-        assert floored.binding["hqla"]
+        # the floor binds: the unposted HQLA value is exactly the floor
+        hqla_weight = np.array([(1.0 - a.h_lcr) * a.price for a in (a1, a2)])
+        assert floored.slacks @ hqla_weight == pytest.approx(80.0)
 
     def test_objective_scales_with_unit_lva(self):
         a1 = simple_asset("a1", quantity=100.0, h_csa=0.1)
@@ -178,6 +180,15 @@ class TestSolveLp:
             solve_lp(problem)
         assert err.value.labels == ["funding:BIG"]
 
+    def test_unmet_floor_named_beside_unmet_requirement(self):
+        # the 10 units meet neither the requirement nor, held back, the floor
+        asset = simple_asset(quantity=10.0)
+        ns = simple_set("BIG", req=50.0)
+        problem = AllocationProblem((asset,), (ns,), np.array([[0.05]]), hqla_floor=80.0)
+        with pytest.raises(AllocationInfeasibleError) as err:
+            solve_lp(problem)
+        assert err.value.labels == ["funding:BIG", "hqla_floor"]
+
     def test_binding_names_exhausted_asset_and_capped_pair(self):
         # s2 takes at most 10 of a2, so a1 covers the rest of s2 and runs out
         a1 = simple_asset("a1", quantity=50.0)
@@ -187,9 +198,7 @@ class TestSolveLp:
         bounds = np.array([[np.inf, np.inf], [np.inf, 10.0]])
         alloc = solve_lp(AllocationProblem((a1, a2), sets, e, bounds=bounds))
         assert alloc.q == pytest.approx(np.array([[20.0, 30.0], [60.0, 10.0]]))
-        assert alloc.binding["inventory"] == ["a1"]
-        assert alloc.binding["bounds"] == [("a2", "s2")]
-        assert not alloc.binding["hqla"]
+        assert alloc.slacks[0] == pytest.approx(0.0)
 
     def test_funding_haircut_variant(self):
         asset = simple_asset(h_csa=0.1, h_repo=0.2, quantity=200.0)
@@ -200,6 +209,37 @@ class TestSolveLp:
                                           funding_haircut="repo"))
         assert csa.q[0, 0] == pytest.approx(90.0 / 0.9)
         assert repo.q[0, 0] == pytest.approx(90.0 / 0.8)
+
+
+# LP columns: CAPPED's q_a1s1, q_a2s1, u_a1, u_a2; FLOORED's q, u and the HQLA surplus
+CAPPED = AllocationProblem((simple_asset("a1"), simple_asset("a2")), (simple_set("s1"),),
+                           np.array([[0.05], [0.01]]), bounds=np.array([[10.0], [np.inf]]))
+FLOORED = AllocationProblem((simple_asset("a1"),), (simple_set("s1", req=60.0),),
+                            np.array([[0.05]]), hqla_floor=45.0)
+
+
+class TestAnswerCheck:
+    """A simplex answer that breaks the LP it was given is a solver failure
+    naming what it breaks."""
+
+    @pytest.mark.parametrize("problem, x, broken", [
+        (CAPPED, [10.0, 40.0, 91.0, 60.0], "inventory:a1"),
+        (CAPPED, [10.0, 39.0, 90.0, 61.0], "funding:s1"),
+        # 40 of HQLA held back against a floor of 45, the floor row met by
+        # a negative surplus
+        (FLOORED, [60.0, 40.0, -5.0], "hqla_floor"),
+        # the same shortfall with the surplus at 0: the floor row itself is off
+        (FLOORED, [60.0, 40.0, 0.0], "hqla_floor"),
+        # every row met, a1 posted to s1 beyond its eligibility cap of 10
+        (CAPPED, [20.0, 30.0, 80.0, 70.0], "q:a1:s1"),
+    ], ids=["inventory", "funding", "floor", "floor-row", "cap"])
+    def test_broken_answer_raises(self, monkeypatch, problem, x, broken):
+        def tampered(c, a, b, upper):
+            return LpResult(np.array(x), float(c @ x), [], 0)
+
+        monkeypatch.setattr(cxva.optimizer, "solve_bounded_lp", tampered)
+        with pytest.raises(LpSolverError, match=f"breaks {broken}$"):
+            solve_lp(problem)
 
 
 def first_unit_lva(assets, sets, poster, ois, params):
