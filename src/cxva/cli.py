@@ -112,7 +112,7 @@ XVA_ROWS = ("npv", "xva", "lva", "cra", "cva", "dva", "cfa", "dfa")
 
 
 def cmd_xva(scenario: Scenario, out: Path) -> dict:
-    reports = dict(_portfolio_reports(scenario, scenario.xva_levels()))
+    reports = dict(_portfolio_reports(scenario, scenario.config["xva_levels"]))
     # rows NPV..DFA by collateralization column; NPV in value units, the
     # adjustments as running spreads in basis points
     text = _csv_line(["row"] + [_fmt(e) for e in reports])
@@ -130,7 +130,7 @@ def cmd_repo_curve(scenario: Scenario, out: Path) -> dict:
     tenors, asset_id, rating = scenario.repo_tenors(), cfg["asset"], cfg["rating"]
     assets = {a.id: a for a in scenario.assets()}
     if asset_id not in assets:
-        raise ScenarioError(f"asset {asset_id!r} not in assets file")
+        raise ScenarioError(f"repo.asset {asset_id!r} is not in assets_file")
     asset = assets[asset_id]
     spread = repo_curve(scenario.repo_params(), asset, rating, tenors)
     risk_free = scenario.risk_free

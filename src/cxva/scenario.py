@@ -6,11 +6,12 @@ the risk-free curve, a collateral block, and one or more work descriptions
 single scenario seed, so identical scenario + seed means identical outputs.
 
 ``SCHEMA`` declares every key a scenario may hold: its JSON kind, default,
-bounds and, for an enumerated key, the value set it takes; each value set is
-the tuple the library's own check reads. ``Scenario`` reads each value
-through the table when a command first needs it and keeps what it read; a
-value of another kind, outside its bounds or outside its value set raises
-ScenarioError naming its dotted key. Keys it does not declare are ignored.
+interval (every number has one, so none is NaN or infinite) and, for an
+enumerated key, the value set it takes; each value set is the tuple the
+library's own check reads. ``Scenario`` reads each value through the table
+when a command first needs it and keeps what it read; a value of another
+kind, outside its interval or outside its value set raises ScenarioError
+naming its dotted key. Keys it does not declare are ignored.
 It is the one module that reads input files: the JSON scenario, and curve
 files and the assets file through one CSV reader, which reads a row's cells
 by position and names the key, path and line of a malformed row or cell.
@@ -60,41 +61,37 @@ _ASSET_HEADER = ("id", "price", "quantity", "h_csa", "h_repo", "h_lcr",
 class Key(NamedTuple):
     """A scenario key: JSON kind ("number", "integer", "string", "curve", "array"
     or "object"), default (None: absent and null mean "not given"), bounds
-    (lo, hi) read as [lo, hi] on an integer or array length and as (lo, hi]
-    on a number, item kind, SCHEMA section and the values a string or
-    integer key may take (None: any)."""
+    (lo, hi, brackets), the interval a number, an integer or an array's
+    length lies in, e.g. (0.0, 1.0, "[)") for [0, 1); an array item's own
+    Key, an object's SCHEMA section and the values a string or integer key
+    may take (None: any)."""
 
     kind: str
     default: object = REQUIRED
-    bounds: tuple | None = None
-    item: str | None = None
+    bounds: tuple = (-math.inf, math.inf, "()")
+    item: Key | None = None
     section: str | None = None
     choices: tuple | None = None
 
 
-def _number(default=REQUIRED) -> Key:
-    return Key("number", default)
-
-
-# every rate and spread, a curve's included, and the repo RoE hurdle:
-# (-100 %, 100 %] a year
-RATE = Key("number", bounds=(-1.0, 1.0))
-
-
-def _rate(default=REQUIRED) -> Key:
-    return RATE._replace(default=default)
-
+# every rate and spread, a curve's included: (-100 %, 100 %] a year
+RATE = (-1.0, 1.0, "(]")
+FRACTION = (0.0, 1.0, "[]")
+POSITIVE = (0.0, math.inf, "()")
+NON_NEGATIVE = (0.0, math.inf, "[)")
 
 # every key a scenario may hold, by section; "scenario" is the top level
 SCHEMA = {
     "scenario": {
-        "seed": Key("integer", 0, (0, math.inf)), "curves": Key("object", {}, section="curves"),
+        "seed": Key("integer", 0, (0, math.inf, "[]")),
+        "curves": Key("object", {}, section="curves"),
         "parties": Key("object", {}, section="parties"),
         "collateral": Key("object", {}, section="collateral"),
         "option": Key("object", section="option"), "grid": Key("object", {}, section="grid"),
         "portfolio": Key("object", section="portfolio"),
-        "quadrature_steps": Key("integer", 200, (1, MAX_QUADRATURE_STEPS)),
-        "xva_levels": Key("array", [0.0, 0.5, 1.0], (1, MAX_SWEEP_POINTS), "number"),
+        "quadrature_steps": Key("integer", 200, (1, MAX_QUADRATURE_STEPS, "[]")),
+        "xva_levels": Key("array", [0.0, 0.5, 1.0], (1, MAX_SWEEP_POINTS, "[]"),
+                          Key("number", bounds=FRACTION)),
         "sweep": Key("object", {}, section="sweep"),
         "assets_file": Key("string"), "repo": Key("object", {}, section="repo"),
         "optimizer": Key("object", {}, section="optimizer")},
@@ -102,95 +99,106 @@ SCHEMA = {
                "mu0": Key("curve", 0.0), "hazard": Key("curve", 0.0)},
     "parties": {"b": Key("object", section="party"), "c": Key("object", section="party")},
     # spreads are over risk-free; omitted liquidity is bond - hazard
-    "party": {"bond": Key("curve", None), "bond_spread": _rate(), "hazard": Key("curve", None),
-              "liquidity": Key("curve", None), "liquidity_spread": _rate(None)},
-    # effective_spec checks these fractions; chi, when not given, follows from the haircuts
+    "party": {"bond": Key("curve", None), "bond_spread": Key("number", bounds=RATE),
+              "hazard": Key("curve", None), "liquidity": Key("curve", None),
+              "liquidity_spread": Key("number", None, RATE)},
+    # chi, when not given, follows from the haircuts
     "collateral": {"mode": Key("string", "noncash", choices=MODES),
-                   "collateralization": _number(1.0),
-                   "chi": _number(None), "h_csa": _number(0.0), "h_repo": _number(0.0),
+                   "collateralization": Key("number", 1.0, FRACTION),
+                   "chi": Key("number", None, FRACTION),
+                   "h_csa": Key("number", 0.0, (0.0, 1.0, "[)")),
+                   "h_repo": Key("number", 0.0, (0.0, 1.0, "[)")),
                    "repo_spread": Key("curve", 0.0)},
     # vol * sqrt(maturity) is at most ln(grid.s_max_mult) / 2, so the grid's
     # top, s_max_mult * max(spot, strike), is at least two log-price standard
     # deviations above max(spot, strike); Scenario.option checks it
-    "option": {"payoff": Key("string", choices=PAYOFFS), "strike": _number(0.0),
-               "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY)),
-               "spot": _number(), "vol": _number(), "div_yield": _rate(0.0)},
-    "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
-             "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE)),
-             "s_max_mult": _number(5.0)},
+    "option": {"payoff": Key("string", choices=PAYOFFS), "strike": Key("number", 0.0, NON_NEGATIVE),
+               "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY, "(]")),
+               "spot": Key("number", bounds=POSITIVE), "vol": Key("number", bounds=POSITIVE),
+               "div_yield": Key("number", 0.0, RATE)},
+    "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
+             "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
+             "s_max_mult": Key("number", 5.0, (1.0, math.inf, "()"))},
     # notional, mean_reversion and vol as the Monte Carlo kernel can
-    # represent them (see cxva.exposure); OneFactorMcModel rejects a
-    # negative vol
-    "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS)), "payer_frac": _number(),
-                  "maturity_min": _number(0.25), "maturity_max": _number(30.0),
-                  "rate_band": _rate(0.01), "rate_offset": _rate(0.0),
+    # represent them (see cxva.exposure)
+    "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS, "[]")),
+                  "payer_frac": Key("number", bounds=FRACTION),
+                  "maturity_min": Key("number", 0.25, (0.0, MAX_MATURITY, "(]")),
+                  "maturity_max": Key("number", 30.0, (0.0, MAX_MATURITY, "(]")),
+                  "rate_band": Key("number", 0.01, FRACTION),
+                  "rate_offset": Key("number", 0.0, RATE),
                   "pay_freq": Key("integer", 2, choices=PAY_FREQS),
-                  "notional": Key("number", 1.0, (0.0, MAX_NOTIONAL)),
+                  "notional": Key("number", 1.0, (0.0, MAX_NOTIONAL, "(]")),
                   "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
                   "mean_reversion": Key("number", 0.05,
-                                        (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION)),
-                  "vol": Key("number", 0.01, (-math.inf, MAX_FACTOR_VOL)),
-                  "paths": Key("integer", 2000, (1000, MAX_PATHS)),
-                  "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS))},
-    "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS))},
-    # the expected gap loss is a fraction of the loan: at most 1 here, and
-    # RepoModelParams rejects one below 0
-    "repo": {"roe": _rate(0.10), "expected_gap_loss": Key("number", 0.0, (-math.inf, 1.0)),
+                                        (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION, "(]")),
+                  "vol": Key("number", 0.01, (0.0, MAX_FACTOR_VOL, "[]")),
+                  "paths": Key("integer", 2000, (1000, MAX_PATHS, "[]")),
+                  "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS, "[]"))},
+    "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS, "[]"))},
+    # the repo RoE hurdle a year, and the expected gap loss a fraction of the loan
+    "repo": {"roe": Key("number", 0.10, FRACTION),
+             "expected_gap_loss": Key("number", 0.0, FRACTION),
              "asset": Key("string"),
              "rating": Key("string", choices=RATING_KEYS),
-             "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf), "number")},
-    "optimizer": {"quantity": _number(None), "hqla_floor": _number(0.0),
+             "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf, "[]"),
+                           Key("number", bounds=POSITIVE))},
+    "optimizer": {"quantity": Key("number", None, NON_NEGATIVE),
+                  "hqla_floor": Key("number", 0.0, NON_NEGATIVE),
                   "funding_haircut": Key("string", "csa", choices=FUNDING_HAIRCUTS),
-                  "tol": _number(0.01),
-                  "max_iter": Key("integer", 5, (1, math.inf)),
-                  "netting_sets": Key("array", REQUIRED, (1, math.inf), "object", "netting_set")},
+                  "tol": Key("number", 0.01, POSITIVE),
+                  "max_iter": Key("integer", 5, (1, math.inf, "[]")),
+                  "netting_sets": Key("array", REQUIRED, (1, math.inf, "[]"),
+                                      Key("object", section="netting_set"))},
     # each allocation round sets a set's requirement to |MTM|, so a
     # threshold would be read and then ignored: one is rejected
     "netting_set": {"id": Key("string"), "rating": Key("string", choices=RATING_KEYS),
-                    "target_mtm": _number(None),
-                    "threshold": _number(None), "portfolio": Key("object", section="portfolio")},
+                    "target_mtm": Key("number", None), "threshold": Key("number", None),
+                    "portfolio": Key("object", section="portfolio")},
 }
+
+
+def _bounded(key: Key, value, name: str, what: str):
+    """``value`` if it lies in ``key``'s bounds (NaN lies in none), else a
+    ScenarioError naming ``name`` as ``what`` and the interval."""
+    lo, hi, (left, right) = key.bounds
+    if (lo < value or left == "[" and lo == value) and (value < hi or right == "]" and value == hi):
+        return value
+    raise ScenarioError(f"{name} must be {what} in {left}{lo:g}, {hi:g}{right}, got {value!r}")
 
 
 def _convert(key: Key, value, name: str, base_dir: Path):
     """``value`` as ``key`` declares it, read at the dotted ``name``; a value
-    of another JSON kind raises ScenarioError naming ``name``."""
+    of another JSON kind or outside the key's bounds raises ScenarioError
+    naming ``name``."""
     kind = key.kind
     if kind == "object":
         return _Block(key.section, value, name, base_dir)
     if kind == "curve":
         return _curve(value, name, base_dir)
-    if kind == "array":
-        lo, hi = key.bounds
-        if not (isinstance(value, list) and lo <= len(value) <= hi):
-            raise ScenarioError(f"{name} must be an array of {lo} to {hi} {key.item}s, "
-                                f"got {value!r:.60}")
-        item = Key(key.item, section=key.section)
-        return [_convert(item, v, f"{name}[{i}]", base_dir) for i, v in enumerate(value)]
+    if kind == "array" and isinstance(value, list):
+        _bounded(key, len(value), f"{name} length", "an integer")
+        return [_convert(key.item, v, f"{name}[{i}]", base_dir) for i, v in enumerate(value)]
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
     if kind == "string" and isinstance(value, str):
         return _chosen(key, value, name)
     if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
-        lo, hi = key.bounds or (value, value)
-        if not lo <= value <= hi:
-            raise ScenarioError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-        return _chosen(key, value, name)
+        return _chosen(key, _bounded(key, value, name, "an integer"), name)
     if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            value = float(value)
-            if key.bounds is not None and not key.bounds[0] < value <= key.bounds[1]:
-                raise ScenarioError(f"{name} must be a finite number in ({key.bounds[0]:g}, "
-                                    f"{key.bounds[1]:g}], got {value!r}")
-            return value
+            return _bounded(key, float(value), name, "a finite number")
     raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
 
 
-def _fraction(value: float, name: str, top: str = "]") -> float:
-    """``value`` if in [0, 1] ([0, 1) when ``top`` is ")"), else a ScenarioError naming ``name``."""
-    if not 0.0 <= value <= 1.0 or (top == ")" and value == 1.0):
-        raise ScenarioError(f"{name} must be in [0, 1{top}, got {value!r}")
-    return value
+def _distinct(named) -> None:
+    """Raise ScenarioError at the first (name, value) pair of ``named``
+    whose value an earlier pair gave, naming both."""
+    first = {}
+    for name, value in named:
+        if value in first:
+            raise ScenarioError(f"{name} repeats {value!r}, given first at {first[value]}")
+        first[value] = name
 
 
 def _chosen(key: Key, value, name: str):
@@ -228,38 +236,37 @@ def _table(name: str, path: Path, header: tuple[str, ...], text: int = 0) -> lis
 
 
 def _curve(spec, name: str, base_dir: Path) -> RateCurve:
-    """A curve spec: a number or {"flat": r}, {"nodes": [[t, z], ...]} or
-    {"file": "relative.csv"} (CSV header tenor_years,zero_rate); every rate
-    it gives is a RATE."""
-    if not isinstance(spec, dict) or "flat" in spec:
-        rate = spec["flat"] if isinstance(spec, dict) else spec
-        return RateCurve.flat(_convert(RATE, rate, name, base_dir), name)
-    if "nodes" in spec:
+    """A curve spec: a number or an object holding exactly one of the forms
+    {"flat": r}, {"nodes": [[t, z], ...]} or {"file": "relative.csv"} (CSV
+    header tenor_years,zero_rate); every tenor it gives is in (0, inf),
+    given once, and every rate is in RATE."""
+    tenor, rate = Key("number", bounds=POSITIVE), Key("number", bounds=RATE)
+    forms = [form for form in CURVE_FORMS if form in spec] if isinstance(spec, dict) else ["flat"]
+    if len(forms) != 1:
+        raise ScenarioError(f"curve '{name}' needs exactly one of {', '.join(CURVE_FORMS)}, "
+                            f"got {forms}")
+    if forms == ["flat"]:
+        flat = spec["flat"] if isinstance(spec, dict) else spec
+        return RateCurve.flat(_convert(rate, flat, name, base_dir), name)
+    if forms == ["nodes"]:
         nodes = spec["nodes"]
         if not (isinstance(nodes, list) and all(isinstance(n, list) and len(n) == 2
                                                 for n in nodes)):
             raise ScenarioError(f"curve '{name}' nodes must be [tenor, rate] pairs")
-        nodes = [(t, z, f"{name}.nodes[{i}]", f"{name}.nodes[{i}]")
+        nodes = [(f"{name}.nodes[{i}]", t, f"{name}.nodes[{i}]", z)
                  for i, (t, z) in enumerate(nodes)]
-    elif "file" in spec:
+    else:
         path = base_dir / _convert(Key("string"), spec["file"], f"{name}.file", base_dir)
         if not path.is_file():
-            raise ScenarioError(f"curve file not found: {path}")
-        nodes = [(t, z, f"{name}.file rate at tenor {t:g}", line)
+            raise ScenarioError(f"{name}.file not found: {path}")
+        nodes = [(line, t, f"{name}.file rate at tenor {t:g}", z)
                  for line, (t, z) in _table(f"{name}.file", path, _CURVE_HEADER)]
-    else:
-        raise ScenarioError(f"curve '{name}' needs one of {', '.join(CURVE_FORMS)}")
     if not nodes:
         raise ScenarioError(f"curve '{name}' has no nodes")
-    # inline and file nodes alike: the tenor a number, the rate a RATE, and
-    # no tenor given twice (the curve sorts its nodes by tenor)
-    pairs, seen = [], {}
-    for t, z, where, node in nodes:
-        t = _convert(_number(), t, where, base_dir)
-        if t in seen:
-            raise ScenarioError(f"{node} repeats the tenor {t:g} of {seen[t]}")
-        seen[t] = node
-        pairs.append((t, _convert(RATE, z, where, base_dir)))
+    # each node's tenor is named by the node (a file's by its line)
+    pairs = [(_convert(tenor, t, node, base_dir), _convert(rate, z, where, base_dir))
+             for node, t, where, z in nodes]
+    _distinct((node, t) for (node, *_), (t, _) in zip(nodes, pairs))
     return RateCurve.from_nodes(pairs, name)
 
 
@@ -342,10 +349,8 @@ class Scenario:
 
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
         cfg = self.config["collateral"]
-        eta = (_fraction(cfg["collateralization"], "collateral.collateralization")
-               if collateralization is None else collateralization)
-        x = (_fraction(cfg["chi"], "collateral.chi") if cfg["chi"] is not None
-             else chi(*(_fraction(cfg[h], f"collateral.{h}", ")") for h in ("h_repo", "h_csa"))))
+        eta = cfg["collateralization"] if collateralization is None else collateralization
+        x = cfg["chi"] if cfg["chi"] is not None else chi(cfg["h_repo"], cfg["h_csa"])
         # every mode gets the cash curve; the spec reads it only where the mode funds cash
         return EffectiveRateSpec(party_b=self.party("b"), party_c=self.party("c"),
                                  risk_free=self.risk_free, mode=cfg["mode"],
@@ -397,34 +402,25 @@ class Scenario:
     def quadrature_steps(self) -> int:
         return self.config["quadrature_steps"]
 
-    def xva_levels(self) -> list[float]:
-        return [_fraction(eta, f"xva_levels[{k}]")
-                for k, eta in enumerate(self.config["xva_levels"])]
-
     def assets(self) -> list[CollateralAsset]:
         path = self.config.base_dir / self.config["assets_file"]
         if not path.is_file():
-            raise ScenarioError(f"assets file not found: {path}")
+            raise ScenarioError(f"assets_file not found: {path}")
         quantity = self.config["optimizer"]["quantity"]
         rows = _table("assets_file", path, _ASSET_HEADER, text=1)
         if not rows:
             raise ScenarioError(f"assets_file {path} has no asset rows")
+        _distinct((where, asset_id) for where, (asset_id, *_) in rows)
         assets = []
-        for where, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in rows:
-            if any(a.id == asset_id for a in assets):
-                raise ScenarioError(f"{where}: asset id {asset_id!r} appears more than once")
+        for _, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in rows:
             asset = CollateralAsset(asset_id, price, held, h_csa, h_repo, h_lcr,
                                     dict(zip(RATING_KEYS, ec)))
             assets.append(asset if quantity is None else replace(asset, quantity=quantity))
         return assets
 
     def repo_tenors(self) -> list[float]:
-        tenors, first = self.config["repo"]["tenors"], {}
-        for k, t in enumerate(tenors):
-            if not 0.0 < t < math.inf:
-                raise ScenarioError(f"repo.tenors[{k}] must be finite and > 0, got {t!r}")
-            if first.setdefault(t, k) != k:
-                raise ScenarioError(f"repo.tenors[{k}] repeats repo.tenors[{first[t]}]")
+        tenors = self.config["repo"]["tenors"]
+        _distinct((f"repo.tenors[{k}]", t) for k, t in enumerate(tenors))
         return tenors
 
     def repo_params(self) -> RepoModelParams:
@@ -434,19 +430,19 @@ class Scenario:
                                expected_gap_loss=cfg["expected_gap_loss"])
 
     def netting_sets(self) -> list[NettingSet]:
+        sets = self.config["optimizer"]["netting_sets"]
+        _distinct((f"optimizer.netting_sets[{k}].id", ns["id"]) for k, ns in enumerate(sets))
         out = []
-        for k, ns in enumerate(self.config["optimizer"]["netting_sets"]):
-            if any(s.id == ns["id"] for s in out):
-                raise ScenarioError(f"optimizer.netting_sets[{k}].id repeats netting set id "
-                                    f"{ns['id']!r}")
+        for k, ns in enumerate(sets):
+            name = f"optimizer.netting_sets[{k}]"
             if ns["threshold"] is not None:
-                raise ScenarioError(f"netting set {ns['id']}: threshold is not supported")
+                raise ScenarioError(f"{name}.threshold is not supported, got {ns['threshold']!r}")
             profile = self.portfolio_profile(ns["portfolio"], seed_offset=k + 1)
             target = ns["target_mtm"]
             if target is not None:
-                if not (math.isfinite(target) and target * profile.mtm0 > 0.0):
-                    raise ScenarioError(f"netting set {ns['id']}: generated MTM "
-                                        f"{profile.mtm0:.4g} cannot be scaled to {target}")
+                if not target * profile.mtm0 > 0.0:
+                    raise ScenarioError(f"{name}.target_mtm: the generated MTM "
+                                        f"{profile.mtm0:.4g} cannot be scaled to {target!r}")
                 profile = profile.scaled(target / profile.mtm0)
             out.append(NettingSet(id=ns["id"], requirement=abs(profile.mtm0),
                                   rating=ns["rating"], profile=profile))

@@ -320,9 +320,9 @@ class TestXva:
         ("rate_band", float("nan"), "rate_band"),
         ("rate_band", float("inf"), "rate_band"),
         ("rate_band", -1.0, "rate_band"),
-        ("maturity_max", float("nan"), "maturity_range"),
-        ("maturity_max", float("inf"), "maturity_range"),
-        ("maturity_min", float("nan"), "maturity_range"),
+        ("maturity_max", float("nan"), "portfolio.maturity_max"),
+        ("maturity_max", float("inf"), "portfolio.maturity_max"),
+        ("maturity_min", float("nan"), "portfolio.maturity_min"),
         ("rate_offset", float("inf"), "rate_offset"),
         ("notional", float("inf"), "notional"),
     ])
@@ -690,7 +690,32 @@ class TestRates:
         set_key(sc, "curves.risk_free", {"nodes": [[1, 0.01], [1, 0.011], [2, 0.012]]})
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert validation_message(capsys) == \
-            "curves.risk_free.nodes[1] repeats the tenor 1 of curves.risk_free.nodes[0]"
+            "curves.risk_free.nodes[1] repeats 1.0, given first at curves.risk_free.nodes[0]"
+        assert not (tmp_path / "out").exists()
+
+    def test_two_forms_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the flat rate was read and the nodes ignored
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = self.scenario(tmp_path)
+        set_key(sc, "curves.risk_free", {"flat": 0.01, "nodes": [[1, 0.5]]})
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == ("curve 'curves.risk_free' needs exactly one of "
+                                              "flat, nodes, file, got ['flat', 'nodes']")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, named, value", [
+        ({"nodes": [[-1.0, 0.01], [2.0, 0.01]]}, "curves.risk_free.nodes[0]", -1.0),
+        ({"nodes": [[1.0, 0.01], [0, 0.01]]}, "curves.risk_free.nodes[1]", 0.0),
+        ({"file": "zero.csv"}, "curves.risk_free.file {dir}/zero.csv line 2", 0.0),
+    ], ids=["negative", "zero", "file-zero"])
+    def test_nonpositive_tenor_exits_2(self, tmp_path, capsys, monkeypatch, spec, named, value):
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = self.scenario(tmp_path)
+        (tmp_path / "zero.csv").write_text("tenor_years,zero_rate\n0,0.01\n1,0.01\n")
+        set_key(sc, "curves.risk_free", spec)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            f"{named.format(dir=tmp_path)} must be a finite number in (0, inf), got {value!r}"
         assert not (tmp_path / "out").exists()
 
     def test_edge_rates_accepted(self, tmp_path, capsys):
@@ -706,8 +731,9 @@ class TestRates:
         ("repo-curve", "repo.roe", 1e300),
     ])
     def test_book_rates_and_roe_exit_2(self, tmp_path, capsys, monkeypatch, command, key, value):
-        # a book's fixed-rate offset and band and the repo RoE hurdle are
-        # rates too: outside (-1, 1] they exit 2 before a book or curve is built
+        # a book's fixed-rate offset, its band and the repo RoE hurdle: outside
+        # their intervals they exit 2 before a book or curve is built
+        interval = "(-1, 1]" if key == "portfolio.rate_offset" else "[0, 1]"
         monkeypatch.setattr(cxva.scenario, "generate_portfolio",
                             fail_if_reached("generate_portfolio"))
         monkeypatch.setattr(cxva.cli, "repo_curve", fail_if_reached("repo_curve"))
@@ -718,7 +744,8 @@ class TestRates:
             sc = repo_scenario(tmp_path)
         set_key(sc, key, value)
         assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
-        assert validation_message(capsys).startswith(f"{key} must be a finite number in (-1, 1]")
+        assert validation_message(capsys) == \
+            f"{key} must be a finite number in {interval}, got {value!r}"
         assert not (tmp_path / "out").exists()
 
 
@@ -816,8 +843,8 @@ class TestCsvFiles:
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         path = tmp_path / "edited.csv"
         message = validation_message(capsys)
-        assert message.startswith(f"{key} {path} line 3 repeats the tenor "), message
-        assert message.endswith(f" of {key} {path} line 2"), message
+        assert message.startswith(f"{key} {path} line 3 repeats "), message
+        assert message.endswith(f", given first at {key} {path} line 2"), message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, newline", [
@@ -884,16 +911,28 @@ class TestRepoCurve:
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
     @pytest.mark.parametrize("tenors, message", [
-        ([0.5, 0.5], "repo.tenors[1] repeats repo.tenors[0]"),
-        ([1.0, 2.0, 0.5, 2.0], "repo.tenors[3] repeats repo.tenors[1]"),
-        ([-1.0], "repo.tenors[0] must be finite and > 0, got -1.0"),
-        ([1.0, 0.0], "repo.tenors[1] must be finite and > 0, got 0.0"),
+        ([0.5, 0.5], "repo.tenors[1] repeats 0.5, given first at repo.tenors[0]"),
+        ([1.0, 2.0, 0.5, 2.0], "repo.tenors[3] repeats 2.0, given first at repo.tenors[1]"),
+        ([-1.0], "repo.tenors[0] must be a finite number in (0, inf), got -1.0"),
+        ([1.0, 0.0], "repo.tenors[1] must be a finite number in (0, inf), got 0.0"),
     ], ids=["repeat", "later-repeat", "negative", "zero"])
     def test_bad_tenor_named(self, tmp_path, capsys, tenors, message):
         sc = repo_scenario(tmp_path)
         set_key(sc, "repo.tenors", tenors)
         assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert validation_message(capsys) == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("repo.asset", "NOPE", "repo.asset 'NOPE' is not in assets_file"),
+        ("curves.mu0", {"file": "missing.csv"}, "curves.mu0.file not found: {dir}/missing.csv"),
+        ("assets_file", "missing.csv", "assets_file not found: {dir}/missing.csv"),
+    ], ids=["asset", "curve-file", "assets-file"])
+    def test_missing_input_names_key(self, tmp_path, capsys, key, value, message):
+        sc = repo_scenario(tmp_path)
+        set_key(sc, key, value)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == message.format(dir=tmp_path)
         assert not (tmp_path / "out").exists()
 
     def test_unsorted_tenors_accepted(self, tmp_path):
@@ -921,15 +960,16 @@ class TestCollateralFractions:
         return "xva" if key == "xva_levels" else "price"
 
     @pytest.mark.parametrize("key, value, message", [
-        ("collateral.chi", 1.5, "collateral.chi must be in [0, 1], got 1.5"),
-        ("collateral.chi", -0.1, "collateral.chi must be in [0, 1], got -0.1"),
-        ("collateral.h_csa", 1.0, "collateral.h_csa must be in [0, 1), got 1.0"),
-        ("collateral.h_repo", 1.0, "collateral.h_repo must be in [0, 1), got 1.0"),
-        ("collateral.h_repo", -0.5, "collateral.h_repo must be in [0, 1), got -0.5"),
+        ("collateral.chi", 1.5, "collateral.chi must be a finite number in [0, 1], got 1.5"),
+        ("collateral.chi", -0.1, "collateral.chi must be a finite number in [0, 1], got -0.1"),
+        ("collateral.h_csa", 1.0, "collateral.h_csa must be a finite number in [0, 1), got 1.0"),
+        ("collateral.h_repo", 1.0, "collateral.h_repo must be a finite number in [0, 1), got 1.0"),
+        ("collateral.h_repo", -0.5,
+         "collateral.h_repo must be a finite number in [0, 1), got -0.5"),
         ("collateral.collateralization", 1.5,
-         "collateral.collateralization must be in [0, 1], got 1.5"),
-        ("xva_levels", [1.5], "xva_levels[0] must be in [0, 1], got 1.5"),
-        ("xva_levels", [0.0, -0.5], "xva_levels[1] must be in [0, 1], got -0.5"),
+         "collateral.collateralization must be a finite number in [0, 1], got 1.5"),
+        ("xva_levels", [1.5], "xva_levels[0] must be a finite number in [0, 1], got 1.5"),
+        ("xva_levels", [0.0, -0.5], "xva_levels[1] must be a finite number in [0, 1], got -0.5"),
     ], ids=["chi-above", "chi-below", "h_csa-one", "h_repo-one", "h_repo-below",
             "collateralization-above", "level-above", "level-below"])
     def test_out_of_range_named(self, tmp_path, capsys, key, value, message):
@@ -948,6 +988,73 @@ class TestCollateralFractions:
         sc = self.scenario(tmp_path)
         set_key(sc, key, value)
         assert run([self.command(key), "--scenario", sc, "--out", tmp_path / "out"]) == 0
+
+
+class TestIntervals:
+    """Every number key has its interval in SCHEMA: a value outside it, or
+    NaN, exits 2 naming the key and the interval, before any output; the
+    interval's closed ends are accepted."""
+
+    @staticmethod
+    def scenario(tmp_path, command):
+        if command == "price":
+            return write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        if command in ("xva", "mc"):
+            model = {"model": "one_factor_mc", "paths": 1000} if command == "mc" else {}
+            return write_scenario(tmp_path, portfolio=dict(SMALL_PORTFOLIO, n=20, **model),
+                                  quadrature_steps=41)
+        if command == "optimize":
+            return optimize_scenario(tmp_path)
+        return repo_scenario(tmp_path)
+
+    @pytest.mark.parametrize("command, key, value, interval", [
+        ("xva", "portfolio.payer_frac", 1.5, "[0, 1]"),
+        ("xva", "portfolio.payer_frac", -0.1, "[0, 1]"),
+        ("xva", "portfolio.payer_frac", float("nan"), "[0, 1]"),
+        ("xva", "portfolio.rate_band", -0.01, "[0, 1]"),
+        ("xva", "portfolio.maturity_min", 0.0, "(0, 100]"),
+        ("xva", "portfolio.maturity_max", 100.5, "(0, 100]"),
+        ("mc", "portfolio.vol", -0.01, "[0, 0.2]"),
+        ("repo-curve", "repo.roe", -0.1, "[0, 1]"),
+        ("repo-curve", "repo.expected_gap_loss", -0.1, "[0, 1]"),
+        ("price", "option.strike", -1.0, "[0, inf)"),
+        ("price", "option.spot", 0.0, "(0, inf)"),
+        ("price", "option.spot", float("nan"), "(0, inf)"),
+        ("price", "option.vol", 0.0, "(0, inf)"),
+        ("price", "grid.s_max_mult", 1.0, "(1, inf)"),
+        ("optimize", "optimizer.quantity", -1.0, "[0, inf)"),
+        ("optimize", "optimizer.hqla_floor", -1.0, "[0, inf)"),
+        ("optimize", "optimizer.tol", 0.0, "(0, inf)"),
+        ("optimize", "optimizer.tol", float("inf"), "(0, inf)"),
+        ("optimize", "optimizer.netting_sets[1].portfolio.payer_frac", 1.5, "[0, 1]"),
+    ])
+    def test_outside_exits_2(self, tmp_path, capsys, command, key, value, interval):
+        sc = self.scenario(tmp_path, command)
+        set_key(sc, key, value)
+        command = "xva" if command == "mc" else command
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            f"{key} must be a finite number in {interval}, got {value!r}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, values, code", [
+        ("mc", {"portfolio.vol": 0.0}, 0),
+        ("repo-curve", {"repo.roe": 0.0}, 0),
+        ("xva", {"portfolio.payer_frac": 0.0}, 0),
+        ("xva", {"portfolio.payer_frac": 1.0}, 0),
+        ("xva", {"portfolio.rate_band": 0.0}, 0),
+        ("price", {"option.payoff": "zcb", "option.strike": 0.0}, 0),
+        # read, and then the allocation LP has nothing to post
+        ("optimize", {"optimizer.quantity": 0.0}, 3),
+    ])
+    def test_closed_ends_accepted(self, tmp_path, capsys, command, values, code):
+        sc = self.scenario(tmp_path, command)
+        for key, value in values.items():
+            set_key(sc, key, value)
+        command = "xva" if command == "mc" else command
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == code
+        if code == 3:
+            assert json.loads(capsys.readouterr().err)["error"]["type"] == "solver"
 
 
 class TestFlags:
@@ -1029,8 +1136,18 @@ class TestOptimize:
         raw["optimizer"]["netting_sets"][1]["threshold"] = 8.0
         sc.write_text(json.dumps(raw))
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            "optimizer.netting_sets[1].threshold is not supported, got 8.0"
+        assert not (tmp_path / "out").exists()
+
+    def test_unscalable_target_names_key(self, tmp_path, capsys):
+        # the set's generated book is worth less than 0, as its target of -50 is
+        sc = optimize_scenario(tmp_path)
+        set_key(sc, "optimizer.netting_sets[0].target_mtm", 50.0)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         message = validation_message(capsys)
-        assert "S2" in message and "threshold" in message
+        assert message.startswith("optimizer.netting_sets[0].target_mtm: the generated MTM -")
+        assert message.endswith(" cannot be scaled to 50.0"), message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["optimize", "repo-curve"])

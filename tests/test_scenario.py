@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from collections.abc import Mapping
 from pathlib import Path
@@ -10,8 +11,8 @@ from cxva.collateral import CollateralAsset
 from cxva.curves import RateCurve
 from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
                            OneFactorMcModel)
-from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Scenario,
-                           ScenarioError)
+from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Key, Scenario,
+                           ScenarioError, read_flag)
 from cxva.xva import MAX_QUADRATURE_STEPS
 
 
@@ -131,7 +132,7 @@ class TestPortfolioBlock:
         assert len(sc.portfolio_profile(small).times) == MAX_PROFILE_POINTS
 
     def test_count_bounds_inclusive(self, tmp_path):
-        lo, hi = SCHEMA["scenario"]["quadrature_steps"].bounds
+        lo, hi, _ = SCHEMA["scenario"]["quadrature_steps"].bounds
         for good in (lo, float(hi)):
             sc = Scenario.load(write(tmp_path, dict(BASE, quadrature_steps=good)))
             assert sc.quadrature_steps == good
@@ -169,7 +170,9 @@ class TestNettingSets:
                            "profile_points": 21}},
         ]})
         sc = Scenario.load(write(tmp_path, payload))
-        with pytest.raises(ScenarioError, match="cannot be scaled"):
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"optimizer.netting_sets[0].target_mtm must be a finite number in "
+                f"(-inf, inf), got {target!r}")):
             sc.netting_sets()
 
 
@@ -212,9 +215,9 @@ class TestSchema:
                 found.append(dotted)
             elif key.kind == "object":
                 found += TestSchema.unknown_keys(value, key.section, dotted)
-            elif key.kind == "array" and key.item == "object":
+            elif key.kind == "array" and key.item.kind == "object":
                 for i, item in enumerate(value):
-                    found += TestSchema.unknown_keys(item, key.section, f"{dotted}[{i}]")
+                    found += TestSchema.unknown_keys(item, key.item.section, f"{dotted}[{i}]")
             elif key.kind == "curve" and isinstance(value, dict):
                 found += [f"{dotted}.{form}" for form in value if form not in CURVE_FORMS]
         return found
@@ -253,11 +256,29 @@ class TestSchema:
                    ("portfolio", "pay_freq"): exposure.PAY_FREQS}
         assert choices.keys() == library.keys()
         assert all(choices[k] is library[k] for k in library)
-        assert SCHEMA["sweep"]["points"].bounds == (2, MAX_SWEEP_POINTS)
+        assert SCHEMA["sweep"]["points"].bounds == (2, MAX_SWEEP_POINTS, "[]")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_number_interval_is_finite(self, value):
+        # each number key, and each item of an array of numbers, rejects the
+        # value naming itself; every array declares its item's own Key
+        numbers = 0
+        for section, keys in SCHEMA.items():
+            for name, key in keys.items():
+                if key.kind == "array":
+                    assert isinstance(key.item, Key), name
+                if key.kind == "number" or key.kind == "array" and key.item.kind == "number":
+                    given, named = ((value, name) if key.kind == "number"
+                                    else ([value], f"{name}[0]"))
+                    with pytest.raises(ScenarioError, match="^" + re.escape(
+                            f"{named} must be a finite number in ")):
+                        read_flag(name, section, name, given)
+                    numbers += 1
+        assert numbers == 29
 
     def test_grid_bounds_are_the_library_constants(self):
         for name in ("s_nodes", "t_steps"):
-            assert SCHEMA["grid"][name].bounds == (pde.MIN_GRID_SIZE, pde.MAX_GRID_SIZE)
+            assert SCHEMA["grid"][name].bounds == (pde.MIN_GRID_SIZE, pde.MAX_GRID_SIZE, "[]")
 
     def test_values_read_once(self, tmp_path):
         sc = Scenario.load(write(tmp_path, BASE))

@@ -8,7 +8,8 @@ key, gives it a value of another JSON kind or, for a key with a value set,
 a value outside that set, or sets a NaN, infinite, zero, negative or huge
 number. ``cxva.cli.main`` must then return 0 with
 every number it wrote finite, or return 2 or 3 with one JSON line on
-stderr; it must never raise.
+stderr; it must never raise. A number just outside its key's own interval
+must return 0 (the command never reads the key) or 2 naming the key.
 """
 
 import contextlib
@@ -91,10 +92,10 @@ def table_paths(raw: dict, section: str, prefix=()) -> list:
         out.append((path, key))
         if key.kind == "object" and isinstance(value, dict):
             out += table_paths(value, key.section, path)
-        if key.kind == "array" and key.item == "object" and isinstance(value, list):
+        if key.kind == "array" and key.item.kind == "object" and isinstance(value, list):
             for i, item in enumerate(value):
                 if isinstance(item, dict):
-                    out += table_paths(item, key.section, path + (i,))
+                    out += table_paths(item, key.item.section, path + (i,))
     return out
 
 
@@ -116,8 +117,19 @@ def changed(command: str, **values) -> tuple:
         node = raw
         for name in parents:
             node = node[int(name) if isinstance(node, list) else name]
-        node[leaf] = value
+        node[int(leaf) if isinstance(node, list) else leaf] = value
     return command, raw
+
+
+def test_table_paths_reach_array_items():
+    # each netting set's keys and its portfolio's, and both arrays of numbers
+    paths = table_paths(BASES["optimize"], "scenario")
+    for k in (0, 1):
+        found = {path[3:] for path, _ in paths if path[:3] == ("optimizer", "netting_sets", k)}
+        assert found == ({(name,) for name in SCHEMA["netting_set"]}
+                         | {("portfolio", name) for name in SCHEMA["portfolio"]})
+    assert [path for path, key in paths if key.kind == "array" and key.item.kind == "number"] \
+        == [("xva_levels",), ("repo", "tenors")]
 
 
 @st.composite
@@ -132,7 +144,7 @@ def mutated(draw):
         choices = ["drop", "wrong kind"]
         if key.kind in ("number", "integer", "curve"):
             choices.append("number")
-        if key.kind == "array" and key.item == "number":
+        if key.kind == "array" and key.item.kind == "number":
             choices.append("number item")
         if key.choices is not None:
             choices.append("not a choice")
@@ -149,6 +161,21 @@ def mutated(draw):
         else:
             parent[path[-1]] = [0.5, draw(st.sampled_from(NUMBERS))]
     return command, raw
+
+
+def run_scenario(command: str, raw: dict) -> tuple:
+    """(exit code, stderr, the numbers of each file written, by name) of
+    ``command`` run on the scenario ``raw``, the optimize run's assets
+    file beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        (Path(tmp) / "assets.csv").write_text(ASSETS_CSV, encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--scenario", str(scenario), "--out", str(out)])
+        written = {p.name: numbers_in(p) for p in sorted(out.iterdir())} if code == 0 else {}
+    return code, stderr.getvalue(), written
 
 
 def numbers_in(path: Path) -> list:
@@ -195,24 +222,74 @@ def numbers_in(path: Path) -> list:
 @example(changed("optimize", optimizer__netting_sets__0__target_mtm=0.0))
 @example(changed("optimize", optimizer__quantity=0.0))
 def test_mutated_scenario_exits_cleanly(case):
-    command, raw = case
-    with tempfile.TemporaryDirectory() as tmp:
-        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
-        scenario.write_text(json.dumps(raw), encoding="utf-8")
-        (Path(tmp) / "assets.csv").write_text(ASSETS_CSV, encoding="utf-8")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, "--scenario", str(scenario), "--out", str(out)])
-        if code == 0:
-            files = sorted(out.iterdir())
-            assert files
-            for path in files:
-                assert all(math.isfinite(x) for x in numbers_in(path)), path.name
-        else:
-            assert code in (2, 3)
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1
-            assert set(json.loads(lines[0])) == {"error"}
+    code, stderr, written = run_scenario(*case)
+    if code == 0:
+        assert written
+        for name, numbers in written.items():
+            assert all(math.isfinite(x) for x in numbers), name
+    else:
+        assert code in (2, 3)
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
+
+
+def interval(bounds) -> str:
+    lo, hi, (left, right) = bounds
+    return f"{left}{lo:g}, {hi:g}{right}"
+
+
+def outside(bounds) -> list:
+    """NaN, both infinities and the nearest numbers outside the interval ``bounds``."""
+    lo, hi, (left, right) = bounds
+    values = [math.nan, math.inf, -math.inf]
+    if math.isfinite(lo):
+        values.append(lo if left == "(" else math.nextafter(lo, -math.inf))
+    if math.isfinite(hi):
+        values.append(hi if right == ")" else math.nextafter(hi, math.inf))
+    return values
+
+
+def dotted(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+@st.composite
+def out_of_range(draw):
+    """(command, scenario, message): one number key, or an item of an array
+    of numbers, of a base scenario set outside its interval, and the message
+    a run that reads it exits 2 with."""
+    command = draw(st.sampled_from(sorted(BASES)))
+    raw = json.loads(json.dumps(BASES[command]))
+    path, key = draw(st.sampled_from([
+        (path, key) for path, key in table_paths(raw, "scenario")
+        if key.kind == "number" or key.kind == "array" and key.item.kind == "number"]))
+    parent = raw
+    for name in path[:-1]:
+        parent = parent[name]
+    if key.kind == "array":
+        parent[path[-1]] = [0.5, 0.5]
+        parent, path, key = parent[path[-1]], path + (1,), key.item
+    value = draw(st.sampled_from(outside(key.bounds)))
+    parent[path[-1]] = value
+    return command, raw, (f"{dotted(path)} must be a finite number in {interval(key.bounds)}, "
+                          f"got {value!r}")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(out_of_range())
+# each once exited 2 with a message that named no key
+@example((*changed("xva", portfolio__payer_frac=1.5),
+          "portfolio.payer_frac must be a finite number in [0, 1], got 1.5"))
+@example((*changed("xva", curves__risk_free__nodes__0__0=-1.0),
+          "curves.risk_free.nodes[0] must be a finite number in (0, inf), got -1.0"))
+def test_out_of_range_number_named(case):
+    command, raw, message = case
+    code, stderr, _ = run_scenario(command, raw)
+    assert code in (0, 2)
+    if code == 2:
+        assert json.loads(stderr)["error"]["message"] == message
 
 
 # the files a repo-curve run reads, by the key that names them
