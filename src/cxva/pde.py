@@ -13,14 +13,15 @@ one-sided convection.
 
 The Picard iteration is a policy iteration on the node rates: a sweep's
 operator depends on the value only through the rate each node reads, the
-r_e of the side sign(V) selects. A step stops when the node rates rebuilt
-from a sweep's result equal the rates that sweep used: the next sweep
-would rebuild a bitwise-identical system and return the same vector with
+r_e of the side sign(V) selects. A step stops when a sweep's result has
+the sign mask the sweep's node rates were read from: the next sweep would
+rebuild a bitwise-identical system and return the same vector with
 residual exactly 0, so that confirming sweep is counted but not run. The
 stop is exact, not a looser tolerance; solutions and sweep counts are
-those of iterating until the residual falls below ``PICARD_TOL``. For the
-same reason the accepted sweep's operator is reused as the next step's
-explicit side when the accepted value reads the rates it was built from.
+those of iterating until the residual falls below ``PICARD_TOL``. The
+residual itself is computed only where it can change the count: after a
+sweep that moved a sign, or where ending the step with or without the
+confirming sweep would raise the solve's largest sweep count.
 The risk-free value V* is the same solve under ``risk_free_spec``, whose
 r_e is r on both sides: its rates never move, so each step runs one sweep.
 
@@ -34,21 +35,29 @@ Each part of the system is built at the level where its inputs can change,
 with the same element-wise arithmetic as building the whole operator per
 sweep, so values and sweep counts are unchanged bit for bit:
 
-- per solve: the diffusion band 0.5 sigma^2 S^2 / dS^2 and its -2 multiple;
-- per step: the convection bands (``_convection``) and the implicit
-  sub- and super-diagonals, both kept from the previous step while the
-  step's convection and theta*h are bitwise the same (on a flat risk-free
-  curve the bands are built once per solve);
-- per sweep: the main diagonal (``_diagonal``) under the sweep's node rates.
+- per solve: the diffusion band 0.5 sigma^2 S^2 / dS^2 and its -2 multiple,
+  and the buffers the explicit side is written into;
+- per step: the explicit side v + (1 - theta) h A v;
+- on change only, each kept while its inputs are bitwise the same: the
+  convection bands (``_convection``) when the step's convection moves; the
+  implicit sub- and super-diagonals when the bands or theta*h move; the
+  node rates (``_node_rates``) when a sign moves or the step's rate row
+  moves; the main diagonal (``_diagonal``) when the node rates or the bands
+  move; the implicit main diagonal 1 - theta*h diag when that diagonal or
+  theta*h moves. On a flat curve the bands, rates and diagonal are built
+  once per solve unless a sign moves.
 
-At a step time where both sides' r_e are equal, a sign change moves no
-node rate, so the step's first sweep is at the fixed point and the rates
-are not rebuilt from its result. Memory stays O(s_nodes): nothing is
+The explicit side reads the main diagonal the previous step's last sweep
+solved with whenever the accepted value has the signs that sweep's rates
+came from. At a step time where both sides' r_e are equal, a sign change
+moves no node rate, so the step's first sweep is at the fixed point and
+the signs are not compared. Memory stays O(s_nodes): nothing is
 tabulated over steps and nodes at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -179,10 +188,10 @@ class _ForwardTable:
             (spec.side(-1).rate(t, risk_free), spec.side(+1).rate(t, risk_free)), axis=1))
 
 
-def _node_rates(fwd: _ForwardTable, k: int, v: np.ndarray) -> np.ndarray:
-    """Per-node effective rate at step time fwd.t[k] from the sign of v
-    (V=0 counts as a payable), picked by the indicator V > 0."""
-    return fwd.rates[k].take(v > 0.0)
+def _node_rates(fwd: _ForwardTable, k: int, pos: np.ndarray) -> np.ndarray:
+    """Per-node effective rate at step time fwd.t[k], picked by the sign
+    mask ``pos`` = V > 0 (V=0 counts as a payable)."""
+    return fwd.rates[k].take(pos)
 
 
 class _Convection(NamedTuple):
@@ -217,6 +226,22 @@ def _diagonal(neg_2d2: np.ndarray, band: _Convection, rho: np.ndarray) -> np.nda
     return diag
 
 
+def _moves(table: np.ndarray) -> list:
+    """Whether row k of ``table`` differs bit for bit from row k - 1 (row 0
+    counts as moved)."""
+    bits = table.view(np.int64).reshape(len(table), -1)
+    return [True] + (bits[1:] != bits[:-1]).any(axis=1).tolist()
+
+
+@functools.cache
+def _dgtsv():
+    """LAPACK ``dgtsv``, imported on first use so that loading the package
+    does not load scipy (about 30 MB and 0.3 s) for commands that never
+    solve a PDE, and looked up once per process."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def solve_banded(lower, diag, upper, rhs):
     """Solve the tridiagonal system with sub-, main and super-diagonals
     ``lower``, ``diag`` and ``upper`` for the right-hand side ``rhs``.
@@ -224,14 +249,11 @@ def solve_banded(lower, diag, upper, rhs):
     Calls LAPACK ``dgtsv``, the routine ``scipy.linalg.solve_banded``
     dispatches (1, 1) bands to, without that function's argument handling,
     and keeps its checks: non-finite input raises ValueError, a singular
-    system LinAlgError. scipy is imported on first use so that loading the
-    package does not load it (about 30 MB and 0.3 s) for commands that
-    never solve a PDE.
+    system LinAlgError. The inputs are not overwritten.
     """
-    from scipy.linalg.lapack import dgtsv
     if not np.isfinite(np.concatenate((lower, diag, upper, rhs))).all():
         raise ValueError("tridiagonal system must not contain infs or NaNs")
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    *_, x, info = _dgtsv()(lower, diag, upper, rhs)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info {info})")
     return x
@@ -252,53 +274,82 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
 
     d2 = 0.5 * option.vol * option.vol * s * s / (ds * ds)
     neg_2d2 = -2.0 * d2
-    # whether step i's convection differs from step i - 1's bit for bit,
-    # and whether both sides' r_e are equal at each step time: there a
-    # sign change moves no node rate
-    bits = conv.view(np.int64)
-    conv_moves = (bits[1:] != bits[:-1]).tolist()
+    # at each step time: whether the convection and the rate row differ bit
+    # for bit from the previous step time's, and whether both sides' r_e are
+    # equal, so that a sign change moves no node rate
+    conv_moves = _moves(conv)
+    row_moves = _moves(fwd.rates)
     sides_equal = (fwd.rates[:, 0] == fwd.rates[:, 1]).tolist()
     step_t = fwd.t.tolist()
 
     v = option.terminal_value(s)
-    rho = _node_rates(fwd, 0, v)
+    # rho holds the node rates read from the sign mask pos, diag the
+    # operator's main diagonal under rho and band, and implicit the system's,
+    # 1 - th diag; each is rebuilt only when what it is built from moved
+    pos = v > 0.0
+    rho = _node_rates(fwd, 0, pos)
     band = _convection(d2, s, ds, conv[0])
+    diag = _diagonal(neg_2d2, band, rho)
+    diag_stale = implicit_stale = False
     th = None
     max_iters = 0
-    # whether the last sweep's diagonal was built from the rates in rho
-    fixed = False
+    # the explicit side and its off-diagonal terms, written in place; the
+    # explicit side becomes the right-hand side once v is added
+    rhs = np.empty_like(s)
+    term = np.empty_like(s)
 
     for i in range(len(step_t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = step_t[i] - step_t[i + 1]
-        # the previous step's last diagonal was built at this step's start
-        # time, so it is the explicit side's if built from v's rates there
-        if not fixed:
+        # rho holds v's node rates at this step's start time, where the
+        # previous step's sweeps ran
+        if diag_stale:
             diag = _diagonal(neg_2d2, band, rho)
-        explicit = diag * v
-        explicit[1:] += band.lower[1:] * v[:-1]
-        explicit[:-1] += band.upper[:-1] * v[1:]
-        rhs = v + (1.0 - theta) * h * explicit
+            diag_stale, implicit_stale = False, True
+        np.multiply(diag, v, out=rhs)
+        np.multiply(band.lower[1:], v[:-1], out=term[1:])
+        rhs[1:] += term[1:]
+        np.multiply(band.upper[:-1], v[1:], out=term[:-1])
+        rhs[:-1] += term[:-1]
+        np.multiply((1.0 - theta) * h, rhs, out=rhs)
+        np.add(v, rhs, out=rhs)
 
-        if conv_moves[i]:
+        if conv_moves[i + 1]:
             band = _convection(d2, s, ds, conv[i + 1])
-        if conv_moves[i] or theta * h != th:
+            diag_stale = True
+        if conv_moves[i + 1] or theta * h != th:
             th = theta * h
             sub = -th * band.lower[1:]
             sup = -th * band.upper[:-1]
+            implicit_stale = True
+        if row_moves[i + 1]:
+            pos = v > 0.0
+            rho = _node_rates(fwd, i + 1, pos)
+            diag_stale = True
 
-        guess, rho = v, _node_rates(fwd, i + 1, v)
+        guess = v
         for it in range(1, PICARD_MAX_ITER + 1):
-            diag = _diagonal(neg_2d2, band, rho)
-            v_new = solve_banded(sub, 1.0 - th * diag, sup, rhs)
+            if diag_stale:
+                diag = _diagonal(neg_2d2, band, rho)
+                diag_stale, implicit_stale = False, True
+            if implicit_stale:
+                implicit = 1.0 - th * diag
+                implicit_stale = False
+            v_new = solve_banded(sub, implicit, sup, rhs)
+            fixed = sides_equal[i + 1]
+            if not fixed:
+                swept = v_new > 0.0
+                fixed = swept.tobytes() == pos.tobytes()
+                if not fixed:
+                    pos = swept
+                    rho = _node_rates(fwd, i + 1, pos)
+                    diag_stale = True
+            if fixed and it < max_iters:
+                # ending here or after the confirming sweep leaves the
+                # sweep count at max_iters, so the residual decides nothing
+                break
             residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
             guess = v_new
-            if sides_equal[i + 1]:
-                fixed = True
-            else:
-                rebuilt = _node_rates(fwd, i + 1, v_new)
-                fixed = np.array_equal(rebuilt, rho)
-                rho = rebuilt
             if residual < PICARD_TOL:
                 break
             if it < PICARD_MAX_ITER and fixed:
@@ -309,7 +360,7 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
         else:
             raise PicardConvergenceError(fwd.t[i + 1], residual, PICARD_MAX_ITER)
         max_iters = max(max_iters, it)
-        v = guess
+        v = v_new
 
     return PdeSolution(s=s, v0=v, value=float(np.interp(option.spot, s, v)),
                        max_picard_iters=max_iters)

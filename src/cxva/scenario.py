@@ -359,8 +359,13 @@ class Scenario:
                                  repo_spread_c=cfg["repo_spread"])
 
     def option(self, position: float = 1.0) -> OptionSpec:
-        """The option block, its vol bounded by the grid's reach (see SCHEMA)."""
-        option = OptionSpec(**self.config["option"], position=position)
+        """The option block, its strike positive unless it pays a zcb and its
+        vol bounded by the grid's reach (see SCHEMA)."""
+        cfg = self.config["option"]
+        if cfg["payoff"] != "zcb" and cfg["strike"] == 0.0:
+            raise ScenarioError(f"option.strike must be > 0 when option.payoff is "
+                                f"{cfg['payoff']!r}, got {cfg['strike']!r}")
+        option = OptionSpec(**cfg, position=position)
         limit = math.log(self.grid().s_max_mult) / (2.0 * math.sqrt(option.maturity))
         if not option.vol <= limit:
             raise ScenarioError(f"option.vol must be at most ln(grid.s_max_mult) / "
@@ -379,9 +384,12 @@ class Scenario:
 
     def portfolio(self, cfg=None, seed_offset: int = 0) -> SwapBook:
         cfg = self._portfolio(cfg)
+        lo, hi = cfg["maturity_min"], cfg["maturity_max"]
+        if not lo <= hi:
+            raise ScenarioError(f"{cfg.path}.maturity_min must be at most {cfg.path}.maturity_max, "
+                                f"got {lo!r} > {hi!r}")
         return generate_portfolio(
-            n=cfg["n"], payer_frac=cfg["payer_frac"],
-            maturity_range=(cfg["maturity_min"], cfg["maturity_max"]),
+            n=cfg["n"], payer_frac=cfg["payer_frac"], maturity_range=(lo, hi),
             rate_band=cfg["rate_band"], seed=self.seed + seed_offset, curve=self.risk_free,
             rate_offset=cfg["rate_offset"], pay_freq=cfg["pay_freq"], notional=cfg["notional"])
 

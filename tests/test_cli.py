@@ -177,6 +177,18 @@ class TestPrice:
         assert repr(vol) in message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["price", "sweep"])
+    @pytest.mark.parametrize("payoff", ["call", "put", "forward"])
+    def test_zero_strike_names_keys(self, tmp_path, capsys, monkeypatch, command, payoff):
+        # only the unit zcb payoff may leave the strike at 0
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        option = dict(OPTION_BLOCK, payoff=payoff, strike=0.0)
+        sc = write_scenario(tmp_path, option=option, grid=SMALL_GRID)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            f"option.strike must be > 0 when option.payoff is '{payoff}', got 0.0"
+        assert not (tmp_path / "out").exists()
+
     def test_vol_at_grid_reach_accepted(self, tmp_path):
         option = dict(OPTION_BLOCK, vol=0.8, maturity=1.0)
         sc = write_scenario(tmp_path, option=option, grid=dict(SMALL_GRID, s_max_mult=5.0))
@@ -332,6 +344,16 @@ class TestXva:
         set_key(sc, f"portfolio.{key}", value)
         assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert field in validation_message(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_maturity_min_above_max_names_keys(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cxva.scenario, "exposure_profile",
+                            fail_if_reached("exposure_profile"))
+        portfolio = dict(SMALL_PORTFOLIO, n=20, maturity_min=20.0, maturity_max=10.0)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41)
+        assert run(["xva", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            "portfolio.maturity_min must be at most portfolio.maturity_max, got 20.0 > 10.0"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -1138,6 +1160,15 @@ class TestOptimize:
         assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert validation_message(capsys) == \
             "optimizer.netting_sets[1].threshold is not supported, got 8.0"
+        assert not (tmp_path / "out").exists()
+
+    def test_maturity_min_above_max_names_keys(self, tmp_path, capsys):
+        sc = optimize_scenario(tmp_path)
+        set_key(sc, "optimizer.netting_sets[1].portfolio.maturity_min", 25.0)
+        assert run(["optimize", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        key = "optimizer.netting_sets[1].portfolio"
+        assert validation_message(capsys) == \
+            f"{key}.maturity_min must be at most {key}.maturity_max, got 25.0 > 20.0"
         assert not (tmp_path / "out").exists()
 
     def test_unscalable_target_names_key(self, tmp_path, capsys):

@@ -8,15 +8,17 @@ import pytest
 from cxva import pde
 from cxva.collateral import CollateralState
 from cxva.curves import PartyCurves, RateCurve, combine_curves
-from cxva.discounting import EffectiveRateSpec, risk_free_spec
+from cxva.discounting import EffectiveRateSpec, counterparty_risk_spec, risk_free_spec
 from cxva.exposure import ExposureProfile
 from cxva.pde import (GridSpec, OptionSpec, PdeError, PicardConvergenceError,
                       solve, xva_pde)
+from cxva.scenario import Scenario
 from cxva.xva import decompose
 
 from conftest import effective_rate, make_spec
 from oracles import black_scholes, forward_exposure
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ATM_CALL = OptionSpec(payoff="call", strike=100.0, maturity=1.0, spot=100.0,
                        vol=0.5)
 
@@ -139,8 +141,7 @@ class TestRateTable:
     """The forwards tabulated once per solve give the solver exactly the
     rates a scalar ``effective_rate`` lookup gives at every step time."""
 
-    OIS = RateCurve.from_nodes(np.loadtxt(Path(__file__).resolve().parent.parent / "scenarios"
-                                          / "curves" / "ois_sloped.csv", delimiter=",",
+    OIS = RateCurve.from_nodes(np.loadtxt(SCENARIOS / "curves" / "ois_sloped.csv", delimiter=",",
                                           skiprows=1), "OIS")
     CASH = RateCurve.from_nodes([(0.5, 0.012), (2.0, 0.016), (4.0, 0.015)], "cash")
     # sign-changing payoff, so both sides' rates are read
@@ -212,26 +213,50 @@ class TestRateTable:
 
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
     def test_node_rates_equal_effective_rate(self, monkeypatch, mode):
+        # every system solved is 1 - theta h A for the whole operator A at
+        # the step's convection and at the rates a scalar effective_rate
+        # lookup gives the signs of the iterate the sweep started from, and
+        # its right-hand side is v + (1 - theta) h A v at the step's start
         spec = self._spec(mode)
-        log = self._spy(monkeypatch, "_node_rates", "_diagonal")
+        log = []
+
+        def spy(*args, _real=pde.solve_banded):
+            x = _real(*args)
+            log.append([np.array(arg) for arg in args] + [x])  # the solver reuses buffers
+            return x
+
+        monkeypatch.setattr(pde, "solve_banded", spy)
         solve(self.OPTION, spec, self.GRID)
-        # (step table, time index, value) each rate vector was built from;
-        # the log keeps every vector alive, so ids are not reused
-        built_from = {id(out): args for name, args, out in log if name == "_node_rates"}
-        seen = set()
-        for _, (_, band, rho), diag in (entry for entry in log if entry[0] == "_diagonal"):
-            fwd, k, v = built_from[id(rho)]
-            t = fwd.t[k]
-            expected = np.where(v > 0.0, effective_rate(spec, t, +1),
-                                effective_rate(spec, t, -1))
-            assert np.array_equal(rho, expected), t
+        s = np.linspace(0.0, self.GRID.s_max_mult * max(self.OPTION.spot, self.OPTION.strike),
+                        self.GRID.s_nodes + 1)
+        step_t = self._step_times()
+
+        def operator(t, v):
+            rho = np.where(v > 0.0, effective_rate(spec, t, +1), effective_rate(spec, t, -1))
             # the stock is financed at the risk-free rate
             conv = self.OIS.forward_rate(t) - self.OPTION.div_yield
-            assert self._is_operator(band, diag, conv, rho), t
-            seen.add(float(t))
-        assert seen == set(self._step_times())
-        signs = np.concatenate([args[2] > 0.0 for name, args, _ in log
-                                if name == "_node_rates"])
+            return _operator(s, s[1] - s[0], conv, self.OPTION.vol, rho)
+
+        start = self.OPTION.terminal_value(s)
+        i, rhs_i, signs = -1, None, []
+        for lower, diag, upper, rhs, x in log:
+            # a sweep of the same step solves for the same right-hand side;
+            # each step starts from the value the last one accepted
+            if rhs_i is None or not np.array_equal(rhs, rhs_i):
+                i, rhs_i = i + 1, rhs
+                theta = 1.0 if i < 2 else 0.5
+                h = step_t[i] - step_t[i + 1]
+                assert np.array_equal(
+                    rhs, start + (1.0 - theta) * h * _apply(*operator(step_t[i], start), start))
+            op_lower, op_diag, op_upper = operator(step_t[i + 1], start)
+            th = theta * h
+            assert np.array_equal(lower, -th * op_lower[1:]), step_t[i + 1]
+            assert np.array_equal(diag, 1.0 - th * op_diag), step_t[i + 1]
+            assert np.array_equal(upper, -th * op_upper[:-1]), step_t[i + 1]
+            signs.append(start > 0.0)
+            start = x
+        assert i == len(step_t) - 2
+        signs = np.concatenate(signs)
         assert signs.any() and not signs.all()
 
     def test_risk_free_spec_rate_is_risk_free_forward(self):
@@ -342,14 +367,26 @@ class TestFixedPointStop:
         return dataclasses.replace(TestRateTable.OPTION, payoff=payoff, position=position)
 
     def _count_solves(self, monkeypatch) -> list:
+        """Log the right-hand side of each banded solve."""
         calls = []
 
         def counting(*args, _real=pde.solve_banded):
-            calls.append(1)
+            calls.append(args[3].copy())
             return _real(*args)
 
         monkeypatch.setattr(pde, "solve_banded", counting)
         return calls
+
+    @staticmethod
+    def _solves_per_step(calls: list) -> list:
+        """Banded solves of each step: a step's sweeps share its right-hand
+        side."""
+        counts = []
+        for k, rhs in enumerate(calls):
+            if k == 0 or not np.array_equal(rhs, calls[k - 1]):
+                counts.append(0)
+            counts[-1] += 1
+        return counts
 
     @pytest.mark.parametrize("star", [False, True])
     @pytest.mark.parametrize("position", [1.0, -1.0])
@@ -363,6 +400,38 @@ class TestFixedPointStop:
         v0, iters = reference_solve(option, spec, self.GRID, risk_free_override=star)
         assert np.array_equal(sol.v0, v0)
         assert sol.max_picard_iters == iters
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("position", [1.0, -1.0])
+    def test_equals_full_sweep_iteration_on_sweep_shape(self, position, eta):
+        # the option sweep's solves on its 300 x 60 grid: the total spec,
+        # its counterparty-risk twin and V*, from the shipped atm_call inputs
+        scenario = Scenario.load(SCENARIOS / "atm_call.json")
+        option = scenario.option(position=position)
+        spec = scenario.effective_spec(collateralization=eta)
+        grid = GridSpec(s_nodes=300, t_steps=60)
+        for rates, star in ((spec, False), (counterparty_risk_spec(spec), False), (spec, True)):
+            sol = solve(option, risk_free_spec(rates.risk_free) if star else rates, grid)
+            v0, iters = reference_solve(option, rates, grid, risk_free_override=star)
+            assert np.array_equal(sol.v0, v0), (rates.mode, star)
+            assert sol.max_picard_iters == iters, (rates.mode, star)
+
+    @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
+    def test_late_step_raises_sweep_count(self, monkeypatch, mode):
+        # a short forward on a 300-node grid: every step before a late one
+        # stops after its first sweep; the late one moves a sign, so its
+        # sweep count exceeds every earlier step's and its residual counts
+        calls = self._count_solves(monkeypatch)
+        option = self._option("forward", -1.0)
+        spec = TestRateTable()._spec(mode)
+        grid = GridSpec(s_nodes=300, t_steps=60)
+        sol = solve(option, spec, grid)
+        per_step = self._solves_per_step(calls)
+        late = per_step.index(2)
+        assert late > 10 and set(per_step[:late]) == {1}
+        v0, iters = reference_solve(option, spec, grid)
+        assert np.array_equal(sol.v0, v0)
+        assert sol.max_picard_iters == iters == 3
 
     @pytest.mark.parametrize("position", [1.0, -1.0])
     def test_equal_side_rates_decided_per_step(self, position):
