@@ -135,6 +135,13 @@ def combine_curves(curves: Sequence[RateCurve], weights: Sequence[float],
     return RateCurve(tuple(ts), tuple(zts / ts), label)
 
 
+def dominates(upper: RateCurve, lower: RateCurve) -> bool:
+    """Whether upper's zero rate is >= lower's (to 1e-12) at every node of
+    either curve."""
+    ts = np.asarray(sorted(set(upper.tenors) | set(lower.tenors)))
+    return not np.any(upper.zero_rate(ts) < lower.zero_rate(ts) - 1e-12)
+
+
 @dataclass(frozen=True)
 class PartyCurves:
     """One party's funding complex: unsecured bond curve, liquidity rate
@@ -156,9 +163,7 @@ class PartyCurves:
             liq = combine_curves([self.bond, self.hazard], [1.0, -1.0],
                                  label=f"{self.bond.label}-liquidity")
             object.__setattr__(self, "liquidity", liq)
-        ts = sorted(set(self.bond.tenors) | set(self.liquidity.tenors))
-        ts = np.asarray(ts)
-        if np.any(self.bond.zero_rate(ts) < self.liquidity.zero_rate(ts) - 1e-12):
+        if not dominates(self.bond, self.liquidity):
             raise CurveError("bond rate must be >= liquidity rate at every tenor")
         if self.hazard is not None:
             hz = np.asarray(self.hazard.rates)

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .collateral import CollateralState
-from .curves import CurveError, PartyCurves, RateCurve, combine_curves
+from .curves import CurveError, PartyCurves, RateCurve, combine_curves, dominates
 
 MODES = ("uncollateralized", "cash_comingled", "cash_segregated", "noncash",
          "initial_margin")
@@ -87,8 +85,7 @@ class EffectiveRateSpec:
         if self.mode == "cash_comingled" and self.cash_rate is None:
             raise ValueError("mode 'cash_comingled' needs a cash_rate curve")
         for party in (self.party_b, self.party_c):
-            ts = np.asarray(sorted(set(party.liquidity.tenors) | set(self.risk_free.tenors)))
-            if np.any(party.liquidity.zero_rate(ts) < self.risk_free.zero_rate(ts) - 1e-12):
+            if not dominates(party.liquidity, self.risk_free):
                 raise CurveError("liquidity rate must be >= risk-free rate at every tenor")
 
         # the mode's policy: uncollateralized protects nothing; declared-

@@ -70,8 +70,9 @@ class NettingSet:
     profile: ExposureProfile
 
     def __post_init__(self) -> None:
-        if self.requirement < 0.0:
-            raise AllocationError(f"{self.id}: requirement must be >= 0")
+        if not 0.0 <= self.requirement < np.inf:
+            raise AllocationError(f"{self.id}: requirement must be finite and >= 0, "
+                                  f"got {self.requirement}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi
-from .curves import PartyCurves, RateCurve, combine_curves
+from .curves import PartyCurves, RateCurve, combine_curves, dominates
 from .discounting import MODES, EffectiveRateSpec
 from .exposure import (MAX_FACTOR_VOL, MAX_MATURITY, MAX_MEAN_REVERSION, MAX_NOTIONAL,
                        MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, MIN_MEAN_REVERSION, PAY_FREQS,
@@ -334,25 +334,44 @@ class Scenario:
     def risk_free(self) -> RateCurve:
         return self.curve("risk_free")
 
-    def party(self, side: str) -> PartyCurves:
-        """Party curves from spreads over risk-free (or explicit curve specs)."""
+    def _party(self, side: str) -> tuple[PartyCurves, str]:
+        """A party's curves, each from its curve spec or else its spread over
+        risk-free, the bond curve at or above the liquidity curve; and the
+        key that set the liquidity curve."""
         cfg = self.config["parties"][side]
+        curves, keys = {}, {}
+        for curve in ("bond", "liquidity"):
+            key = f"parties.{side}.{curve}"
+            if cfg[curve] is not None:
+                curves[curve], keys[curve] = cfg[curve], key
+            elif (spread := cfg[f"{curve}_spread"]) is not None:
+                curves[curve] = combine_curves([self.risk_free, RateCurve.flat(spread)],
+                                               [1.0, 1.0], f"{curve}_{side}")
+                keys[curve] = f"{key}_spread"
+            else:  # PartyCurves builds liquidity as bond - hazard
+                curves[curve], keys[curve] = None, f"{keys['bond']} - parties.{side}.hazard"
+        if curves["liquidity"] is not None and not dominates(curves["bond"], curves["liquidity"]):
+            raise ScenarioError(f"{keys['bond']} must give a bond rate >= the liquidity rate "
+                                f"of {keys['liquidity']} at every tenor")
+        return PartyCurves(**curves, hazard=cfg["hazard"]), keys["liquidity"]
 
-        def over_risk_free(curve: str) -> RateCurve | None:
-            spread = cfg[f"{curve}_spread"]
-            return None if spread is None else combine_curves(
-                [self.risk_free, RateCurve.flat(spread)], [1.0, 1.0], f"{curve}_{side}")
-
-        return PartyCurves(bond=cfg["bond"] or over_risk_free("bond"),
-                           liquidity=cfg["liquidity"] or over_risk_free("liquidity"),
-                           hazard=cfg["hazard"])
+    def party(self, side: str) -> PartyCurves:
+        return self._party(side)[0]
 
     def effective_spec(self, collateralization: float | None = None) -> EffectiveRateSpec:
+        """The scenario's rate spec, each party's liquidity curve at or above
+        curves.risk_free."""
         cfg = self.config["collateral"]
         eta = cfg["collateralization"] if collateralization is None else collateralization
         x = cfg["chi"] if cfg["chi"] is not None else chi(cfg["h_repo"], cfg["h_csa"])
+        parties = {}
+        for side in ("b", "c"):
+            parties[side], liquidity_key = self._party(side)
+            if not dominates(parties[side].liquidity, self.risk_free):
+                raise ScenarioError(f"{liquidity_key} must give a liquidity rate >= the "
+                                    f"risk-free rate of curves.risk_free at every tenor")
         # every mode gets the cash curve; the spec reads it only where the mode funds cash
-        return EffectiveRateSpec(party_b=self.party("b"), party_c=self.party("c"),
+        return EffectiveRateSpec(party_b=parties["b"], party_c=parties["c"],
                                  risk_free=self.risk_free, mode=cfg["mode"],
                                  state=CollateralState(eta_b=eta, eta_c=eta, chi_b=x, chi_c=x),
                                  cash_rate=self.curve("cash") or self.risk_free,

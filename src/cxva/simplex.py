@@ -12,10 +12,22 @@ pivot was degenerate; the ratio test breaks ties by Bland's rule too. A
 cycle is made only of degenerate pivots, all priced by Bland's rule, which
 never cycles, so the solve terminates; every choice is deterministic. The
 returned x comes from one dense solve on the final basis.
+
+An iteration either pivots or flips the entering column to its other bound
+without a basis change. Iteration counts include the flips. Each iteration
+recomputes only what its inputs moved:
+- x_B = B^-1 (b - A x_N), every iteration;
+- b - A x_N, only after a flip or a pivot that moves a nonbasic column
+  to or from its upper bound;
+- the reduced costs c - (c_B B^-1) A and the pricing scores built from
+  them, only after a pivot: a flip leaves the basis and B^-1 as they were,
+  and only negates the flipped column's score.
+c_B and the basic upper bounds are kept as arrays, updated at each pivot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,37 +72,49 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 def _phase(c, a, b, upper, basis, at_upper, max_iter):
     """Primal simplex sweeps from a feasible basis; mutates basis/at_upper."""
     m, n = a.shape
+    a_t = np.ascontiguousarray(a.T)  # row j is column j of A
     in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
+    upper_l = upper.tolist()
+    c_b = c[basis]
+    upper_b = upper[basis]
+    finite_b = np.isfinite(upper_b)
     binv = _inverse(a[:, basis])
     changes = 0
     degenerate = False
     iterations = 0
+    r = None  # b - A x_N; None when the nonbasic columns at upper bound moved
+    score = None  # signed reduced costs, basic columns masked; None after a pivot
     while True:
         iterations += 1
         if iterations > max_iter:
             raise LpSolverError(f"simplex exceeded {max_iter} iterations")
-        x_n = np.where(at_upper & ~in_basis, upper, 0.0)
-        x_b = binv @ (b - a @ x_n)
-        rc = c - (c[basis] @ binv) @ a
-        eligible = ~in_basis & np.where(at_upper, rc < -_TOL, rc > _TOL)
-        if not eligible.any():
-            break
+        if r is None:
+            r = b - a @ np.where(at_upper & ~in_basis, upper, 0.0)
+        x_b = binv @ r
+        if score is None:
+            rc = c - (c_b @ binv) @ a
+            # > _TOL where raising (at 0) or lowering (at upper) the column improves
+            score = np.where(at_upper, -rc, rc)
+            score[in_basis] = -math.inf
         if degenerate:
-            entering = int(np.argmax(eligible))
+            entering = int((score > _TOL).argmax())
         else:
-            entering = int(np.argmax(np.where(eligible, np.abs(rc), -1.0)))
+            entering = int(score.argmax())
+        if not score[entering] > _TOL:
+            break
 
         # entering moves by step >= 0: up from 0, or down from its upper bound
-        column = binv @ a[:, entering]
-        d = -column if at_upper[entering] else column
-        u_b = upper[basis]
+        column = binv @ a_t[entering]
+        entering_at_upper = bool(at_upper[entering])
+        d = -column if entering_at_upper else column
         falls = d > _TOL
-        rises = (d < -_TOL) & np.isfinite(u_b)
-        rows = np.flatnonzero(falls | rises)
-        ratios = np.where(falls, x_b, u_b - x_b)[rows] / np.abs(d[rows])
+        rises = (d < -_TOL) & finite_b
+        rows = (falls | rises).nonzero()[0]
+        x_r = x_b[rows]
+        ratios = np.where(falls[rows], x_r, upper_b[rows] - x_r) / np.abs(d[rows])
 
-        step = upper[entering] if np.isfinite(upper[entering]) else np.inf
+        step = upper_l[entering]
         leave_row = -1
         leave_at_upper = False
         for i, t_i, hit_upper in zip(rows.tolist(), ratios.tolist(),
@@ -102,13 +126,16 @@ def _phase(c, a, b, upper, basis, at_upper, max_iter):
                 step = max(t_i, 0.0)
                 leave_row = i
                 leave_at_upper = hit_upper
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             raise LpUnboundedError("objective unbounded above")
         degenerate = step <= _TOL
 
         if leave_row < 0:
-            # bound flip: the entering variable runs to its other bound
-            at_upper[entering] = not at_upper[entering]
+            # bound flip: the basis and B^-1, hence the reduced costs, stay;
+            # the entering column runs to its other bound
+            at_upper[entering] = not entering_at_upper
+            score[entering] = -score[entering]
+            r = None
             continue
         leaving = basis[leave_row]
         basis[leave_row] = entering
@@ -116,12 +143,18 @@ def _phase(c, a, b, upper, basis, at_upper, max_iter):
         in_basis[entering] = True
         at_upper[entering] = False
         at_upper[leaving] = leave_at_upper
+        c_b[leave_row] = c[entering]
+        upper_b[leave_row] = upper_l[entering]
+        finite_b[leave_row] = math.isfinite(upper_l[entering])
+        score = None
+        if entering_at_upper or leave_at_upper:
+            r = None
         changes += 1
         if changes % m == 0:
             binv = _inverse(a[:, basis])
         else:
             pivot = binv[leave_row] / column[leave_row]
-            binv -= np.outer(column, pivot)
+            binv -= column[:, None] * pivot
             binv[leave_row] = pivot
 
     nb_up = at_upper & ~in_basis
@@ -144,6 +177,11 @@ def solve_bounded_lp(c, a, b, upper) -> LpResult:
     m, n = a.shape
     if len(b) != m or len(c) != n or len(upper) != n:
         raise ValueError("inconsistent LP dimensions")
+    for name, value in (("c", c), ("a", a), ("b", b)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"LP {name} must be finite")
+    if np.isnan(upper).any():
+        raise ValueError("LP upper must not be NaN")
     if np.any(upper < -_TOL):
         raise ValueError("upper bounds must be non-negative")
     max_iter = _ITERATIONS_PER_SIZE * (m + n + 10)

@@ -189,6 +189,35 @@ class TestPrice:
             f"option.strike must be > 0 when option.payoff is '{payoff}', got 0.0"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["price", "sweep"])
+    @pytest.mark.parametrize("side, party, message", [
+        ("c", {"bond_spread": 0.03, "bond": {"flat": 0.02}, "liquidity": {"flat": 0.03}},
+         "parties.c.bond must give a bond rate >= the liquidity rate of "
+         "parties.c.liquidity at every tenor"),
+        ("c", {"bond_spread": 0.002, "liquidity_spread": 0.01},
+         "parties.c.bond_spread must give a bond rate >= the liquidity rate of "
+         "parties.c.liquidity_spread at every tenor"),
+        ("b", {"bond_spread": 0.0125, "liquidity": {"flat": 0.005}},
+         "parties.b.liquidity must give a liquidity rate >= the risk-free rate of "
+         "curves.risk_free at every tenor"),
+        ("c", {"bond_spread": 0.03, "liquidity_spread": -0.001},
+         "parties.c.liquidity_spread must give a liquidity rate >= the risk-free rate of "
+         "curves.risk_free at every tenor"),
+        ("c", {"bond_spread": 0.03, "hazard": {"flat": 0.05}},
+         "parties.c.bond_spread - parties.c.hazard must give a liquidity rate >= the "
+         "risk-free rate of curves.risk_free at every tenor"),
+    ], ids=["bond_curves", "bond_spread", "liquidity_curve", "liquidity_spread",
+            "bond_minus_hazard"])
+    def test_curve_order_names_keys(self, tmp_path, capsys, monkeypatch, command, side,
+                                    party, message):
+        # bond >= liquidity >= risk-free at every tenor, checked before any solve
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        set_key(sc, f"parties.{side}", party)
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == message
+        assert not (tmp_path / "out").exists()
+
     def test_vol_at_grid_reach_accepted(self, tmp_path):
         option = dict(OPTION_BLOCK, vol=0.8, maturity=1.0)
         sc = write_scenario(tmp_path, option=option, grid=dict(SMALL_GRID, s_max_mult=5.0))

@@ -331,3 +331,8 @@ class TestProblemValidation:
     def test_negative_requirement(self):
         with pytest.raises(AllocationError):
             NettingSet("x", -1.0, "A", payable_profile())
+
+    @pytest.mark.parametrize("requirement", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_requirement(self, requirement):
+        with pytest.raises(AllocationError, match="x: requirement must be finite and >= 0"):
+            NettingSet("x", requirement, "A", payable_profile())
