@@ -10,13 +10,18 @@ Assets are built by ``cxva.scenario`` from the rows of an assets file.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from .curves import RateCurve, combine_curves
+from .intervals import FRACTION, NON_NEGATIVE, POSITIVE, bounded
 
 RATING_KEYS = ("AA", "A", "BBB", "BB")
+HAIRCUT = (0.0, 1.0, "[)")
+# the interval each number of a CollateralAsset lies in (econ_capital's: NON_NEGATIVE)
+ASSET_BOUNDS = {"price": POSITIVE, "quantity": NON_NEGATIVE, "h_csa": HAIRCUT,
+                "h_repo": HAIRCUT, "h_lcr": FRACTION}
+STATE_BOUNDS = dict.fromkeys(("eta_b", "eta_c", "chi_b", "chi_c"), FRACTION)
 
 
 class CollateralError(ValueError):
@@ -40,18 +45,10 @@ class CollateralAsset:
     econ_capital: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not 0.0 < self.price < math.inf:
-            raise CollateralError(f"{self.id}: price must be finite and > 0")
-        if not 0.0 <= self.quantity < math.inf:
-            raise CollateralError(f"{self.id}: quantity must be finite and >= 0")
-        for name, h in (("h_csa", self.h_csa), ("h_repo", self.h_repo)):
-            if not 0.0 <= h < 1.0:
-                raise CollateralError(f"{self.id}: {name} must be in [0, 1)")
-        if not 0.0 <= self.h_lcr <= 1.0:
-            raise CollateralError(f"{self.id}: h_lcr must be in [0, 1]")
-        if not all(0.0 <= v < math.inf for v in self.econ_capital.values()):
-            raise CollateralError(f"{self.id}: economic capital must be finite and >= 0")
+        for name, bounds in ASSET_BOUNDS.items():
+            bounded(getattr(self, name), bounds, f"{self.id}: {name}", CollateralError)
+        for rating, ec in self.econ_capital.items():
+            bounded(ec, NON_NEGATIVE, f"{self.id}: econ_capital[{rating}]", CollateralError)
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,8 @@ class CollateralState:
     chi_c: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("eta_b", "eta_c", "chi_b", "chi_c"):
-            if not 0.0 <= float(getattr(self, name)) <= 1.0:
-                raise CollateralError(f"{name} must be in [0, 1]")
+        for name, bounds in STATE_BOUNDS.items():
+            bounded(getattr(self, name), bounds, name, CollateralError)
 
 
 def chi(h_repo: float, h_csa: float) -> float:
@@ -75,8 +71,8 @@ def chi(h_repo: float, h_csa: float) -> float:
     Equals 1 when the repo haircut does not exceed the CSA haircut: the
     excess fund created by h_repo < h_csa is neither used nor charged.
     """
-    if not 0.0 <= h_csa < 1.0 or not 0.0 <= h_repo < 1.0:
-        raise CollateralError("haircuts must be in [0, 1)")
+    bounded(h_csa, HAIRCUT, "h_csa", CollateralError)
+    bounded(h_repo, HAIRCUT, "h_repo", CollateralError)
     return 1.0 - max(h_repo - h_csa, 0.0) / (1.0 - h_csa)
 
 
@@ -92,8 +88,7 @@ def blend_spread_curve(postings: Sequence[tuple[float, float, float, RateCurve]]
     exact on the union node grid.
     """
     protection = sum(mv * (1.0 - h_c) for mv, h_c, _, _ in postings)
-    if not protection > 0.0:
-        raise CollateralError("posted CSA-protected value L must be > 0")
+    bounded(protection, POSITIVE, "posted CSA-protected value L", CollateralError)
     funded = [(1.0 - h_c) * mv / protection * chi(h_p, h_c) for mv, h_c, h_p, _ in postings]
     x = sum(funded)
     return protection, x, combine_curves([s for *_, s in postings], [w / x for w in funded],

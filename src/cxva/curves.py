@@ -21,6 +21,11 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from .intervals import bounded
+
+# a default intensity, a year: every zero rate of a hazard curve
+HAZARD = (0.0, 1.0, "[]")
+
 
 class CurveError(ValueError):
     """Raised for invalid curve construction or evaluation requests."""
@@ -157,6 +162,8 @@ class PartyCurves:
     hazard: RateCurve | None = None
 
     def __post_init__(self) -> None:
+        if self.hazard is not None:  # before the liquidity curve it may build
+            bounded(np.asarray(self.hazard.rates), HAZARD, "hazard", CurveError)
         if self.liquidity is None:
             if self.hazard is None:
                 raise CurveError("need a liquidity curve or a hazard curve")
@@ -165,7 +172,3 @@ class PartyCurves:
             object.__setattr__(self, "liquidity", liq)
         if not dominates(self.bond, self.liquidity):
             raise CurveError("bond rate must be >= liquidity rate at every tenor")
-        if self.hazard is not None:
-            hz = np.asarray(self.hazard.rates)
-            if np.any(hz < 0.0):
-                raise CurveError("hazard rates must be non-negative")

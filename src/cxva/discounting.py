@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .collateral import CollateralState
 from .curves import CurveError, PartyCurves, RateCurve, combine_curves, dominates
+from .intervals import chosen
 
 MODES = ("uncollateralized", "cash_comingled", "cash_segregated", "noncash",
          "initial_margin")
@@ -80,8 +81,7 @@ class EffectiveRateSpec:
     _side_b: SideRates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; one of {MODES}")
+        chosen(self.mode, MODES, "mode", ValueError)
         if self.mode == "cash_comingled" and self.cash_rate is None:
             raise ValueError("mode 'cash_comingled' needs a cash_rate curve")
         for party in (self.party_b, self.party_c):

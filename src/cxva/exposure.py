@@ -51,16 +51,14 @@ with no loop over profile times. The gross annuity reads the list too.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .curves import RateCurve
+from .intervals import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
 
 
 class ExposureError(ValueError):
@@ -76,9 +74,13 @@ MAX_SWAPS = 20_000
 MAX_MATURITY = 100.0
 MAX_PATHS = 50_000
 MAX_PROFILE_POINTS = 500
+MATURITY = (0.0, MAX_MATURITY, "(]")
+PROFILE_POINTS = (2, MAX_PROFILE_POINTS, "[]")
+# the interval each number of generate_portfolio lies in (its maturities': MATURITY)
+PORTFOLIO_BOUNDS = {"n": (1, MAX_SWAPS, "[]"), "payer_frac": FRACTION, "rate_band": FRACTION,
+                    "rate_offset": RATE}
 # coupon payments a year
 PAY_FREQS = (1, 2, 4)
-_PAY_FREQ_MESSAGE = f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}"
 # The one-factor model's mean reversion a (a year) and vol, as the Monte
 # Carlo kernel can represent them. It takes (1 - exp(-a tau)) / a through
 # expm1, exact while a tau is a normal double, over intervals tau that
@@ -91,6 +93,8 @@ _PAY_FREQ_MESSAGE = f"pay_freq must be one of {', '.join(map(str, PAY_FREQS))}"
 MIN_MEAN_REVERSION = 1e-290
 MAX_MEAN_REVERSION = 1e305
 MAX_FACTOR_VOL = 0.2
+MC_BOUNDS = {"mean_reversion": (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION, "(]"),
+             "vol": (0.0, MAX_FACTOR_VOL, "[]"), "paths": (1000, MAX_PATHS, "[]")}
 # Largest swap notional. A book's value at any time and factor value sums at
 # most MAX_SWAPS x (4 MAX_MATURITY + 2) = 8.04e6 claims (every coupon and
 # each float leg), each worth notional x max(1, |fixed rate| / pay_freq) x
@@ -100,6 +104,8 @@ MAX_FACTOR_VOL = 0.2
 # 5e40 / (1e20 x 8.04e6) = 6e13-fold, e^31: a forward rate averaging -31 %
 # a year over 100 years. The deterministic profile has no exp(-x b).
 MAX_NOTIONAL = 1e20
+# the interval every entry of a SwapBook's number arrays lies in
+SWAP_BOUNDS = {"notional": (0.0, MAX_NOTIONAL, "(]"), "maturity": MATURITY}
 
 
 class Swap(NamedTuple):
@@ -142,16 +148,14 @@ class ExposureProfile:
         ene = np.asarray(self.ene, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ExposureError("profile needs at least two time points")
-        for name, value in (("times", times), ("epe", epe), ("ene", ene),
-                            ("mtm0", self.mtm0), ("annuity", self.annuity)):
-            if not np.all(np.isfinite(value)):
-                raise ExposureError(f"profile {name} must be finite")
+        for name, value, bounds in (("times", times, FINITE), ("epe", epe, NON_NEGATIVE),
+                                    ("ene", ene, NON_NEGATIVE), ("mtm0", self.mtm0, FINITE),
+                                    ("annuity", self.annuity, FINITE)):
+            bounded(value, bounds, f"profile {name}", ExposureError)
         if np.any(np.diff(times) <= 0.0):
             raise ExposureError("profile times must be strictly increasing")
         if len(epe) != len(times) or len(ene) != len(times):
             raise ExposureError("epe/ene must match the time grid")
-        if np.any(epe < 0.0) or np.any(ene < 0.0):
-            raise ExposureError("epe/ene must be non-negative")
         if times[0] == 0.0:
             scale = max(1.0, abs(self.mtm0))
             if abs((epe[0] - ene[0]) - self.mtm0) > 1e-9 * scale:
@@ -166,8 +170,7 @@ class ExposureProfile:
 
     def scaled(self, k: float) -> "ExposureProfile":
         """Profile of the portfolio with all notionals scaled by k > 0."""
-        if k <= 0.0:
-            raise ExposureError("scale factor must be > 0")
+        bounded(k, POSITIVE, "scale factor", ExposureError)
         return ExposureProfile(self.times, self.epe * k, self.ene * k,
                                self.mtm0 * k, self.annuity * k)
 
@@ -192,22 +195,15 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     shifted by ``rate_offset`` to build off-market books); the first
     round(n * payer_frac) swaps pay fixed.
     """
-    if n < 1:
-        raise ExposureError("n must be >= 1")
-    # written so that NaN fails every check
-    if not 0.0 <= payer_frac <= 1.0:
-        raise ExposureError("payer_frac must be in [0, 1]")
-    if not 0.0 <= rate_band < math.inf:
-        raise ExposureError("rate_band must be finite and >= 0")
-    if not math.isfinite(rate_offset):
-        raise ExposureError("rate_offset must be finite")
+    for name, value in dict(n=n, payer_frac=payer_frac, rate_band=rate_band,
+                            rate_offset=rate_offset).items():
+        bounded(value, PORTFOLIO_BOUNDS[name], name, ExposureError)
     lo, hi = maturity_range
-    if not 0.0 < lo <= hi <= MAX_MATURITY:
-        raise ExposureError(f"maturity_range must satisfy 0 < maturity_min <= maturity_max <= "
-                            f"{MAX_MATURITY:g} (years), got ({lo!r}, {hi!r})")
-    # before par_rate divides by it
-    if pay_freq not in PAY_FREQS:
-        raise ExposureError(_PAY_FREQ_MESSAGE)
+    bounded(lo, MATURITY, "maturity_min", ExposureError)
+    bounded(hi, MATURITY, "maturity_max", ExposureError)
+    if not lo <= hi:
+        raise ExposureError(f"maturity_min must be at most maturity_max, got {lo!r} > {hi!r}")
+    chosen(pay_freq, PAY_FREQS, "pay_freq", ExposureError)  # before par_rate divides by it
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     maturities = rng.uniform(lo, hi, n) if hi > lo else np.full(n, float(lo))
     atm = par_rate(curve, 10.0, pay_freq) + rate_offset
@@ -235,13 +231,10 @@ class SwapBook:
         if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ExposureError("swap book fields must be 1-d arrays of one length")
         notional, _, sign, maturity, pay_freq = arrays
-        # written so that NaN fails every check
-        if not ((0.0 < notional) & (notional < math.inf)).all():
-            raise ExposureError("notional must be finite and > 0")
-        if not ((0.0 < maturity) & (maturity <= MAX_MATURITY)).all():
-            raise ExposureError(f"maturity must be in (0, {MAX_MATURITY:g}] years")
-        if not functools.reduce(operator.or_, (pay_freq == f for f in PAY_FREQS)).all():
-            raise ExposureError(_PAY_FREQ_MESSAGE)
+        for name, a in (("notional", notional), ("maturity", maturity)):
+            bounded(a, SWAP_BOUNDS[name], name, ExposureError)
+        for f in np.unique(pay_freq).tolist():
+            chosen(f, PAY_FREQS, "pay_freq", ExposureError)
         if not np.all(np.abs(sign) == 1.0):
             raise ExposureError("sign must be +1 (payer) or -1 (receiver)")
         for name, a in zip(Swap._fields, arrays):
@@ -343,14 +336,8 @@ class OneFactorMcModel:
     seed: int
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not MIN_MEAN_REVERSION < self.mean_reversion <= MAX_MEAN_REVERSION:
-            raise ExposureError(f"mean_reversion must be in ({MIN_MEAN_REVERSION:g}, "
-                                f"{MAX_MEAN_REVERSION:g}]")
-        if not 0.0 <= self.vol <= MAX_FACTOR_VOL:
-            raise ExposureError(f"vol must be in [0, {MAX_FACTOR_VOL:g}]")
-        if self.paths < 1000:
-            raise ExposureError("Monte Carlo needs at least 1000 paths")
+        for name, bounds in MC_BOUNDS.items():
+            bounded(getattr(self, name), bounds, name, ExposureError)
 
 
 def exposure_profile(portfolio: SwapBook, model, points: int,
@@ -362,8 +349,7 @@ def exposure_profile(portfolio: SwapBook, model, points: int,
     """
     if len(portfolio) == 0:
         raise ExposureError("cannot build an exposure profile for an empty portfolio")
-    if points < 2:
-        raise ExposureError("grid needs at least 2 points")
+    bounded(points, PROFILE_POINTS, "points", ExposureError)
     book = _CashFlows.of(portfolio, curve)
     # the float legs' dates, the tail of the list, are the maturities
     times = np.linspace(0.0, book.dates[-len(book.signed_notionals):].max(), points)

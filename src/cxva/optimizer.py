@@ -34,6 +34,7 @@ from .collateral import CollateralAsset, CollateralState, blend_spread_curve, ch
 from .curves import PartyCurves, RateCurve
 from .discounting import EffectiveRateSpec
 from .exposure import ExposureProfile
+from .intervals import COUNT, NON_NEGATIVE, POSITIVE, bounded, chosen
 from .repo import RepoModelParams, repo_curve
 from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
                       solve_bounded_lp)
@@ -42,6 +43,8 @@ from .xva import decompose
 DEFAULT_SPREAD_TENORS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
 # the haircut h_<name> the funding equality values posted collateral at
 FUNDING_HAIRCUTS = ("csa", "repo")
+# the interval iterate_allocation's stop test and round count lie in
+ITERATION_BOUNDS = {"tol": POSITIVE, "max_iter": COUNT}
 
 
 class AllocationError(ValueError):
@@ -70,9 +73,7 @@ class NettingSet:
     profile: ExposureProfile
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.requirement < np.inf:
-            raise AllocationError(f"{self.id}: requirement must be finite and >= 0, "
-                                  f"got {self.requirement}")
+        bounded(self.requirement, NON_NEGATIVE, f"{self.id}: requirement", AllocationError)
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,8 @@ class AllocationProblem:
             raise AllocationError(f"unit_lva must be {m}x{n}")
         if not np.all(np.isfinite(e)):
             raise AllocationError("unit_lva entries must be finite")
-        if not 0.0 <= self.hqla_floor < np.inf:
-            raise AllocationError("hqla_floor must be finite and >= 0")
-        if self.funding_haircut not in FUNDING_HAIRCUTS:
-            raise AllocationError(f"funding_haircut must be one of {', '.join(FUNDING_HAIRCUTS)}")
+        bounded(self.hqla_floor, NON_NEGATIVE, "hqla_floor", AllocationError)
+        chosen(self.funding_haircut, FUNDING_HAIRCUTS, "funding_haircut", AllocationError)
         object.__setattr__(self, "unit_lva", e)
         object.__setattr__(self, "assets", tuple(self.assets))
         object.__setattr__(self, "netting_sets", tuple(self.netting_sets))
@@ -228,10 +227,8 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
     V_j = 0), re-solves the LP, then reprices every set under its posted
     blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
     """
-    if not tol > 0.0:
-        raise AllocationError("tol must be > 0")
-    if max_iter < 1:
-        raise AllocationError("max_iter must be >= 1")
+    bounded(tol, ITERATION_BOUNDS["tol"], "tol", AllocationError)
+    bounded(max_iter, ITERATION_BOUNDS["max_iter"], "max_iter", AllocationError)
     mtm_star = np.array([ns.profile.mtm0 for ns in sets], dtype=float)
     benefit = np.zeros((len(assets), len(sets)))
     spreads: dict[tuple[int, str], RateCurve] = {}  # one curve per (asset, rating)

@@ -65,6 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .discounting import EffectiveRateSpec, risk_free_spec
+from .exposure import MATURITY
+from .intervals import NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
 
 
 class PdeError(ValueError):
@@ -84,6 +86,9 @@ class PicardConvergenceError(RuntimeError):
 
 
 PAYOFFS = ("call", "put", "zcb", "forward")
+# the interval each number of an OptionSpec lies in
+OPTION_BOUNDS = {"strike": NON_NEGATIVE, "maturity": MATURITY, "spot": POSITIVE,
+                 "vol": POSITIVE, "div_yield": RATE}
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,9 @@ class OptionSpec:
     position: float = 1.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        for name in ("spot", "vol", "maturity"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise PdeError(f"option {name} must be finite and > 0")
-        if not 0.0 <= self.strike < math.inf:
-            raise PdeError("option strike must be finite and >= 0")
-        if not math.isfinite(self.div_yield):
-            raise PdeError("option div_yield must be finite")
-        if self.payoff not in PAYOFFS:
-            raise PdeError(f"payoff must be one of {', '.join(PAYOFFS)}")
+        for name, bounds in OPTION_BOUNDS.items():
+            bounded(getattr(self, name), bounds, name, PdeError)
+        chosen(self.payoff, PAYOFFS, "payoff", PdeError)
         if self.payoff != "zcb" and self.strike == 0.0:
             raise PdeError(f"{self.payoff} needs a positive strike")
 
@@ -132,6 +130,9 @@ class OptionSpec:
 # bounds on s_nodes and t_steps: a solve's time and memory grow with both
 MIN_GRID_SIZE = 50
 MAX_GRID_SIZE = 100_000
+# the interval each number of a GridSpec lies in
+GRID_BOUNDS = {**dict.fromkeys(("s_nodes", "t_steps"), (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
+               "s_max_mult": (1.0, math.inf, "()")}
 # a step's Picard iteration stops once the residual, max |sweep change| /
 # max(1, max |V|), falls below PICARD_TOL, and fails after PICARD_MAX_ITER
 # sweeps
@@ -146,15 +147,8 @@ class GridSpec:
     s_max_mult: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.s_nodes < MIN_GRID_SIZE or self.t_steps < MIN_GRID_SIZE:
-            raise PdeError(f"grid needs at least {MIN_GRID_SIZE} space nodes and "
-                           f"{MIN_GRID_SIZE} time steps")
-        for name in ("s_nodes", "t_steps"):
-            if getattr(self, name) > MAX_GRID_SIZE:
-                raise PdeError(f"grid {name} must be at most {MAX_GRID_SIZE}")
-        # written so that NaN fails every check
-        if not 1.0 < self.s_max_mult < math.inf:
-            raise PdeError("grid s_max_mult must be finite and > 1")
+        for name, bounds in GRID_BOUNDS.items():
+            bounded(getattr(self, name), bounds, name, PdeError)
 
 
 @dataclass(frozen=True)

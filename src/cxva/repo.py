@@ -15,18 +15,21 @@ spread curve, for the allocation's unit LVA and for ``cxva repo-curve``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
 from .collateral import CollateralAsset
-from .curves import RateCurve
+from .curves import HAZARD, RateCurve
+from .intervals import FRACTION, NON_NEGATIVE, bounded
 
 
 class RepoModelError(ValueError):
     """Invalid repo model inputs."""
+
+
+REPO_BOUNDS = {"roe": FRACTION, "expected_gap_loss": FRACTION}
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,9 @@ class RepoModelParams:
     expected_gap_loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.roe) or not math.isfinite(self.expected_gap_loss):
-            raise RepoModelError("roe and expected_gap_loss must be finite")
-        if self.roe < 0.0:
-            raise RepoModelError("roe must be >= 0")
-        if self.expected_gap_loss < 0.0:
-            raise RepoModelError("expected_gap_loss must be >= 0")
+        for name, bounds in REPO_BOUNDS.items():
+            bounded(getattr(self, name), bounds, name, RepoModelError)
+        bounded(np.asarray(self.hazard.rates), HAZARD, "hazard", RepoModelError)
 
 
 def breakeven_spread(params: RepoModelParams, ec: float, t):
@@ -54,8 +54,7 @@ def breakeven_spread(params: RepoModelParams, ec: float, t):
     Affine in ec with slope RoE and in the expected gap loss with slope
     lambda(t). Curves are read as term (zero-style) quantities.
     """
-    if ec < 0.0:
-        raise RepoModelError("economic capital must be >= 0")
+    bounded(ec, NON_NEGATIVE, "economic capital", RepoModelError)
     if np.any(np.asarray(t) <= 0.0):
         raise RepoModelError("tenor must be > 0")
     mu0 = params.mu0_curve.zero_rate(t)

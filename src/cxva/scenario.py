@@ -6,15 +6,17 @@ the risk-free curve, a collateral block, and one or more work descriptions
 single scenario seed, so identical scenario + seed means identical outputs.
 
 ``SCHEMA`` declares every key a scenario may hold: its JSON kind, default,
-interval (every number has one, so none is NaN or infinite) and, for an
-enumerated key, the value set it takes; each value set is the tuple the
-library's own check reads. ``Scenario`` reads each value through the table
-when a command first needs it and keeps what it read; a value of another
+interval (every number and curve rate has one, so none is NaN or infinite)
+and, for an enumerated key, the value set it takes; a key that sets a
+library field reads the interval constant and value set that field's own
+check reads (``cxva.intervals``). ``Scenario`` reads each value through the
+table when a command first needs it and keeps what it read; a value of another
 kind, outside its interval or outside its value set raises ScenarioError
 naming its dotted key. Keys it does not declare are ignored.
 It is the one module that reads input files: the JSON scenario, and curve
 files and the assets file through one CSV reader, which reads a row's cells
-by position and names the key, path and line of a malformed row or cell.
+by position and names the key, path and line of a malformed row or cell
+(an assets cell outside ``CollateralAsset``'s interval, its column too).
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .collateral import RATING_KEYS, CollateralAsset, CollateralState, chi
-from .curves import PartyCurves, RateCurve, combine_curves, dominates
+from .collateral import (ASSET_BOUNDS, HAIRCUT, RATING_KEYS, STATE_BOUNDS, CollateralAsset,
+                         CollateralState, chi)
+from .curves import HAZARD, PartyCurves, RateCurve, combine_curves, dominates
 from .discounting import MODES, EffectiveRateSpec
-from .exposure import (MAX_FACTOR_VOL, MAX_MATURITY, MAX_MEAN_REVERSION, MAX_NOTIONAL,
-                       MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, MIN_MEAN_REVERSION, PAY_FREQS,
-                       DeterministicModel, OneFactorMcModel, SwapBook, exposure_profile,
-                       generate_portfolio)
-from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, NettingSet
-from .pde import MAX_GRID_SIZE, MIN_GRID_SIZE, PAYOFFS, GridSpec, OptionSpec
-from .repo import RepoModelParams
+from .exposure import (MATURITY, MC_BOUNDS, PAY_FREQS, PORTFOLIO_BOUNDS, PROFILE_POINTS,
+                       SWAP_BOUNDS, DeterministicModel, OneFactorMcModel, SwapBook,
+                       exposure_profile, generate_portfolio)
+from .intervals import COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
+from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, ITERATION_BOUNDS, NettingSet
+from .pde import GRID_BOUNDS, OPTION_BOUNDS, PAYOFFS, GridSpec, OptionSpec
+from .repo import REPO_BOUNDS, RepoModelParams
 from .xva import MAX_QUADRATURE_STEPS
 
 
@@ -60,25 +63,19 @@ _ASSET_HEADER = ("id", "price", "quantity", "h_csa", "h_repo", "h_lcr",
 
 class Key(NamedTuple):
     """A scenario key: JSON kind ("number", "integer", "string", "curve", "array"
-    or "object"), default (None: absent and null mean "not given"), bounds
-    (lo, hi, brackets), the interval a number, an integer or an array's
-    length lies in, e.g. (0.0, 1.0, "[)") for [0, 1); an array item's own
-    Key, an object's SCHEMA section and the values a string or integer key
-    may take (None: any)."""
+    or "object"), default (None: absent and null mean "not given"), bounds,
+    the interval (``cxva.intervals``) a number, an integer, a curve's rates
+    or an array's length lies in; an array item's own Key, an object's
+    SCHEMA section and the values a string or integer key may take (None:
+    any)."""
 
     kind: str
     default: object = REQUIRED
-    bounds: tuple = (-math.inf, math.inf, "()")
+    bounds: tuple = FINITE
     item: Key | None = None
     section: str | None = None
     choices: tuple | None = None
 
-
-# every rate and spread, a curve's included: (-100 %, 100 %] a year
-RATE = (-1.0, 1.0, "(]")
-FRACTION = (0.0, 1.0, "[]")
-POSITIVE = (0.0, math.inf, "()")
-NON_NEGATIVE = (0.0, math.inf, "[)")
 
 # every key a scenario may hold, by section; "scenario" is the top level
 SCHEMA = {
@@ -95,60 +92,60 @@ SCHEMA = {
         "sweep": Key("object", {}, section="sweep"),
         "assets_file": Key("string"), "repo": Key("object", {}, section="repo"),
         "optimizer": Key("object", {}, section="optimizer")},
-    "curves": {"risk_free": Key("curve"), "cash": Key("curve", None),
-               "mu0": Key("curve", 0.0), "hazard": Key("curve", 0.0)},
+    "curves": {"risk_free": Key("curve", REQUIRED, RATE), "cash": Key("curve", None, RATE),
+               "mu0": Key("curve", 0.0, RATE), "hazard": Key("curve", 0.0, HAZARD)},
     "parties": {"b": Key("object", section="party"), "c": Key("object", section="party")},
     # spreads are over risk-free; omitted liquidity is bond - hazard
-    "party": {"bond": Key("curve", None), "bond_spread": Key("number", bounds=RATE),
-              "hazard": Key("curve", None), "liquidity": Key("curve", None),
+    "party": {"bond": Key("curve", None, RATE), "bond_spread": Key("number", bounds=RATE),
+              "hazard": Key("curve", None, HAZARD), "liquidity": Key("curve", None, RATE),
               "liquidity_spread": Key("number", None, RATE)},
     # chi, when not given, follows from the haircuts
     "collateral": {"mode": Key("string", "noncash", choices=MODES),
-                   "collateralization": Key("number", 1.0, FRACTION),
-                   "chi": Key("number", None, FRACTION),
-                   "h_csa": Key("number", 0.0, (0.0, 1.0, "[)")),
-                   "h_repo": Key("number", 0.0, (0.0, 1.0, "[)")),
-                   "repo_spread": Key("curve", 0.0)},
+                   "collateralization": Key("number", 1.0, STATE_BOUNDS["eta_b"]),
+                   "chi": Key("number", None, STATE_BOUNDS["chi_b"]),
+                   "h_csa": Key("number", 0.0, HAIRCUT), "h_repo": Key("number", 0.0, HAIRCUT),
+                   "repo_spread": Key("curve", 0.0, RATE)},
     # vol * sqrt(maturity) is at most ln(grid.s_max_mult) / 2, so the grid's
     # top, s_max_mult * max(spot, strike), is at least two log-price standard
     # deviations above max(spot, strike); Scenario.option checks it
-    "option": {"payoff": Key("string", choices=PAYOFFS), "strike": Key("number", 0.0, NON_NEGATIVE),
-               "maturity": Key("number", REQUIRED, (0.0, MAX_MATURITY, "(]")),
-               "spot": Key("number", bounds=POSITIVE), "vol": Key("number", bounds=POSITIVE),
-               "div_yield": Key("number", 0.0, RATE)},
-    "grid": {"s_nodes": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
-             "t_steps": Key("integer", 200, (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
-             "s_max_mult": Key("number", 5.0, (1.0, math.inf, "()"))},
+    "option": {"payoff": Key("string", choices=PAYOFFS),
+               "strike": Key("number", 0.0, OPTION_BOUNDS["strike"]),
+               "maturity": Key("number", REQUIRED, OPTION_BOUNDS["maturity"]),
+               "spot": Key("number", bounds=OPTION_BOUNDS["spot"]),
+               "vol": Key("number", bounds=OPTION_BOUNDS["vol"]),
+               "div_yield": Key("number", 0.0, OPTION_BOUNDS["div_yield"])},
+    "grid": {"s_nodes": Key("integer", 200, GRID_BOUNDS["s_nodes"]),
+             "t_steps": Key("integer", 200, GRID_BOUNDS["t_steps"]),
+             "s_max_mult": Key("number", 5.0, GRID_BOUNDS["s_max_mult"])},
     # notional, mean_reversion and vol as the Monte Carlo kernel can
     # represent them (see cxva.exposure)
-    "portfolio": {"n": Key("integer", 1000, (1, MAX_SWAPS, "[]")),
-                  "payer_frac": Key("number", bounds=FRACTION),
-                  "maturity_min": Key("number", 0.25, (0.0, MAX_MATURITY, "(]")),
-                  "maturity_max": Key("number", 30.0, (0.0, MAX_MATURITY, "(]")),
-                  "rate_band": Key("number", 0.01, FRACTION),
-                  "rate_offset": Key("number", 0.0, RATE),
+    "portfolio": {"n": Key("integer", 1000, PORTFOLIO_BOUNDS["n"]),
+                  "payer_frac": Key("number", bounds=PORTFOLIO_BOUNDS["payer_frac"]),
+                  "maturity_min": Key("number", 0.25, MATURITY),
+                  "maturity_max": Key("number", 30.0, MATURITY),
+                  "rate_band": Key("number", 0.01, PORTFOLIO_BOUNDS["rate_band"]),
+                  "rate_offset": Key("number", 0.0, PORTFOLIO_BOUNDS["rate_offset"]),
                   "pay_freq": Key("integer", 2, choices=PAY_FREQS),
-                  "notional": Key("number", 1.0, (0.0, MAX_NOTIONAL, "(]")),
+                  "notional": Key("number", 1.0, SWAP_BOUNDS["notional"]),
                   "model": Key("string", "deterministic", choices=EXPOSURE_MODELS),
-                  "mean_reversion": Key("number", 0.05,
-                                        (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION, "(]")),
-                  "vol": Key("number", 0.01, (0.0, MAX_FACTOR_VOL, "[]")),
-                  "paths": Key("integer", 2000, (1000, MAX_PATHS, "[]")),
-                  "profile_points": Key("integer", 121, (2, MAX_PROFILE_POINTS, "[]"))},
+                  "mean_reversion": Key("number", 0.05, MC_BOUNDS["mean_reversion"]),
+                  "vol": Key("number", 0.01, MC_BOUNDS["vol"]),
+                  "paths": Key("integer", 2000, MC_BOUNDS["paths"]),
+                  "profile_points": Key("integer", 121, PROFILE_POINTS)},
     "sweep": {"points": Key("integer", 11, (2, MAX_SWEEP_POINTS, "[]"))},
     # the repo RoE hurdle a year, and the expected gap loss a fraction of the loan
-    "repo": {"roe": Key("number", 0.10, FRACTION),
-             "expected_gap_loss": Key("number", 0.0, FRACTION),
+    "repo": {"roe": Key("number", 0.10, REPO_BOUNDS["roe"]),
+             "expected_gap_loss": Key("number", 0.0, REPO_BOUNDS["expected_gap_loss"]),
              "asset": Key("string"),
              "rating": Key("string", choices=RATING_KEYS),
-             "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), (1, math.inf, "[]"),
+             "tenors": Key("array", list(DEFAULT_SPREAD_TENORS), COUNT,
                            Key("number", bounds=POSITIVE))},
-    "optimizer": {"quantity": Key("number", None, NON_NEGATIVE),
+    "optimizer": {"quantity": Key("number", None, ASSET_BOUNDS["quantity"]),
                   "hqla_floor": Key("number", 0.0, NON_NEGATIVE),
                   "funding_haircut": Key("string", "csa", choices=FUNDING_HAIRCUTS),
-                  "tol": Key("number", 0.01, POSITIVE),
-                  "max_iter": Key("integer", 5, (1, math.inf, "[]")),
-                  "netting_sets": Key("array", REQUIRED, (1, math.inf, "[]"),
+                  "tol": Key("number", 0.01, ITERATION_BOUNDS["tol"]),
+                  "max_iter": Key("integer", 5, ITERATION_BOUNDS["max_iter"]),
+                  "netting_sets": Key("array", REQUIRED, COUNT,
                                       Key("object", section="netting_set"))},
     # each allocation round sets a set's requirement to |MTM|, so a
     # threshold would be read and then ignored: one is rejected
@@ -158,37 +155,28 @@ SCHEMA = {
 }
 
 
-def _bounded(key: Key, value, name: str, what: str):
-    """``value`` if it lies in ``key``'s bounds (NaN lies in none), else a
-    ScenarioError naming ``name`` as ``what`` and the interval."""
-    lo, hi, (left, right) = key.bounds
-    if (lo < value or left == "[" and lo == value) and (value < hi or right == "]" and value == hi):
-        return value
-    raise ScenarioError(f"{name} must be {what} in {left}{lo:g}, {hi:g}{right}, got {value!r}")
-
-
 def _convert(key: Key, value, name: str, base_dir: Path):
     """``value`` as ``key`` declares it, read at the dotted ``name``; a value
-    of another JSON kind or outside the key's bounds raises ScenarioError
-    naming ``name``."""
+    of another JSON kind, outside the key's bounds or outside its choices
+    raises ScenarioError naming ``name``."""
     kind = key.kind
     if kind == "object":
         return _Block(key.section, value, name, base_dir)
     if kind == "curve":
-        return _curve(value, name, base_dir)
+        return _curve(value, key.bounds, name, base_dir)
     if kind == "array" and isinstance(value, list):
-        _bounded(key, len(value), f"{name} length", "an integer")
+        bounded(len(value), key.bounds, f"{name} length", ScenarioError, "an integer")
         return [_convert(key.item, v, f"{name}[{i}]", base_dir) for i, v in enumerate(value)]
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if kind == "string" and isinstance(value, str):
-        return _chosen(key, value, name)
-    if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
-        return _chosen(key, _bounded(key, value, name, "an integer"), name)
     if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            return _bounded(key, float(value), name, "a finite number")
-    raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
+            return bounded(float(value), key.bounds, name, ScenarioError)
+    if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
+        value = bounded(value, key.bounds, name, ScenarioError, "an integer")
+    elif not (kind == "string" and isinstance(value, str)):
+        raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
+    return value if key.choices is None else chosen(value, key.choices, name, ScenarioError)
 
 
 def _distinct(named) -> None:
@@ -199,14 +187,6 @@ def _distinct(named) -> None:
         if value in first:
             raise ScenarioError(f"{name} repeats {value!r}, given first at {first[value]}")
         first[value] = name
-
-
-def _chosen(key: Key, value, name: str):
-    """``value`` if ``key`` lists no choices or lists it."""
-    if key.choices is not None and value not in key.choices:
-        raise ScenarioError(f"{name} must be one of {', '.join(map(str, key.choices))}, "
-                            f"got {value!r:.60}")
-    return value
 
 
 def read_flag(flag: str, section: str, name: str, value):
@@ -235,12 +215,12 @@ def _table(name: str, path: Path, header: tuple[str, ...], text: int = 0) -> lis
     return rows
 
 
-def _curve(spec, name: str, base_dir: Path) -> RateCurve:
+def _curve(spec, bounds: tuple, name: str, base_dir: Path) -> RateCurve:
     """A curve spec: a number or an object holding exactly one of the forms
     {"flat": r}, {"nodes": [[t, z], ...]} or {"file": "relative.csv"} (CSV
     header tenor_years,zero_rate); every tenor it gives is in (0, inf),
-    given once, and every rate is in RATE."""
-    tenor, rate = Key("number", bounds=POSITIVE), Key("number", bounds=RATE)
+    given once, and every rate is in the interval ``bounds``."""
+    tenor, rate = Key("number", bounds=POSITIVE), Key("number", bounds=bounds)
     forms = [form for form in CURVE_FORMS if form in spec] if isinstance(spec, dict) else ["flat"]
     if len(forms) != 1:
         raise ScenarioError(f"curve '{name}' needs exactly one of {', '.join(CURVE_FORMS)}, "
@@ -339,6 +319,7 @@ class Scenario:
         risk-free, the bond curve at or above the liquidity curve; and the
         key that set the liquidity curve."""
         cfg = self.config["parties"][side]
+        hazard = cfg["hazard"]  # checked before the curves built from it
         curves, keys = {}, {}
         for curve in ("bond", "liquidity"):
             key = f"parties.{side}.{curve}"
@@ -353,7 +334,7 @@ class Scenario:
         if curves["liquidity"] is not None and not dominates(curves["bond"], curves["liquidity"]):
             raise ScenarioError(f"{keys['bond']} must give a bond rate >= the liquidity rate "
                                 f"of {keys['liquidity']} at every tenor")
-        return PartyCurves(**curves, hazard=cfg["hazard"]), keys["liquidity"]
+        return PartyCurves(**curves, hazard=hazard), keys["liquidity"]
 
     def party(self, side: str) -> PartyCurves:
         return self._party(side)[0]
@@ -439,9 +420,11 @@ class Scenario:
             raise ScenarioError(f"assets_file {path} has no asset rows")
         _distinct((where, asset_id) for where, (asset_id, *_) in rows)
         assets = []
-        for _, (asset_id, price, held, h_csa, h_repo, h_lcr, *ec) in rows:
-            asset = CollateralAsset(asset_id, price, held, h_csa, h_repo, h_lcr,
-                                    dict(zip(RATING_KEYS, ec)))
+        for where, (asset_id, *cells) in rows:
+            for column, cell in zip(_ASSET_HEADER[1:], cells):  # ec_*: NON_NEGATIVE
+                bounded(cell, ASSET_BOUNDS.get(column, NON_NEGATIVE), f"{where} {column}",
+                        ScenarioError)
+            asset = CollateralAsset(asset_id, *cells[:5], dict(zip(RATING_KEYS, cells[5:])))
             assets.append(asset if quantity is None else replace(asset, quantity=quantity))
         return assets
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .discounting import EffectiveRateSpec, SideRates, blend_rate
 from .exposure import ExposureProfile
+from .intervals import POSITIVE, bounded
 
 
 class XvaError(ValueError):
@@ -85,8 +86,7 @@ class XvaReport:
 
 def to_running_spread(report: XvaReport, annuity: float) -> XvaReport:
     """Fill the basis-point twins: value / annuity * 1e4."""
-    if not annuity > 0.0:
-        raise XvaError("annuity must be > 0")
+    bounded(annuity, POSITIVE, "annuity", XvaError)
     bp = {k: getattr(report, k) / annuity * 1e4 for k in _FIELDS}
     return replace(report, bp=bp)
 

@@ -724,7 +724,6 @@ class TestRates:
         ("option.div_yield", -1e300, "option.div_yield"),
         ("parties.b.bond_spread", 2.0, "parties.b.bond_spread"),
         ("parties.c.liquidity_spread", -1.0, "parties.c.liquidity_spread"),
-        ("parties.c.hazard", {"flat": 7.0}, "parties.c.hazard"),
     ])
     def test_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, key, value, named):
         monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
@@ -733,6 +732,22 @@ class TestRates:
         set_key(sc, key, value)
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
         assert validation_message(capsys).startswith(f"{named} must be a finite number in (-1, 1]")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("party, value", [
+        ({"bond_spread": 0.03, "hazard": {"flat": 7.0}}, 7.0),
+        ({"bond_spread": 0.03, "hazard": {"flat": -0.01}}, -0.01),
+        ({"bond_spread": 0.03, "liquidity_spread": 0.01, "hazard": {"flat": -0.01}}, -0.01),
+    ], ids=["above", "negative", "negative-beside-liquidity"])
+    def test_party_hazard_outside_exits_2(self, tmp_path, capsys, monkeypatch, party, value):
+        # a hazard curve's rates lie in [0, 1]; a negative one once exited 2
+        # with a library message naming no key
+        monkeypatch.setattr(cxva.pde, "solve", fail_if_reached("solve"))
+        sc = self.scenario(tmp_path)
+        set_key(sc, "parties.c", party)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            f"parties.c.hazard must be a finite number in [0, 1], got {value!r}"
         assert not (tmp_path / "out").exists()
 
     def test_repeated_tenor_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -885,6 +900,25 @@ class TestCsvFiles:
             return lines
         self.assert_exits_2_at_line_3(tmp_path, capsys, key, inflate, "field larger than")
 
+    @pytest.mark.parametrize("column, cell, interval", [
+        ("price", "-1", "(0, inf)"), ("quantity", "inf", "[0, inf)"),
+        ("h_csa", "1", "[0, 1)"), ("h_lcr", "nan", "[0, 1]"), ("ec_BB", "-0.5", "[0, inf)"),
+    ])
+    def test_asset_cell_outside_exits_2(self, tmp_path, capsys, column, cell, interval):
+        # each number cell against CollateralAsset's own interval, named by
+        # the file, line and column
+        def spoil(lines):
+            cells = lines[1].split(",")
+            cells[lines[0].split(",").index(column)] = cell
+            lines[1] = ",".join(cells)
+            return lines
+        sc = self.edited(tmp_path, "assets_file", spoil)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == (
+            f"assets_file {tmp_path / 'edited.csv'} line 2 {column} must be a finite number "
+            f"in {interval}, got {float(cell)!r}")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_tenor_exits_2(self, tmp_path, capsys):
         def repeat_tenor(lines):
             lines[2] = lines[1].split(",")[0] + "," + lines[2].split(",")[1]
@@ -948,6 +982,17 @@ class TestRepoCurve:
         assert err["error"]["type"] == "validation"
         assert "finite" in err["error"]["message"]
         assert not (tmp_path / "out" / "repo_curve.csv").exists()
+
+    def test_negative_hazard_exits_2(self, tmp_path, capsys):
+        # the repo default intensity lies in [0, 1]; at -0.9 with a gap loss
+        # of 0.5 a run once wrote a break-even spread of -44.9 %
+        sc = repo_scenario(tmp_path)
+        set_key(sc, "curves.hazard", -0.9)
+        set_key(sc, "repo.expected_gap_loss", 0.5)
+        assert run(["repo-curve", "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == \
+            "curves.hazard must be a finite number in [0, 1], got -0.9"
+        assert not (tmp_path / "out").exists()
 
     def test_gap_loss_above_one_exits_2(self, tmp_path, capsys):
         # the expected gap loss is a fraction of the loan; at 1e300 the

@@ -334,5 +334,5 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("requirement", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_requirement(self, requirement):
-        with pytest.raises(AllocationError, match="x: requirement must be finite and >= 0"):
+        with pytest.raises(AllocationError, match=r"x: requirement must be a finite number in \[0, inf\)"):
             NettingSet("x", requirement, "A", payable_profile())

@@ -1,6 +1,7 @@
-"""The package surface: every exported name resolves, and no module keeps
-an import it never reads (``__init__``'s re-exports aside), so a deletion
-cannot leave its imports behind."""
+"""The package surface: every exported name resolves, no module keeps an
+import it never reads (``__init__``'s re-exports aside), so a deletion
+cannot leave its imports behind, and no module but ``cxva.intervals``
+compares a value with an infinity, so a range has no second copy."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,24 @@ def test_unused_import_is_found():
     tree = ast.parse("import math\nfrom x import a, b as c\nfrom __future__ import annotations\n"
                      "print(a)\n")
     assert unused_imports(tree) == ["math (line 1)", "c (line 2)"]
+
+
+def inf_comparisons(tree: ast.Module) -> list[int]:
+    """Lines of ``tree`` where a comparison reads ``math.inf`` or ``np.inf``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Attribute) and n.attr == "inf"
+                    and isinstance(n.value, ast.Name) and n.value.id in ("math", "np")
+                    for n in ast.walk(node))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "intervals"],
+                         ids=lambda p: p.stem)
+def test_no_second_copy_of_an_interval(path):
+    # a range is an interval constant checked by cxva.intervals.bounded, the
+    # one place that compares with an infinity
+    assert inf_comparisons(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_inf_comparison_is_found():
+    tree = ast.parse("ok = 0 < x < math.inf\nbig = np.inf\nif y >= -np.inf:\n    pass\n")
+    assert inf_comparisons(tree) == [1, 3]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cxva import collateral, discounting, exposure, optimizer, pde
+from cxva import collateral, curves, discounting, exposure, intervals, optimizer, pde, repo
 from cxva.collateral import CollateralAsset
 from cxva.curves import RateCurve
 from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, DeterministicModel,
@@ -276,9 +276,33 @@ class TestSchema:
                     numbers += 1
         assert numbers == 29
 
-    def test_grid_bounds_are_the_library_constants(self):
-        for name in ("s_nodes", "t_steps"):
-            assert SCHEMA["grid"][name].bounds == (pde.MIN_GRID_SIZE, pde.MAX_GRID_SIZE, "[]")
+    def test_intervals_are_the_library_constants(self):
+        # each key that sets a library field reads the interval that field's
+        # own check reads
+        library = {
+            **{("option", name): pde.OPTION_BOUNDS[name] for name in pde.OPTION_BOUNDS},
+            **{("grid", name): pde.GRID_BOUNDS[name] for name in pde.GRID_BOUNDS},
+            **{("portfolio", name): exposure.PORTFOLIO_BOUNDS[name]
+               for name in exposure.PORTFOLIO_BOUNDS},
+            **{("portfolio", name): exposure.MC_BOUNDS[name] for name in exposure.MC_BOUNDS},
+            ("portfolio", "maturity_min"): exposure.MATURITY,
+            ("portfolio", "maturity_max"): exposure.MATURITY,
+            ("portfolio", "notional"): exposure.SWAP_BOUNDS["notional"],
+            ("portfolio", "profile_points"): exposure.PROFILE_POINTS,
+            ("collateral", "collateralization"): collateral.STATE_BOUNDS["eta_b"],
+            ("collateral", "chi"): collateral.STATE_BOUNDS["chi_b"],
+            ("collateral", "h_csa"): collateral.HAIRCUT,
+            ("collateral", "h_repo"): collateral.HAIRCUT,
+            **{("repo", name): repo.REPO_BOUNDS[name] for name in repo.REPO_BOUNDS},
+            ("curves", "hazard"): curves.HAZARD, ("party", "hazard"): curves.HAZARD,
+            ("optimizer", "quantity"): collateral.ASSET_BOUNDS["quantity"],
+            ("optimizer", "hqla_floor"): intervals.NON_NEGATIVE,
+            **{("optimizer", name): optimizer.ITERATION_BOUNDS[name]
+               for name in optimizer.ITERATION_BOUNDS},
+        }
+        assert len(library) == 31
+        for (section, name), bounds in library.items():
+            assert SCHEMA[section][name].bounds is bounds, (section, name)
 
     def test_values_read_once(self, tmp_path):
         sc = Scenario.load(write(tmp_path, BASE))
