@@ -7,22 +7,26 @@ Two backends produce E[V*+](t) and E[V*-](t) on a time grid:
   sign;
 - one-factor Monte Carlo: a mean-reverting Gaussian short rate fitted to
   the initial curve (Hull-White style bond reconstitution), with antithetic
-  pairs drawn from one generator seeded by the model seed; EPE and ENE are
-  means over the paths. At grid time t_k the book's value is one smooth
-  function of the factor, V_k(x) = A_k + sum_i w_i exp(-x b_i) over the
-  claims owed, b_i = (1 - exp(-a (T_i - t_k))) / a at mean reversion a, so
-  it is revalued at n first-kind Chebyshev nodes of [min x_k, max x_k] and
-  interpolated to every path (coefficients from a cosine matrix, then
-  Clenshaw's recurrence). n is the smallest count of at least 8 with
+  pairs drawn from one generator seeded by the model seed, held as a (grid
+  times x paths) array, one row per time; EPE and ENE are means over the
+  paths. At grid time t_k the book's value is one smooth function of the
+  factor, V_k(x) = A_k + sum_i w_i exp(-x b_i) over the claims owed, b_i =
+  (1 - exp(-a (T_i - t_k))) / a at mean reversion a, so it is revalued at n
+  first-kind Chebyshev nodes of [min x_k, max x_k] and interpolated to every
+  path (coefficients from a cosine matrix built once per n and profile,
+  then Clenshaw's recurrence). n is the smallest count of at least 8 with
   (beta / 2)^n / n! <= 2^-60, beta = max_i b_i times half the range: 8 to
   17 on books of 0.25-30 year swaps at mean reversion 0.05 and vol 1 %,
   against 1000 paths. Should n reach the path count, the paths themselves
   are revalued; where every path has one factor value (t = 0, or vol 0)
-  that one value is. Each revaluation runs one block of points at a time
-  in a preallocated buffer of max(32 768, cash-flow dates) float64 values
-  (256 KB for books of up to 32 768 cash-flow dates), so the kernel's
-  transient memory is that buffer beside the (paths x grid times) factor
-  array.
+  that one value is. The kernel fits six steps, then runs Clenshaw's
+  recurrence over their rows at once, each step's coefficients padded with
+  leading zeros to the six's largest n. Revaluations and recurrence share
+  one preallocated buffer of max(32 768, cash-flow dates, 30 x paths)
+  float64 values (256 KB for books of up to 32 768 cash-flow dates at up to
+  1092 paths). Each step's loadings and weights are built in place in two
+  more rows of claims, so the kernel's transient memory is that buffer, the
+  rows and one sorted copy of the cash-flow list beside the factor array.
 
 Swaps are vanilla fixed-for-float, single curve, with regular accrual
 periods counted back from maturity: a swap maturing at m and paying f
@@ -42,11 +46,14 @@ factors are taken.
 A claim dated T is still owed at t when T > t + 1e-12. One owed-count
 table decides this for every claim and profile time at once: for each
 claim, how many of the increasing profile times it is owed at. Both
-backends read it. The Monte Carlo kernel revalues the claims owed at each
-step; the deterministic profile (the book's value with the factor at 0)
-bins each claim's weight * DF(0, T) and each swap's signed notional by
-their counts and sums the bins from the end: V(t) = A(t) + C(t) / DF(0, t),
-with no loop over profile times. The gross annuity reads the list too.
+backends read it, and take A(t), the signed notional of the swaps alive at
+t, by binning each swap's signed notional by its float leg's count and
+summing the bins from the end. The Monte Carlo kernel copies the list
+sorted by owed count once, so the claims owed at each step are a suffix of
+the copy, and revalues them; the deterministic profile (the book's value
+with the factor at 0) bins each claim's weight * DF(0, T) the same way:
+V(t) = A(t) + C(t) / DF(0, t), with no loop over profile times. The gross
+annuity reads the list too.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import RateCurve
-from .intervals import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
+from .intervals import FINITE, FRACTION, INTEGER, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
 
 
 class ExposureError(ValueError):
@@ -195,7 +202,8 @@ def generate_portfolio(n: int, payer_frac: float, maturity_range: tuple[float, f
     shifted by ``rate_offset`` to build off-market books); the first
     round(n * payer_frac) swaps pay fixed.
     """
-    for name, value in dict(n=n, payer_frac=payer_frac, rate_band=rate_band,
+    bounded(n, PORTFOLIO_BOUNDS["n"], "n", ExposureError, INTEGER)
+    for name, value in dict(payer_frac=payer_frac, rate_band=rate_band,
                             rate_offset=rate_offset).items():
         bounded(value, PORTFOLIO_BOUNDS[name], name, ExposureError)
     lo, hi = maturity_range
@@ -304,19 +312,22 @@ class _CashFlows:
         curve (the factor at 0), given their discount factors: A(t) + C(t) /
         DF(0, t), with A the signed notional alive at t and C the sum of
         weight * DF(0, T) over the claims owed at t."""
-        def owed_sum(counts, values):
-            # a claim counts at t_k for k below its count: bin, then sum
-            # each bin's suffix
-            bins = np.bincount(counts, values, minlength=len(times) + 1)
-            return np.cumsum(bins[::-1])[::-1][1:]
         owed = self.owed_counts(times)
-        return (owed_sum(owed[-len(self.signed_notionals):], self.signed_notionals)
-                + owed_sum(owed, self.weights * self.df) / df_times)
+        return (_owed_sum(owed[-len(self.signed_notionals):], self.signed_notionals, len(times))
+                + _owed_sum(owed, self.weights * self.df, len(times)) / df_times)
 
     @property
     def annuity(self) -> float:
         """Sum over swaps of notional times the time-0 annuity, whatever the sign."""
         return float(np.sum(self.accruals * self.df))
+
+
+def _owed_sum(counts: np.ndarray, values: np.ndarray, points: int) -> np.ndarray:
+    """At each of ``points`` times, the sum of the ``values`` whose owed
+    counts exceed its index: a claim counts at t_k for k below its count, so
+    bin by count, then sum each bin's suffix."""
+    bins = np.bincount(counts, values, minlength=points + 1)
+    return np.cumsum(bins[::-1])[::-1][1:]
 
 
 # -- exposure models ---------------------------------------------------------
@@ -336,8 +347,9 @@ class OneFactorMcModel:
     seed: int
 
     def __post_init__(self) -> None:
-        for name, bounds in MC_BOUNDS.items():
-            bounded(getattr(self, name), bounds, name, ExposureError)
+        for name in ("mean_reversion", "vol"):
+            bounded(getattr(self, name), MC_BOUNDS[name], name, ExposureError)
+        bounded(self.paths, MC_BOUNDS["paths"], "paths", ExposureError, INTEGER)
 
 
 def exposure_profile(portfolio: SwapBook, model, points: int,
@@ -349,7 +361,7 @@ def exposure_profile(portfolio: SwapBook, model, points: int,
     """
     if len(portfolio) == 0:
         raise ExposureError("cannot build an exposure profile for an empty portfolio")
-    bounded(points, PROFILE_POINTS, "points", ExposureError)
+    bounded(points, PROFILE_POINTS, "points", ExposureError, INTEGER)
     book = _CashFlows.of(portfolio, curve)
     # the float legs' dates, the tail of the list, are the maturities
     times = np.linspace(0.0, book.dates[-len(book.signed_notionals):].max(), points)
@@ -365,23 +377,27 @@ def exposure_profile(portfolio: SwapBook, model, points: int,
 
 
 def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
-    """Zero-mean OU factor paths, antithetic in pairs.
+    """Zero-mean OU factor paths, antithetic in pairs, as a (paths x times)
+    view of a (times x paths) array: each time's row is contiguous.
 
     Pair j takes row j of one (pairs x steps) draw of standard normals from
-    a generator seeded by the model seed.
+    a generator seeded by the model seed. The odd path of a pair is the
+    negated even one: the recursion's rounding is symmetric in sign.
     """
     a = model.mean_reversion
     n_pairs = (model.paths + 1) // 2
     dts = np.diff(times)
     decay = np.exp(-a * dts)
     stds = model.vol * np.sqrt(-np.expm1(-2.0 * a * dts) / (2.0 * a))
-    z = np.random.default_rng(model.seed).standard_normal((n_pairs, len(dts)))
-    x = np.zeros((2 * n_pairs, len(times)))
-    up, down = x[0::2], x[1::2]
+    shocks = np.random.default_rng(model.seed).standard_normal((n_pairs, len(dts)))
+    shocks *= stds
+    x = np.zeros((len(times), 2 * n_pairs))
+    up = x[:, 0::2]
     for k in range(len(dts)):
-        up[:, k + 1] = up[:, k] * decay[k] + stds[k] * z[:, k]
-        down[:, k + 1] = down[:, k] * decay[k] - stds[k] * z[:, k]
-    return x[:model.paths]
+        np.multiply(up[k], decay[k], out=up[k + 1])
+        up[k + 1] += shocks[:, k]
+    np.negative(up[1:], out=x[1:, 1::2])
+    return x[:, :model.paths].T
 
 
 # Elements of the (points x live cash-flow dates) buffer that the exposure
@@ -389,6 +405,9 @@ def _ou_paths(model: OneFactorMcModel, times: np.ndarray) -> np.ndarray:
 # time. 256 KB stays in cache; a one-shot (points x dates) matrix runs to tens
 # of MB and spends most of its time in memory traffic.
 _BLOCK_ELEMENTS = 32_768
+# Steps whose paths Clenshaw's recurrence interpolates together, in five
+# (steps x paths) arrays carved from the same buffer: 240 KB at 1000 paths.
+_STEP_BLOCK = 6
 # Truncation bound on the Chebyshev series of exp(-beta s) on [-1, 1]:
 # (beta / 2)^n / n! is the leading term of I_n(beta), half its degree-n
 # coefficient.
@@ -422,57 +441,136 @@ def _node_count(beta: float, cap: int) -> int:
     return cap
 
 
-def _factor_sums(x: np.ndarray, b: np.ndarray, weights: np.ndarray,
-                 buf: np.ndarray) -> np.ndarray:
-    """``_claim_sums`` at every path's factor value x, from its values at n
-    first-kind Chebyshev nodes of [min x, max x] interpolated by Clenshaw's
-    recurrence; at the paths themselves when n reaches the path count."""
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        return np.full(len(x), _claim_sums(x[:1], b, weights, buf)[0])
+def _step_claims(dates: np.ndarray, claims: np.ndarray, df: np.ndarray, t: float,
+                 df_t: float, a: float, phi_t: float, out: tuple):
+    """The factor loadings b = (1 - exp(-a (T - t))) / a and the weights
+    claim x DF(t, T) x exp(-b^2 phi_t / 2) of the claims dated T in
+    ``dates``, built in place in the first two of the three arrays ``out``
+    of their length; the third is scratch."""
+    b, weights, tmp = out
+    # -expm1(-y), not 1 - exp(-y), which is 0 for y below 1e-16: as a -> 0,
+    # b -> T - t
+    np.subtract(dates, t, out=b)
+    np.multiply(b, -a, out=b)
+    np.expm1(b, out=b)
+    np.divide(b, -a, out=b)
+    np.divide(df, df_t, out=weights)
+    np.multiply(claims, weights, out=weights)
+    np.multiply(b, -0.5, out=tmp)
+    np.multiply(tmp, b, out=tmp)
+    np.multiply(tmp, phi_t, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.multiply(weights, tmp, out=weights)
+    return b, weights
+
+
+def _node_fit(lo: float, hi: float, b: np.ndarray, weights: np.ndarray,
+              buf: np.ndarray, cosines: dict, cap: int) -> np.ndarray | None:
+    """Chebyshev coefficients of ``_claim_sums`` on [lo, hi], lo < hi, from
+    its values at n first-kind Chebyshev nodes, or None when n reaches
+    ``cap``. ``cosines`` keeps each n's node cosines and cosine matrix."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n = _node_count(float(b.max()) * half, len(x))
-    if n == len(x):
-        return _claim_sums(x, b, weights, buf)
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    values = _claim_sums(mid + half * np.cos(theta), b, weights, buf)
-    coeffs = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ values)
-    coeffs[0] *= 0.5
-    s = np.clip((x - mid) / half, -1.0, 1.0)
-    two_s = 2.0 * s
-    b1 = b2 = 0.0
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + two_s * b1 - b2, b1
-    return coeffs[0] + s * b1 - b2
+    n = _node_count(float(b.max()) * half, cap)
+    if n == cap:
+        return None
+    if n not in cosines:
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        cosines[n] = np.cos(theta), np.cos(np.outer(np.arange(n), theta))
+    nodes, matrix = cosines[n]
+    fit = (2.0 / n) * (matrix @ _claim_sums(mid + half * nodes, b, weights, buf))
+    fit[0] *= 0.5
+    return fit
+
+
+def _clenshaw(coeffs: np.ndarray, s: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[r, j] T_j(s[r]) for each row r of ``s``, by Clenshaw's
+    recurrence in the four ``work`` arrays of its shape, the first of which
+    it leaves free; returns the one holding the sums. Zero leading
+    coefficients leave a row's sum unchanged bit for bit."""
+    two_s, b1, b2, t = work
+    np.multiply(s, 2.0, out=two_s)
+    b1[:] = coeffs[:, -1:]
+    b2.fill(0.0)
+    for c in coeffs[:, -2:0:-1].T:
+        np.multiply(two_s, b1, out=t)
+        np.add(t, c[:, None], out=t)
+        np.subtract(t, b2, out=t)
+        b1, b2, t = t, b1, b2
+    np.multiply(s, b1, out=t)
+    np.add(t, coeffs[:, :1], out=t)
+    return np.subtract(t, b2, out=t)
 
 
 def _mc_exposure(book: _CashFlows, model: OneFactorMcModel,
                  times: np.ndarray, curve: RateCurve):
     a = model.mean_reversion
-    # -expm1(-y), not 1 - exp(-y), which is 0 for y below 1e-16: as a -> 0,
-    # phi -> vol^2 t and b -> u - t
+    # -expm1(-y), as in _step_claims: as a -> 0, phi -> vol^2 t
     phi = model.vol ** 2 * -np.expm1(-2.0 * a * times) / (2.0 * a)
-    x = _ou_paths(model, times)
-
-    epe = np.zeros(len(times))
-    ene = np.zeros(len(times))
-    mtm0 = 0.0
+    x = _ou_paths(model, times).T
+    steps, paths = x.shape
+    lows, highs = x.min(axis=1), x.max(axis=1)
     df_grid = curve.df(times)
-    buf = np.empty(max(_BLOCK_ELEMENTS, len(book.dates)))
     owed = book.owed_counts(times)
-    alive = owed[-len(book.signed_notionals):]
-    for k, t in enumerate(times):
-        live = owed > k
-        u = book.dates[live]
-        if len(u) == 0:
+    const = _owed_sum(owed[-len(book.signed_notionals):], book.signed_notionals, steps)
+    # the claims in owed-count order: those owed at step k are the suffix
+    # from starts[k], past the claims owed at no more than k steps
+    starts = np.cumsum(np.bincount(owed, minlength=steps + 1))[:steps]
+    order = np.argsort(owed, kind="stable")
+    dates, claims, df = book.dates[order], book.weights[order], book.df[order]
+    del owed, order  # not held through the loop, where the kernel's memory peaks
+    rows = min(_STEP_BLOCK, steps)
+    buf = np.empty(max(_BLOCK_ELEMENTS, len(book.dates), 5 * rows * paths))
+    loadings, weighted = np.empty((2, len(dates)))
+    cosines = {}
+    epe = np.zeros(steps)
+    ene = np.zeros(steps)
+    mtm0 = 0.0
+
+    def record(ks, values, spare=None):
+        nonlocal mtm0
+        if ks[0] == 0:
+            mtm0 = float(np.mean(values[0]))
+        epe[ks] = np.mean(np.maximum(values, 0.0, out=spare), axis=1)
+        ene[ks] = np.mean(np.maximum(np.negative(values, out=spare), 0.0, out=spare), axis=1)
+
+    for first in range(0, steps, rows):
+        # fit each step of the block at the nodes; a step whose paths share
+        # one factor value, or whose n reaches the path count, is valued
+        # at its paths at once
+        fitted, fits = [], []
+        for k in range(first, min(first + rows, steps)):
+            start = starts[k]
+            if start == len(dates):
+                break
+            # the buffer's head is free until _claim_sums fills it
+            b, weights = _step_claims(dates[start:], claims[start:], df[start:], times[k],
+                                      df_grid[k], a, phi[k],
+                                      (loadings[start:], weighted[start:], buf[:len(dates) - start]))
+            if lows[k] == highs[k]:
+                values = np.full((1, paths), _claim_sums(x[k, :1], b, weights, buf)[0])
+            else:
+                fit = _node_fit(lows[k], highs[k], b, weights, buf, cosines, paths)
+                if fit is not None:
+                    fitted.append(k)
+                    fits.append(fit)
+                    continue
+                values = _claim_sums(x[k], b, weights, buf)[None]
+            values += const[k]
+            record([k], values)
+        if not fitted:
             continue
-        claims = book.weights[live] * (book.df[live] / df_grid[k])
-        b = -np.expm1(-a * (u - t)) / a
-        weights = claims * np.exp(-0.5 * b * b * phi[k])
-        const = float(np.sum(book.signed_notionals * (alive > k)))
-        values = _factor_sums(x[:, k], b, weights, buf) + const
-        epe[k] = np.mean(np.maximum(values, 0.0))
-        ene[k] = np.mean(np.maximum(-values, 0.0))
-        if k == 0:
-            mtm0 = float(np.mean(values))
+        # interpolate the fitted steps' paths together, each fit padded with
+        # leading zeros to the block's largest n
+        coeffs = np.zeros((len(fits), max(map(len, fits))))
+        for row, fit in zip(coeffs, fits):
+            row[:len(fit)] = fit
+        s, *work = buf[:5 * len(fitted) * paths].reshape(5, len(fitted), paths)
+        lo, hi = lows[fitted, None], highs[fitted, None]
+        np.take(x, fitted, axis=0, out=s, mode="clip")  # "raise" copies through a temporary
+        np.subtract(s, 0.5 * (lo + hi), out=s)
+        np.divide(s, 0.5 * (hi - lo), out=s)
+        np.clip(s, -1.0, 1.0, out=s)
+        values = _clenshaw(coeffs, s, work)
+        values += const[fitted, None]
+        record(fitted, values, spare=work[0])
     return epe, ene, mtm0

@@ -19,17 +19,22 @@ FRACTION = (0.0, 1.0, "[]")
 POSITIVE = (0.0, math.inf, "()")
 NON_NEGATIVE = (0.0, math.inf, "[)")
 COUNT = (1, math.inf, "[]")  # an integer count of at least one
+# ``bounded``'s ``what`` for a count: the value must be an integer too
+INTEGER = "an integer"
 
 
 def bounded(value, bounds: tuple, name: str, error: type, what: str = "a finite number"):
     """``value`` if it lies in ``bounds`` (an array: if its least and greatest
-    entries do), else ``error`` naming ``name``, the interval and the value."""
+    entries do), else ``error`` naming ``name``, the interval and the value.
+    With ``what=INTEGER`` the value must also be an int or a numpy integer,
+    not a bool."""
     if isinstance(value, np.ndarray):
         for end in (value.min(), value.max()) if value.size else ():
             bounded(end.item(), bounds, name, error, what)
         return value
     lo, hi, (left, right) = bounds
-    if ((lo < value or left == "[" and -math.inf < value == lo)
+    if ((what != INTEGER or isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+            and (lo < value or left == "[" and -math.inf < value == lo)
             and (value < hi or right == "]" and math.inf > value == hi)):
         return value
     raise error(f"{name} must be {what} in {left}{lo:g}, {hi:g}{right}, got {value!r}")

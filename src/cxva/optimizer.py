@@ -34,7 +34,7 @@ from .collateral import CollateralAsset, CollateralState, blend_spread_curve, ch
 from .curves import PartyCurves, RateCurve
 from .discounting import EffectiveRateSpec
 from .exposure import ExposureProfile
-from .intervals import COUNT, NON_NEGATIVE, POSITIVE, bounded, chosen
+from .intervals import COUNT, INTEGER, NON_NEGATIVE, POSITIVE, bounded, chosen
 from .repo import RepoModelParams, repo_curve
 from .simplex import (LpInfeasibleError, LpSolverError, LpUnboundedError,
                       solve_bounded_lp)
@@ -228,7 +228,7 @@ def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[Netting
     blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
     """
     bounded(tol, ITERATION_BOUNDS["tol"], "tol", AllocationError)
-    bounded(max_iter, ITERATION_BOUNDS["max_iter"], "max_iter", AllocationError)
+    bounded(max_iter, ITERATION_BOUNDS["max_iter"], "max_iter", AllocationError, INTEGER)
     mtm_star = np.array([ns.profile.mtm0 for ns in sets], dtype=float)
     benefit = np.zeros((len(assets), len(sets)))
     spreads: dict[tuple[int, str], RateCurve] = {}  # one curve per (asset, rating)

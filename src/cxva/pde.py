@@ -66,7 +66,7 @@ import numpy as np
 
 from .discounting import EffectiveRateSpec, risk_free_spec
 from .exposure import MATURITY
-from .intervals import NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
+from .intervals import INTEGER, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
 
 
 class PdeError(ValueError):
@@ -147,8 +147,9 @@ class GridSpec:
     s_max_mult: float = 5.0
 
     def __post_init__(self) -> None:
-        for name, bounds in GRID_BOUNDS.items():
-            bounded(getattr(self, name), bounds, name, PdeError)
+        for name in ("s_nodes", "t_steps"):
+            bounded(getattr(self, name), GRID_BOUNDS[name], name, PdeError, INTEGER)
+        bounded(self.s_max_mult, GRID_BOUNDS["s_max_mult"], "s_max_mult", PdeError)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .discounting import MODES, EffectiveRateSpec
 from .exposure import (MATURITY, MC_BOUNDS, PAY_FREQS, PORTFOLIO_BOUNDS, PROFILE_POINTS,
                        SWAP_BOUNDS, DeterministicModel, OneFactorMcModel, SwapBook,
                        exposure_profile, generate_portfolio)
-from .intervals import COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
+from .intervals import COUNT, FINITE, FRACTION, INTEGER, NON_NEGATIVE, POSITIVE, RATE, bounded, chosen
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, ITERATION_BOUNDS, NettingSet
 from .pde import GRID_BOUNDS, OPTION_BOUNDS, PAYOFFS, GridSpec, OptionSpec
 from .repo import REPO_BOUNDS, RepoModelParams
@@ -165,7 +165,7 @@ def _convert(key: Key, value, name: str, base_dir: Path):
     if kind == "curve":
         return _curve(value, key.bounds, name, base_dir)
     if kind == "array" and isinstance(value, list):
-        bounded(len(value), key.bounds, f"{name} length", ScenarioError, "an integer")
+        bounded(len(value), key.bounds, f"{name} length", ScenarioError, INTEGER)
         return [_convert(key.item, v, f"{name}[{i}]", base_dir) for i, v in enumerate(value)]
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -173,7 +173,7 @@ def _convert(key: Key, value, name: str, base_dir: Path):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
             return bounded(float(value), key.bounds, name, ScenarioError)
     if kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
-        value = bounded(value, key.bounds, name, ScenarioError, "an integer")
+        value = bounded(value, key.bounds, name, ScenarioError, INTEGER)
     elif not (kind == "string" and isinstance(value, str)):
         raise ScenarioError(f"{name} must be a JSON {kind}, got {value!r:.60}")
     return value if key.choices is None else chosen(value, key.choices, name, ScenarioError)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -231,6 +232,28 @@ class TestDeterministicProfile:
             exposure_profile(book_of([]), DeterministicModel(), 10, curve)
 
 
+def dense_profile(book: SwapBook, model: OneFactorMcModel, times: np.ndarray, curve):
+    """EPE, ENE and mtm0 of ``book`` with every path revalued at every time
+    from per-swap claims: the kernel's reference."""
+    a = model.mean_reversion
+    phi = model.vol ** 2 * (1.0 - np.exp(-2.0 * a * times)) / (2.0 * a)
+    x = _ou_paths(model, times)
+    dates = np.concatenate([s.payment_times() for s in book] + [[s.maturity for s in book]])
+    w = np.concatenate([np.full(len(s.payment_times()),
+                                -s.sign * s.notional * s.fixed_rate / s.pay_freq)
+                        for s in book] + [[-s.sign * s.notional for s in book]])
+    epe, ene, mtm0 = np.zeros(len(times)), np.zeros(len(times)), 0.0
+    for k, t in enumerate(times):
+        live = dates > t + 1e-12
+        b = (1.0 - np.exp(-a * (dates[live] - t))) / a
+        weights = w[live] * curve.df(dates[live]) / curve.df(t) * np.exp(-0.5 * b * b * phi[k])
+        const = sum(s.sign * s.notional for s in book if s.maturity > t + 1e-12)
+        values = const + np.exp(-np.outer(x[:, k], b)) @ weights
+        epe[k], ene[k] = np.mean(np.maximum(values, 0.0)), np.mean(np.maximum(-values, 0.0))
+        mtm0 = float(np.mean(values)) if k == 0 else mtm0
+    return epe, ene, mtm0
+
+
 class TestMcProfile:
     def test_zero_vol_equals_deterministic(self, curve):
         book = generate_portfolio(25, 0.5, (1.0, 15.0), 0.01, seed=9, curve=curve)
@@ -336,6 +359,57 @@ class TestMcProfile:
         assert len(sent) == 120
         assert max(sent) <= 32
 
+    def test_node_work_on_a_stochastic_book(self, curve, monkeypatch):
+        # points x live claims sent to the evaluator on the stochastic_book
+        # workload's book shape: each step's node count and claim set
+        book = generate_portfolio(200, 0.55, (0.25, 30.0), 0.01, seed=1, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=1)
+        work = []
+        claim_sums = cxva.exposure._claim_sums
+
+        def counting(points, b, *args):
+            work.append(len(points) * len(b))
+            return claim_sums(points, b, *args)
+
+        monkeypatch.setattr(cxva.exposure, "_claim_sums", counting)
+        exposure_profile(book, model, 121, curve)
+        assert sum(work) == 3_952_371
+
+    @pytest.mark.parametrize("rows", [1, 121], ids=["one-step", "whole-grid"])
+    def test_step_block_invariance(self, curve, monkeypatch, rows):
+        book = generate_portfolio(200, 0.55, (0.25, 30.0), 0.01, seed=1, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=1)
+        base = exposure_profile(book, model, 121, curve)
+        monkeypatch.setattr(cxva.exposure, "_STEP_BLOCK", rows)
+        blocked = exposure_profile(book, model, 121, curve)
+        assert np.max(np.abs(blocked.epe - base.epe)) <= 1e-14
+        assert np.max(np.abs(blocked.ene - base.ene)) <= 1e-14
+        assert abs(blocked.mtm0 - base.mtm0) <= 1e-14
+
+    def test_mixed_node_and_path_steps_match_dense_reference(self, curve, monkeypatch):
+        # every third fitted step reaches the path count and revalues its
+        # paths; the steps of its block around it interpolate from nodes
+        book = generate_portfolio(40, 0.5, (5.0, 30.0), 0.01, seed=8, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=3)
+        node_count = cxva.exposure._node_count
+        calls = itertools.count()
+        monkeypatch.setattr(cxva.exposure, "_node_count", lambda beta, cap: (
+            cap if next(calls) % 3 == 0 else node_count(beta, cap)))
+        sent = []
+        claim_sums = cxva.exposure._claim_sums
+
+        def counting(points, *args):
+            sent.append(len(points))
+            return claim_sums(points, *args)
+
+        monkeypatch.setattr(cxva.exposure, "_claim_sums", counting)
+        profile = exposure_profile(book, model, 31, curve)
+        assert sent.count(1000) == 10 and sum(1 < n <= 32 for n in sent) == 19
+        epe, ene, mtm0 = dense_profile(book, model, profile.times, curve)
+        assert np.max(np.abs(profile.epe - epe)) <= 1e-13 * 40
+        assert np.max(np.abs(profile.ene - ene)) <= 1e-13 * 40
+        assert abs(profile.mtm0 - mtm0) <= 1e-13 * 40
+
     def test_node_cap_revalues_every_path(self, curve, monkeypatch):
         # with a truncation bound no node count meets, the count reaches the
         # path count and each path is revalued at its own factor value
@@ -388,6 +462,20 @@ class TestMcProfile:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_transient_memory_near_the_factor_array(self, curve):
+        # the (paths x times) factor array is 0.92 MiB; beside it the
+        # pair draws, the cash-flow list sorted by owed count, two rows of
+        # claims and the kernel's one 256 KB buffer
+        book = generate_portfolio(200, 0.55, (0.25, 30.0), 0.01, seed=1, curve=curve)
+        model = OneFactorMcModel(0.05, 0.01, 1000, seed=18)
+        tracemalloc.start()
+        try:
+            exposure_profile(book, model, 121, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     @pytest.mark.parametrize("field", ["mean_reversion", "vol"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

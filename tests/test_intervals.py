@@ -108,6 +108,24 @@ def test_library_field_interval(name, build, field, bounds, error):
         build(**{field: value})
 
 
+# the library's count fields: a value of their interval that is not an
+# integer raises as bounded(..., INTEGER) words it
+COUNTS = [(name, build, field, bounds, error) for name, build, field, bounds, error in FIELDS
+          if (name, field) in {("GridSpec", "s_nodes"), ("GridSpec", "t_steps"),
+                               ("generate_portfolio", "n"), ("OneFactorMcModel", "paths"),
+                               ("exposure_profile", "points"), ("iterate_allocation", "max_iter")}]
+
+
+@pytest.mark.parametrize("name, build, field, bounds, error", COUNTS,
+                         ids=[f"{name}-{field}" for name, _, field, _, _ in COUNTS])
+def test_library_count_is_an_integer(name, build, field, bounds, error):
+    lo = bounds[0]
+    for value in (lo + 0.5, float(lo), np.float64(lo), True, str(lo)):
+        with pytest.raises(error, match=rf"^{field} must be an integer in \[{lo:g}, "):
+            build(**{field: value})
+    build(**{field: np.int64(lo)})
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda hazard: PartyCurves(bond=RateCurve.flat(1.5), hazard=hazard), CurveError),
     (lambda hazard: RepoModelParams(roe=0.1, mu0_curve=CURVE, hazard=hazard), RepoModelError),
