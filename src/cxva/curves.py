@@ -56,14 +56,14 @@ class RateCurve:
             raise CurveError("curve needs at least one (tenor, rate) node")
         ts = np.asarray(self.tenors, dtype=float)
         zs = np.asarray(self.rates, dtype=float)
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(zs))):
+        if not (np.isfinite(ts).all() and np.isfinite(zs).all()):
             raise CurveError("curve tenors and rates must be finite")
         if ts[0] <= 0.0:
             raise CurveError("first tenor must be > 0")
-        if np.any(np.diff(ts) <= 0.0):
+        if (ts[1:] <= ts[:-1]).any():
             raise CurveError("tenors must be strictly increasing")
-        object.__setattr__(self, "tenors", tuple(float(t) for t in ts))
-        object.__setattr__(self, "rates", tuple(float(z) for z in zs))
+        object.__setattr__(self, "tenors", tuple(ts.tolist()))
+        object.__setattr__(self, "rates", tuple(zs.tolist()))
         object.__setattr__(self, "_ts", np.concatenate(([0.0], ts)))
         object.__setattr__(self, "_zts", np.concatenate(([0.0], zs * ts)))
 
@@ -84,9 +84,8 @@ class RateCurve:
         """z(t)*t = -ln DF(0,t); linear on segments, slope z_N beyond the end."""
         t = _as_array(t)
         out = np.interp(t, self._ts, self._zts)
-        last_t = self._ts[-1]
-        beyond = t > last_t
-        if np.any(beyond):
+        beyond = t > self._ts[-1]
+        if beyond.any():
             out = np.where(beyond, self.rates[-1] * t, out)
         return out
 
@@ -99,23 +98,29 @@ class RateCurve:
         return float(out) if out.ndim == 0 else out
 
     def integral(self, t1, t2):
-        """Exact integral of the instantaneous forward over [t1, t2]."""
+        """Exact integral of the instantaneous forward over [t1, t2]; a NaN
+        time is out of range."""
         t1 = _as_array(t1)
         t2 = _as_array(t2)
-        if np.any(t1 < 0.0) or np.any(t2 < t1):
+        if not ((t1 >= 0.0).all() and (t2 >= t1).all()):
             raise CurveError("integral requires 0 <= t1 <= t2")
         out = self._zt(t2) - self._zt(t1)
         return float(out) if out.ndim == 0 else out
 
     def df(self, t):
-        """Discount factor from time 0 to t (scalar or array), t >= 0."""
-        out = np.exp(-self.integral(0.0, t))
-        return float(out) if np.ndim(out) == 0 else out
+        """Discount factor from time 0 to t (scalar or array), t >= 0 (not NaN):
+        exp(-integral(0, t)), read off z(t)t since z(0)0 is 0.0."""
+        t = _as_array(t)
+        if not (t >= 0.0).all():
+            raise CurveError("df requires t >= 0")
+        out = np.exp(-self._zt(t))
+        return float(out) if out.ndim == 0 else out
 
     def forward_rate(self, t):
-        """Instantaneous forward at t (right-continuous, piecewise constant)."""
+        """Instantaneous forward at t (right-continuous, piecewise constant),
+        t >= 0 (not NaN)."""
         t = _as_array(t)
-        if np.any(t < 0.0):
+        if not (t >= 0.0).all():
             raise CurveError("forward_rate requires t >= 0")
         idx = np.searchsorted(self._ts, t, side="right")
         idx = np.clip(idx, 1, len(self._ts) - 1)
@@ -142,9 +147,10 @@ def combine_curves(curves: Sequence[RateCurve], weights: Sequence[float],
 
 def dominates(upper: RateCurve, lower: RateCurve) -> bool:
     """Whether upper's zero rate is >= lower's (to 1e-12) at every node of
-    either curve."""
-    ts = np.asarray(sorted(set(upper.tenors) | set(lower.tenors)))
-    return not np.any(upper.zero_rate(ts) < lower.zero_rate(ts) - 1e-12)
+    either curve (a node both curves hold is compared twice, to the same
+    answer)."""
+    ts = np.concatenate((upper._ts[1:], lower._ts[1:]))
+    return not (upper._zt(ts) / ts < lower._zt(ts) / ts - 1e-12).any()
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ class EffectiveRateSpec:
         chosen(self.mode, MODES, "mode", ValueError)
         if self.mode == "cash_comingled" and self.cash_rate is None:
             raise ValueError("mode 'cash_comingled' needs a cash_rate curve")
-        for party in (self.party_b, self.party_c):
+        parties = (self.party_b,) if self.party_c is self.party_b else (self.party_b, self.party_c)
+        for party in parties:
             if not dominates(party.liquidity, self.risk_free):
                 raise CurveError("liquidity rate must be >= risk-free rate at every tenor")
 

@@ -38,10 +38,9 @@ is built. The profiles take a book and read its arrays; iterating it yields
 one ``Swap`` row of Python scalars per swap, which no profile builds. A book
 is built once per profile as one cash-flow list of discount-factor claims
 (every fixed coupon, swap by swap and each swap's dates ascending, then
-every float leg's terminal discount factor), laid out from a (swaps x most
-coupons) grid of coupon dates. The grid, like the list, holds at most
-MAX_SWAPS x 401 dates (64 MB), and is freed before the list's discount
-factors are taken.
+every float leg's terminal discount factor), each coupon date taken from
+its swap's maturity, payment frequency and place in the list. The list
+holds at most MAX_SWAPS x 401 dates (64 MB).
 
 A claim dated T is still owed at t when T > t + 1e-12. One owed-count
 table decides this for every claim and profile time at once: for each
@@ -262,16 +261,14 @@ def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.n
     """Every coupon date, swap by swap, and the number of each swap's dates:
     the one coupon rule, which ``Swap.payment_times`` and ``par_rate`` read
     too."""
-    counts = np.ceil(maturity * f - 1e-9)
+    per_swap = np.ceil(maturity * f - 1e-9).astype(np.int64)
     # coupon j of swap i is paid (counts_i - 1 - j) periods before its
-    # maturity: a (swaps x most coupons) grid, masked to each swap's coupons
-    # and read row by row
-    cols = np.arange(counts.max())
-    grid = counts[:, None] - 1.0 - cols
-    np.divide(grid, f[:, None], out=grid)
-    np.subtract(maturity[:, None], grid, out=grid)
-    paid = cols < counts[:, None]
-    return grid[paid], paid.sum(axis=1)
+    # maturity: ends_i - 1 - k at the list's k-th date, ends the running sum
+    # of the counts (whole numbers, held exactly)
+    periods = np.repeat(np.cumsum(per_swap) - 1, per_swap)
+    periods -= np.arange(len(periods))
+    dates = np.divide(periods, np.repeat(f, per_swap))
+    return np.subtract(np.repeat(maturity, per_swap), dates, out=dates), per_swap
 
 
 @dataclass(frozen=True)
@@ -294,10 +291,12 @@ class _CashFlows:
         signed = book.sign * book.notional
         coupon = -(signed * book.fixed_rate * (1.0 / f))
         dates = np.concatenate((coupon_dates, book.maturity))
+        # one claim per coupon, then one per float leg
+        per_claim = np.concatenate((per_swap, np.ones(len(book), dtype=np.int64)))
         return cls(dates=dates, df=curve.df(dates),
-                   weights=np.concatenate((np.repeat(coupon, per_swap), -signed)),
-                   accruals=np.concatenate((np.repeat(book.notional / f, per_swap),
-                                            np.zeros(len(book)))),
+                   weights=np.repeat(np.concatenate((coupon, -signed)), per_claim),
+                   accruals=np.repeat(np.concatenate((book.notional / f, np.zeros(len(book)))),
+                                      per_claim),
                    signed_notionals=signed)
 
     def owed_counts(self, times: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .intervals import COUNT, FINITE, FRACTION, INTEGER, NON_NEGATIVE, POSITIVE,
 from .optimizer import DEFAULT_SPREAD_TENORS, FUNDING_HAIRCUTS, ITERATION_BOUNDS, NettingSet
 from .pde import GRID_BOUNDS, OPTION_BOUNDS, PAYOFFS, GridSpec, OptionSpec
 from .repo import REPO_BOUNDS, RepoModelParams
-from .xva import MAX_QUADRATURE_STEPS
+from .xva import QUADRATURE_STEPS
 
 
 class ScenarioError(ValueError):
@@ -86,7 +86,7 @@ SCHEMA = {
         "collateral": Key("object", {}, section="collateral"),
         "option": Key("object", section="option"), "grid": Key("object", {}, section="grid"),
         "portfolio": Key("object", section="portfolio"),
-        "quadrature_steps": Key("integer", 200, (1, MAX_QUADRATURE_STEPS, "[]")),
+        "quadrature_steps": Key("integer", 200, QUADRATURE_STEPS),
         "xva_levels": Key("array", [0.0, 0.5, 1.0], (1, MAX_SWEEP_POINTS, "[]"),
                           Key("number", bounds=FRACTION)),
         "sweep": Key("object", {}, section="sweep"),

@@ -10,17 +10,20 @@ CVA/DVA and CFA/DFA (together CRA), the collateral share gives LVA, whose
 repo-funded part is colVA.
 
 Numerics: the quadrature grid is refined with every curve node so spread
-integrals per segment are exact, and each segment integrates
-weight * [exposure * DF] with the log-mean of the endpoint products, which
-is exact when the bracket is a pure exponential (flat-rate cases, unit
-payoffs, martingale exposures) and second-order otherwise. The
-discount factor on positive-exposure terms compounds r_ec, on negative
-ones r_eb - the deterministic-eta surrogate of the path-wise switching
-rate, exact for single-sign profiles.
+integrals per segment are exact (each distinct curve is integrated once
+per grid, as differences of its integral from 0), and each segment
+integrates weight * [exposure * DF] with the log-mean of the endpoint
+products, which is exact when the bracket is a pure exponential
+(flat-rate cases, unit payoffs, martingale exposures) and second-order
+otherwise. The discount factor on positive-exposure terms compounds
+r_ec, on negative ones r_eb - the deterministic-eta surrogate of the
+path-wise switching rate, exact for single-sign profiles.
 
 One per-side quadrature runs twice: on the EPE with side +1 (CVA, CFA and
 the C leg of LVA/colVA) and on the ENE with side -1 (DVA, DFA and the B
-leg). The risk-free segment integrals are shared and tabulated once.
+leg). The risk-free segment integrals, and those of any curve both sides
+hold (the optimizer's specs hold one poster's on both), are shared and
+tabulated once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .discounting import EffectiveRateSpec, SideRates, blend_rate
 from .exposure import ExposureProfile
-from .intervals import POSITIVE, bounded
+from .intervals import INTEGER, POSITIVE, bounded
 
 
 class XvaError(ValueError):
@@ -41,6 +44,8 @@ class XvaError(ValueError):
 
 # largest uniform quadrature grid a scenario may ask for (quadrature_steps)
 MAX_QUADRATURE_STEPS = 10_000
+# decompose's n_steps, which SCHEMA's quadrature_steps reads
+QUADRATURE_STEPS = (1, MAX_QUADRATURE_STEPS, "[]")
 
 
 _FIELDS = ("cva", "dva", "cfa", "dfa", "lva", "colva", "cra", "xva", "npv")
@@ -105,40 +110,38 @@ def _log_mean(ga: float, gb: float) -> float:
     return (ga - gb) / lr
 
 
-def _quad_grid(profile: ExposureProfile, spec: EffectiveRateSpec,
-               n_steps: int) -> np.ndarray:
+def _quad_grid(profile: ExposureProfile, curves, n_steps: int) -> np.ndarray:
+    """The uniform grid of ``n_steps`` intervals, refined with every profile
+    time and curve tenor inside the horizon."""
     horizon = profile.horizon
-    base = np.linspace(0.0, horizon, n_steps + 1)
-    knots = set(base)
-    knots.update(t for t in profile.times if 0.0 < t < horizon)
-    curves = [spec.risk_free]
-    for side in (spec.side(+1), spec.side(-1)):
-        curves += [side.bond, side.liquidity, side.spread]
-    for c in curves:
-        knots.update(t for t in c.tenors if 0.0 < t < horizon)
-    return np.array(sorted(knots))
+    knots = np.concatenate((profile.times, *(c.tenors for c in curves)))
+    return np.unique(np.concatenate((np.linspace(0.0, horizon, n_steps + 1),
+                                     knots[(knots > 0.0) & (knots < horizon)])))
 
 
-def _side_adjustments(grid: np.ndarray, exposure: np.ndarray, side: SideRates,
-                      i_r: list[float]) -> tuple[float, float, float, float]:
+def _side_adjustments(exposure: np.ndarray, side: SideRates, i_r: list[float],
+                      i_bonds: list[float], i_mus: list[float],
+                      i_ss: list[float]) -> tuple[float, float, float, float]:
     """One side's (default, funding, lva, colva) parts, CVA/CFA on the EPE
-    or DVA/DFA on the ENE; ``i_r`` holds each segment's risk-free integral."""
+    or DVA/DFA on the ENE, from each segment's integral of the risk-free
+    curve and of the side's bond, liquidity and spread curves."""
     eta, chi = side.eta, side.chi
+    # the weights of eta and chi, taken once: each is the double it was when
+    # written out in the loop, so every sum keeps its bits
+    unsecured, unfunded, funded = 1.0 - eta, 1.0 - chi, eta * chi
     default = funding = lva = colva = 0.0
     df = 1.0
-    ends = grid[:-1], grid[1:]
-    i_bonds = side.bond.integral(*ends).tolist()
-    i_mus = side.liquidity.integral(*ends).tolist()
-    i_ss = side.spread.integral(*ends).tolist()
     exposure = exposure.tolist()
-    for k, (i_rf, i_bond, i_mu, i_s) in enumerate(zip(i_r, i_bonds, i_mus, i_ss)):
-        g0 = exposure[k] * df
+    for e0, e1, i_rf, i_bond, i_mu, i_s in zip(exposure, exposure[1:], i_r, i_bonds, i_mus,
+                                                i_ss):
+        g0 = e0 * df
         df *= math.exp(-blend_rate(i_bond, i_mu, i_rf, i_s, eta, chi))
-        lm = _log_mean(g0, exposure[k + 1] * df)
-        default += (1.0 - eta) * (i_bond - i_mu) * lm
-        funding += (1.0 - eta) * (i_mu - i_rf) * lm
-        lva += eta * ((1.0 - chi) * (i_mu - i_rf) + chi * i_s) * lm
-        colva += eta * chi * i_s * lm
+        lm = _log_mean(g0, e1 * df)
+        i_mu_rf = i_mu - i_rf
+        default += unsecured * (i_bond - i_mu) * lm
+        funding += unsecured * i_mu_rf * lm
+        lva += eta * (unfunded * i_mu_rf + chi * i_s) * lm
+        colva += funded * i_s * lm
     return default, funding, lva, colva
 
 
@@ -151,20 +154,28 @@ def decompose(profile: ExposureProfile, spec: EffectiveRateSpec, *,
     uniform grid with ``n_steps`` intervals is refined with all profile and
     curve knots.
     """
+    bounded(n_steps, QUADRATURE_STEPS, "n_steps", XvaError, INTEGER)
+    sides = spec.side(+1), spec.side(-1)
+    curves = [spec.risk_free] + [c for s in sides for c in (s.bond, s.liquidity, s.spread)]
     if grid is None:
-        grid = _quad_grid(profile, spec, n_steps)
+        grid = _quad_grid(profile, curves, n_steps)
     else:
         grid = np.asarray(grid, dtype=float)
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
+        if not (grid[0] == 0.0 and (grid[1:] > grid[:-1]).all()):  # NaN fails too
             raise XvaError("quadrature grid must start at 0 and increase")
         if grid[-1] > profile.horizon + 1e-9:
             raise XvaError("quadrature grid extends beyond the profile horizon")
-    # element-wise, the array form does a scalar call's arithmetic
-    i_r = spec.risk_free.integral(grid[:-1], grid[1:]).tolist()
+    # each segment's integral of each distinct curve: z(t)t at the grid's
+    # ends differenced, which is integral(grid[:-1], grid[1:]) bit for bit
+    segments = {}
+    for c in curves:
+        if id(c) not in segments:
+            segments[id(c)] = np.diff(c.integral(0.0, grid)).tolist()
+    i_r, *legs = (segments[id(c)] for c in curves)
     cva, cfa, lva_c, colva_c = _side_adjustments(
-        grid, np.interp(grid, profile.times, profile.epe), spec.side(+1), i_r)
+        np.interp(grid, profile.times, profile.epe), sides[0], i_r, *legs[:3])
     dva, dfa, lva_b, colva_b = _side_adjustments(
-        grid, np.interp(grid, profile.times, profile.ene), spec.side(-1), i_r)
+        np.interp(grid, profile.times, profile.ene), sides[1], i_r, *legs[3:])
 
     lva = lva_c - lva_b
     colva = colva_c - colva_b

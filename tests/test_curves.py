@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxva.curves import CurveError, PartyCurves, RateCurve, combine_curves
+from cxva.curves import CurveError, PartyCurves, RateCurve, combine_curves, dominates
 
 
 class TestZeroRate:
@@ -74,6 +74,24 @@ class TestDiscountFactor:
             curve.df(-1.0)
         with pytest.raises(CurveError):
             curve.integral(2.0, 1.0)
+
+    @pytest.mark.parametrize("lookup", [
+        lambda c: c.forward_rate(math.nan),
+        lambda c: c.forward_rate(np.array([0.5, math.nan])),
+        lambda c: c.integral(math.nan, 1.0),
+        lambda c: c.integral(0.0, math.nan),
+        lambda c: c.integral(np.array([0.0, math.nan]), 2.0),
+        lambda c: c.df(math.nan),
+        lambda c: c.df(np.array([1.0, math.nan])),
+        lambda c: c.zero_rate(math.nan),
+    ], ids=["forward_rate", "forward_rate_array", "integral_t1", "integral_t2",
+            "integral_array", "df", "df_array", "zero_rate"])
+    def test_nan_time_is_out_of_range(self, lookup):
+        # forward_rate(nan) used to answer 0.035 on these nodes, integral and
+        # df NaN
+        curve = RateCurve.from_nodes([(1.0, 0.01), (5.0, 0.03)])
+        with pytest.raises(CurveError, match="requires"):
+            lookup(curve)
 
     def test_vectorized(self):
         curve = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
@@ -166,3 +184,34 @@ class TestPartyCurves:
     def test_needs_liquidity_or_hazard(self):
         with pytest.raises(CurveError):
             PartyCurves(bond=RateCurve.flat(0.02))
+
+
+def sorted_union_dominates(upper: RateCurve, lower: RateCurve) -> bool:
+    """dominates on the sorted union of both curves' tenors, through zero_rate."""
+    ts = np.asarray(sorted(set(upper.tenors) | set(lower.tenors)))
+    return not np.any(upper.zero_rate(ts) < lower.zero_rate(ts) - 1e-12)
+
+
+class TestDominates:
+    @given(curves(), curves())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_union(self, upper, lower):
+        assert dominates(upper, lower) == sorted_union_dominates(upper, lower)
+        assert dominates(lower, upper) == sorted_union_dominates(lower, upper)
+
+    def test_shared_tenors(self):
+        upper = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03), (10.0, 0.031)])
+        lower = RateCurve.from_nodes([(1.0, 0.019), (5.0, 0.0301), (7.0, 0.03)])
+        assert not dominates(upper, lower) and not sorted_union_dominates(upper, lower)
+        assert dominates(upper, upper) and dominates(lower, lower)
+
+    @pytest.mark.parametrize("lower_rate", [0.02, 0.5, -0.003])
+    def test_tolerance_edge(self, lower_rate):
+        # at tenors 1 and 4 the zero rate is the node's rate bit for bit: an
+        # upper rate exactly 1e-12 below passes, one double lower fails
+        edge = lower_rate - 1e-12
+        lower = RateCurve((1.0, 20.0), (lower_rate, lower_rate - 0.1))
+        for upper_rate, want in ((edge, True), (np.nextafter(edge, -1.0), False)):
+            upper = RateCurve((1.0, 4.0), (upper_rate, lower_rate + 0.1))
+            assert upper.zero_rate(1.0) == upper_rate
+            assert dominates(upper, lower) is sorted_union_dominates(upper, lower) is want

@@ -113,7 +113,37 @@ def per_swap_cash_flows(swaps):
     return dates, weights, accruals
 
 
+def padded_coupon_dates(maturity, f):
+    """The coupon dates of every swap as a (swaps x most coupons) grid, masked
+    to each swap's coupons and read row by row: the reference construction."""
+    counts = np.ceil(maturity * f - 1e-9)
+    cols = np.arange(counts.max())
+    grid = counts[:, None] - 1.0 - cols
+    np.divide(grid, f[:, None], out=grid)
+    np.subtract(maturity[:, None], grid, out=grid)
+    paid = cols < counts[:, None]
+    return grid[paid], paid.sum(axis=1)
+
+
 class TestSwapBook:
+    def test_coupon_dates_match_padded_grid_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for k in range(2000):
+            n = int(rng.integers(1, 25))
+            # log-uniform over 1e-9..100 y, plus maturities on and within
+            # 1e-9 of a coupon date
+            maturity = np.exp(rng.uniform(math.log(1e-9), math.log(100.0), n))
+            freqs = np.array([1.0, 2.0, 4.0])
+            f = rng.choice(freqs, n) if k % 4 == 3 else np.full(n, freqs[k % 4])
+            on = rng.integers(1, 100, n) / f
+            near = np.clip(on + rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.0, 2e-9, n),
+                           1e-9, 100.0)
+            maturity = np.where(rng.random(n) < 0.3, near, maturity)
+            dates, counts = _coupon_dates(maturity, f)
+            want_dates, want_counts = padded_coupon_dates(maturity, f)
+            assert dates.tobytes() == want_dates.tobytes(), k
+            assert counts.tobytes() == want_counts.tobytes(), k
+
     def test_rows_are_the_entries(self, curve):
         # the contract the benchmark's tracer and oracles read: one row of
         # Python scalars per swap, and the swap's own coupon dates

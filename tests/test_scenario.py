@@ -13,7 +13,7 @@ from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, Determinist
                            OneFactorMcModel)
 from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Key, Scenario,
                            ScenarioError, read_flag)
-from cxva.xva import MAX_QUADRATURE_STEPS
+from cxva.xva import MAX_QUADRATURE_STEPS, QUADRATURE_STEPS
 
 
 def write(tmp_path, payload, name="s.json"):
@@ -299,8 +299,9 @@ class TestSchema:
             ("optimizer", "hqla_floor"): intervals.NON_NEGATIVE,
             **{("optimizer", name): optimizer.ITERATION_BOUNDS[name]
                for name in optimizer.ITERATION_BOUNDS},
+            ("scenario", "quadrature_steps"): QUADRATURE_STEPS,
         }
-        assert len(library) == 31
+        assert len(library) == 32
         for (section, name), bounds in library.items():
             assert SCHEMA[section][name].bounds is bounds, (section, name)
 

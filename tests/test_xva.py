@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxva.collateral import CollateralState
 from cxva.curves import PartyCurves, RateCurve
+from cxva.discounting import EffectiveRateSpec, blend_rate
 from cxva.exposure import (DeterministicModel, ExposureProfile, exposure_profile,
                            generate_portfolio)
-from cxva.xva import XvaError, XvaReport, decompose, to_running_spread
+from cxva.xva import (MAX_QUADRATURE_STEPS, XvaError, XvaReport, _log_mean, decompose,
+                      to_running_spread)
 
 from conftest import make_spec
 from oracles import colva_bk, martingale_epe_profile
@@ -65,6 +68,11 @@ class TestDecomposeStructure:
             decompose(flat_profile(), spec, grid=np.array([0.5, 1.0]))
         with pytest.raises(XvaError):
             decompose(flat_profile(horizon=1.0), spec, grid=np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.nan], [math.nan, 1.0]])
+    def test_nan_grid_rejected(self, spec_factory, grid):
+        with pytest.raises(XvaError, match="must start at 0 and increase"):
+            decompose(flat_profile(horizon=1.0), spec_factory(), grid=np.array(grid))
 
 
 class TestDecomposeValues:
@@ -224,3 +232,134 @@ class TestCollateralizationSweep:
         assert np.all(np.diff(lva) >= -1e-12)
         assert cra[-1] == 0.0
         assert lva[0] == 0.0
+
+
+def set_grid_decompose(profile, spec, n_steps=200, grid=None) -> dict:
+    """decompose in its earlier form, the reference the shared curve
+    integrals must match bit for bit: the grid built through a set and
+    sorted, and each side's curves integrated over (grid[:-1], grid[1:])."""
+    if grid is None:
+        horizon = profile.horizon
+        knots = set(np.linspace(0.0, horizon, n_steps + 1))
+        knots.update(t for t in profile.times if 0.0 < t < horizon)
+        curves = [spec.risk_free]
+        for side in (spec.side(+1), spec.side(-1)):
+            curves += [side.bond, side.liquidity, side.spread]
+        for c in curves:
+            knots.update(t for t in c.tenors if 0.0 < t < horizon)
+        grid = np.array(sorted(knots))
+    ends = grid[:-1], grid[1:]
+    i_r = spec.risk_free.integral(*ends).tolist()
+    parts = []
+    for sign, exposure in ((+1, profile.epe), (-1, profile.ene)):
+        side = spec.side(sign)
+        eta, chi = side.eta, side.chi
+        default = funding = lva = colva = 0.0
+        df = 1.0
+        values = np.interp(grid, profile.times, exposure).tolist()
+        integrals = [c.integral(*ends).tolist() for c in (side.bond, side.liquidity, side.spread)]
+        for k, (i_rf, i_bond, i_mu, i_s) in enumerate(zip(i_r, *integrals)):
+            g0 = values[k] * df
+            df *= math.exp(-blend_rate(i_bond, i_mu, i_rf, i_s, eta, chi))
+            lm = _log_mean(g0, values[k + 1] * df)
+            default += (1.0 - eta) * (i_bond - i_mu) * lm
+            funding += (1.0 - eta) * (i_mu - i_rf) * lm
+            lva += eta * ((1.0 - chi) * (i_mu - i_rf) + chi * i_s) * lm
+            colva += eta * chi * i_s * lm
+        parts.append((default, funding, lva, colva))
+    (cva, cfa, lva_c, colva_c), (dva, dfa, lva_b, colva_b) = parts
+    cra = cva - dva + cfa - dfa
+    xva = cra + (lva_c - lva_b)
+    return dict(cva=cva, dva=dva, cfa=cfa, dfa=dfa, lva=lva_c - lva_b,
+                colva=colva_c - colva_b, cra=cra, xva=xva, npv=profile.mtm0 - xva)
+
+
+def bits(report: dict) -> dict:
+    return {k: float(v).hex() for k, v in report.items()}
+
+
+POSTER = PartyCurves(bond=RateCurve.from_nodes([(0.5, 0.020), (3.0, 0.026), (12.0, 0.034)]),
+                     liquidity=RateCurve.from_nodes([(1.0, 0.015), (7.0, 0.024), (25.0, 0.031)]))
+OTHER = PartyCurves(bond=RateCurve.from_nodes([(2.0, 0.045), (15.0, 0.05)]),
+                    hazard=RateCurve.from_nodes([(4.0, 0.01), (20.0, 0.012)]))
+SPREAD_C = RateCurve.from_nodes([(2.0, 0.004), (9.0, 0.007)])
+SPREAD_B = RateCurve.from_nodes([(0.75, 0.002), (6.0, 0.005)])
+
+
+def quadrature_specs(risk_free) -> dict:
+    """An optimizer-style spec (one poster on both sides, one repo spread),
+    one whose sides differ in every curve, eta and chi, and comingled cash."""
+    cash = RateCurve.from_nodes([(1.0, 0.013), (10.0, 0.025)])
+    return {
+        "optimizer": EffectiveRateSpec(
+            party_b=POSTER, party_c=POSTER, risk_free=risk_free, mode="noncash",
+            state=CollateralState(eta_b=0.7, eta_c=0.7, chi_b=0.4, chi_c=0.4),
+            repo_spread_c=SPREAD_C),
+        "sides_differ": EffectiveRateSpec(
+            party_b=POSTER, party_c=OTHER, risk_free=risk_free, mode="noncash",
+            state=CollateralState(eta_b=0.3, eta_c=0.8, chi_b=0.9, chi_c=0.25),
+            repo_spread_c=SPREAD_C, repo_spread_b=SPREAD_B),
+        "cash_comingled": EffectiveRateSpec(
+            party_b=OTHER, party_c=POSTER, risk_free=risk_free, mode="cash_comingled",
+            state=CollateralState(eta_b=0.5, eta_c=0.6, chi_b=1.0, chi_c=0.5),
+            cash_rate=cash),
+    }
+
+
+@pytest.fixture
+def mixed_profile():
+    """EPE and ENE both live, as a Monte Carlo profile's are, with a stretch
+    of zero ENE (the log mean's arithmetic fallback)."""
+    times = np.linspace(0.0, 12.3, 41)
+    epe = 0.5 + 4.0 * np.sqrt(times) * np.exp(-0.15 * times)
+    ene = 0.2 + 3.0 * np.sqrt(times) * np.exp(-0.25 * times)
+    ene[30:35] = 0.0
+    return ExposureProfile(times, epe, ene, 0.3, 40.0)
+
+
+class TestQuadratureCurveWork:
+    @pytest.mark.parametrize("name", ["optimizer", "sides_differ", "cash_comingled"])
+    @pytest.mark.parametrize("n_steps", [1, 7, 61, 200])
+    def test_matches_set_grid_form_bitwise(self, ois_sloped, mixed_profile, name, n_steps):
+        spec = quadrature_specs(ois_sloped)[name]
+        got = decompose(mixed_profile, spec, n_steps=n_steps).to_dict()
+        assert bits(got) == bits(set_grid_decompose(mixed_profile, spec, n_steps=n_steps))
+
+    @pytest.mark.parametrize("name", ["optimizer", "sides_differ", "cash_comingled"])
+    def test_explicit_grid_matches_bitwise(self, ois_sloped, mixed_profile, name):
+        spec = quadrature_specs(ois_sloped)[name]
+        rng = np.random.default_rng(5)
+        horizon = mixed_profile.horizon
+        grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, horizon, 37)), [horizon]))
+        got = decompose(mixed_profile, spec, grid=grid).to_dict()
+        assert bits(got) == bits(set_grid_decompose(mixed_profile, spec, grid=grid))
+
+    @pytest.mark.parametrize("name, calls", [("optimizer", 4), ("sides_differ", 7),
+                                             ("cash_comingled", 6)])
+    def test_each_distinct_curve_integrated_once(self, ois_sloped, mixed_profile, monkeypatch,
+                                                 name, calls):
+        # comingled cash funds both sides at one r_L - r curve
+        spec = quadrature_specs(ois_sloped)[name]
+        seen = []
+        integral = RateCurve.integral
+
+        def counted(curve, t1, t2):
+            seen.append(curve)
+            return integral(curve, t1, t2)
+
+        monkeypatch.setattr(RateCurve, "integral", counted)
+        decompose(mixed_profile, spec, n_steps=61)
+        assert len(seen) == calls == len({id(c) for c in seen})
+
+    @pytest.mark.parametrize("bad", [0, -3, MAX_QUADRATURE_STEPS + 1, True, 10.5, 200.0])
+    def test_n_steps_checked(self, spec_factory, bad):
+        # n_steps = 0 used to drop the last segment (a 10 y flat CVA of 7.887
+        # against 8.639)
+        with pytest.raises(XvaError, match="n_steps must be an integer in"):
+            decompose(flat_profile(horizon=10.0), spec_factory(), n_steps=bad)
+
+    def test_n_steps_ends_accepted(self, spec_factory):
+        spec = spec_factory(mode="uncollateralized")
+        one = decompose(flat_profile(horizon=10.0, n=2), spec, n_steps=1)
+        most = decompose(flat_profile(horizon=10.0, n=2), spec, n_steps=MAX_QUADRATURE_STEPS)
+        assert one.cva == pytest.approx(most.cva, rel=1e-12) and one.cva > 8.0
