@@ -80,6 +80,12 @@ def _portfolio_reports(scenario: Scenario, levels):
     """(eta, report with basis-point twins) of the scenario's portfolio at
     each collateralization level."""
     n_steps, profile = scenario.quadrature_steps, scenario.portfolio_profile()
+    if profile.annuity == 0.0:
+        cfg = scenario.config["portfolio"]
+        raise ScenarioError(
+            f"portfolio.maturity_max {cfg['maturity_max']!r} and portfolio.pay_freq "
+            f"{cfg['pay_freq']!r} leave the book no fixed coupon (every maturity is at most "
+            "1e-9 / pay_freq years), so the book has no running spread")
     return [(float(eta), to_running_spread(decompose(
         profile, scenario.effective_spec(collateralization=float(eta)), n_steps=n_steps),
         profile.annuity)) for eta in levels]

@@ -36,23 +36,29 @@ returns a ``SwapBook``: arrays of notional, fixed rate, sign (+1 payer, -1
 receiver), maturity and payment frequency, each entry checked when the book
 is built. The profiles take a book and read its arrays; iterating it yields
 one ``Swap`` row of Python scalars per swap, which no profile builds. A book
-is built once per profile as one cash-flow list of discount-factor claims
-(every fixed coupon, swap by swap and each swap's dates ascending, then
-every float leg's terminal discount factor), each coupon date taken from
-its swap's maturity, payment frequency and place in the list. The list
-holds at most MAX_SWAPS x 401 dates (64 MB).
+is read as a list of discount-factor claims (every fixed coupon, swap by
+swap and each swap's dates ascending, then every float leg's terminal
+discount factor), each coupon date taken from its swap's maturity,
+payment frequency and place in the list; one code path builds the claims
+of any range of the book's swaps. The list holds at most MAX_SWAPS x 401
+claims (64 MB a float64 array).
 
 A claim dated T is still owed at t when T > t + 1e-12. One owed-count
 table decides this for every claim and profile time at once: for each
 claim, how many of the increasing profile times it is owed at. Both
 backends read it, and take A(t), the signed notional of the swaps alive at
 t, by binning each swap's signed notional by its float leg's count and
-summing the bins from the end. The Monte Carlo kernel copies the list
-sorted by owed count once, so the claims owed at each step are a suffix of
-the copy, and revalues them; the deterministic profile (the book's value
-with the factor at 0) bins each claim's weight * DF(0, T) the same way:
-V(t) = A(t) + C(t) / DF(0, t), with no loop over profile times. The gross
-annuity reads the list too.
+summing the bins from the end. The Monte Carlo kernel builds the whole
+list and copies it sorted by owed count once, so the claims owed at each
+step are a suffix of the copy, and revalues them. The deterministic
+profile (the book's value with the factor at 0) walks the book in ranges
+of whole swaps of about _CLAIM_BLOCK = 4096 claims, so each of its claim
+rows is a 32 KB array that the allocator reuses, not one it maps afresh:
+each range's claims take their owed counts and add weight * DF(0, T) into
+the count bins, in the list's order, so the sums are those of one bincount
+over the whole list. V(t) = A(t) + C(t) / DF(0, t), with C the bins summed
+from the end and no loop over profile times. The gross annuity sums one
+claim-length row of accrual * DF, the profile's only claim-length array.
 """
 
 from __future__ import annotations
@@ -73,9 +79,10 @@ class ExposureError(ValueError):
 
 # Largest book, swap maturity (years), Monte Carlo path count and profile
 # grid a scenario may ask for. A 100-year quarterly swap adds 401 claims to
-# the cash-flow list (20 000 of them: 64 MB per array and per Monte Carlo
-# buffer); the factor paths are a (paths x profile points) array
-# (50 000 x 500: 200 MB).
+# the cash-flow list (20 000 of them: 64 MB per array of the Monte Carlo
+# kernel's list and buffer, and for the deterministic profile's one
+# annuity row, whose other rows hold about _CLAIM_BLOCK claims); the factor
+# paths are a (paths x profile points) array (50 000 x 500: 200 MB).
 MAX_SWAPS = 20_000
 MAX_MATURITY = 100.0
 MAX_PATHS = 50_000
@@ -111,7 +118,7 @@ MC_BOUNDS = {"mean_reversion": (MIN_MEAN_REVERSION, MAX_MEAN_REVERSION, "(]"),
 # a year over 100 years. The deterministic profile has no exp(-x b).
 MAX_NOTIONAL = 1e20
 # the interval every entry of a SwapBook's number arrays lies in
-SWAP_BOUNDS = {"notional": (0.0, MAX_NOTIONAL, "(]"), "maturity": MATURITY}
+SWAP_BOUNDS = {"notional": (0.0, MAX_NOTIONAL, "(]"), "fixed_rate": FINITE, "maturity": MATURITY}
 
 
 class Swap(NamedTuple):
@@ -237,9 +244,10 @@ class SwapBook:
         arrays = [np.asarray(getattr(self, name)) for name in Swap._fields]
         if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ExposureError("swap book fields must be 1-d arrays of one length")
-        notional, _, sign, maturity, pay_freq = arrays
-        for name, a in (("notional", notional), ("maturity", maturity)):
-            bounded(a, SWAP_BOUNDS[name], name, ExposureError)
+        for name, a in zip(Swap._fields, arrays):
+            if name in SWAP_BOUNDS:
+                bounded(a, SWAP_BOUNDS[name], name, ExposureError)
+        _, _, sign, _, pay_freq = arrays
         for f in np.unique(pay_freq).tolist():
             chosen(f, PAY_FREQS, "pay_freq", ExposureError)
         if not np.all(np.abs(sign) == 1.0):
@@ -257,11 +265,16 @@ class SwapBook:
 
 # -- the book as discount-factor claims ------------------------------------------
 
+def _coupon_counts(maturity: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """How many coupons each swap pays: ceil(m f - 1e-9)."""
+    return np.ceil(maturity * f - 1e-9).astype(np.int64)
+
+
 def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every coupon date, swap by swap, and the number of each swap's dates:
     the one coupon rule, which ``Swap.payment_times`` and ``par_rate`` read
     too."""
-    per_swap = np.ceil(maturity * f - 1e-9).astype(np.int64)
+    per_swap = _coupon_counts(maturity, f)
     # coupon j of swap i is paid (counts_i - 1 - j) periods before its
     # maturity: ends_i - 1 - k at the list's k-th date, ends the running sum
     # of the counts (whole numbers, held exactly)
@@ -273,8 +286,9 @@ def _coupon_dates(maturity: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class _CashFlows:
-    """A swap book's discount-factor claims. At time t the book is worth the
-    signed notional of the swaps alive (each float leg's 1 at t) plus
+    """A range of a swap book's swaps as discount-factor claims: every fixed
+    coupon, swap by swap, then every float leg. At time t the swaps are worth
+    their signed notional if alive (each float leg's 1 at t) plus
     ``weights`` times the discount factor from t of each claim still owed at
     t, as ``owed_counts`` decides."""
 
@@ -285,17 +299,19 @@ class _CashFlows:
     signed_notionals: np.ndarray
 
     @classmethod
-    def of(cls, book: SwapBook, curve: RateCurve) -> "_CashFlows":
-        f = book.pay_freq.astype(float)
-        coupon_dates, per_swap = _coupon_dates(book.maturity, f)
-        signed = book.sign * book.notional
-        coupon = -(signed * book.fixed_rate * (1.0 / f))
-        dates = np.concatenate((coupon_dates, book.maturity))
+    def of(cls, book: SwapBook, curve: RateCurve, swaps: slice = slice(None)) -> "_CashFlows":
+        """The claims of ``book``'s ``swaps``, by default all of them."""
+        maturity, notional = book.maturity[swaps], book.notional[swaps]
+        f = book.pay_freq[swaps].astype(float)
+        coupon_dates, per_swap = _coupon_dates(maturity, f)
+        signed = book.sign[swaps] * notional
+        coupon = -(signed * book.fixed_rate[swaps] * (1.0 / f))
+        dates = np.concatenate((coupon_dates, maturity))
         # one claim per coupon, then one per float leg
-        per_claim = np.concatenate((per_swap, np.ones(len(book), dtype=np.int64)))
+        per_claim = np.concatenate((per_swap, np.ones(len(maturity), dtype=np.int64)))
         return cls(dates=dates, df=curve.df(dates),
                    weights=np.repeat(np.concatenate((coupon, -signed)), per_claim),
-                   accruals=np.repeat(np.concatenate((book.notional / f, np.zeros(len(book)))),
+                   accruals=np.repeat(np.concatenate((notional / f, np.zeros(len(maturity)))),
                                       per_claim),
                    signed_notionals=signed)
 
@@ -306,27 +322,56 @@ class _CashFlows:
         legs' counts are the last ``len(signed_notionals)``."""
         return np.searchsorted(times + 1e-12, self.dates)
 
-    def forward_values(self, times: np.ndarray, df_times: np.ndarray) -> np.ndarray:
-        """Book value at each of the increasing ``times`` along today's forward
-        curve (the factor at 0), given their discount factors: A(t) + C(t) /
-        DF(0, t), with A the signed notional alive at t and C the sum of
-        weight * DF(0, T) over the claims owed at t."""
-        owed = self.owed_counts(times)
-        return (_owed_sum(owed[-len(self.signed_notionals):], self.signed_notionals, len(times))
-                + _owed_sum(owed, self.weights * self.df, len(times)) / df_times)
 
-    @property
-    def annuity(self) -> float:
-        """Sum over swaps of notional times the time-0 annuity, whatever the sign."""
-        return float(np.sum(self.accruals * self.df))
+def _suffix_sums(bins: np.ndarray) -> np.ndarray:
+    """At each of ``len(bins) - 1`` times, the sum of the bins past its index:
+    a claim binned by its owed count counts at t_k for k below it."""
+    return np.cumsum(bins[::-1])[::-1][1:]
 
 
 def _owed_sum(counts: np.ndarray, values: np.ndarray, points: int) -> np.ndarray:
     """At each of ``points`` times, the sum of the ``values`` whose owed
-    counts exceed its index: a claim counts at t_k for k below its count, so
-    bin by count, then sum each bin's suffix."""
-    bins = np.bincount(counts, values, minlength=points + 1)
-    return np.cumsum(bins[::-1])[::-1][1:]
+    counts exceed its index."""
+    return _suffix_sums(np.bincount(counts, values, minlength=points + 1))
+
+
+# Claims the deterministic profile builds at once: a float64 row of them is
+# 32 KB, well under glibc's 128 KiB mmap threshold, so the rows of one range
+# of swaps reuse heap memory instead of being mapped and unmapped afresh.
+_CLAIM_BLOCK = 4096
+
+
+def _forward_profile(portfolio: SwapBook, curve: RateCurve,
+                     times: np.ndarray) -> tuple[np.ndarray, float]:
+    """The book's value at each of the increasing ``times`` along today's
+    forward curve, A(t) + C(t) / DF(0, t), and its gross annuity, from ranges
+    of whole swaps of about ``_CLAIM_BLOCK`` claims. C's bins take the claims
+    in the list's order, one value at a time as one bincount over the list
+    adds them, so the sums are that bincount's. The annuity's row keeps the
+    float legs' 0.0: np.sum's pairwise tree depends on the row's length."""
+    n = len(portfolio)
+    per_swap = _coupon_counts(portfolio.maturity, portfolio.pay_freq.astype(float))
+    ends = np.cumsum(per_swap + 1)
+    # a range ends where the claims' running count enters a new block
+    cuts = (np.flatnonzero(np.diff((ends - 1) // _CLAIM_BLOCK)) + 1).tolist()
+    bins = np.zeros(len(times) + 1)
+    legs = np.empty(n, dtype=np.int64)  # the float legs' owed counts
+    leg_values, signed = np.empty((2, n))
+    annuity = np.zeros(ends[-1])
+    coupons = 0
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        flows = _CashFlows.of(portfolio, curve, slice(lo, hi))
+        owed = flows.owed_counts(times)
+        values = flows.weights * flows.df
+        k = len(values) - (hi - lo)  # the range's coupons
+        np.add.at(bins, owed[:k], values[:k])
+        legs[lo:hi], leg_values[lo:hi] = owed[k:], values[k:]
+        signed[lo:hi] = flows.signed_notionals
+        np.multiply(flows.accruals[:k], flows.df[:k], out=annuity[coupons:coupons + k])
+        coupons += k
+    np.add.at(bins, legs, leg_values)
+    values = _owed_sum(legs, signed, len(times)) + _suffix_sums(bins) / curve.df(times)
+    return values, float(np.sum(annuity))
 
 
 # -- exposure models ---------------------------------------------------------
@@ -361,17 +406,16 @@ def exposure_profile(portfolio: SwapBook, model, points: int,
     if len(portfolio) == 0:
         raise ExposureError("cannot build an exposure profile for an empty portfolio")
     bounded(points, PROFILE_POINTS, "points", ExposureError, INTEGER)
-    book = _CashFlows.of(portfolio, curve)
-    # the float legs' dates, the tail of the list, are the maturities
-    times = np.linspace(0.0, book.dates[-len(book.signed_notionals):].max(), points)
+    times = np.linspace(0.0, portfolio.maturity.max(), points)
     if isinstance(model, DeterministicModel):
-        values = book.forward_values(times, curve.df(times))
+        values, annuity = _forward_profile(portfolio, curve, times)
         epe = np.maximum(values, 0.0)
         ene = np.maximum(-values, 0.0)
-        return ExposureProfile(times, epe, ene, float(values[0]), book.annuity)
+        return ExposureProfile(times, epe, ene, float(values[0]), annuity)
     if isinstance(model, OneFactorMcModel):
+        book = _CashFlows.of(portfolio, curve)
         epe, ene, mtm0 = _mc_exposure(book, model, times, curve)
-        return ExposureProfile(times, epe, ene, mtm0, book.annuity)
+        return ExposureProfile(times, epe, ene, mtm0, float(np.sum(book.accruals * book.df)))
     raise ExposureError(f"unknown exposure model {model!r}")
 
 

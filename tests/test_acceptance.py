@@ -375,12 +375,13 @@ class TestAC11Determinism:
     def test_byte_identical_outputs(self, tmp_path):
         self._run_twice("price", SCENARIO_DIR / "atm_call.json", tmp_path,
                         "price")
+        self._run_twice("sweep", SCENARIO_DIR / "atm_forward.json", tmp_path, "forward")
         self._run_twice("xva", SCENARIO_DIR / "treasuries_repo_lva.json", tmp_path, "xva")
         self._run_twice("repo-curve", SCENARIO_DIR / "repo_ust10.json", tmp_path,
                         "repo")
         self._run_twice("optimize", SCENARIO_DIR / "allocation_reference.json",
                         tmp_path, "opt")
-        _ok("AC-11 byte-identical reruns for price/xva/repo-curve/optimize")
+        _ok("AC-11 byte-identical reruns for price/forward sweep/xva/repo-curve/optimize")
 
 
 class TestAC12LvaDurationAndMoneyness:

@@ -385,6 +385,20 @@ class TestXva:
             "portfolio.maturity_min must be at most portfolio.maturity_max, got 20.0 > 10.0"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["xva", "sweep"])
+    def test_book_without_coupons_names_keys(self, tmp_path, capsys, command):
+        # every swap matures within 1e-9 / pay_freq years, so none pays a
+        # fixed coupon: the annuity is 0 and there is no running spread
+        portfolio = dict(SMALL_PORTFOLIO, n=20, maturity_min=1e-12, maturity_max=1e-12)
+        sc = write_scenario(tmp_path, portfolio=portfolio, quadrature_steps=41,
+                            sweep={"points": 3})
+        assert run([command, "--scenario", sc, "--out", tmp_path / "out"]) == 2
+        assert validation_message(capsys) == (
+            "portfolio.maturity_max 1e-12 and portfolio.pay_freq 2 leave the book no fixed "
+            "coupon (every maturity is at most 1e-9 / pay_freq years), so the book has no "
+            "running spread")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("maturity_max", 1e12),
         ("maturity_max", 1e5),

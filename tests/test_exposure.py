@@ -165,6 +165,8 @@ class TestSwapBook:
     @pytest.mark.parametrize("field, bad, message", [
         ("notional", float("nan"), "notional"),
         ("notional", 0.0, "notional"),
+        ("fixed_rate", float("nan"), "fixed_rate"),
+        ("fixed_rate", float("inf"), "fixed_rate"),
         ("maturity", float("nan"), "maturity"),
         ("maturity", cxva.exposure.MAX_MATURITY * (1.0 + 1e-15), "maturity"),
         ("pay_freq", 3, "pay_freq"),
@@ -191,7 +193,85 @@ class TestSwapBook:
         assert np.array_equal(flows.dates[-len(swaps):], [s.maturity for s in swaps])
 
 
+def whole_list_profile(book: SwapBook, points: int, curve):
+    """The deterministic profile from the whole cash-flow list at once, every
+    claim's weight * DF binned by one bincount: the walk over ranges of swaps
+    must give these bits."""
+    flows = _CashFlows.of(book, curve)
+    times = np.linspace(0.0, flows.dates[-len(book):].max(), points)
+    owed = flows.owed_counts(times)
+
+    def owed_sum(counts, values):
+        bins = np.bincount(counts, values, minlength=points + 1)
+        return np.cumsum(bins[::-1])[::-1][1:]
+
+    values = (owed_sum(owed[-len(book):], flows.signed_notionals)
+              + owed_sum(owed, flows.weights * flows.df) / curve.df(times))
+    return ExposureProfile(times, np.maximum(values, 0.0), np.maximum(-values, 0.0),
+                           float(values[0]), float(np.sum(flows.accruals * flows.df)))
+
+
+def random_book(rng, n: int, points: int) -> SwapBook:
+    """n swaps with log-uniform maturities over 1e-9..100 y and mixed payment
+    frequencies, a third of the maturities on or within 2e-9 years of a time
+    of the book's ``points``-point profile grid."""
+    maturity = np.exp(rng.uniform(math.log(1e-9), math.log(100.0), n))
+    top = maturity.max()
+    times = np.linspace(0.0, top, points)
+    near = times[rng.integers(1, points, n)] + rng.choice([-1.0, 0.0, 1.0], n) * \
+        rng.uniform(0.0, 2e-9, n)
+    maturity = np.where(rng.random(n) < 0.33, np.clip(near, 1e-9, top), maturity)
+    return SwapBook(notional=rng.uniform(0.5, 2.0, n), fixed_rate=rng.uniform(-0.01, 0.06, n),
+                    sign=rng.choice([1.0, -1.0], n), maturity=maturity,
+                    pay_freq=rng.choice([1, 2, 4], n))
+
+
+def same_profile_bits(a: ExposureProfile, b: ExposureProfile) -> bool:
+    return (all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                for name in ("times", "epe", "ene"))
+            and a.mtm0 == b.mtm0 and a.annuity == b.annuity)
+
+
 class TestDeterministicProfile:
+    def test_matches_whole_list_bitwise(self, curve):
+        rng = np.random.default_rng(31)
+        for k in range(40):
+            points = int(rng.integers(2, 501))
+            book = random_book(rng, int(rng.integers(1, 3001)), points)
+            profile = exposure_profile(book, DeterministicModel(), points, curve)
+            assert same_profile_bits(profile, whole_list_profile(book, points, curve)), k
+
+    @pytest.mark.parametrize("block", [1, 10 ** 9])
+    def test_claim_block_leaves_the_bits(self, curve, monkeypatch, block):
+        # one swap a range, and the whole book in one range
+        rng = np.random.default_rng(7)
+        books = [(random_book(rng, int(rng.integers(1, 300)), points), points)
+                 for points in (2, 61, 500)]
+        books.append((generate_portfolio(1000, 0.9, (0.25, 30.0), 0.01, seed=1, curve=curve,
+                                         rate_offset=0.025), 121))
+        want = [exposure_profile(book, DeterministicModel(), points, curve)
+                for book, points in books]
+        monkeypatch.setattr(cxva.exposure, "_CLAIM_BLOCK", block)
+        for (book, points), w in zip(books, want):
+            got = exposure_profile(book, DeterministicModel(), points, curve)
+            assert same_profile_bits(got, w)
+
+    def test_transient_memory_of_an_allocation_profile(self, curve):
+        # 1000 semiannual swaps of 0.25-30 years on 121 times, as each set
+        # of the allocation scenario: the one claim-length row of accrual *
+        # DF (256 KB) and the rows of one range of swaps; the whole list at
+        # once, with its temporaries, peaked at 1.48 MiB
+        book = generate_portfolio(1000, 0.9, (0.25, 30.0), 0.01, seed=1, curve=curve,
+                                  rate_offset=0.025)
+        exposure_profile(book, DeterministicModel(), 121, curve)
+        tracemalloc.start()
+        try:
+            exposure_profile(book, DeterministicModel(), 121, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2 ** 20
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_time_sum(self, curve, seed):
         # the 10y swap sets the grid 0, 0.5, ..., 10: the 5y swap matures on
