@@ -50,6 +50,10 @@ class RateCurve:
     # internal knots of z(t)*t, prepended with (0, 0)
     _ts: np.ndarray = field(init=False, repr=False, compare=False)
     _zts: np.ndarray = field(init=False, repr=False, compare=False)
+    # the forward read at k = searchsorted(_ts, t, "right"): entry k, for k
+    # in 1..N, is segment k's slope of z(t)*t and entry N + 1 the last zero
+    # rate; entry 0 (t < 0, never read) repeats entry 1
+    _fwd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tenors) == 0 or len(self.tenors) != len(self.rates):
@@ -64,8 +68,12 @@ class RateCurve:
             raise CurveError("tenors must be strictly increasing")
         object.__setattr__(self, "tenors", tuple(ts.tolist()))
         object.__setattr__(self, "rates", tuple(zs.tolist()))
-        object.__setattr__(self, "_ts", np.concatenate(([0.0], ts)))
-        object.__setattr__(self, "_zts", np.concatenate(([0.0], zs * ts)))
+        knots = np.concatenate(([0.0], ts))
+        zts = np.concatenate(([0.0], zs * ts))
+        slopes = (zts[1:] - zts[:-1]) / (knots[1:] - knots[:-1])
+        object.__setattr__(self, "_ts", knots)
+        object.__setattr__(self, "_zts", zts)
+        object.__setattr__(self, "_fwd", np.concatenate((slopes[:1], slopes, zs[-1:])))
 
     # -- constructors -------------------------------------------------------
 
@@ -98,34 +106,38 @@ class RateCurve:
         return float(out) if out.ndim == 0 else out
 
     def integral(self, t1, t2):
-        """Exact integral of the instantaneous forward over [t1, t2]; a NaN
-        time is out of range."""
+        """Exact integral of the instantaneous forward over [t1, t2], for
+        finite 0 <= t1 <= t2 (not NaN). From t1 = 0.0, the form the
+        quadratures use, it is z(t2)t2 alone: z(0)0 is 0.0 and x - 0.0 is x."""
         t1 = _as_array(t1)
         t2 = _as_array(t2)
-        if not ((t1 >= 0.0).all() and (t2 >= t1).all()):
-            raise CurveError("integral requires 0 <= t1 <= t2")
-        out = self._zt(t2) - self._zt(t1)
+        if not ((t1 >= 0.0) & (t2 >= t1) & np.isfinite(t2)).all():
+            raise CurveError("integral requires finite 0 <= t1 <= t2")
+        out = self._zt(t2)
+        if t1.ndim or t1 != 0.0:
+            out = out - self._zt(t1)
         return float(out) if out.ndim == 0 else out
 
     def df(self, t):
-        """Discount factor from time 0 to t (scalar or array), t >= 0 (not NaN):
-        exp(-integral(0, t)), read off z(t)t since z(0)0 is 0.0."""
+        """Discount factor from time 0 to t (scalar or array), finite t >= 0
+        (not NaN): exp(-integral(0, t)), read off z(t)t since z(0)0 is 0.0."""
         t = _as_array(t)
-        if not (t >= 0.0).all():
-            raise CurveError("df requires t >= 0")
+        if not ((t >= 0.0) & np.isfinite(t)).all():
+            raise CurveError("df requires finite t >= 0")
         out = np.exp(-self._zt(t))
         return float(out) if out.ndim == 0 else out
 
     def forward_rate(self, t):
         """Instantaneous forward at t (right-continuous, piecewise constant),
-        t >= 0 (not NaN)."""
+        finite t >= 0 (not NaN).
+
+        One ``searchsorted`` and one ``take`` into the forwards tabulated at
+        construction; an array is looked up element-wise, so each entry
+        equals the scalar lookup at that time bit for bit."""
         t = _as_array(t)
-        if not (t >= 0.0).all():
-            raise CurveError("forward_rate requires t >= 0")
-        idx = np.searchsorted(self._ts, t, side="right")
-        idx = np.clip(idx, 1, len(self._ts) - 1)
-        fwd = (self._zts[idx] - self._zts[idx - 1]) / (self._ts[idx] - self._ts[idx - 1])
-        fwd = np.where(t >= self._ts[-1], self.rates[-1], fwd)
+        if not ((t >= 0.0) & np.isfinite(t)).all():
+            raise CurveError("forward_rate requires finite t >= 0")
+        fwd = self._fwd.take(np.searchsorted(self._ts, t, side="right"))
         return float(fwd) if fwd.ndim == 0 else fwd
 
 

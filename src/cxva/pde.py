@@ -36,8 +36,10 @@ with the same element-wise arithmetic as building the whole operator per
 sweep, so values and sweep counts are unchanged bit for bit:
 
 - per solve: the diffusion band 0.5 sigma^2 S^2 / dS^2 and its -2 multiple,
-  and the buffers the explicit side is written into;
-- per step: the explicit side v + (1 - theta) h A v;
+  and the buffers the explicit side is written into, with the views of
+  their first and last s_nodes rows;
+- per step: the explicit side v + (1 - theta) h A v, of which only v's two
+  shifted views are sliced afresh;
 - on change only, each kept while its inputs are bitwise the same: the
   convection bands (``_convection``) when the step's convection moves; the
   implicit sub- and super-diagonals when the bands or theta*h move; the
@@ -165,11 +167,11 @@ class _ForwardTable:
     """Rates on the solver's step times ``t``: the risk-free forward and
     each side's effective rate r_e.
 
-    ``RateCurve.forward_rate`` evaluates an array element-wise with the
-    same operations as a scalar lookup, and ``blend_rate`` is element-wise
-    IEEE arithmetic, so each entry equals the scalar lookup
-    ``spec.side(side).rate(t, spec.risk_free.forward_rate(t))`` at that
-    time bit for bit.
+    ``RateCurve.forward_rate`` reads each time's entry from the forwards
+    its curve tabulated at construction, for an array as for a scalar, and
+    ``blend_rate`` is element-wise IEEE arithmetic, so each entry equals
+    the scalar lookup ``spec.side(side).rate(t, spec.risk_free.forward_rate(t))``
+    at that time bit for bit.
     """
 
     t: np.ndarray
@@ -191,8 +193,9 @@ def _node_rates(fwd: _ForwardTable, k: int, pos: np.ndarray) -> np.ndarray:
 
 class _Convection(NamedTuple):
     """The bands of the space operator that depend on the step's convection
-    r_s - q but not on the value: sub- and super-diagonal, and the
-    convection term of the S_max row's main-diagonal entry."""
+    r_s - q but not on the value: sub-diagonal (rows 1..n), super-diagonal
+    (rows 0..n-1), and the convection term of the S_max row's main-diagonal
+    entry."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -209,8 +212,7 @@ def _convection(d2: np.ndarray, s: np.ndarray, ds: float, conv: float) -> _Conve
     upper = d2 + d1
     lower[-1] = -conv * s[-1] / ds
     upper[0] = 0.0  # S=0 row: d1=d2=0 already, keep explicit
-    lower[0] = 0.0
-    return _Convection(lower, upper, conv * s[-1] / ds)
+    return _Convection(lower[1:], upper[:-1], conv * s[-1] / ds)
 
 
 def _diagonal(neg_2d2: np.ndarray, band: _Convection, rho: np.ndarray) -> np.ndarray:
@@ -288,10 +290,13 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
     diag_stale = implicit_stale = False
     th = None
     max_iters = 0
-    # the explicit side and its off-diagonal terms, written in place; the
-    # explicit side becomes the right-hand side once v is added
+    # the explicit side and its off-diagonal terms, written in place through
+    # views of the rows each band reaches; the explicit side becomes the
+    # right-hand side once v is added
     rhs = np.empty_like(s)
     term = np.empty_like(s)
+    rhs_head, rhs_tail = rhs[:-1], rhs[1:]
+    term_head, term_tail = term[:-1], term[1:]
 
     for i in range(len(step_t) - 1):
         theta = 1.0 if i < 2 else 0.5
@@ -302,10 +307,10 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
             diag = _diagonal(neg_2d2, band, rho)
             diag_stale, implicit_stale = False, True
         np.multiply(diag, v, out=rhs)
-        np.multiply(band.lower[1:], v[:-1], out=term[1:])
-        rhs[1:] += term[1:]
-        np.multiply(band.upper[:-1], v[1:], out=term[:-1])
-        rhs[:-1] += term[:-1]
+        np.multiply(band.lower, v[:-1], out=term_tail)
+        np.add(rhs_tail, term_tail, out=rhs_tail)
+        np.multiply(band.upper, v[1:], out=term_head)
+        np.add(rhs_head, term_head, out=rhs_head)
         np.multiply((1.0 - theta) * h, rhs, out=rhs)
         np.add(v, rhs, out=rhs)
 
@@ -314,8 +319,8 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
             diag_stale = True
         if conv_moves[i + 1] or theta * h != th:
             th = theta * h
-            sub = -th * band.lower[1:]
-            sup = -th * band.upper[:-1]
+            sub = -th * band.lower
+            sup = -th * band.upper
             implicit_stale = True
         if row_moves[i + 1]:
             pos = v > 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,24 @@ class TestDiscountFactor:
         with pytest.raises(CurveError, match="requires"):
             lookup(curve)
 
+    @pytest.mark.parametrize("lookup", [
+        lambda c: c.forward_rate(math.inf),
+        lambda c: c.forward_rate(np.array([0.5, math.inf])),
+        lambda c: c.integral(0.0, math.inf),
+        lambda c: c.integral(math.inf, math.inf),
+        lambda c: c.integral(np.array([0.0, 1.0]), np.array([2.0, math.inf])),
+        lambda c: c.df(math.inf),
+        lambda c: c.df(np.array([1.0, math.inf])),
+    ], ids=["forward_rate", "forward_rate_array", "integral_t2", "integral_both",
+            "integral_array", "df", "df_array"])
+    @pytest.mark.parametrize("nodes", [[(1.0, 0.0)], [(1.0, -0.01)], [(1.0, 0.01), (5.0, 0.03)]],
+                             ids=["flat_zero", "flat_negative", "two_nodes"])
+    def test_infinite_time_is_out_of_range(self, lookup, nodes):
+        # df(inf) used to answer NaN (0 * inf) on a flat zero curve and inf
+        # on a negative one, integral NaN or inf, forward_rate the last rate
+        with pytest.raises(CurveError, match="requires"):
+            lookup(RateCurve.from_nodes(nodes))
+
     def test_vectorized(self):
         curve = RateCurve.from_nodes([(1.0, 0.02), (5.0, 0.03)])
         ts = np.array([0.5, 1.0, 3.0, 10.0])
@@ -144,6 +163,86 @@ class TestProperties:
         for t in (0.3, 1.7, 12.0, 35.0):
             assert curve.integral(0.0, t) == pytest.approx(curve.zero_rate(t) * t,
                                                            rel=1e-12, abs=1e-15)
+
+
+def searched_forward_rate(curve: RateCurve, t):
+    """The forward as the lookup computed it before the forwards were
+    tabulated: a clipped search into the knots, the segment's slope of
+    z(t)t, and the last zero rate from the last tenor on."""
+    t = np.asarray(t, dtype=float)
+    idx = np.searchsorted(curve._ts, t, side="right")
+    idx = np.clip(idx, 1, len(curve._ts) - 1)
+    fwd = (curve._zts[idx] - curve._zts[idx - 1]) / (curve._ts[idx] - curve._ts[idx - 1])
+    fwd = np.where(t >= curve._ts[-1], curve.rates[-1], fwd)
+    return float(fwd) if fwd.ndim == 0 else fwd
+
+
+def differenced_integral(curve: RateCurve, t1, t2):
+    """The integral as z(t2)t2 - z(t1)t1, with z(0)0 evaluated too."""
+    out = curve._zt(np.asarray(t2, dtype=float)) - curve._zt(np.asarray(t1, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def same_bits(got, want) -> bool:
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@st.composite
+def signed_curves(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    tenors = sorted(draw(st.lists(st.floats(1e-3, 50.0), min_size=n, max_size=n,
+                                  unique=True)))
+    rates = draw(st.lists(st.floats(-0.2, 0.3), min_size=n, max_size=n))
+    return RateCurve(tuple(tenors), tuple(rates))
+
+
+class TestTabulatedForwards:
+    @staticmethod
+    def _times(curve: RateCurve, fraction: float) -> list:
+        """0, each tenor, a point inside each segment, the last tenor's
+        neighbour above, and times far beyond it."""
+        knots = (0.0,) + curve.tenors
+        inside = [a + fraction * (b - a) for a, b in zip(knots, knots[1:])]
+        last = curve.tenors[-1]
+        return sorted({*knots, *inside, float(np.nextafter(last, 2.0 * last)),
+                       2.0 * last, 1e6 * last, 1e12})
+
+    @given(signed_curves(), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_forward_rate_matches_search_bitwise(self, curve, fraction):
+        times = self._times(curve, fraction)
+        for t in times:
+            for form in (t, np.asarray(t)):
+                assert same_bits(curve.forward_rate(form), searched_forward_rate(curve, form)), t
+        arr = np.asarray(times)
+        assert same_bits(curve.forward_rate(arr), searched_forward_rate(curve, arr))
+        assert same_bits(curve.forward_rate(arr[::-1]), searched_forward_rate(curve, arr[::-1]))
+
+    @given(signed_curves(), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_integral_matches_difference_bitwise(self, curve, fraction):
+        times = self._times(curve, fraction)
+        pairs = [(0.0, t) for t in times] + list(zip(times, times[1:])) + [(t, t) for t in times]
+        for t1, t2 in pairs:
+            for form in (float, np.asarray):
+                got = curve.integral(form(t1), form(t2))
+                assert same_bits(got, differenced_integral(curve, form(t1), form(t2))), (t1, t2)
+        arr = np.asarray(times)
+        starts = np.asarray([t1 for t1, _ in pairs])
+        ends = np.asarray([t2 for _, t2 in pairs])
+        for t1, t2 in ((0.0, arr), (np.zeros_like(arr), arr), (np.asarray(0.0), arr),
+                       (starts, ends), (arr[:1], arr)):
+            assert same_bits(curve.integral(t1, t2), differenced_integral(curve, t1, t2))
+
+    def test_table_stays_out_of_repr_eq_and_hash(self):
+        assert [f.name for f in dataclasses.fields(RateCurve) if f.repr or f.compare] == [
+            "tenors", "rates", "label"]
+        a = RateCurve.from_nodes([(1.0, 0.01), (5.0, 0.03)], "ois")
+        b = RateCurve.from_nodes([(5.0, 0.03), (1.0, 0.01)], "ois")
+        assert "_fwd" not in repr(a) and "array" not in repr(a)
+        assert a == b and hash(a) == hash(b)
+        assert a != RateCurve.from_nodes([(1.0, 0.01), (5.0, 0.031)], "ois")
 
 
 class TestCombine:

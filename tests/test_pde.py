@@ -208,8 +208,8 @@ class TestRateTable:
         s = np.linspace(0.0, self.GRID.s_max_mult * max(self.OPTION.spot, self.OPTION.strike),
                         self.GRID.s_nodes + 1)
         lower, want_diag, upper = _operator(s, s[1] - s[0], conv, self.OPTION.vol, rho)
-        return (np.array_equal(band.lower[1:], lower[1:]) and np.array_equal(diag, want_diag)
-                and np.array_equal(band.upper[:-1], upper[:-1]))
+        return (np.array_equal(band.lower, lower[1:]) and np.array_equal(diag, want_diag)
+                and np.array_equal(band.upper, upper[:-1]))
 
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
     def test_node_rates_equal_effective_rate(self, monkeypatch, mode):
