@@ -107,15 +107,12 @@ class RateCurve:
 
     def integral(self, t1, t2):
         """Exact integral of the instantaneous forward over [t1, t2], for
-        finite 0 <= t1 <= t2 (not NaN). From t1 = 0.0, the form the
-        quadratures use, it is z(t2)t2 alone: z(0)0 is 0.0 and x - 0.0 is x."""
+        finite 0 <= t1 <= t2 (not NaN)."""
         t1 = _as_array(t1)
         t2 = _as_array(t2)
         if not ((t1 >= 0.0) & (t2 >= t1) & np.isfinite(t2)).all():
             raise CurveError("integral requires finite 0 <= t1 <= t2")
-        out = self._zt(t2)
-        if t1.ndim or t1 != 0.0:
-            out = out - self._zt(t1)
+        out = self._zt(t2) - self._zt(t1)
         return float(out) if out.ndim == 0 else out
 
     def df(self, t):

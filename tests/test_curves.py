@@ -178,7 +178,7 @@ def searched_forward_rate(curve: RateCurve, t):
 
 
 def differenced_integral(curve: RateCurve, t1, t2):
-    """The integral as z(t2)t2 - z(t1)t1, with z(0)0 evaluated too."""
+    """The integral as the difference z(t2)t2 - z(t1)t1, z(0)0 included."""
     out = curve._zt(np.asarray(t2, dtype=float)) - curve._zt(np.asarray(t1, dtype=float))
     return float(out) if out.ndim == 0 else out
 
