@@ -5,25 +5,27 @@ effective discount rate.
 
 r_e depends on sign(V) (liability-side switching) and on the
 collateralization state, so each backward step is mildly nonlinear: the
-sign-frozen linear system is solved and Picard-iterated until the value
-stops moving. Rannacher startup (two implicit half-steps) damps the payoff
-kink. Boundaries: at S = 0 the PDE degenerates to the reaction ODE on its
-own; at S_max the second derivative is dropped (payoff linearity) with
-one-sided convection.
+sign-frozen linear system is solved and Picard-iterated. Rannacher startup
+(two implicit half-steps) damps the payoff kink. Boundaries: at S = 0 the
+PDE degenerates to the reaction ODE on its own; at S_max the second
+derivative is dropped (payoff linearity) with one-sided convection.
 
 The Picard iteration is a policy iteration on the node rates: a sweep's
 operator depends on the value only through the rate each node reads, the
-r_e of the side sign(V) selects. A step stops when a sweep's result has
-the sign mask the sweep's node rates were read from: the next sweep would
-rebuild a bitwise-identical system and return the same vector with
-residual exactly 0, so that confirming sweep is counted but not run. The
-stop is exact, not a looser tolerance; solutions and sweep counts are
-those of iterating until the residual falls below ``PICARD_TOL``. The
-residual itself is computed only where it can change the count: after a
-sweep that moved a sign, or where ending the step with or without the
-confirming sweep would raise the solve's largest sweep count.
-The risk-free value V* is the same solve under ``risk_free_spec``, whose
-r_e is r on both sides: its rates never move, so each step runs one sweep.
+r_e of the side sign(V) selects. A step ends after the first sweep that
+
+- runs at a step time where both sides' r_e are equal, so no sign moves a
+  node rate;
+- returns the sign mask its node rates were read from, so another sweep
+  would rebuild the same system and return the same vector; or
+- moves a sign but changes the value by a residual, max |sweep change| /
+  max(1, max |V|), below ``PICARD_TOL``.
+
+A step that no sweep has ended after ``PICARD_MAX_ITER`` sweeps raises
+``PicardConvergenceError``. ``max_picard_iters`` is the largest number of
+sweeps, one banded solve each, that a step ran. The risk-free value V* is
+the same solve under ``risk_free_spec``, whose r_e is r on both sides, so
+each of its steps runs one sweep.
 
 The stock is financed at the risk-free rate, so r_s = r. Every forward
 rate a solve reads (both parties' bond and liquidity curves, the risk-free
@@ -51,10 +53,8 @@ sweep, so values and sweep counts are unchanged bit for bit:
 
 The explicit side reads the main diagonal the previous step's last sweep
 solved with whenever the accepted value has the signs that sweep's rates
-came from. At a step time where both sides' r_e are equal, a sign change
-moves no node rate, so the step's first sweep is at the fixed point and
-the signs are not compared. Memory stays O(s_nodes): nothing is
-tabulated over steps and nodes at once.
+came from. Memory stays O(s_nodes): nothing is tabulated over steps and
+nodes at once.
 """
 
 from __future__ import annotations
@@ -135,17 +135,17 @@ MAX_GRID_SIZE = 100_000
 # the interval each number of a GridSpec lies in
 GRID_BOUNDS = {**dict.fromkeys(("s_nodes", "t_steps"), (MIN_GRID_SIZE, MAX_GRID_SIZE, "[]")),
                "s_max_mult": (1.0, math.inf, "()")}
-# a step's Picard iteration stops once the residual, max |sweep change| /
-# max(1, max |V|), falls below PICARD_TOL, and fails after PICARD_MAX_ITER
-# sweeps
+# a step whose sweep moves a sign still stops once the residual, max |sweep
+# change| / max(1, max |V|), falls below PICARD_TOL; a step fails after
+# PICARD_MAX_ITER sweeps of which none stopped it
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    s_nodes: int = 400
-    t_steps: int = 400
+    s_nodes: int
+    t_steps: int
     s_max_mult: float = 5.0
 
     def __post_init__(self) -> None:
@@ -159,7 +159,7 @@ class PdeSolution:
     s: np.ndarray
     v0: np.ndarray
     value: float
-    max_picard_iters: int
+    max_picard_iters: int  # the most sweeps (banded solves) one step ran
 
 
 @dataclass(frozen=True)
@@ -336,27 +336,18 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
                 implicit = 1.0 - th * diag
                 implicit_stale = False
             v_new = solve_banded(sub, implicit, sup, rhs)
-            fixed = sides_equal[i + 1]
-            if not fixed:
-                swept = v_new > 0.0
-                fixed = swept.tobytes() == pos.tobytes()
-                if not fixed:
-                    pos = swept
-                    rho = _node_rates(fwd, i + 1, pos)
-                    diag_stale = True
-            if fixed and it < max_iters:
-                # ending here or after the confirming sweep leaves the
-                # sweep count at max_iters, so the residual decides nothing
+            if sides_equal[i + 1]:
                 break
+            swept = v_new > 0.0
+            if swept.tobytes() == pos.tobytes():
+                break
+            pos = swept
+            rho = _node_rates(fwd, i + 1, pos)
+            diag_stale = True
             residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
-            guess = v_new
             if residual < PICARD_TOL:
                 break
-            if it < PICARD_MAX_ITER and fixed:
-                # sweep it + 1 would rebuild this operator and return v_new
-                # with residual 0: count it without running it
-                it += 1
-                break
+            guess = v_new
         else:
             raise PicardConvergenceError(fwd.t[i + 1], residual, PICARD_MAX_ITER)
         max_iters = max(max_iters, it)

@@ -224,16 +224,33 @@ class TestPrice:
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
 
     def test_picard_breakdown_exits_3(self, tmp_path, capsys, monkeypatch):
+        # uncollateralized, the parties' r_e differ and the call's first
+        # half-step moves the sign of nodes just out of the money: one sweep
+        # stops neither at a fixed point nor below a residual no sweep reaches
         monkeypatch.setattr(cxva.pde, "PICARD_TOL", 1e-16)
         monkeypatch.setattr(cxva.pde, "PICARD_MAX_ITER", 1)
-        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID,
+                            collateral={"mode": "uncollateralized"})
         assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["type"] == "solver"
         assert err["class"] == "PicardConvergenceError"
+        assert "after 1 sweeps" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_equal_side_rates_fit_one_sweep(self, tmp_path, monkeypatch):
+        # fully collateralized noncash with one repo spread: both sides' r_e
+        # are equal, so every step stops after its first sweep, whatever the
+        # tolerance, and the one-sweep budget prices as the default does
+        sc = write_scenario(tmp_path, option=OPTION_BLOCK, grid=SMALL_GRID)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "plain"]) == 0
+        monkeypatch.setattr(cxva.pde, "PICARD_TOL", 1e-16)
+        monkeypatch.setattr(cxva.pde, "PICARD_MAX_ITER", 1)
+        assert run(["price", "--scenario", sc, "--out", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "price.json").read_bytes() \
+            == (tmp_path / "plain" / "price.json").read_bytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_malformed_cash_curve_exits_2(self, tmp_path, capsys, mode):

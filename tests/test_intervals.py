@@ -53,7 +53,8 @@ CASES = [
     ("OptionSpec", lambda **f: OptionSpec(**{"payoff": "zcb", "strike": 0.0, "maturity": 1.0,
                                              "spot": 100.0, "vol": 0.2, **f}),
      pde.OPTION_BOUNDS, PdeError),
-    ("GridSpec", GridSpec, pde.GRID_BOUNDS, PdeError),
+    ("GridSpec", lambda **f: GridSpec(**{"s_nodes": 100, "t_steps": 100, **f}),
+     pde.GRID_BOUNDS, PdeError),
     ("generate_portfolio",
      lambda maturity=1.0, **f: generate_portfolio(**{"n": 2, "payer_frac": 0.5,
                                                      "maturity_range": (maturity, maturity),

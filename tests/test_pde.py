@@ -45,13 +45,14 @@ class TestSpecs:
 
     def test_grid_validation(self):
         with pytest.raises(PdeError):
-            GridSpec(s_nodes=10)
+            GridSpec(s_nodes=10, t_steps=100)
 
     @pytest.mark.parametrize("field", ["s_nodes", "t_steps"])
     def test_grid_size_bound(self, field):
-        GridSpec(**{field: pde.MAX_GRID_SIZE})
+        sizes = {"s_nodes": 100, "t_steps": 100}
+        GridSpec(**{**sizes, field: pde.MAX_GRID_SIZE})
         with pytest.raises(PdeError, match=field):
-            GridSpec(**{field: pde.MAX_GRID_SIZE + 1})
+            GridSpec(**{**sizes, field: pde.MAX_GRID_SIZE + 1})
 
 
 class TestKnownValues:
@@ -308,11 +309,17 @@ def _apply(lower, diag, upper, v):
 
 
 def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec, *,
-                    risk_free_override: bool = False) -> tuple[np.ndarray, int]:
-    """(v0, max sweeps) of the full-sweep Picard iteration: every sweep
-    rebuilds its operator from scalar ``effective_rate`` lookups and solves
-    with ``scipy.linalg.solve_banded``, and a step stops only when the
-    residual falls below ``pde.PICARD_TOL``."""
+                    risk_free_override: bool = False) -> tuple[np.ndarray, list]:
+    """(v0, each step's stop sweep) of the full-sweep Picard iteration:
+    every sweep rebuilds its node rates from scalar ``effective_rate``
+    lookups and its operator from them, and solves with
+    ``scipy.linalg.solve_banded``; a step accepts its value only once the
+    residual falls below ``pde.PICARD_TOL``. A step's stop sweep is its
+    first whose result rebuilds the node rates that sweep used, or whose
+    residual is below the tolerance; a step with none within
+    ``pde.PICARD_MAX_ITER`` sweeps raises. After a stop at a fixed point
+    the next sweep solves the same system and its residual is 0, so the
+    iteration runs at most one sweep past the budget."""
     from scipy.linalg import solve_banded
 
     s = np.linspace(0.0, grid.s_max_mult * max(option.spot, option.strike),
@@ -322,43 +329,48 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
     times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
     step_t = np.concatenate(([times[0], times[0] - dt / 2.0], times[1:]))
 
-    def operator(t, v):
+    def node_rates(t, v):
         if risk_free_override:
-            rho = np.full(len(s), rates.risk_free.forward_rate(t))
-        else:
-            rho = np.where(v > 0.0, effective_rate(rates, t, +1), effective_rate(rates, t, -1))
+            return np.full(len(s), rates.risk_free.forward_rate(t))
+        return np.where(v > 0.0, effective_rate(rates, t, +1), effective_rate(rates, t, -1))
+
+    def operator(t, rho):
         conv = rates.risk_free.forward_rate(t) - option.div_yield
         return _operator(s, ds, conv, option.vol, rho)
 
     v = option.terminal_value(s)
-    max_iters = 0
+    stops = []
     for i in range(len(step_t) - 1):
         theta = 1.0 if i < 2 else 0.5
         h = step_t[i] - step_t[i + 1]
-        rhs = v + (1.0 - theta) * h * _apply(*operator(step_t[i], v), v)
-        guess = v
-        for it in range(1, pde.PICARD_MAX_ITER + 1):
-            lower, diag, upper = operator(step_t[i + 1], guess)
+        rhs = v + (1.0 - theta) * h * _apply(*operator(step_t[i], node_rates(step_t[i], v)), v)
+        guess, rho, stop = v, node_rates(step_t[i + 1], v), None
+        for it in range(1, pde.PICARD_MAX_ITER + 2):
+            lower, diag, upper = operator(step_t[i + 1], rho)
             ab = np.zeros((3, len(s)))
             ab[0, 1:] = (-theta * h * upper)[:-1]
             ab[1, :] = 1.0 - theta * h * diag
             ab[2, :-1] = (-theta * h * lower)[1:]
             v_new = solve_banded((1, 1), ab, rhs)
             residual = float(np.max(np.abs(v_new - guess))) / max(1.0, float(np.max(np.abs(v_new))))
-            guess = v_new
+            rebuilt = node_rates(step_t[i + 1], v_new)
+            if stop is None and (np.array_equal(rebuilt, rho) or residual < pde.PICARD_TOL):
+                stop = it
+            elif stop is None and it == pde.PICARD_MAX_ITER:
+                raise PicardConvergenceError(step_t[i + 1], residual, pde.PICARD_MAX_ITER)
+            guess, rho = v_new, rebuilt
             if residual < pde.PICARD_TOL:
                 break
-        else:
-            raise PicardConvergenceError(step_t[i + 1], residual, pde.PICARD_MAX_ITER)
-        max_iters = max(max_iters, it)
+        stops.append(stop)
         v = guess
-    return v, max_iters
+    return v, stops
 
 
 class TestFixedPointStop:
-    """A step stops at the sweep whose result rebuilds the node rates that
-    sweep used; solutions and sweep counts are those of the full-sweep
-    iteration."""
+    """A step stops at the first sweep whose result rebuilds the node rates
+    that sweep used, or whose residual is below tolerance: its value is the
+    full-sweep iteration's bit for bit, and it runs one banded solve for
+    each sweep up to the reference's stop sweep."""
 
     GRID = GridSpec(s_nodes=80, t_steps=60)
 
@@ -388,39 +400,52 @@ class TestFixedPointStop:
             counts[-1] += 1
         return counts
 
+    def _assert_sweeps(self, sol, calls: list, stops: list) -> None:
+        """The solve reports its most banded solves in one step, and each
+        step ran as many as the reference's stop sweep."""
+        per_step = self._solves_per_step(calls)
+        assert sol.max_picard_iters == max(per_step)
+        assert per_step == stops
+
     @pytest.mark.parametrize("star", [False, True])
     @pytest.mark.parametrize("position", [1.0, -1.0])
     @pytest.mark.parametrize("payoff", ["call", "put", "forward"])
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled", "symmetric"])
-    def test_equals_full_sweep_iteration(self, mode, payoff, position, star):
+    def test_equals_full_sweep_iteration(self, monkeypatch, mode, payoff, position, star):
         # star: V* under the risk-free spec against the oracle's r_e = r
+        calls = self._count_solves(monkeypatch)
         option = self._option(payoff, position)
         spec = TestRateTable()._spec(mode)
         sol = solve(option, risk_free_spec(spec.risk_free) if star else spec, self.GRID)
-        v0, iters = reference_solve(option, spec, self.GRID, risk_free_override=star)
+        v0, stops = reference_solve(option, spec, self.GRID, risk_free_override=star)
         assert np.array_equal(sol.v0, v0)
-        assert sol.max_picard_iters == iters
+        self._assert_sweeps(sol, calls, stops)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("position", [1.0, -1.0])
-    def test_equals_full_sweep_iteration_on_sweep_shape(self, position, eta):
+    def test_equals_full_sweep_iteration_on_sweep_shape(self, monkeypatch, position, eta):
         # the option sweep's solves on its 300 x 60 grid: the total spec,
-        # its counterparty-risk twin and V*, from the shipped atm_call inputs
-        scenario = Scenario.load(SCENARIOS / "atm_call.json")
-        option = scenario.option(position=position)
-        spec = scenario.effective_spec(collateralization=eta)
+        # its counterparty-risk twin and V*, from the shipped atm_call and
+        # atm_forward inputs
+        calls = self._count_solves(monkeypatch)
         grid = GridSpec(s_nodes=300, t_steps=60)
-        for rates, star in ((spec, False), (counterparty_risk_spec(spec), False), (spec, True)):
-            sol = solve(option, risk_free_spec(rates.risk_free) if star else rates, grid)
-            v0, iters = reference_solve(option, rates, grid, risk_free_override=star)
-            assert np.array_equal(sol.v0, v0), (rates.mode, star)
-            assert sol.max_picard_iters == iters, (rates.mode, star)
+        for name in ("atm_call", "atm_forward"):
+            scenario = Scenario.load(SCENARIOS / f"{name}.json")
+            option = scenario.option(position=position)
+            spec = scenario.effective_spec(collateralization=eta)
+            for rates, star in ((spec, False), (counterparty_risk_spec(spec), False),
+                                (spec, True)):
+                calls.clear()
+                sol = solve(option, risk_free_spec(rates.risk_free) if star else rates, grid)
+                v0, stops = reference_solve(option, rates, grid, risk_free_override=star)
+                assert np.array_equal(sol.v0, v0), (name, rates.mode, star)
+                self._assert_sweeps(sol, calls, stops)
 
     @pytest.mark.parametrize("mode", ["noncash", "cash_comingled"])
     def test_late_step_raises_sweep_count(self, monkeypatch, mode):
         # a short forward on a 300-node grid: every step before a late one
-        # stops after its first sweep; the late one moves a sign, so its
-        # sweep count exceeds every earlier step's and its residual counts
+        # stops after its first sweep; the late one moves a sign, so it runs
+        # a second sweep, more than any earlier step
         calls = self._count_solves(monkeypatch)
         option = self._option("forward", -1.0)
         spec = TestRateTable()._spec(mode)
@@ -429,48 +454,53 @@ class TestFixedPointStop:
         per_step = self._solves_per_step(calls)
         late = per_step.index(2)
         assert late > 10 and set(per_step[:late]) == {1}
-        v0, iters = reference_solve(option, spec, grid)
+        v0, stops = reference_solve(option, spec, grid)
         assert np.array_equal(sol.v0, v0)
-        assert sol.max_picard_iters == iters == 3
+        self._assert_sweeps(sol, calls, stops)
+        assert sol.max_picard_iters == 2
 
     @pytest.mark.parametrize("position", [1.0, -1.0])
-    def test_equal_side_rates_decided_per_step(self, position):
+    def test_equal_side_rates_decided_per_step(self, monkeypatch, position):
         # both sides' r_e are equal at some step times and differ at others:
         # only the equal ones may skip rebuilding the node rates
         spec = TestRateTable()._spec("crossing")
         rates = pde._ForwardTable.build(spec, TestRateTable()._step_times()).rates
         equal = rates[:, 0] == rates[:, 1]
         assert equal.any() and not equal.all()
+        calls = self._count_solves(monkeypatch)
         option = self._option("forward", position)
         sol = solve(option, spec, self.GRID)
-        v0, iters = reference_solve(option, spec, self.GRID)
+        v0, stops = reference_solve(option, spec, self.GRID)
         assert np.array_equal(sol.v0, v0)
-        assert sol.max_picard_iters == iters
+        self._assert_sweeps(sol, calls, stops)
 
     def test_residual_stop_before_signs_settle(self, monkeypatch):
         # at a loose tolerance a step can stop on the residual while a node
         # near the forward's zero still changes sign: the next step must
         # rebuild its explicit side from the accepted signs
         monkeypatch.setattr(pde, "PICARD_TOL", 1e-3)
+        calls = self._count_solves(monkeypatch)
         option = self._option("forward", -1.0)
         spec = TestRateTable()._spec("noncash")
         grid = GridSpec(s_nodes=150, t_steps=50)
-        v0, iters = reference_solve(option, spec, grid)
+        v0, stops = reference_solve(option, spec, grid)
         sol = solve(option, spec, grid)
         assert np.array_equal(sol.v0, v0)
-        assert sol.max_picard_iters == iters
+        self._assert_sweeps(sol, calls, stops)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_sweep_budget_as_full_sweep_iteration(self, max_iter, monkeypatch):
-        # at a residual no sweep reaches, the confirming sweep decides
-        # whether a step converges within the budget
+        # at a residual no sweep reaches, a step stops only at its fixed
+        # point: the solve raises exactly when the reference runs out of
+        # budget before a step's stop sweep
         monkeypatch.setattr(pde, "PICARD_TOL", 1e-16)
         monkeypatch.setattr(pde, "PICARD_MAX_ITER", max_iter)
+        calls = self._count_solves(monkeypatch)
         option = self._option("forward", 1.0)
         spec = TestRateTable()._spec("noncash")
         grid = GridSpec(s_nodes=60, t_steps=50)
         try:
-            expected = reference_solve(option, spec, grid)
+            v0, stops = reference_solve(option, spec, grid)
         except PicardConvergenceError as err:
             with pytest.raises(PicardConvergenceError) as got:
                 solve(option, spec, grid)
@@ -478,15 +508,15 @@ class TestFixedPointStop:
                 (err.t, err.residual, err.iterations)
         else:
             sol = solve(option, spec, grid)
-            assert np.array_equal(sol.v0, expected[0])
-            assert sol.max_picard_iters == expected[1]
+            assert np.array_equal(sol.v0, v0)
+            self._assert_sweeps(sol, calls, stops)
 
     def test_risk_free_value_solves_once_per_step(self, monkeypatch, ois_flat):
         calls = self._count_solves(monkeypatch)
         grid = GridSpec(s_nodes=100, t_steps=80)
         sol = solve(ATM_CALL, risk_free_spec(ois_flat), grid)
         assert len(calls) == grid.t_steps + 1  # Rannacher: two half-steps
-        assert sol.max_picard_iters == 2
+        assert sol.max_picard_iters == max(self._solves_per_step(calls)) == 1
 
     def test_symmetric_parties_solve_once_per_step(self, monkeypatch):
         # the forward's sign flips move nodes between the parties, whose
@@ -495,7 +525,7 @@ class TestFixedPointStop:
         sol = solve(self._option("forward", 1.0), TestRateTable()._spec("symmetric"),
                     self.GRID)
         assert len(calls) == self.GRID.t_steps + 1
-        assert sol.max_picard_iters == 2
+        assert sol.max_picard_iters == max(self._solves_per_step(calls)) == 1
 
     def test_adjusted_call_solves_about_once_per_step(self, monkeypatch, spec_factory):
         calls = self._count_solves(monkeypatch)
