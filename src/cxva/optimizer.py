@@ -216,16 +216,17 @@ class IterationResult:
 
 def iterate_allocation(assets: Sequence[CollateralAsset], sets: Sequence[NettingSet],
                        poster: PartyCurves, risk_free: RateCurve,
-                       repo_params: RepoModelParams, *, hqla_floor: float = 0.0,
-                       funding_haircut: str = "csa", tol: float = 0.01,
-                       max_iter: int = 5, n_steps: int = 120) -> IterationResult:
+                       repo_params: RepoModelParams, *, n_steps: int,
+                       hqla_floor: float = 0.0, funding_haircut: str = "csa",
+                       tol: float = 0.01, max_iter: int = 5) -> IterationResult:
     """Alternate LP allocation and netting-set revaluation to a fixed point.
 
     Requirements start at the OIS-discounted MTM magnitudes (the sets'
     profile mtm0); each round re-normalizes the unit-LVA matrix by the
     current requirements, e_ij = |LVA_ij| B_i (1 - h_csa_i) / V_j (0 when
     V_j = 0), re-solves the LP, then reprices every set under its posted
-    blend: MTM = mtm* - LVA. Stops when MTMs move less than tol.
+    blend: MTM = mtm* - LVA. Stops when MTMs move less than tol. Each LVA
+    is ``decompose``'s quadrature on ``n_steps`` steps.
     """
     bounded(tol, ITERATION_BOUNDS["tol"], "tol", AllocationError)
     bounded(max_iter, ITERATION_BOUNDS["max_iter"], "max_iter", AllocationError, INTEGER)

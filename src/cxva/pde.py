@@ -35,26 +35,23 @@ each side's r_e there; the Picard sweeps only read that table.
 
 Each part of the system is built at the level where its inputs can change,
 with the same element-wise arithmetic as building the whole operator per
-sweep, so values and sweep counts are unchanged bit for bit:
+sweep, so values and sweep counts are unchanged bit for bit. The Rannacher
+half-steps (theta = 1, h = dt/2) and the Crank-Nicolson steps (theta = 1/2,
+h = dt) share theta h = dt/2, so one constant scales every system:
 
 - per solve: the diffusion band 0.5 sigma^2 S^2 / dS^2 and its -2 multiple,
   and the buffers the explicit side is written into, with the views of
   their first and last s_nodes rows;
 - per step: the explicit side v + (1 - theta) h A v, of which only v's two
   shifted views are sliced afresh;
-- on change only, each kept while its inputs are bitwise the same: the
-  convection bands (``_convection``) when the step's convection moves; the
-  implicit sub- and super-diagonals when the bands or theta*h move; the
-  node rates (``_node_rates``) when a sign moves or the step's rate row
-  moves; the main diagonal (``_diagonal``) when the node rates or the bands
-  move; the implicit main diagonal 1 - theta*h diag when that diagonal or
-  theta*h moves. On a flat curve the bands, rates and diagonal are built
-  once per solve unless a sign moves.
+- the rest of the system (the convection bands, the implicit off-diagonals,
+  the node rates, the operator's main diagonal and the system's) when the
+  step time's convection or rate row moves bit for bit, and the node rates
+  and both main diagonals right after a sweep that moves a sign, so the
+  next step's explicit side reads the accepted value's signs. On a flat
+  curve the system is built once per solve unless a sign moves.
 
-The explicit side reads the main diagonal the previous step's last sweep
-solved with whenever the accepted value has the signs that sweep's rates
-came from. Memory stays O(s_nodes): nothing is tabulated over steps and
-nodes at once.
+Memory stays O(s_nodes): nothing is tabulated over steps and nodes at once.
 """
 
 from __future__ import annotations
@@ -185,12 +182,6 @@ class _ForwardTable:
             (spec.side(-1).rate(t, risk_free), spec.side(+1).rate(t, risk_free)), axis=1))
 
 
-def _node_rates(fwd: _ForwardTable, k: int, pos: np.ndarray) -> np.ndarray:
-    """Per-node effective rate at step time fwd.t[k], picked by the sign
-    mask ``pos`` = V > 0 (V=0 counts as a payable)."""
-    return fwd.rates[k].take(pos)
-
-
 class _Convection(NamedTuple):
     """The bands of the space operator that depend on the step's convection
     r_s - q but not on the value: sub-diagonal (rows 1..n), super-diagonal
@@ -261,34 +252,23 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
     s = np.linspace(0.0, grid.s_max_mult * max(option.spot, option.strike), grid.s_nodes + 1)
     ds = s[1] - s[0]
     dt = option.maturity / grid.t_steps
+    th = dt / 2.0
 
     # Rannacher startup: the first interval as two implicit half-steps.
-    # Step i runs from fwd.t[i] to fwd.t[i + 1].
+    # Step k - 1 runs from fwd.t[k - 1] to fwd.t[k].
     times = np.linspace(option.maturity, 0.0, grid.t_steps + 1)
-    fwd = _ForwardTable.build(
-        rates, np.concatenate(([times[0], times[0] - dt / 2.0], times[1:])))
+    fwd = _ForwardTable.build(rates, np.concatenate(([times[0], times[0] - th], times[1:])))
     conv = fwd.risk_free - option.div_yield
 
     d2 = 0.5 * option.vol * option.vol * s * s / (ds * ds)
     neg_2d2 = -2.0 * d2
-    # at each step time: whether the convection and the rate row differ bit
+    # at each step time: whether the convection or the rate row differs bit
     # for bit from the previous step time's, and whether both sides' r_e are
     # equal, so that a sign change moves no node rate
-    conv_moves = _moves(conv)
-    row_moves = _moves(fwd.rates)
+    moves = _moves(np.column_stack((conv, fwd.rates)))
     sides_equal = (fwd.rates[:, 0] == fwd.rates[:, 1]).tolist()
-    step_t = fwd.t.tolist()
 
     v = option.terminal_value(s)
-    # rho holds the node rates read from the sign mask pos, diag the
-    # operator's main diagonal under rho and band, and implicit the system's,
-    # 1 - th diag; each is rebuilt only when what it is built from moved
-    pos = v > 0.0
-    rho = _node_rates(fwd, 0, pos)
-    band = _convection(d2, s, ds, conv[0])
-    diag = _diagonal(neg_2d2, band, rho)
-    diag_stale = implicit_stale = False
-    th = None
     max_iters = 0
     # the explicit side and its off-diagonal terms, written in place through
     # views of the rows each band reaches; the explicit side becomes the
@@ -298,60 +278,49 @@ def solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec) -> PdeSo
     rhs_head, rhs_tail = rhs[:-1], rhs[1:]
     term_head, term_tail = term[:-1], term[1:]
 
-    for i in range(len(step_t) - 1):
-        theta = 1.0 if i < 2 else 0.5
-        h = step_t[i] - step_t[i + 1]
-        # rho holds v's node rates at this step's start time, where the
-        # previous step's sweeps ran
-        if diag_stale:
-            diag = _diagonal(neg_2d2, band, rho)
-            diag_stale, implicit_stale = False, True
+    for k, moved in enumerate(moves):
+        # the system at fwd.t[k]: band and its implicit off-diagonals sub and
+        # sup, the operator's main diagonal diag under the node rates read
+        # from the sign mask pos (V = 0 counts as a payable), and the
+        # system's, 1 - th diag
+        if moved:
+            band = _convection(d2, s, ds, conv[k])
+            sub, sup = -th * band.lower, -th * band.upper
+            pos = v > 0.0
+            diag = _diagonal(neg_2d2, band, fwd.rates[k].take(pos))
+            implicit = 1.0 - th * diag
+        if k:
+            # the Picard sweeps of step k - 1
+            guess = v
+            for it in range(1, PICARD_MAX_ITER + 1):
+                v_new = solve_banded(sub, implicit, sup, rhs)
+                if sides_equal[k]:
+                    break
+                swept = v_new > 0.0
+                if swept.tobytes() == pos.tobytes():
+                    break
+                pos = swept
+                diag = _diagonal(neg_2d2, band, fwd.rates[k].take(pos))
+                implicit = 1.0 - th * diag
+                residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
+                if residual < PICARD_TOL:
+                    break
+                guess = v_new
+            else:
+                raise PicardConvergenceError(fwd.t[k], residual, PICARD_MAX_ITER)
+            max_iters = max(max_iters, it)
+            v = v_new
+        if k == len(moves) - 1:
+            break
+        # the explicit side v + (1 - theta) h A v of step k, with theta = 1
+        # on the two half-steps
         np.multiply(diag, v, out=rhs)
         np.multiply(band.lower, v[:-1], out=term_tail)
         np.add(rhs_tail, term_tail, out=rhs_tail)
         np.multiply(band.upper, v[1:], out=term_head)
         np.add(rhs_head, term_head, out=rhs_head)
-        np.multiply((1.0 - theta) * h, rhs, out=rhs)
+        np.multiply(0.0 if k < 2 else th, rhs, out=rhs)
         np.add(v, rhs, out=rhs)
-
-        if conv_moves[i + 1]:
-            band = _convection(d2, s, ds, conv[i + 1])
-            diag_stale = True
-        if conv_moves[i + 1] or theta * h != th:
-            th = theta * h
-            sub = -th * band.lower
-            sup = -th * band.upper
-            implicit_stale = True
-        if row_moves[i + 1]:
-            pos = v > 0.0
-            rho = _node_rates(fwd, i + 1, pos)
-            diag_stale = True
-
-        guess = v
-        for it in range(1, PICARD_MAX_ITER + 1):
-            if diag_stale:
-                diag = _diagonal(neg_2d2, band, rho)
-                diag_stale, implicit_stale = False, True
-            if implicit_stale:
-                implicit = 1.0 - th * diag
-                implicit_stale = False
-            v_new = solve_banded(sub, implicit, sup, rhs)
-            if sides_equal[i + 1]:
-                break
-            swept = v_new > 0.0
-            if swept.tobytes() == pos.tobytes():
-                break
-            pos = swept
-            rho = _node_rates(fwd, i + 1, pos)
-            diag_stale = True
-            residual = float(np.abs(v_new - guess).max()) / max(1.0, float(np.abs(v_new).max()))
-            if residual < PICARD_TOL:
-                break
-            guess = v_new
-        else:
-            raise PicardConvergenceError(fwd.t[i + 1], residual, PICARD_MAX_ITER)
-        max_iters = max(max_iters, it)
-        v = v_new
 
     return PdeSolution(s=s, v0=v, value=float(np.interp(option.spot, s, v)),
                        max_picard_iters=max_iters)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .collateral import CollateralAsset
 from .curves import HAZARD, RateCurve
-from .intervals import FRACTION, NON_NEGATIVE, bounded
+from .intervals import FRACTION, NON_NEGATIVE, POSITIVE, bounded
 
 
 class RepoModelError(ValueError):
@@ -55,8 +55,7 @@ def breakeven_spread(params: RepoModelParams, ec: float, t):
     lambda(t). Curves are read as term (zero-style) quantities.
     """
     bounded(ec, NON_NEGATIVE, "economic capital", RepoModelError)
-    if np.any(np.asarray(t) <= 0.0):
-        raise RepoModelError("tenor must be > 0")
+    bounded(np.asarray(t, dtype=float), POSITIVE, "tenor", RepoModelError)
     mu0 = params.mu0_curve.zero_rate(t)
     lam = params.hazard.zero_rate(t)
     return params.roe * ec + mu0 + lam * params.expected_gap_loss

@@ -245,7 +245,7 @@ class TestAnswerCheck:
 def first_unit_lva(assets, sets, poster, ois, params):
     """Unit-LVA matrix of the first allocation round (requirements = |MTM|)."""
     return iterate_allocation(assets, sets, poster, ois, params,
-                              max_iter=1).states[0].unit_lva
+                              max_iter=1, n_steps=120).states[0].unit_lva
 
 
 class TestUnitLva:
@@ -291,7 +291,7 @@ class TestIterateAllocation:
                                  hazard=RateCurve.flat(0.0))
         assets = [simple_asset("a1", quantity=200.0)]
         sets = [simple_set("s1", req=50.0, mtm=-50.0)]
-        result = iterate_allocation(assets, sets, poster, ois, params, tol=0.01)
+        result = iterate_allocation(assets, sets, poster, ois, params, tol=0.01, n_steps=120)
         assert result.status == "converged"
         assert len(result.states) == 1
         assert result.final.mtms[0] == pytest.approx(-50.0, abs=1e-12)
@@ -304,7 +304,7 @@ class TestIterateAllocation:
         sets = [simple_set("s1", req=100.0, mtm=-100.0),
                 simple_set("s2", req=60.0, mtm=-60.0)]
         result = iterate_allocation(assets, sets, poster, ois, repo_params,
-                                    tol=0.01, max_iter=5)
+                                    tol=0.01, max_iter=5, n_steps=120)
         assert result.status == "converged"
         first = result.states[0]
         assert np.all(np.abs(first.mtms) < np.array([100.0, 60.0]))
@@ -316,7 +316,7 @@ class TestIterateAllocation:
     def test_trajectory_records_allocations(self, poster, ois, repo_params):
         assets = [simple_asset("a1", quantity=300.0, ec=0.01)]
         sets = [simple_set("s1", req=80.0, mtm=-80.0)]
-        result = iterate_allocation(assets, sets, poster, ois, repo_params)
+        result = iterate_allocation(assets, sets, poster, ois, repo_params, n_steps=120)
         state = result.states[0]
         assert state.allocation.q[0, 0] == pytest.approx(80.0, rel=1e-9)
         assert state.unit_lva[0, 0] > 0.0

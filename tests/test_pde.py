@@ -217,7 +217,9 @@ class TestRateTable:
         # every system solved is 1 - theta h A for the whole operator A at
         # the step's convection and at the rates a scalar effective_rate
         # lookup gives the signs of the iterate the sweep started from, and
-        # its right-hand side is v + (1 - theta) h A v at the step's start
+        # its right-hand side is v + (1 - theta) h A v at the step's start;
+        # Rannacher: theta = 1 and h = dt/2 on the first two steps, then
+        # theta = 1/2 and h = dt
         spec = self._spec(mode)
         log = []
 
@@ -231,6 +233,7 @@ class TestRateTable:
         s = np.linspace(0.0, self.GRID.s_max_mult * max(self.OPTION.spot, self.OPTION.strike),
                         self.GRID.s_nodes + 1)
         step_t = self._step_times()
+        dt = self.OPTION.maturity / self.GRID.t_steps
 
         def operator(t, v):
             rho = np.where(v > 0.0, effective_rate(spec, t, +1), effective_rate(spec, t, -1))
@@ -245,8 +248,7 @@ class TestRateTable:
             # each step starts from the value the last one accepted
             if rhs_i is None or not np.array_equal(rhs, rhs_i):
                 i, rhs_i = i + 1, rhs
-                theta = 1.0 if i < 2 else 0.5
-                h = step_t[i] - step_t[i + 1]
+                theta, h = (1.0, dt / 2.0) if i < 2 else (0.5, dt)
                 assert np.array_equal(
                     rhs, start + (1.0 - theta) * h * _apply(*operator(step_t[i], start), start))
             op_lower, op_diag, op_upper = operator(step_t[i + 1], start)
@@ -341,8 +343,8 @@ def reference_solve(option: OptionSpec, rates: EffectiveRateSpec, grid: GridSpec
     v = option.terminal_value(s)
     stops = []
     for i in range(len(step_t) - 1):
-        theta = 1.0 if i < 2 else 0.5
-        h = step_t[i] - step_t[i + 1]
+        # Rannacher: two implicit half-steps, then Crank-Nicolson steps
+        theta, h = (1.0, dt / 2.0) if i < 2 else (0.5, dt)
         rhs = v + (1.0 - theta) * h * _apply(*operator(step_t[i], node_rates(step_t[i], v)), v)
         guess, rho, stop = v, node_rates(step_t[i + 1], v), None
         for it in range(1, pde.PICARD_MAX_ITER + 2):

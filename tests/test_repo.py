@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxva.collateral import CollateralAsset
-from cxva.curves import CurveError, RateCurve
+from cxva.curves import RateCurve
 from cxva.repo import (RepoModelError, RepoModelParams, breakeven_spread,
                        repo_curve, spread_curve)
 
@@ -90,8 +90,8 @@ class TestSpreadCurve:
         (0.004, (0.25, 0.0), RepoModelError, "tenor"),
         (0.004, (-1.0, 1.0), RepoModelError, "tenor"),
         (0.004, (float("-inf"),), RepoModelError, "tenor"),
-        (0.004, (1.0, float("nan")), CurveError, "zero_rate"),
-        (0.004, (1.0, float("inf")), CurveError, "zero_rate"),
+        (0.004, (1.0, float("nan")), RepoModelError, "tenor"),
+        (0.004, (1.0, float("inf")), RepoModelError, "tenor"),
     ])
     def test_errors_as_breakeven_spread(self, params, ec, tenors, error, message):
         with pytest.raises(error, match=message):

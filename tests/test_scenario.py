@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from cxva.exposure import (MAX_PATHS, MAX_PROFILE_POINTS, MAX_SWAPS, Determinist
                            OneFactorMcModel)
 from cxva.scenario import (CURVE_FORMS, EXPOSURE_MODELS, MAX_SWEEP_POINTS, SCHEMA, Key, Scenario,
                            ScenarioError, read_flag)
-from cxva.xva import MAX_QUADRATURE_STEPS, QUADRATURE_STEPS
+from cxva.xva import MAX_QUADRATURE_STEPS, QUADRATURE_STEPS, decompose
 
 
 def write(tmp_path, payload, name="s.json"):
@@ -304,6 +305,23 @@ class TestSchema:
         assert len(library) == 32
         for (section, name), bounds in library.items():
             assert SCHEMA[section][name].bounds is bounds, (section, name)
+
+    @pytest.mark.parametrize("section, name, owner, parameter", [
+        ("option", "div_yield", pde.OptionSpec, "div_yield"),
+        ("grid", "s_max_mult", pde.GridSpec, "s_max_mult"),
+        ("collateral", "mode", discounting.EffectiveRateSpec, "mode"),
+        ("repo", "expected_gap_loss", repo.RepoModelParams, "expected_gap_loss"),
+        ("scenario", "quadrature_steps", decompose, "n_steps"),
+        *(("portfolio", name, exposure.generate_portfolio, name)
+          for name in ("rate_offset", "pay_freq", "notional")),
+        *(("optimizer", name, optimizer.iterate_allocation, name)
+          for name in ("tol", "max_iter", "hqla_floor", "funding_haircut")),
+    ], ids=lambda arg: arg if isinstance(arg, str) else None)
+    def test_library_defaults_are_schema_defaults(self, section, name, owner, parameter):
+        # a library caller who omits an argument gets what a scenario that
+        # omits the key gets
+        default = inspect.signature(owner).parameters[parameter].default
+        assert default == SCHEMA[section][name].default
 
     def test_values_read_once(self, tmp_path):
         sc = Scenario.load(write(tmp_path, BASE))
